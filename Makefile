@@ -1,9 +1,9 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build test vet race engine-race faults sim sim-race sim-long cover bench bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
 
-all: build vet staticcheck test engine-race sim cover bench-check
+all: build vet bench-vet staticcheck test engine-race sim cover bench-check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,26 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a module of its own, so `go vet ./...` above never reaches it.
+# Vetting it type-checks the repo benchmark's harness against internal/...,
+# so an internal API change that would break the benchmark fails here.
+bench-vet:
+	cd bench && $(GO) vet ./...
+
+# Non-test Go lines by package, at LOC_BASE and in the working tree (tracked
+# files only) — the before/after table every simplification PR reports.
+LOC_BASE ?= HEAD
+
+loc:
+	@{ git grep -c '' $(LOC_BASE) -- '*.go' ':!*_test.go' | sed 's/^[^:]*:/base:/'; \
+	   git grep -c '' -- '*.go' ':!*_test.go' | sed 's/^/now:/'; } | \
+	awk -F: '{ n = split($$2, d, "/"); pkg = (n > 1) ? substr($$2, 1, length($$2) - length(d[n]) - 1) : "."; \
+	           v[$$1, pkg] += $$3; t[$$1] += $$3; seen[pkg] = 1 } \
+	     END { printf "%-32s %8s %8s %7s\n", "package", "$(LOC_BASE)", "now", "delta"; \
+	           for (pkg in seen) printf "%-32s %8d %8d %+7d\n", pkg, v["base", pkg], v["now", pkg], v["now", pkg] - v["base", pkg] | "sort"; \
+	           close("sort"); \
+	           printf "%-32s %8d %8d %+7d\n", "total", t["base"], t["now"], t["now"] - t["base"] }'
 
 race:
 	$(GO) test -race ./...

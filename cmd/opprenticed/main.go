@@ -86,14 +86,14 @@ func main() {
 	eng := engine.New(cfg)
 	srv := service.NewServerWithEngine(eng, logger)
 	if *dataDir != "" {
-		var walOpts []tsdb.Option
+		var storeOpts []tsdb.Option
 		if *walSeg > 0 {
-			walOpts = append(walOpts, tsdb.WithSegmentBytes(*walSeg))
+			storeOpts = append(storeOpts, tsdb.WithSegmentBytes(*walSeg))
 		}
 		if *walGC > 0 {
-			walOpts = append(walOpts, tsdb.WithGroupCommit(*walGC))
+			storeOpts = append(storeOpts, tsdb.WithGroupCommit(*walGC))
 		}
-		store, err := tsdb.Open(*dataDir, walOpts...)
+		store, err := tsdb.Open(*dataDir, storeOpts...)
 		if err != nil {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)

@@ -2,8 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"time"
+
+	"opprentice/internal/tsdb"
 )
 
 // Point is one (timestamp, value) observation. Timestamp is optional: when
@@ -52,14 +53,14 @@ type AppendResult struct {
 	Verdicts []Verdict
 	// Persisted is false when a durable store is attached and the batch's
 	// append either failed (counted in Counters().WALAppendErrors) or has
-	// not yet reached disk — the series is degraded and the write is
-	// buffered in the background WAL writer. The points are live in memory
-	// either way; a crash before the writer drains would lose them.
+	// not yet reached disk — the series is degraded and the write was
+	// submitted without waiting for its commit. The points are live in
+	// memory either way; a crash before the commit would lose them.
 	Persisted bool
 	// Degraded reports the series was in degraded mode when the call
 	// returned: the batch's verdicts are threshold-only (or, when the
 	// degradation happened on this very batch's WAL write, the write is
-	// still buffered).
+	// still in flight).
 	Degraded bool
 }
 
@@ -73,12 +74,12 @@ type AppendResult struct {
 //
 // Resilience semantics: the batch is first admitted against the shard's
 // in-flight budget — over budget it is shed whole with an
-// ErrOverloaded-wrapped error before any mutation. The WAL append goes
-// through the series' background writer; the healthy path waits for it up
-// to the WAL deadline, and a miss flips the series into degraded mode
-// (threshold-only verdicts, buffered writes, Persisted=false) until the
-// recovery hysteresis clears. Degraded verdicts are advisory: they are
-// returned to the caller but never enter the alarm ring or the incident
+// ErrOverloaded-wrapped error before any mutation. The WAL append is
+// submitted to the store under the series mutex; the healthy path waits for
+// its commit up to the WAL deadline, and a miss flips the series into
+// degraded mode (threshold-only verdicts, unawaited writes, Persisted=false)
+// until the recovery hysteresis clears. Degraded verdicts are advisory: they
+// are returned to the caller but never enter the alarm ring or the incident
 // pipeline, so a half-blind scorer cannot page an operator.
 //
 // vbuf, when non-nil, is reused for the verdicts (grown as needed) so a
@@ -196,8 +197,13 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 		Verdicts:  vbuf,
 		Persisted: true,
 	}
-	if m.walw != nil {
-		e.walAppend(ctx, m, &res)
+	if e.store != nil {
+		// The record aliases the committed range of the series' value slice
+		// instead of copying it: the series is append-only, so [base, Total)
+		// is immutable from here on — later appends either write past Total
+		// or reallocate the backing array — and the store borrows it only
+		// until the commit.
+		res.Persisted = e.walWrite(ctx, m, tsdb.Record{Name: m.name, Values: m.series.Values[base:res.Total:res.Total]})
 	}
 	// Weekly-style automatic incremental retraining (§3.2), scheduled on the
 	// background workers: ingest never blocks on a training round. The drift
@@ -230,63 +236,6 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 	}
 	return res, nil
 }
-
-// walAppend routes the batch's durable write through the background
-// writer (caller holds m.mu). The op aliases the committed range of the
-// series' value slice instead of copying it: the series is append-only, so
-// [Total-Appended, Total) is immutable once this call runs — later appends
-// either write past Total or reallocate the backing array, never touching
-// the committed range — and the channel send to the writer is the
-// happens-before edge for its reads. Healthy path: wait up to the WAL
-// deadline, flipping the series degraded on a miss. Degraded path: enqueue
-// without waiting; a full buffer drops the batch from the log (never from
-// memory) with loss accounting.
-func (e *Engine) walAppend(ctx context.Context, m *managed, res *AppendResult) {
-	values := m.series.Values[res.Total-res.Appended : res.Total : res.Total]
-	if m.degraded {
-		res.Persisted = false
-		if !m.walw.enqueue(walOp{kind: opPoints, values: values}) {
-			e.counters.walLostPoints.Add(int64(len(values)))
-			e.log.Error("wal batch dropped: degraded buffer full",
-				"series", m.name, "points", len(values))
-			return
-		}
-		e.counters.walBufferedPoints.Add(int64(len(values)))
-		return
-	}
-	done := donePool.Get().(chan error)
-	if !m.walw.enqueue(walOp{kind: opPoints, values: values, done: done}) {
-		donePool.Put(done)
-		res.Persisted = false
-		e.counters.walLostPoints.Add(int64(len(values)))
-		e.enterDegraded(m, "wal writer saturated")
-		return
-	}
-	err, completed := m.walw.await(ctx, done, time.Duration(e.walDeadline.Load()))
-	switch {
-	case completed && err == nil:
-		// Durable before the call returns: the healthy contract.
-		donePool.Put(done)
-	case completed:
-		// The store failed fast; the writer already counted and logged it.
-		donePool.Put(done)
-		res.Persisted = false
-	default:
-		res.Persisted = false
-		if ctx.Err() == nil {
-			// A real deadline miss, not the client hanging up: the series
-			// flips degraded and the write keeps draining in the background.
-			m.lastViolation.Store(time.Now().UnixNano())
-			e.enterDegraded(m, "wal append blew its deadline")
-		}
-	}
-}
-
-// donePool recycles WAL completion channels. A channel goes back to the
-// pool only after its result was received (or it was never enqueued): a
-// channel abandoned by an await timeout still has a pending writer send and
-// is left to the garbage collector instead.
-var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // alarmRing is a bounded buffer of the most recent alarms: O(1) push with no
 // growth beyond max, unlike the slice-trim approach it replaces.

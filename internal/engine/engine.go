@@ -51,11 +51,12 @@ import (
 )
 
 // Store is the persistence seam between the engine and the write-ahead log.
-// *tsdb.Store satisfies it; tests substitute failing or recording fakes.
+// *tsdb.Store satisfies it; tests substitute failing or stalling fakes.
 type Store interface {
-	CreateSeries(meta tsdb.Meta) error
-	AppendPoints(ctx context.Context, name string, values []float64) error
-	AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error
+	// Submit enqueues one durable write in call order and returns at once;
+	// done reports the commit result exactly once unless Submit itself
+	// returns an error (see tsdb.Store.Submit for the full contract).
+	Submit(ctx context.Context, rec tsdb.Record, done func(error)) error
 	List() ([]string, error)
 	Load(name string) (*tsdb.Loaded, error)
 	Quarantine(name string) (string, error)
@@ -172,8 +173,8 @@ type Config struct {
 	IngestInflight int
 	// WALDeadline bounds how long an Append or Label waits for its durable
 	// write (default 2s). A write that blows the budget flips the series
-	// into degraded mode: verdicts become threshold-only, WAL ops are
-	// buffered in the background writer, and the append reports
+	// into degraded mode: verdicts become threshold-only, WAL records are
+	// submitted without waiting for their commit, and the append reports
 	// Persisted=false. Negative disables the deadline (waits forever).
 	WALDeadline time.Duration
 	// TrainDeadline bounds one training/publish round (default 5m). A round
@@ -182,15 +183,10 @@ type Config struct {
 	// and retry. Negative disables the watchdog.
 	TrainDeadline time.Duration
 	// DegradedRecovery is the hysteresis window for leaving degraded mode
-	// (default 30s): a series recovers only after its WAL writer has been
-	// quiet — no slow or failed write — for this long and its queue has
-	// drained. Negative makes degraded mode sticky until restart.
+	// (default 30s): a series recovers only after it has seen no slow or
+	// failed write for this long and has no write in flight. Negative makes
+	// degraded mode sticky until restart.
 	DegradedRecovery time.Duration
-	// WALBufferPoints bounds the points buffered per series in the
-	// background WAL writer while degraded (default 65536). Beyond it,
-	// batches are dropped from the log (never from memory) and counted in
-	// Counters().WALLostPoints.
-	WALBufferPoints int
 	// TrainRetries is how many times an automatic retrain that stalled or
 	// failed is retried with exponential backoff before giving up for that
 	// trigger (default 3).
@@ -268,7 +264,6 @@ type Engine struct {
 	walDeadline      atomic.Int64
 	trainDeadline    atomic.Int64
 	degradedRecovery atomic.Int64
-	walBufferPoints  int
 	trainRetries     int
 	trainFailLimit   int
 
@@ -284,6 +279,11 @@ type Engine struct {
 type shard struct {
 	mu     sync.RWMutex
 	series map[string]*managed
+
+	// createMu serializes Create calls on the shard, so a name is checked,
+	// made durable and published without a second Create interleaving, while
+	// lookups (which take only mu) never wait on the disk.
+	createMu sync.Mutex
 
 	// inflight is the admission-control gauge: points currently inside
 	// Append for this shard's series. Reserved before any mutation,
@@ -339,11 +339,12 @@ type managed struct {
 	// the cache carries its own mutex besides.
 	featCache *core.FeatureCache
 
-	// walw is the background WAL writer (nil without a store). Ops are
-	// enqueued under mu so log order matches append order; the healthy path
-	// waits for completion up to the WAL deadline and a blown deadline
-	// flips the series degraded.
-	walw *walWriter
+	// Durable-write accounting: records submitted to the store and not yet
+	// committed, and the points they hold. Raised under mu at submission (so
+	// log order matches append order), lowered by the store's completion
+	// callback, which never takes mu.
+	walWrites atomic.Int64
+	walPoints atomic.Int64
 
 	// Degraded-mode state (guarded by mu). While degraded the monitor is
 	// not stepped: verdicts come from the threshold-only scorer, appended
@@ -357,9 +358,8 @@ type managed struct {
 	scorer        degradeScorer
 	pending       []float64
 
-	// lastViolation is the unix-nano time of the last slow or failed WAL
-	// write, stamped by the writer goroutine; recovery hysteresis keys off
-	// it.
+	// lastViolation is the unix-nano time of the last slow WAL commit or
+	// deadline miss; recovery hysteresis keys off it.
 	lastViolation atomic.Int64
 
 	// Training supervision: consecutive failed automatic rounds, and the
@@ -425,12 +425,6 @@ func New(cfg Config) *Engine {
 	if cfg.IngestInflight < 0 {
 		cfg.IngestInflight = 0
 	}
-	if cfg.WALBufferPoints == 0 {
-		cfg.WALBufferPoints = 1 << 16
-	}
-	if cfg.WALBufferPoints < 0 {
-		cfg.WALBufferPoints = 0
-	}
 	if cfg.TrainRetries == 0 {
 		cfg.TrainRetries = 3
 	}
@@ -449,25 +443,24 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e := &Engine{
-		shards:          make([]shard, n),
-		shardMask:       uint32(n - 1),
-		log:             cfg.Log,
-		store:           cfg.Store,
-		maxAlarms:       cfg.MaxAlarms,
-		registry:        cfg.Registry,
-		notifyCfg:       cfg.Notify,
-		notifier:        cfg.Notifier,
-		hooks:           cfg.Hooks,
-		models:          cfg.Models,
-		restoreWorkers:  cfg.RestoreWorkers,
-		cacheBudget:     budget,
-		ingestInflight:  int64(cfg.IngestInflight),
-		walBufferPoints: cfg.WALBufferPoints,
-		trainRetries:    cfg.TrainRetries,
-		trainFailLimit:  cfg.TrainFailLimit,
-		trainQ:          make(chan *managed, cfg.RetrainQueue),
-		pubQ:            make(chan *managed, cfg.RetrainQueue),
-		stop:            make(chan struct{}),
+		shards:         make([]shard, n),
+		shardMask:      uint32(n - 1),
+		log:            cfg.Log,
+		store:          cfg.Store,
+		maxAlarms:      cfg.MaxAlarms,
+		registry:       cfg.Registry,
+		notifyCfg:      cfg.Notify,
+		notifier:       cfg.Notifier,
+		hooks:          cfg.Hooks,
+		models:         cfg.Models,
+		restoreWorkers: cfg.RestoreWorkers,
+		cacheBudget:    budget,
+		ingestInflight: int64(cfg.IngestInflight),
+		trainRetries:   cfg.TrainRetries,
+		trainFailLimit: cfg.TrainFailLimit,
+		trainQ:         make(chan *managed, cfg.RetrainQueue),
+		pubQ:           make(chan *managed, cfg.RetrainQueue),
+		stop:           make(chan struct{}),
 	}
 	e.activeCfg = active.Config{
 		Band:           cfg.QueryBand,
@@ -600,34 +593,20 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 		m.featCache = core.NewFeatureCache(e.cacheBudget)
 	}
 	e.attachActive(m)
-	if cfg.WebhookURL != "" {
-		e.attachIncident(m, cfg.WebhookURL)
-	}
-	if e.store != nil {
-		e.attachWAL(m)
-	}
 	sh := e.shardFor(name)
-	sh.mu.Lock()
+	sh.createMu.Lock()
+	defer sh.createMu.Unlock()
+	sh.mu.RLock()
 	_, exists := sh.series[name]
-	if !exists {
-		sh.series[name] = m
-	}
-	sh.mu.Unlock()
+	sh.mu.RUnlock()
 	if exists {
-		if m.pipeline != nil {
-			m.pipeline.Close() // don't leak the losing candidate's worker
-		}
-		if m.walw != nil {
-			m.walw.shutdown(time.Second)
-		}
 		return &kindError{kind: ErrExists, cause: fmt.Errorf("series %q already exists", name)}
 	}
-	if m.walw != nil {
-		// The meta record goes through the series' WAL writer like every
-		// other record, so it is ordered strictly before any points a racing
-		// Append could enqueue. Create still waits for it: a creation that
-		// cannot reach disk fails synchronously.
-		if err := m.walw.createSeries(tsdb.Meta{
+	if e.store != nil {
+		// The meta record is durable before the series is published, so it
+		// precedes any points in the log and a creation that cannot reach
+		// disk fails synchronously, leaving nothing registered.
+		if err := e.createSeries(tsdb.Meta{
 			Name:            name,
 			Start:           cfg.Start.UTC(),
 			IntervalSeconds: cfg.IntervalSeconds,
@@ -642,6 +621,12 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 			return err
 		}
 	}
+	if cfg.WebhookURL != "" {
+		e.attachIncident(m, cfg.WebhookURL)
+	}
+	sh.mu.Lock()
+	sh.series[name] = m
+	sh.mu.Unlock()
 	e.log.Info("series created", "name", name, "interval", interval)
 	return nil
 }
@@ -699,7 +684,7 @@ type Status struct {
 	Precision       float64   `json:"precision"`
 	IntervalSeconds int       `json:"interval_seconds"`
 	// Degraded reports the series is serving threshold-only verdicts while
-	// its WAL writer catches up (see the degraded-mode state machine).
+	// its durable writes catch up (see the degraded-mode state machine).
 	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined reports automatic retraining is suspended after repeated
 	// failures; the last good model keeps serving.
@@ -800,7 +785,7 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 	}
 	for wi, lw := range windows {
 		class := classes[wi]
-		typed := lw.Type != ""
+		typed := class != core.ClassNone
 		if typed && m.typed == nil {
 			m.typed = make([]uint8, len(m.labels))
 		}
@@ -816,10 +801,10 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 				m.typed[i] = code
 			}
 		}
-		if m.walw != nil {
-			// The writer owns failure accounting and logging; a write that
+		if e.store != nil {
+			// walWrite owns failure accounting and logging; a write that
 			// blows its deadline flips the series degraded inside.
-			m.walw.appendLabel(ctx, lw.Start, lw.End, lw.Anomalous, uint8(class), typed)
+			e.walWrite(ctx, m, tsdb.Record{Name: m.name, Start: lw.Start, End: lw.End, Anomalous: lw.Anomalous, Class: uint8(class)})
 		}
 	}
 	return LabelResult{
@@ -928,7 +913,6 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 	if meta.WebhookURL != "" {
 		e.attachIncident(m, meta.WebhookURL)
 	}
-	e.attachWAL(m)
 
 	warm := false
 	if e.models != nil {
@@ -961,41 +945,40 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 
 // Close stops the retrain and publish workers (waiting out a round already
 // in flight), publishes any trained model newer than its last artifact so a
-// retrain finished moments before shutdown is not lost, and shuts down the
+// retrain finished moments before shutdown is not lost, shuts down the
 // per-series notification pipelines, giving pending webhook deliveries a
-// short drain window. Call it after the serving transport has stopped so no
-// new work can arrive.
+// short drain window, and waits for durable writes still in flight. Call it
+// after the serving transport has stopped so no new work can arrive.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
 	e.PublishModels()
-	var pipelines []*alerting.Pipeline
-	var writers []*walWriter
+	var all []*managed
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
 		for _, m := range sh.series {
-			if m.pipeline != nil {
-				pipelines = append(pipelines, m.pipeline)
-			}
-			if m.walw != nil {
-				writers = append(writers, m.walw)
-			}
+			all = append(all, m)
 		}
 		sh.mu.RUnlock()
 	}
 	ctx, cancel := drainContext()
 	defer cancel()
-	for _, p := range pipelines {
-		_ = p.Drain(ctx)
-		p.Close()
+	for _, m := range all {
+		if m.pipeline != nil {
+			_ = m.pipeline.Drain(ctx)
+			m.pipeline.Close()
+		}
 	}
-	// Drain the WAL writers last so everything buffered during a degraded
-	// window reaches disk before the store is closed; a writer wedged on a
-	// stuck store is abandoned after its timeout (logged, not waited out).
-	for _, w := range writers {
-		if !w.shutdown(5 * time.Second) {
-			e.log.Error("wal writer did not drain before close", "series", w.series)
+	// Wait out the durable writes last so everything submitted during a
+	// degraded window reaches disk before the caller closes the store;
+	// writes wedged on a stuck store are abandoned after the timeout (logged,
+	// not waited out).
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, m := range all {
+		if err := m.awaitWALIdle(ctx); err != nil {
+			e.log.Error("durable writes still in flight at close", "series", m.name, "writes", m.walWrites.Load())
 		}
 	}
 }

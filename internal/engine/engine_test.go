@@ -141,7 +141,7 @@ func TestAlarmRing(t *testing.T) {
 	}
 }
 
-// flakyStore fails AppendPoints/AppendLabel on demand; everything else
+// flakyStore fails points and label writes on demand; everything else
 // succeeds without persisting anything.
 type flakyStore struct {
 	mu       sync.Mutex
@@ -152,26 +152,20 @@ type flakyStore struct {
 
 func (f *flakyStore) setFail(v bool) { f.mu.Lock(); f.fail = v; f.mu.Unlock() }
 
-func (f *flakyStore) CreateSeries(tsdb.Meta) error { return nil }
-
-func (f *flakyStore) AppendPoints(context.Context, string, []float64) error {
+func (f *flakyStore) Submit(_ context.Context, rec tsdb.Record, done func(error)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.appends++
-	if f.fail {
-		f.failures++
-		return fmt.Errorf("disk full")
+	var err error
+	if rec.Meta == nil {
+		if rec.Values != nil {
+			f.appends++
+		}
+		if f.fail {
+			f.failures++
+			err = fmt.Errorf("disk full")
+		}
 	}
-	return nil
-}
-
-func (f *flakyStore) AppendLabel(context.Context, string, int, int, bool) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail {
-		f.failures++
-		return fmt.Errorf("disk full")
-	}
+	done(err)
 	return nil
 }
 

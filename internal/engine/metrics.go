@@ -30,7 +30,7 @@ type counters struct {
 	ingestSheds       atomic.Int64 // batches shed by admission control
 	degradedEntered   atomic.Int64 // series transitions into degraded mode
 	degradedRecovered atomic.Int64 // series transitions back to healthy
-	walBufferedPoints atomic.Int64 // points buffered by degraded WAL writers
+	walBufferedPoints atomic.Int64 // points submitted unawaited while degraded
 	walLostPoints     atomic.Int64 // points dropped from the log (buffer full)
 	trainStalls       atomic.Int64 // training/publish rounds abandoned by the watchdog
 	trainRetriesRun   atomic.Int64 // watchdog-driven retrain retries

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sort"
 	"time"
+
+	"opprentice/internal/tsdb"
 )
 
 // Query is one pending label query: a window of points the live forest was
@@ -98,8 +100,8 @@ func (e *Engine) AnswerQuery(ctx context.Context, name string, start, end int, a
 			m.typed[i] = 0
 		}
 	}
-	if m.walw != nil {
-		m.walw.appendLabel(ctx, start, end, anomalous, 0, false)
+	if e.store != nil {
+		e.walWrite(ctx, m, tsdb.Record{Name: m.name, Start: start, End: end, Anomalous: anomalous})
 	}
 	e.counters.queriesAnswered.Add(1)
 	return LabelResult{

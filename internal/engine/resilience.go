@@ -2,17 +2,17 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"opprentice/internal/tsdb"
 )
 
 // This file is the engine's overload and stall machinery: per-shard
-// admission control, the per-series background WAL writer whose deadline
+// admission control, the durable-write hand-off to the store whose deadline
 // misses flip a series into degraded mode, the threshold-only scorer that
 // serves verdicts while degraded, and the hysteresis that recovers out of
 // it. The training watchdog lives in train.go; together they give the
@@ -94,7 +94,7 @@ func (e *Engine) admit(sh *shard, n int) (admitToken, error) {
 // enterDegraded flips a series into degraded serving (caller holds m.mu):
 // verdicts become threshold-only against the last trained model's cThld,
 // appended values accumulate in pending for the recovery replay, and WAL
-// ops are buffered in the background writer.
+// records are submitted without waiting for their commit.
 func (e *Engine) enterDegraded(m *managed, reason string) {
 	if m.degraded {
 		return
@@ -112,9 +112,9 @@ func (e *Engine) enterDegraded(m *managed, reason string) {
 	e.log.Warn("series degraded", "series", m.name, "reason", reason)
 }
 
-// maybeRecover leaves degraded mode (caller holds m.mu) once the WAL
-// writer has been quiet for the full hysteresis window and its queue has
-// drained. The values appended while degraded are replayed through the
+// maybeRecover leaves degraded mode (caller holds m.mu) once the series has
+// seen no slow or failed write for the full hysteresis window and has none
+// in flight. The values appended while degraded are replayed through the
 // real monitor — their client-facing verdicts were already issued by the
 // threshold scorer, so replay verdicts are discarded exactly like the
 // retrain replay — which makes the monitor state bit-identical to a run
@@ -131,7 +131,7 @@ func (e *Engine) maybeRecover(m *managed) {
 	if time.Since(last) < rec {
 		return
 	}
-	if m.walw != nil && !m.walw.idle() {
+	if m.walWrites.Load() != 0 {
 		return
 	}
 	if m.monitor != nil {
@@ -240,257 +240,157 @@ func (e *Engine) Ready() Readiness {
 	return r
 }
 
-// SyncWAL blocks until every WAL op enqueued for the series before the
-// call has been executed (a write barrier), or ctx is done. Tests and the
-// simulation harness use it to force the background writer to a known
-// point; it is not on any hot path.
+// SyncWAL blocks until the series has no durable write in flight — every
+// record submitted before the call has committed or failed — or ctx is done.
+// Tests and the simulation harness use it to bring the log to a known point;
+// it is not on any hot path.
 func (e *Engine) SyncWAL(ctx context.Context, name string) error {
 	m, err := e.lookup(name)
 	if err != nil {
 		return err
 	}
-	if m.walw == nil {
-		return nil
-	}
-	done := make(chan error, 1)
-	if !m.walw.enqueue(walOp{kind: opBarrier, done: done}) {
-		return stalledf("wal writer for %q is saturated or closed", name)
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return m.awaitWALIdle(ctx)
 }
 
-// opKind enumerates WAL writer operations.
-type opKind int
-
-const (
-	opMeta opKind = iota
-	opPoints
-	opLabel
-	opBarrier
-)
-
-// walOp is one queued durable write (or a barrier). done, when non-nil,
-// receives the store's result exactly once (buffered so an abandoned
-// waiter never blocks the writer).
-type walOp struct {
-	kind      opKind
-	meta      tsdb.Meta
-	values    []float64
-	start     int
-	end       int
-	anomalous bool
-	typed     bool  // the label carries an anomaly class
-	class     uint8 // core.AnomalyClass wire code
-	done      chan error
-}
-
-// TypedLabelStore is the optional store capability for anomaly-class label
-// records. *tsdb.Store implements it; a store without it (test fakes,
-// older stores) silently degrades typed labels to plain ones in the log —
-// the in-memory typed channel is unaffected.
-type TypedLabelStore interface {
-	AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error
-}
-
-var _ TypedLabelStore = (*tsdb.Store)(nil)
-
-// walWriter serializes one series' durable writes on a dedicated
-// goroutine. Ops are enqueued under the series mutex, so queue order is
-// exactly append order; the healthy ingest path then waits for its op up
-// to the WAL deadline, and a miss flips the series degraded while the
-// writer keeps draining in the background with bounded buffering.
-type walWriter struct {
-	series string
-	eng    *Engine
-	m      *managed
-
-	mu         sync.Mutex
-	closed     bool
-	pendingOps int // enqueued but not yet executed
-	buffered   int // points those ops hold (degraded-mode memory bound)
-
-	ops     chan walOp
-	drained chan struct{}
-}
-
-// attachWAL wires a background WAL writer to the series. Must be called
-// before the series sees traffic.
-func (e *Engine) attachWAL(m *managed) {
-	if e.store == nil {
-		return
-	}
-	w := &walWriter{
-		series:  m.name,
-		eng:     e,
-		m:       m,
-		ops:     make(chan walOp, 4096),
-		drained: make(chan struct{}),
-	}
-	m.walw = w
-	go w.run()
-}
-
-// enqueue adds one op to the queue. It reports false — without blocking —
-// when the writer is closed, the op channel is full, or a points op would
-// exceed the buffered-points bound; the caller decides whether that is a
-// loss to account.
-func (w *walWriter) enqueue(op walOp) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return false
-	}
-	if op.kind == opPoints && w.eng.walBufferPoints > 0 &&
-		w.buffered+len(op.values) > w.eng.walBufferPoints {
-		return false
-	}
-	select {
-	case w.ops <- op:
-		w.pendingOps++
-		w.buffered += len(op.values)
-		return true
-	default:
-		return false
-	}
-}
-
-// idle reports whether every enqueued op has been executed.
-func (w *walWriter) idle() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pendingOps == 0
-}
-
-// run executes ops in order until shutdown closes the queue.
-func (w *walWriter) run() {
-	defer close(w.drained)
-	for op := range w.ops {
-		w.exec(op)
-	}
-}
-
-// exec performs one op against the store, stamps deadline violations and
-// errors on the series, and wakes any waiter.
-func (w *walWriter) exec(op walOp) {
-	deadline := time.Duration(w.eng.walDeadline.Load())
-	started := time.Now()
-	var err error
-	switch op.kind {
-	case opMeta:
-		err = w.eng.store.CreateSeries(op.meta)
-	case opPoints:
-		// The queue decouples callers from the store, so there is no caller
-		// context to propagate: the op must run to completion regardless —
-		// the caller's await has its own deadline.
-		err = w.eng.store.AppendPoints(context.Background(), w.series, op.values)
-	case opLabel:
-		if ts, ok := w.eng.store.(TypedLabelStore); ok && op.typed {
-			err = ts.AppendTypedLabel(context.Background(), w.series, op.start, op.end, op.anomalous, op.class)
-		} else {
-			err = w.eng.store.AppendLabel(context.Background(), w.series, op.start, op.end, op.anomalous)
+// awaitWALIdle polls the in-flight count, which completions update without
+// taking any lock a waiter could hold.
+func (m *managed) awaitWALIdle(ctx context.Context) error {
+	for m.walWrites.Load() != 0 {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
 		}
-	case opBarrier:
-		// Nothing: completing it is the point.
 	}
-	if op.kind == opPoints || op.kind == opLabel {
+	return nil
+}
+
+// walBufferPoints bounds the points one series may have submitted to the
+// store but not yet committed — the memory a stalled disk can pin per series.
+// Beyond it, batches are dropped from the log (never from memory) and
+// counted in Counters().WALLostPoints.
+const walBufferPoints = 1 << 16
+
+var errWALBufferFull = errors.New("series has too many uncommitted points in flight")
+
+// noWait is an already-done context: under it Store.Submit takes queue space
+// that is free right now or refuses, but never waits.
+var noWait = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// submitWAL hands one record to the store's shard queue, the only queue
+// between an append and its fsync. The caller holds m.mu, so a series'
+// records are submitted — and therefore committed — in append order. The
+// completion runs on the store's appender goroutine and touches only
+// atomics: it settles the in-flight accounting, stamps a commit slower than
+// the WAL deadline (measured from submission) as a violation for the
+// recovery hysteresis, and hands the result to done when someone waits.
+func (e *Engine) submitWAL(ctx context.Context, m *managed, rec tsdb.Record, done chan<- error) error {
+	n := int64(len(rec.Values))
+	if m.walPoints.Load()+n > walBufferPoints {
+		return errWALBufferFull
+	}
+	m.walWrites.Add(1)
+	m.walPoints.Add(n)
+	submitted := time.Now()
+	err := e.store.Submit(ctx, rec, func(err error) {
 		if err != nil {
-			w.eng.counters.walAppendErrors.Add(1)
-			w.eng.log.Error("wal append failed", "series", w.series, "err", err)
-		} else if deadline > 0 && time.Since(started) > deadline {
-			// A write that completed but blew its budget counts as a
-			// violation for the recovery hysteresis, not as an error.
-			w.m.lastViolation.Store(time.Now().UnixNano())
+			e.counters.walAppendErrors.Add(1)
+			e.log.Error("wal write failed", "series", m.name, "err", err)
+		} else if d := time.Duration(e.walDeadline.Load()); d > 0 && time.Since(submitted) > d {
+			// A write that committed but blew its budget counts as a
+			// violation, not as an error.
+			m.lastViolation.Store(time.Now().UnixNano())
 		}
-	}
-	w.mu.Lock()
-	w.pendingOps--
-	w.buffered -= len(op.values)
-	w.mu.Unlock()
-	if op.done != nil {
-		op.done <- err
-	}
-}
-
-// await waits for an op's result up to the deadline (and ctx). completed
-// is false on a deadline or context miss; the op still executes in the
-// background and its accounting happens in exec.
-func (w *walWriter) await(ctx context.Context, done chan error, deadline time.Duration) (err error, completed bool) {
-	var timer <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case err := <-done:
-		return err, true
-	case <-timer:
-		return nil, false
-	case <-ctx.Done():
-		return ctx.Err(), false
-	}
-}
-
-// createSeries writes the series' meta record through the queue (ordered
-// before any racing points op) and waits for it, so Create keeps its
-// synchronous error contract.
-func (w *walWriter) createSeries(meta tsdb.Meta) error {
-	done := make(chan error, 1)
-	if !w.enqueue(walOp{kind: opMeta, meta: meta, done: done}) {
-		return stalledf("wal writer for %q is saturated or closed", w.series)
-	}
-	err, completed := w.await(context.Background(), done, time.Duration(w.eng.walDeadline.Load()))
-	if !completed {
-		return stalledf("wal create for %q timed out", w.series)
+		m.walPoints.Add(-n)
+		m.walWrites.Add(-1)
+		if done != nil {
+			done <- err
+		}
+	})
+	if err != nil {
+		m.walPoints.Add(-n)
+		m.walWrites.Add(-1)
 	}
 	return err
 }
 
-// appendLabel routes one label record through the queue (typed when the
-// action carries an anomaly class). Healthy path: wait up to the WAL
-// deadline, flipping degraded on a miss. Degraded path: enqueue without
-// waiting. Callers hold m.mu.
-func (w *walWriter) appendLabel(ctx context.Context, start, end int, anomalous bool, class uint8, typed bool) {
-	op := walOp{kind: opLabel, start: start, end: end, anomalous: anomalous, class: class, typed: typed}
-	if w.m.degraded {
-		if !w.enqueue(op) {
-			w.eng.log.Error("wal label dropped: writer saturated", "series", w.series)
+// walWrite makes one points or label record durable (caller holds m.mu) and
+// reports whether it committed before the call returned. Healthy path: wait
+// for the commit up to the WAL deadline; a miss — or a shard queue that
+// stays full that long — flips the series degraded, while a write the store
+// accepted keeps heading to disk. Degraded path: submit without waiting. A
+// record the store cannot take is dropped from the log (never from memory)
+// with loss accounting; nothing is parked outside the store's queue.
+func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool {
+	n := int64(len(rec.Values))
+	if m.degraded {
+		if err := e.submitWAL(noWait, m, rec, nil); err != nil {
+			e.counters.walLostPoints.Add(n)
+			e.log.Error("wal write dropped while degraded", "series", m.name, "points", n, "err", err)
+		} else {
+			e.counters.walBufferedPoints.Add(n)
 		}
-		return
-	}
-	op.done = make(chan error, 1)
-	if !w.enqueue(op) {
-		w.eng.enterDegraded(w.m, "wal writer saturated")
-		w.eng.log.Error("wal label dropped: writer saturated", "series", w.series)
-		return
-	}
-	if _, completed := w.await(ctx, op.done, time.Duration(w.eng.walDeadline.Load())); !completed {
-		w.m.lastViolation.Store(time.Now().UnixNano())
-		w.eng.enterDegraded(w.m, "wal label write blew its deadline")
-	}
-}
-
-// shutdown closes the queue (idempotent) and waits up to timeout for the
-// writer to drain, reporting whether it did.
-func (w *walWriter) shutdown(timeout time.Duration) bool {
-	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.ops)
-	}
-	w.mu.Unlock()
-	if timeout <= 0 {
-		return true
-	}
-	select {
-	case <-w.drained:
-		return true
-	case <-time.After(timeout):
 		return false
 	}
+	wctx, cancel := e.walContext(ctx)
+	defer cancel()
+	done := make(chan error, 1) // buffered: an abandoned wait never blocks the appender
+	err := e.submitWAL(wctx, m, rec, done)
+	reason := "durable write blew its deadline"
+	switch {
+	case err == nil:
+		select {
+		case err := <-done:
+			// Durable before the call returns: the healthy contract. A failed
+			// commit was counted and logged by the completion.
+			return err == nil
+		case <-wctx.Done():
+		}
+	case !errors.Is(err, errWALBufferFull) && wctx.Err() == nil:
+		// Refused outright (closed store, unimportable legacy log).
+		e.counters.walAppendErrors.Add(1)
+		e.log.Error("wal write refused", "series", m.name, "err", err)
+		return false
+	default:
+		reason = "store saturated"
+		e.counters.walLostPoints.Add(n)
+		e.log.Error("wal write dropped: store saturated", "series", m.name, "points", n, "err", err)
+	}
+	if ctx.Err() == nil {
+		// A real deadline miss, not the client hanging up.
+		e.enterDegraded(m, reason)
+	}
+	return false
+}
+
+// walContext bounds ctx by the WAL deadline, when one is set.
+func (e *Engine) walContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d := time.Duration(e.walDeadline.Load()); d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
+// createSeries writes a new series' meta record and waits for it up to the
+// WAL deadline, so Create keeps its synchronous error contract.
+func (e *Engine) createSeries(meta tsdb.Meta) error {
+	ctx, cancel := e.walContext(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	err := e.store.Submit(ctx, tsdb.Record{Name: meta.Name, Meta: &meta}, func(err error) { done <- err })
+	if err == nil {
+		select {
+		case err = <-done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return stalledf("wal create for %q timed out", meta.Name)
+	}
+	return err
 }

@@ -63,10 +63,12 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	defer m.trainMu.Unlock()
 
 	started := time.Now()
-	defer func() { e.counters.observeTraining(time.Since(started)) }()
 	if e.hooks.TrainDone != nil {
 		defer func() { e.hooks.TrainDone(m.name, res, err) }()
 	}
+	// Deferred last so it runs first: the round is counted before the hook
+	// announces it.
+	defer func() { e.counters.observeTraining(time.Since(started)) }()
 	if err = ctx.Err(); err != nil {
 		return TrainResult{}, err
 	}

@@ -52,8 +52,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter("opprenticed_ingest_sheds_total", "Point batches shed whole by admission control (HTTP 429).", c.IngestSheds)
 	writeCounter("opprenticed_degraded_entered_total", "Series transitions into degraded (threshold-only) serving.", c.DegradedEntered)
 	writeCounter("opprenticed_degraded_recovered_total", "Series recoveries out of degraded serving.", c.DegradedRecovered)
-	writeCounter("opprenticed_wal_buffered_points_total", "Points buffered by degraded background WAL writers.", c.WALBufferedPoints)
-	writeCounter("opprenticed_wal_lost_points_total", "Points dropped from the log because a degraded buffer overflowed.", c.WALLostPoints)
+	writeCounter("opprenticed_wal_buffered_points_total", "Points written to the WAL without awaiting the commit while their series was degraded.", c.WALBufferedPoints)
+	writeCounter("opprenticed_wal_lost_points_total", "Points dropped from the log because the store could not take them or the series had too many uncommitted points in flight.", c.WALLostPoints)
 	writeCounter("opprenticed_train_stalls_total", "Training/publish rounds abandoned by the watchdog.", c.TrainStalls)
 	writeCounter("opprenticed_train_retries_total", "Watchdog-driven retrain retries.", c.TrainRetries)
 	writeCounter("opprenticed_series_quarantined_total", "Series whose training was quarantined after repeated failures.", c.SeriesQuarantined)

@@ -59,11 +59,12 @@ type failingStore struct {
 	fail bool
 }
 
-func (f *failingStore) AppendPoints(ctx context.Context, name string, values []float64) error {
-	if f.fail {
-		return errors.New("disk full")
+func (f *failingStore) Submit(ctx context.Context, rec tsdb.Record, done func(error)) error {
+	if f.fail && rec.Values != nil {
+		done(errors.New("disk full"))
+		return nil
 	}
-	return f.Store.AppendPoints(ctx, name, values)
+	return f.Store.Submit(ctx, rec, done)
 }
 
 // TestPersistedFieldSurfacesWALFailure checks the wire contract of the

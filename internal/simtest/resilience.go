@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"opprentice/internal/engine"
 	"opprentice/internal/faultinject"
+	"opprentice/internal/tsdb"
 )
 
 const (
@@ -47,32 +49,42 @@ const (
 // gatedStore wraps the engine's store so a StallGate can wedge every
 // durable write, emulating a disk that has stopped answering. Reads and
 // series creation stay untouched: the simulated failure is a slow data
-// path, not a missing one.
+// path, not a missing one. Writes submitted while the gate is armed are
+// held and forwarded in submission order once it opens — the log must
+// replay to exactly what was appended.
 type gatedStore struct {
 	engine.Store
 	gate *faultinject.StallGate
+
+	mu   sync.Mutex
+	held []func() // forwards parked behind the gate, oldest first
 }
 
-func (g *gatedStore) AppendPoints(ctx context.Context, name string, values []float64) error {
-	g.gate.Wait()
-	return g.Store.AppendPoints(ctx, name, values)
-}
-
-func (g *gatedStore) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	g.gate.Wait()
-	return g.Store.AppendLabel(ctx, name, start, end, anomalous)
-}
-
-// AppendTypedLabel forwards the optional anomaly-class capability through the
-// gate. The embedded interface would hide it (it is not part of engine.Store),
-// and the engine's contract for a store without it is to silently degrade
-// typed labels to plain records — which the WAL-replay invariant rejects.
-func (g *gatedStore) AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error {
-	g.gate.Wait()
-	if ts, ok := g.Store.(engine.TypedLabelStore); ok {
-		return ts.AppendTypedLabel(ctx, name, start, end, anomalous, class)
+func (g *gatedStore) Submit(ctx context.Context, rec tsdb.Record, done func(error)) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if rec.Meta != nil || (!g.gate.Armed() && len(g.held) == 0) {
+		return g.Store.Submit(ctx, rec, done)
 	}
-	return g.Store.AppendLabel(ctx, name, start, end, anomalous)
+	g.held = append(g.held, func() {
+		// The engine was told the write is accepted, so a refusal now must
+		// still reach done.
+		if err := g.Store.Submit(context.Background(), rec, done); err != nil {
+			done(err)
+		}
+	})
+	if len(g.held) == 1 {
+		go func() {
+			g.gate.Wait()
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			for _, forward := range g.held {
+				forward()
+			}
+			g.held = nil
+		}()
+	}
+	return nil
 }
 
 // chooseHungTarget picks the series whose next batch will cross the retrain
@@ -214,7 +226,7 @@ func (h *Harness) afterStalledTrain(st *seriesState) error {
 	return nil
 }
 
-// faultSlowDisk stalls the store under one series' WAL writer: the next
+// faultSlowDisk stalls the store under one series' durable writes: the next
 // batch blows the (tightened) WAL deadline and flips the series degraded,
 // two more batches ride the degraded path (threshold-only advisory
 // verdicts, bounded buffering), and once the stall clears the series must
@@ -249,7 +261,7 @@ func (h *Harness) faultSlowDisk() error {
 	}
 	defer release()
 
-	// The degrading batch rides the healthy path into the wedged writer:
+	// The degrading batch rides the healthy path into the wedged store:
 	// the verdicts are still full-model (computed before the durable
 	// write), alarms included, but the deadline blows and the series must
 	// flip degraded with the batch buffered, not lost.
@@ -259,7 +271,7 @@ func (h *Harness) faultSlowDisk() error {
 		return err
 	}
 	if res.Persisted {
-		return h.fail("degraded", "series %s: WAL writer wedged but the append still reports persisted", name)
+		return h.fail("degraded", "series %s: store wedged but the append still reports persisted", name)
 	}
 	if !res.Degraded {
 		return h.fail("degraded", "series %s: append blew the %v WAL deadline without entering degraded mode", name, stallWALDeadline)
@@ -280,8 +292,8 @@ func (h *Harness) faultSlowDisk() error {
 	}
 	h.expDegEntered++
 
-	// Degraded serving: threshold-only advisory verdicts, values buffered
-	// in the background writer, nothing alarmed.
+	// Degraded serving: threshold-only advisory verdicts, writes submitted
+	// without waiting, nothing alarmed.
 	for b := 0; b < degradedBatches; b++ {
 		base = st.total
 		res, err := h.appendRaw(st, n)
@@ -289,7 +301,7 @@ func (h *Harness) faultSlowDisk() error {
 			return err
 		}
 		if res.Persisted {
-			return h.fail("degraded", "series %s: degraded batch %d reports persisted with the writer still wedged", name, b+1)
+			return h.fail("degraded", "series %s: degraded batch %d reports persisted with the store still wedged", name, b+1)
 		}
 		if !res.Degraded {
 			return h.fail("degraded", "series %s: batch %d left degraded mode with the stall still in place", name, b+1)
@@ -321,15 +333,15 @@ func (h *Harness) faultSlowDisk() error {
 		return h.fail("degraded", "series %s: degraded but readiness %+v does not say so", name, r)
 	}
 
-	// Clear the stall, force the writer to drain, and wait out the
-	// hysteresis (the wedged op completes "slow" at release, stamping the
+	// Clear the stall, wait for the held writes to commit, and wait out the
+	// hysteresis (the wedged write completes "slow" at release, stamping the
 	// last violation — the quiet period starts there).
 	release()
 	ctx, cancel := context.WithTimeout(context.Background(), stallAwait)
 	err = h.eng.SyncWAL(ctx, name)
 	cancel()
 	if err != nil {
-		return h.fail("degraded", "series %s: WAL writer did not drain after the stall cleared: %v", name, err)
+		return h.fail("degraded", "series %s: held writes did not commit after the stall cleared: %v", name, err)
 	}
 	time.Sleep(recoveryWindow + 250*time.Millisecond)
 

@@ -21,20 +21,19 @@ const (
 	reqLabel
 	reqTombstone
 	reqImport // legacy-log migration: meta + points + labels in one frame
-	reqTypedLabel
 )
 
 type request struct {
 	op         int
 	name       string
-	meta       Meta      // reqCreate, reqImport
-	values     []float64 // reqPoints, reqImport
-	start, end int       // reqLabel, reqTypedLabel
-	anomalous  bool      // reqLabel, reqTypedLabel
-	class      byte      // reqTypedLabel
-	labels     []bool    // reqImport
-	resp       chan error
-	err        error // per-request rejection inside an otherwise good batch
+	meta       Meta        // reqCreate, reqImport
+	values     []float64   // reqPoints, reqImport
+	start, end int         // reqLabel
+	anomalous  bool        // reqLabel
+	class      byte        // reqLabel; 0 = untyped
+	labels     []bool      // reqImport
+	done       func(error) // called exactly once with the commit result
+	err        error       // per-request rejection inside an otherwise good batch
 }
 
 const (
@@ -114,7 +113,7 @@ func (sh *shard) commit(batch []*request) {
 	}
 	if failed != nil {
 		for _, req := range batch {
-			req.resp <- failed
+			req.done(failed)
 		}
 		return
 	}
@@ -143,14 +142,14 @@ func (sh *shard) commit(batch []*request) {
 			sh.fail(fmt.Errorf("tsdb: truncate after failed commit: %w", terr))
 		}
 		for _, req := range batch {
-			req.resp <- werr
+			req.done(werr)
 		}
 		return
 	}
 
 	sh.publish(frames, enc.all)
 	for _, req := range batch {
-		req.resp <- req.err
+		req.done(req.err)
 	}
 
 	if sh.activeSize >= sh.store.opts.segmentBytes {
@@ -377,12 +376,12 @@ func (e *commitEncoder) add(req *request) error {
 					run = i
 				}
 				if !anomalous && run >= 0 {
-					scratch = e.encodeLabel(scratch, ps.id, run, i, true)
+					scratch = e.encodeLabel(scratch, ps.id, run, i, true, 0)
 					run = -1
 				}
 			}
 			if run >= 0 {
-				scratch = e.encodeLabel(scratch, ps.id, run, len(req.labels), true)
+				scratch = e.encodeLabel(scratch, ps.id, run, len(req.labels), true, 0)
 			}
 		}
 		if err := e.emit(req.name, ps, scratch); err != nil {
@@ -415,18 +414,14 @@ func (e *commitEncoder) add(req *request) error {
 		}
 		ps.wrotePoints = true
 		return nil
-	case reqLabel, reqTypedLabel:
+	case reqLabel:
 		ps := e.lookup(req.name)
 		var scratch []byte
 		if ps == nil {
 			ps = e.intern(req.name)
 			scratch = e.internSub(nil, ps)
 		}
-		if req.op == reqTypedLabel {
-			scratch = e.encodeTypedLabel(scratch, ps.id, req.start, req.end, req.anomalous, req.class)
-		} else {
-			scratch = e.encodeLabel(scratch, ps.id, req.start, req.end, req.anomalous)
-		}
+		scratch = e.encodeLabel(scratch, ps.id, req.start, req.end, req.anomalous, req.class)
 		if err := e.emit(req.name, ps, scratch); err != nil {
 			if ps.created {
 				e.unstage(req.name, ps)
@@ -579,27 +574,26 @@ func (e *commitEncoder) encodePoints(b []byte, ps *pendSeries, values []float64)
 	})
 }
 
-func (e *commitEncoder) encodeLabel(b []byte, id uint64, start, end int, anomalous bool) []byte {
-	return e.encodeSub(b, opLabel, id, func(b []byte) []byte {
+// encodeLabel appends one label sub-record. An untyped label (class 0)
+// keeps the original opLabel encoding, so logs without typed labels stay
+// byte-identical; a class adds one byte under opTypedLabel.
+func (e *commitEncoder) encodeLabel(b []byte, id uint64, start, end int, anomalous bool, class byte) []byte {
+	op := byte(opLabel)
+	if class != 0 {
+		op = opTypedLabel
+	}
+	return e.encodeSub(b, op, id, func(b []byte) []byte {
 		b = appendUvarint(b, uint64(start))
 		b = appendUvarint(b, uint64(end))
 		flag := byte(0)
 		if anomalous {
 			flag = 1
 		}
-		return append(b, flag)
-	})
-}
-
-func (e *commitEncoder) encodeTypedLabel(b []byte, id uint64, start, end int, anomalous bool, class byte) []byte {
-	return e.encodeSub(b, opTypedLabel, id, func(b []byte) []byte {
-		b = appendUvarint(b, uint64(start))
-		b = appendUvarint(b, uint64(end))
-		flag := byte(0)
-		if anomalous {
-			flag = 1
+		b = append(b, flag)
+		if class != 0 {
+			b = append(b, class)
 		}
-		return append(b, flag, class)
+		return b
 	})
 }
 

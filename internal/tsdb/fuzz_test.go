@@ -28,7 +28,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	if err := s.AppendLabel(ctx, "pv", 0, 2, true); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", 1, 2, true, 3); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 1, End: 2, Anomalous: true, Class: 3}); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.Remove("pv"); err != nil {

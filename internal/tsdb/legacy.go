@@ -155,8 +155,10 @@ func (s *Store) legacyQuarantine(name string) (string, error) {
 // migrateLegacy imports a legacy log into the segment WAL before the first
 // write to its series: replay the JSON lines, commit the whole state as one
 // frame-atomic import, then rename the file aside. Reads never migrate —
-// only writes — so Open and Load stay read-only.
-func (s *Store) migrateLegacy(name string) error {
+// only writes — so Open and Load stay read-only. ctx bounds the wait for the
+// import's commit; an abandoned import still commits and the segment
+// dictionary wins from then on.
+func (s *Store) migrateLegacy(ctx context.Context, name string) error {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
 	_, ok := sh.byName[name]
@@ -185,7 +187,7 @@ func (s *Store) migrateLegacy(name string) error {
 	}
 	meta := loaded.Meta
 	meta.Name = name
-	err = s.send(context.Background(), &request{
+	err = s.send(ctx, &request{
 		op: reqImport, name: name, meta: meta,
 		values: loaded.Values, labels: loaded.Labels,
 	})

@@ -287,87 +287,125 @@ func validName(name string) error {
 	return nil
 }
 
+// Record is one durable write to a series' log: a create (Meta set), a
+// batch of consecutive points (Values set), or a label action over the
+// half-open range [Start, End). Class is the label's anomaly class
+// (core.AnomalyClass wire code; 0 = untyped) — replay exposes it via
+// Loaded.Types.
+type Record struct {
+	Name       string
+	Meta       *Meta
+	Values     []float64
+	Start, End int
+	Anomalous  bool
+	Class      uint8
+}
+
+// prepare validates rec, imports the series' legacy log if it still has one,
+// and returns the appender request for it.
+func (s *Store) prepare(ctx context.Context, rec Record) (*request, error) {
+	if err := validName(rec.Name); err != nil {
+		return nil, err
+	}
+	req := &request{name: rec.Name, values: rec.Values,
+		start: rec.Start, end: rec.End, anomalous: rec.Anomalous, class: rec.Class}
+	switch {
+	case rec.Meta != nil:
+		req.op, req.meta = reqCreate, *rec.Meta
+	case len(rec.Values) > 0:
+		req.op = reqPoints
+	case rec.Start >= 0 && rec.End > rec.Start:
+		req.op = reqLabel
+	default:
+		return nil, fmt.Errorf("tsdb: %s: empty record or invalid label range [%d, %d)", rec.Name, rec.Start, rec.End)
+	}
+	if err := s.migrateLegacy(ctx, rec.Name); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// Submit enqueues rec on the owning shard's appender and returns at once:
+// records of one series commit in Submit order. A nil return means the
+// record is on its way to disk and done will be called exactly once, on the
+// appender goroutine, with the result of its group-commit fsync; it must not
+// block. rec.Values is borrowed until then. A non-nil return means the record
+// was refused and done will never run. When the shard's queue is full Submit
+// waits for space only until ctx is done, so an already-done ctx makes the
+// enqueue a pure try.
+func (s *Store) Submit(ctx context.Context, rec Record, done func(error)) error {
+	req, err := s.prepare(ctx, rec)
+	if err != nil {
+		return err
+	}
+	req.done = done
+	return s.enqueue(ctx, req)
+}
+
+// write is Submit plus the wait for the commit (or ctx — cancellation
+// abandons the wait, not the write, which may still commit).
+func (s *Store) write(ctx context.Context, rec Record) error {
+	req, err := s.prepare(ctx, rec)
+	if err != nil {
+		return err
+	}
+	return s.send(ctx, req)
+}
+
 // CreateSeries durably registers a new series. The name must be unused; a
 // tombstoned name may be reused.
 func (s *Store) CreateSeries(meta Meta) error {
-	if meta.Name == "" {
-		return errors.New("tsdb: meta needs a name")
-	}
-	if err := validName(meta.Name); err != nil {
-		return err
-	}
-	if err := s.migrateLegacy(meta.Name); err != nil {
-		return err
-	}
-	return s.send(context.Background(), &request{op: reqCreate, name: meta.Name, meta: meta})
+	return s.write(context.Background(), Record{Name: meta.Name, Meta: &meta})
 }
 
-// AppendPoints durably appends a batch of consecutive point values. It
-// returns once the batch's group-commit frame has been fsynced, or once ctx
-// is done — cancellation abandons the wait, not the write, which may still
-// commit.
+// AppendPoints durably appends a batch of consecutive point values and
+// returns once its group-commit frame has been fsynced, or ctx is done.
 func (s *Store) AppendPoints(ctx context.Context, name string, values []float64) error {
-	if err := validName(name); err != nil {
-		return err
-	}
 	if len(values) == 0 {
-		return nil
+		return validName(name)
 	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	// The appender holds the slice until commit; copy so the caller may
-	// reuse its buffer immediately.
-	vals := make([]float64, len(values))
-	copy(vals, values)
-	return s.send(ctx, &request{op: reqPoints, name: name, values: vals})
+	// The appender holds the slice until commit, which may outlive an
+	// abandoned wait; copy so the caller may reuse its buffer immediately.
+	return s.write(ctx, Record{Name: name, Values: append([]float64(nil), values...)})
 }
 
-// AppendLabel durably records one label action over the half-open range
-// [start, end). Context semantics match AppendPoints.
+// AppendLabel durably records one untyped label action over the half-open
+// range [start, end). Context semantics match AppendPoints.
 func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if start < 0 || end <= start {
-		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
-	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	return s.send(ctx, &request{op: reqLabel, name: name, start: start, end: end, anomalous: anomalous})
+	return s.write(ctx, Record{Name: name, Start: start, End: end, Anomalous: anomalous})
 }
 
-// AppendTypedLabel durably records one label action carrying an anomaly
-// class over the half-open range [start, end). Context semantics match
-// AppendPoints. class uses the core.AnomalyClass wire codes; replay exposes
-// it via Loaded.Types.
-func (s *Store) AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if start < 0 || end <= start {
-		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
-	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	return s.send(ctx, &request{op: reqTypedLabel, name: name, start: start, end: end, anomalous: anomalous, class: class})
-}
-
-// send enqueues one request on the owning shard's appender and waits for
-// the commit ack (or ctx).
-func (s *Store) send(ctx context.Context, req *request) error {
+// enqueue hands one request to the owning shard's appender, waiting for
+// queue space no longer than ctx allows.
+func (s *Store) enqueue(ctx context.Context, req *request) error {
 	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	if s.closed {
-		s.opMu.RUnlock()
 		return errors.New("tsdb: store is closed")
 	}
-	req.resp = make(chan error, 1)
-	s.shardFor(req.name).reqs <- req
-	s.opMu.RUnlock()
+	reqs := s.shardFor(req.name).reqs
 	select {
-	case err := <-req.resp:
+	case reqs <- req:
+		return nil
+	default:
+	}
+	select {
+	case reqs <- req:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// send enqueues one request and waits for the commit ack (or ctx).
+func (s *Store) send(ctx context.Context, req *request) error {
+	resp := make(chan error, 1)
+	req.done = func(err error) { resp <- err }
+	if err := s.enqueue(ctx, req); err != nil {
+		return err
+	}
+	select {
+	case err := <-resp:
 		return err
 	case <-ctx.Done():
 		return ctx.Err()

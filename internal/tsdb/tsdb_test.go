@@ -2,8 +2,10 @@ package tsdb
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -222,6 +224,70 @@ func TestAppendContextCanceled(t *testing.T) {
 	err := s.AppendPoints(canceled, "pv", []float64{1})
 	if err != nil && err != context.Canceled {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
+	}
+}
+
+// TestSubmitBoundedByContextWhenQueueFull wedges a shard's appender (a
+// stand-in for a stalled disk), fills its queue, and checks the enqueue
+// contract: an already-done ctx is a pure try, a live ctx waits for space
+// only until it expires, a refused record never reaches done, and every
+// accepted one commits exactly once, in Submit order, when the disk returns.
+func TestSubmitBoundedByContextWhenQueueFull(t *testing.T) {
+	s := openTemp(t)
+	if err := s.CreateSeries(meta); err != nil {
+		t.Fatal(err)
+	}
+	wedged, release := make(chan struct{}), make(chan struct{})
+	if err := s.Submit(ctx, Record{Name: "pv", Values: []float64{0}}, func(error) {
+		close(wedged)
+		<-release
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-wedged
+
+	var committed sync.WaitGroup
+	submit := func(ctx context.Context, v float64) error {
+		committed.Add(1)
+		err := s.Submit(ctx, Record{Name: "pv", Values: []float64{v}}, func(err error) {
+			if err != nil {
+				t.Errorf("point %v: commit failed: %v", v, err)
+			}
+			committed.Done()
+		})
+		if err != nil {
+			committed.Done()
+		}
+		return err
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	accepted := 0
+	for submit(done, float64(accepted+1)) == nil {
+		accepted++
+	}
+	if accepted == 0 {
+		t.Fatal("a done ctx refused a write although the queue had room")
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if err := submit(short, -1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit on a full queue: %v, want context.DeadlineExceeded", err)
+	}
+
+	close(release)
+	committed.Wait()
+	got, err := s.Load("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Values) != accepted+1 {
+		t.Fatalf("%d points in the log, want %d", len(got.Values), accepted+1)
+	}
+	for i, v := range got.Values {
+		if v != float64(i) {
+			t.Fatalf("point %d = %v: accepted writes committed out of Submit order", i, v)
+		}
 	}
 }
 

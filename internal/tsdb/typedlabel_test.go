@@ -12,7 +12,7 @@ func TestTypedLabelRoundTrip(t *testing.T) {
 	if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", 1, 3, true, 2); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 1, End: 3, Anomalous: true, Class: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Load("pv")
@@ -53,13 +53,13 @@ func TestTypedLabelUndoClearsClass(t *testing.T) {
 	if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", 0, 4, true, 3); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 4, Anomalous: true, Class: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendLabel(ctx, "pv", 0, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", 2, 3, false, 5); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 2, End: 3, Anomalous: false, Class: 5}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Load("pv")
@@ -112,7 +112,7 @@ func TestTypedLabelSurvivesReopen(t *testing.T) {
 	if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", 0, 1, true, 4); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 1, Anomalous: true, Class: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -177,13 +177,13 @@ func TestMetaV2RoundTrip(t *testing.T) {
 
 func TestTypedLabelValidation(t *testing.T) {
 	s := openTemp(t)
-	if err := s.AppendTypedLabel(ctx, "pv", 3, 3, true, 1); err == nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 3, End: 3, Anomalous: true, Class: 1}); err == nil {
 		t.Fatal("empty range accepted")
 	}
-	if err := s.AppendTypedLabel(ctx, "pv", -1, 2, true, 1); err == nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: -1, End: 2, Anomalous: true, Class: 1}); err == nil {
 		t.Fatal("negative start accepted")
 	}
-	if err := s.AppendTypedLabel(ctx, "../evil", 0, 1, true, 1); err == nil {
+	if err := s.write(ctx, Record{Name: "../evil", Start: 0, End: 1, Anomalous: true, Class: 1}); err == nil {
 		t.Fatal("invalid name accepted")
 	}
 }
