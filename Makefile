@@ -1,9 +1,9 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-smoke bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
 
-all: build vet bench-vet staticcheck test engine-race sim cover bench-check
+all: build vet bench-vet staticcheck test bench-smoke engine-race sim cover bench-check
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,12 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# One iteration of the per-family detector benchmark (the table in
+# EXPERIMENTS.md): nothing else runs it, so this keeps it compiling and its
+# warm-up working.
+bench-smoke:
+	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
 
 # Run the retrain + flattened-forest benchmarks and record them as JSON
 # (BENCH_retrain.json), then the warm-vs-cold restart benchmark

@@ -90,7 +90,6 @@ func (d *HistoricalAverage) Clone() Detector {
 		winWeeks: d.winWeeks,
 		ppd:      d.ppd,
 		ph:       d.ph.clone(),
-		// scratch is overwritten before every use; a fresh buffer is state-free.
 	}
 }
 
@@ -123,15 +122,16 @@ func (d *HoltWinters) Clone() Detector {
 	return &c
 }
 
-// Clone implements Cloner. The history ring and the warm-started power
-// iteration direction (v1, warm) are streaming state; the remaining slices
-// are per-Step scratch fully overwritten before use, so the clone gets fresh
-// zeroed buffers.
+// Clone implements Cloner. Everything but the tmp and edge scratch is
+// streaming state: the history ring, the sliding sums with their refresh
+// bookkeeping (age, peak), and the warm-started power iteration direction.
 func (d *SVDDetector) Clone() Detector {
 	c := NewSVD(d.rows, d.cols)
 	c.hist = cloneRing(d.hist)
+	copy(c.gram, d.gram)
+	copy(c.cross, d.cross)
 	copy(c.v1, d.v1)
-	c.warm = d.warm
+	c.age, c.peak, c.warm = d.age, d.peak, d.warm
 	return c
 }
 

@@ -78,6 +78,15 @@ func (r *ring) len() int {
 // oldest returns the value about to be evicted. Only valid when full.
 func (r *ring) oldest() float64 { return r.buf[r.pos] }
 
+// at returns the k-th oldest value, 0 ≤ k < len(buf). Only valid when full.
+func (r *ring) at(k int) float64 {
+	k += r.pos
+	if k >= len(r.buf) {
+		k -= len(r.buf)
+	}
+	return r.buf[k]
+}
+
 // values appends the stored values (in unspecified order) to dst and
 // returns it.
 func (r *ring) values(dst []float64) []float64 {

@@ -17,7 +17,9 @@ func TestRegistryResetReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	const n = 500
+	// Long enough that the largest SVD window (350 points) turns over four
+	// times, so the replay crosses its periodic refreshes too.
+	const n = 1600
 	stream := make([]float64, n)
 	for i := range stream {
 		stream[i] = 100 + 10*math.Sin(float64(i)/7) + rng.NormFloat64()
@@ -37,6 +39,56 @@ func TestRegistryResetReplayDeterminism(t *testing.T) {
 			if ready != firstReady[i] || (ready && sev != first[i]) {
 				t.Fatalf("%s: replay diverged at %d: (%v,%v) vs (%v,%v)",
 					d.Name(), i, sev, ready, first[i], firstReady[i])
+			}
+		}
+	}
+}
+
+// Property: a clone continues exactly where the original is and shares no
+// mutable state with it. After cloning mid-stream, the original, a clone fed
+// the same inputs and an uninterrupted reference detector yield bit-identical
+// severities, whatever a second clone is fed in between. Incremental
+// extraction resumes from such clones, so any streaming state Clone forgot
+// would make its features differ from a cold extraction's.
+func TestRegistryCloneContinuesBitIdentical(t *testing.T) {
+	build := func() []Detector {
+		ds, err := Registry(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	rng := rand.New(rand.NewSource(77))
+	// Clone at a point that is a multiple of no detector window, then run
+	// for more than two of the longest sliding one (SVD's 350 points).
+	const k, n = 1013, 1013 + 800
+	stream := make([]float64, n)
+	for i := range stream {
+		stream[i] = 100 + 10*math.Sin(float64(i)/7) + rng.NormFloat64()
+	}
+	ds, refs := build(), build()
+	for j, d := range ds {
+		ref := refs[j]
+		for _, det := range []Detector{d, ref} {
+			if tr, ok := det.(Trainable); ok {
+				if err := tr.Fit(stream[:k]); err != nil {
+					t.Fatalf("%s: %v", det.Name(), err)
+				}
+			}
+			for _, v := range stream[:k] {
+				det.Step(v)
+			}
+		}
+		same, diverged := d.(Cloner).Clone(), d.(Cloner).Clone()
+		for i, v := range stream[k:] {
+			diverged.Step(-1000 * v)
+			want, wantReady := ref.Step(v)
+			for who, det := range map[string]Detector{"original": d, "clone": same} {
+				sev, ready := det.Step(v)
+				if ready != wantReady || math.Float64bits(sev) != math.Float64bits(want) {
+					t.Fatalf("%s: %s diverged %d points after cloning: (%v,%v), uninterrupted (%v,%v)",
+						d.Name(), who, i, sev, ready, want, wantReady)
+				}
 			}
 		}
 	}

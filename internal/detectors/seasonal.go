@@ -54,7 +54,6 @@ type HistoricalAverage struct {
 	winWeeks int
 	ppd      int
 	ph       *phaseHistory
-	scratch  []float64
 }
 
 // NewHistoricalAverage returns the detector with a win-week day-phase

@@ -17,26 +17,44 @@ import (
 // 15 configurations.
 //
 // The dominant singular pair is obtained by power iteration on the
-// cols×cols Gram matrix (algebraically identical to the top SVD component),
-// keeping the per-point cost at O(rows·cols²) — small enough for the online
-// requirement of §4.3.2.
+// cols×cols Gram matrix G = XᵀX (algebraically identical to the top SVD
+// component), and the residual is read off sums over the window rather than
+// the window itself: with u1 = X·v1, |u1|² = v1ᵀGv1, u1·test = Σ v1[j]·c[j]
+// where c[j] is column j's product with the test vector, and u1's last
+// element needs only the last matrix row.
+//
+// The window moves by one point per step, so G and c are kept as sliding
+// sums: every entry loses the product that leaves its column and gains the
+// one that enters, and a step costs O(cols²) and reads ~2·cols ring slots —
+// well inside the online requirement of §4.3.2. Like v1, the sums are
+// streaming state, a deterministic function of the stream since Reset.
+// They are recomputed exactly from the ring (refresh) when the ring fills,
+// every rows·cols pushes so rounding drift never outlives one window
+// turnover, whenever a sum goes non-finite, and whenever the largest point
+// folded into them since the last refresh dwarfs what the window now holds
+// — a subtraction that large leaves only its rounding error behind.
 type SVDDetector struct {
 	rows, cols int
-	hist       *ring
-	window     []float64 // history scratch, chronological
-	test       []float64 // test vector scratch
-	gram       []float64 // cols×cols scratch
+	hist       *ring     // the window; matrix column j is at(j·rows) … at(j·rows+rows−1)
+	gram       []float64 // cols×cols sliding XᵀX of the history in hist
+	cross      []float64 // sliding c[j] over the history, i.e. without the incoming point's term
 	v1         []float64 // top right singular vector; warm-started across steps
-	u1         []float64 // top left singular vector scratch
-	tmp        []float64 // power-iteration scratch
+	tmp        []float64 // G·v1 scratch
+	edge       []float64 // slide scratch: first point of each column, then the incoming point
+	age        int       // pushes since the last refresh
+	peak       float64   // largest squared point folded into the sums since the last refresh
 	// warm records that v1 holds the previous step's converged direction.
 	// The history matrix shifts by one point per step, so its dominant
 	// direction moves slowly; seeding the power iteration from the previous
-	// answer converges in 1–2 iterations instead of ~30. v1 is then
-	// streaming state — a deterministic function of the input stream — so
-	// Clone copies it and Reset clears it, preserving replay bit-identity.
+	// answer converges in a few iterations instead of ~30.
 	warm bool
 }
+
+// svdCancel is how many times the window's sum of squares the largest point
+// folded into the sliding sums may reach before they are recomputed: past
+// it, what remains of the sums is below 1/svdCancel of a term subtracted
+// from them, and its relative error grows by that factor.
+const svdCancel = 16
 
 // NewSVD returns an SVD detector with the given matrix shape.
 func NewSVD(rows, cols int) *SVDDetector {
@@ -45,13 +63,12 @@ func NewSVD(rows, cols int) *SVDDetector {
 	}
 	return &SVDDetector{
 		rows: rows, cols: cols,
-		hist:   newRing(rows * cols),
-		window: make([]float64, rows*cols),
-		test:   make([]float64, rows),
-		gram:   make([]float64, cols*cols),
-		v1:     make([]float64, cols),
-		u1:     make([]float64, rows),
-		tmp:    make([]float64, cols),
+		hist:  newRing(rows * cols),
+		gram:  make([]float64, cols*cols),
+		cross: make([]float64, cols),
+		v1:    make([]float64, cols),
+		tmp:   make([]float64, cols),
+		edge:  make([]float64, cols+1),
 	}
 }
 
@@ -64,41 +81,38 @@ func (d *SVDDetector) Name() string {
 func (d *SVDDetector) Step(v float64) (float64, bool) {
 	if !d.hist.full {
 		d.hist.push(v)
+		if d.hist.full {
+			d.refresh()
+		}
 		return 0, false
 	}
-	// History window in chronological order; oldest value sits at hist.pos.
-	// Two straight copies instead of a per-element modulo walk.
-	n := copy(d.window, d.hist.buf[d.hist.pos:])
-	copy(d.window[n:], d.hist.buf[:d.hist.pos])
-	n = d.rows * d.cols
-	// Test vector: the latest rows-1 history points followed by v.
-	copy(d.test, d.window[n-(d.rows-1):])
-	d.test[d.rows-1] = v
-
-	sev := d.subspaceResidual()
-	d.hist.push(v)
+	sev := d.subspaceResidual(v)
+	d.slide(v)
 	return sev, true
 }
 
-// subspaceResidual learns the dominant direction of the history matrix and
-// returns |last element of (test - projection onto that direction)|.
-func (d *SVDDetector) subspaceResidual() float64 {
-	rows, cols := d.rows, d.cols
-	col := func(j int) []float64 { return d.window[j*rows : (j+1)*rows] }
-
-	// Gram matrix G = XᵀX (cols×cols).
-	for a := 0; a < cols; a++ {
-		ca := col(a)
-		for b := a; b < cols; b++ {
-			cb := col(b)
-			s := 0.0
-			for i := 0; i < rows; i++ {
-				s += ca[i] * cb[i]
-			}
-			d.gram[a*cols+b] = s
-			d.gram[b*cols+a] = s
+// mulGram sets tmp = G·v1 and returns |tmp|². It is the inner loop of the
+// power iteration; the slices are held in locals because the stores to tmp
+// would otherwise make the compiler reload them through d for every row.
+func (d *SVDDetector) mulGram() float64 {
+	v1, tmp, gram := d.v1, d.tmp[:len(d.v1)], d.gram
+	norm2 := 0.0
+	for a := range tmp {
+		s := 0.0
+		for b, g := range gram[a*len(v1):][:len(v1)] {
+			s += g * v1[b]
 		}
+		tmp[a] = s
+		norm2 += s * s
 	}
+	return norm2
+}
+
+// subspaceResidual learns the dominant direction of the history matrix and
+// returns |last element of (test - projection onto that direction)|, where
+// the test vector is the latest rows-1 history points followed by v.
+func (d *SVDDetector) subspaceResidual(v float64) float64 {
+	rows, cols := d.rows, d.cols
 	// Power iteration for the dominant eigenvector v1 of G, warm-started
 	// from the previous step's direction when it is usable.
 	if !d.warm || !finiteVec(d.v1) {
@@ -108,19 +122,13 @@ func (d *SVDDetector) subspaceResidual() float64 {
 	}
 	d.warm = true
 	for iter := 0; iter < 30; iter++ {
-		norm := 0.0
-		for a := 0; a < cols; a++ {
-			s := 0.0
-			for b := 0; b < cols; b++ {
-				s += d.gram[a*cols+b] * d.v1[b]
-			}
-			d.tmp[a] = s
-			norm += s * s
-		}
-		norm = math.Sqrt(norm)
+		norm := math.Sqrt(d.mulGram())
 		if norm == 0 {
-			// All-zero history: the whole test point is residual.
-			return math.Abs(d.test[rows-1])
+			// All-zero history, or one so large that the previous norm
+			// overflowed and divided v1 down to zero: the whole test point
+			// is residual, and v1 is no direction to start from next time.
+			d.warm = false
+			return math.Abs(v)
 		}
 		delta := 0.0
 		for a := 0; a < cols; a++ {
@@ -132,30 +140,82 @@ func (d *SVDDetector) subspaceResidual() float64 {
 			break
 		}
 	}
-	// u1 = X v1, normalized: the dominant temporal shape.
+	// |u1|² = v1ᵀGv1 for u1 = X·v1, the dominant temporal shape.
+	d.mulGram()
 	uNorm := 0.0
-	for i := 0; i < rows; i++ {
-		s := 0.0
-		for j := 0; j < cols; j++ {
-			s += col(j)[i] * d.v1[j]
-		}
-		d.u1[i] = s
-		uNorm += s * s
+	for a, s := range d.tmp {
+		uNorm += d.v1[a] * s
+	}
+	if uNorm <= 0 {
+		return math.Abs(v)
 	}
 	uNorm = math.Sqrt(uNorm)
-	if uNorm == 0 {
-		return math.Abs(d.test[rows-1])
-	}
 	// Residual of the test vector outside span(u1), at its last element.
-	dot := 0.0
-	for i := 0; i < rows; i++ {
-		dot += d.u1[i] / uNorm * d.test[i]
+	dot, uLast := 0.0, 0.0
+	for j := 0; j < cols; j++ {
+		last := d.hist.at(j*rows + rows - 1)
+		dot += d.v1[j] * (d.cross[j] + last*v)
+		uLast += d.v1[j] * last
 	}
-	approx := dot * d.u1[rows-1] / uNorm
-	return math.Abs(d.test[rows-1] - approx)
+	approx := dot / uNorm * uLast / uNorm
+	return math.Abs(v - approx)
 }
 
-// Reset implements Detector.
+// slide pushes v and moves the sums one point along with the window.
+func (d *SVDDetector) slide(v float64) {
+	rows, cols := d.rows, d.cols
+	x := d.edge // x[a] leaves column a, x[a+1] enters it
+	for a := 0; a < cols; a++ {
+		x[a] = d.hist.at(a * rows)
+	}
+	x[cols] = v
+	z := d.hist.at((cols-1)*rows + 1) // test-vector partner of every x[a]
+	trace := 0.0
+	for a := 0; a < cols; a++ {
+		d.cross[a] += d.hist.at(a*rows+rows-1)*v - x[a]*z
+		for b := a; b < cols; b++ {
+			g := d.gram[a*cols+b] - x[a]*x[b] + x[a+1]*x[b+1]
+			d.gram[a*cols+b] = g
+			d.gram[b*cols+a] = g
+		}
+		trace += d.gram[a*cols+a]
+	}
+	d.hist.push(v)
+	d.age++
+	d.peak = max(d.peak, v*v)
+	// trace is the window's sum of squares: non-finite exactly when a point
+	// or its square is, and then so is some sum.
+	if d.age == rows*cols || trace-trace != 0 || d.peak > svdCancel*trace {
+		d.refresh()
+	}
+}
+
+// refresh recomputes the sums exactly from the full ring.
+func (d *SVDDetector) refresh() {
+	rows, cols := d.rows, d.cols
+	for a := 0; a < cols; a++ {
+		for b := a; b < cols; b++ {
+			s := 0.0
+			for i := 0; i < rows; i++ {
+				s += d.hist.at(a*rows+i) * d.hist.at(b*rows+i)
+			}
+			d.gram[a*cols+b] = s
+			d.gram[b*cols+a] = s
+		}
+		s := 0.0
+		for i := 0; i < rows-1; i++ {
+			s += d.hist.at(a*rows+i) * d.hist.at((cols-1)*rows+1+i)
+		}
+		d.cross[a] = s
+	}
+	d.age, d.peak = 0, 0
+	for _, p := range d.hist.buf {
+		d.peak = max(d.peak, p*p)
+	}
+}
+
+// Reset implements Detector. The sums need no clearing: the refresh when the
+// ring next fills overwrites all of them.
 func (d *SVDDetector) Reset() {
 	d.hist.reset()
 	d.warm = false
