@@ -1,9 +1,9 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-smoke bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
 
-all: build vet bench-vet staticcheck test bench-smoke engine-race sim cover bench-check
+all: build vet bench-vet staticcheck test bench-smoke upgrade-smoke engine-race sim cover bench-check
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
 
+# The JSON-lines data-directory upgrade on the real binaries: opprenticed
+# refuses the unmigrated fixture (exit 1, naming the files and the command),
+# `opprenticectl wal migrate` imports it, the daemon then serves both series
+# with the fixture's points and labels and exits 0 on SIGTERM.
+upgrade-smoke:
+	GO=$(GO) bash scripts/upgrade-smoke.sh
+
 # Run the retrain + flattened-forest benchmarks and record them as JSON
 # (BENCH_retrain.json), then the warm-vs-cold restart benchmark
 # (BENCH_restore.json), then the segmented-WAL ingest benchmark
@@ -115,8 +122,8 @@ bench-json:
 # baseline and above the absolute 5x floor, forest.Prob must stay
 # allocation-free, and the model registry's warm restart must stay >= 3x
 # faster than a cold restart. The ingest run must hold >= 1M pts/s of bulk
-# WAL throughput and a >= 5x bytes-per-point win over the legacy JSON-lines
-# encoding. The serving SLO gate is absolute: at loadgen's default
+# WAL throughput and <= 8.6 steady-state WAL bytes per point, a fifth of the
+# JSON-lines log's. The serving SLO gate is absolute: at loadgen's default
 # operating point (4 trained series scraped every 50ms, single-core), the
 # open-loop p99 verdict latency must stay under 20ms and streaming trained
 # scoring above 8k pts/s — both ~4x off the measured numbers in

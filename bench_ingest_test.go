@@ -7,11 +7,9 @@ package opprentice
 //     streaming /v1/ingest path produces. Reports pts/s, gated by
 //     benchjson -min-ingest-pps.
 //   - steady: 64 series appending one point at a time under a 2 ms
-//     group-commit window — the steady-state monitoring shape where the
-//     old JSON-lines log was most wasteful. Reports walB/pt (on-disk
-//     segment bytes per point) and jsonB/pt (what the legacy encoding
-//     would have written for the same points); benchjson -min-wal-ratio
-//     gates jsonB/pt ÷ walB/pt.
+//     group-commit window — the steady-state monitoring shape, where
+//     frame overhead is shared least. Reports walB/pt (on-disk segment
+//     bytes per point), gated by benchjson -max-wal-bytes.
 //
 // Run with:
 //
@@ -127,18 +125,11 @@ func BenchmarkIngestWAL(b *testing.B) {
 		s, names, dir := benchWAL(b, nSeries,
 			tsdb.WithShards(4), tsdb.WithGroupCommit(2*time.Millisecond))
 		vals := kpiValues(512)
-		// Precompute what the legacy JSON-lines encoding would write for each
-		// value, so the timed loop only pays one atomic add for bookkeeping.
-		lineSize := make([]int64, len(vals))
-		for i, v := range vals {
-			lineSize[i] = int64(tsdb.LegacyPointsLineSize([]float64{v}))
-		}
 		// Creates are durable before CreateSeries returns, so the segment bytes
 		// on disk here are pure series-bootstrap overhead; subtracting them
 		// leaves the marginal cost per appended point.
 		before := walSegmentBytes(b, dir)
 		var next atomic.Int64
-		var jsonBytes atomic.Int64
 		// Many concurrent single-point writers are the whole premise of
 		// group commit; without them every point would buy its own frame.
 		b.SetParallelism(16)
@@ -151,7 +142,6 @@ func BenchmarkIngestWAL(b *testing.B) {
 				if err := s.AppendPoints(context.Background(), name, vals[i:i+1]); err != nil {
 					b.Fatal(err)
 				}
-				jsonBytes.Add(lineSize[i])
 				i = (i + 1) % len(vals)
 			}
 		})
@@ -162,7 +152,6 @@ func BenchmarkIngestWAL(b *testing.B) {
 		pts := float64(b.N)
 		if pts > 0 {
 			b.ReportMetric(float64(walSegmentBytes(b, dir)-before)/pts, "walB/pt")
-			b.ReportMetric(float64(jsonBytes.Load())/pts, "jsonB/pt")
 		}
 	})
 }

@@ -20,9 +20,8 @@
 //     registry buys) must stay within -tolerance of the baseline and above
 //     the -min-restore-speedup floor.
 //   - BenchmarkIngestWAL/bulk pts/s must stay above the -min-ingest-pps
-//     floor, and the steady-state jsonB/pt ÷ walB/pt compression ratio of
-//     the segmented WAL over the legacy JSON-lines encoding must stay above
-//     -min-wal-ratio.
+//     floor, and the steady-state walB/pt (on-disk segment bytes per
+//     appended point) under the -max-wal-bytes ceiling.
 //   - The serving SLO from cmd/loadgen (BENCH_serve.json): the open-loop
 //     p99 verdict latency of BenchmarkServe/points must stay under
 //     -max-serve-p99-ns, and the streaming-ingest trained-scoring
@@ -74,15 +73,9 @@ type Report struct {
 	// the raw segmented-WAL ingest throughput (machine-dependent; gated by
 	// an absolute floor only).
 	IngestPointsPerSec float64 `json:"ingest_points_per_sec,omitempty"`
-	// WALBytesPerPoint / JSONBytesPerPoint are the steady-state on-disk
-	// bytes per appended point of the segmented WAL vs what the legacy
-	// JSON-lines encoding would have written for the same points, from
-	// BenchmarkIngestWAL/steady.
-	WALBytesPerPoint  float64 `json:"wal_bytes_per_point,omitempty"`
-	JSONBytesPerPoint float64 `json:"json_bytes_per_point,omitempty"`
-	// WALCompressionRatio is JSONBytesPerPoint ÷ WALBytesPerPoint — the
-	// machine-independent compression win the gate compares.
-	WALCompressionRatio float64 `json:"wal_compression_ratio,omitempty"`
+	// WALBytesPerPoint is the steady-state on-disk bytes per appended point
+	// of the segmented WAL, from BenchmarkIngestWAL/steady.
+	WALBytesPerPoint float64 `json:"wal_bytes_per_point,omitempty"`
 	// ServeP50Ns/P99Ns/P999Ns are the open-loop verdict latency percentiles
 	// of BenchmarkServe/points from cmd/loadgen, measured from each point's
 	// scheduled arrival (coordinated-omission corrected).
@@ -180,12 +173,7 @@ func parse(data []byte) (*Report, error) {
 		rep.RestoreSpeedup = rcold.NsPerOp / rwarm.NsPerOp
 	}
 	rep.IngestPointsPerSec = rep.Benchmarks[ingestBulkName].Metrics["pts/s"]
-	steady := rep.Benchmarks[ingestSteadyName].Metrics
-	rep.WALBytesPerPoint = steady["walB/pt"]
-	rep.JSONBytesPerPoint = steady["jsonB/pt"]
-	if rep.WALBytesPerPoint > 0 {
-		rep.WALCompressionRatio = rep.JSONBytesPerPoint / rep.WALBytesPerPoint
-	}
+	rep.WALBytesPerPoint = rep.Benchmarks[ingestSteadyName].Metrics["walB/pt"]
 	serve := rep.Benchmarks[servePointsName].Metrics
 	rep.ServeP50Ns = serve["p50-ns"]
 	rep.ServeP99Ns = serve["p99-ns"]
@@ -205,7 +193,7 @@ func main() {
 		minSpeedup = flag.Float64("min-speedup", 5.0, "absolute cold/incremental retrain speedup floor (0 disables)")
 		minRestore = flag.Float64("min-restore-speedup", 3.0, "absolute cold/warm restore speedup floor (0 disables)")
 		minIngest  = flag.Float64("min-ingest-pps", 1e6, "absolute bulk WAL ingest points/sec floor (0 disables)")
-		minWALR    = flag.Float64("min-wal-ratio", 5.0, "absolute JSON-lines ÷ segmented-WAL bytes-per-point compression ratio floor (0 disables)")
+		maxWALB    = flag.Float64("max-wal-bytes", 8.6, "steady-state WAL bytes-per-point ceiling: a fifth of the 43 B/pt the JSON-lines log it replaced wrote for the same points (0 disables)")
 		maxServe99 = flag.Float64("max-serve-p99-ns", 20e6, "open-loop serving p99 verdict latency ceiling in ns from cmd/loadgen (0 disables)")
 		minServe   = flag.Float64("min-serve-pps", 8000, "streaming-ingest trained scoring points/sec floor from cmd/loadgen (0 disables)")
 	)
@@ -237,8 +225,8 @@ func main() {
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 			fatal("write %s: %v", *out, err)
 		}
-		fmt.Printf("benchjson: wrote %s (retrain %.2fx, restore %.2fx, ingest %.0f pts/s, wal ratio %.2fx, serve p99 %.1fms / %.0f pts/s)\n",
-			*out, rep.RetrainSpeedup, rep.RestoreSpeedup, rep.IngestPointsPerSec, rep.WALCompressionRatio,
+		fmt.Printf("benchjson: wrote %s (retrain %.2fx, restore %.2fx, ingest %.0f pts/s, wal %.2f B/pt, serve p99 %.1fms / %.0f pts/s)\n",
+			*out, rep.RetrainSpeedup, rep.RestoreSpeedup, rep.IngestPointsPerSec, rep.WALBytesPerPoint,
 			rep.ServeP99Ns/1e6, rep.ServeIngestPointsPerSec)
 	}
 
@@ -294,18 +282,10 @@ func main() {
 			rep.IngestPointsPerSec, *minIngest)
 		failed = true
 	}
-	if rep.WALCompressionRatio > 0 {
-		if *minWALR > 0 && rep.WALCompressionRatio < *minWALR {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL: WAL compression ratio %.2fx (%.1f json B/pt ÷ %.1f wal B/pt) below the %.1fx floor\n",
-				rep.WALCompressionRatio, rep.JSONBytesPerPoint, rep.WALBytesPerPoint, *minWALR)
-			failed = true
-		}
-		floor := base.WALCompressionRatio * (1 - *tolerance)
-		if base.WALCompressionRatio > 0 && rep.WALCompressionRatio < floor {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL: WAL compression ratio %.2fx regressed >%.0f%% vs baseline %.2fx (floor %.2fx)\n",
-				rep.WALCompressionRatio, *tolerance*100, base.WALCompressionRatio, floor)
-			failed = true
-		}
+	if rep.WALBytesPerPoint > 0 && *maxWALB > 0 && rep.WALBytesPerPoint > *maxWALB {
+		fmt.Fprintf(os.Stderr, "benchjson: FAIL: steady-state WAL cost %.2f B/pt over the %.1f B/pt ceiling\n",
+			rep.WALBytesPerPoint, *maxWALB)
+		failed = true
 	}
 	if rep.ServeP99Ns > 0 && *maxServe99 > 0 && rep.ServeP99Ns > *maxServe99 {
 		fmt.Fprintf(os.Stderr, "benchjson: FAIL: serving p99 verdict latency %.1fms over the %.1fms ceiling\n",
@@ -330,8 +310,8 @@ func main() {
 	if rep.IngestPointsPerSec > 0 {
 		oks = append(oks, fmt.Sprintf("bulk ingest %.0f pts/s (floor %.0f)", rep.IngestPointsPerSec, *minIngest))
 	}
-	if rep.WALCompressionRatio > 0 {
-		oks = append(oks, fmt.Sprintf("wal compression %.2fx (floor %.1fx)", rep.WALCompressionRatio, *minWALR))
+	if rep.WALBytesPerPoint > 0 {
+		oks = append(oks, fmt.Sprintf("wal %.2f B/pt (ceiling %.1f)", rep.WALBytesPerPoint, *maxWALB))
 	}
 	if rep.ServeP99Ns > 0 {
 		oks = append(oks, fmt.Sprintf("serve p99 %.1fms (ceiling %.1fms)", rep.ServeP99Ns/1e6, *maxServe99/1e6))

@@ -23,6 +23,7 @@
 //	opprenticectl wal cat -data-dir ./data                 # decode every segment frame
 //	opprenticectl wal cat -data-dir ./data -series pv      # one series' records
 //	opprenticectl wal cat -data-dir ./data -since 3        # skip segments below 3
+//	opprenticectl wal migrate -data-dir ./data             # one-shot upgrade of JSON-lines <name>.wal files (daemon stopped)
 package main
 
 import (
@@ -90,6 +91,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       opprenticectl models <list|inspect|rollback> [series]")
 	fmt.Fprintln(os.Stderr, "       opprenticectl queries <list [-series NAME]|answer SERIES -window S:E [-anomalous]>")
 	fmt.Fprintln(os.Stderr, "       opprenticectl wal cat -data-dir DIR [-series NAME] [-since SEGMENT]")
+	fmt.Fprintln(os.Stderr, "       opprenticectl wal migrate -data-dir DIR")
 }
 
 func needName(args []string) (string, []string, error) {
@@ -410,24 +412,31 @@ func printManifest(man service.ModelManifest) {
 	}
 }
 
-// runWAL is the offline segment toolbox; cat decodes a data directory's
-// segmented WAL to stdout via tsdb.Dump. It never mutates the directory, so
-// it is safe to point at a live opprenticed's data dir.
+// runWAL is the offline data-directory toolbox. cat decodes the segmented
+// WAL to stdout via tsdb.Dump and never mutates the directory, so it is safe
+// to point at a live opprenticed's data dir; migrate (walmigrate.go) writes
+// to it and needs the daemon stopped.
 func runWAL(args []string) error {
-	if len(args) == 0 || args[0] != "cat" {
-		return fmt.Errorf("wal: subcommand required (cat)")
+	if len(args) == 0 || (args[0] != "cat" && args[0] != "migrate") {
+		return fmt.Errorf("wal: subcommand required (cat|migrate)")
 	}
-	fs := flag.NewFlagSet("wal cat", flag.ContinueOnError)
+	fs := flag.NewFlagSet("wal "+args[0], flag.ContinueOnError)
 	dataDir := fs.String("data-dir", "", "data directory holding the shard-*/ segments")
-	series := fs.String("series", "", "only this series' records")
-	since := fs.Uint64("since", 0, "skip segments numbered below this")
+	var opts tsdb.DumpOptions
+	if args[0] == "cat" {
+		fs.StringVar(&opts.Series, "series", "", "only this series' records")
+		fs.Uint64Var(&opts.Since, "since", 0, "skip segments numbered below this")
+	}
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
 	if *dataDir == "" {
-		return fmt.Errorf("wal cat: -data-dir required")
+		return fmt.Errorf("wal %s: -data-dir required", args[0])
 	}
-	return walCat(os.Stdout, *dataDir, tsdb.DumpOptions{Series: *series, Since: *since})
+	if args[0] == "migrate" {
+		return walMigrate(os.Stdout, *dataDir)
+	}
+	return walCat(os.Stdout, *dataDir, opts)
 }
 
 // walCat renders the segment decode plus a trailing stats line onto w.

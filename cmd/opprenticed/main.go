@@ -18,11 +18,14 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -86,6 +89,15 @@ func main() {
 	eng := engine.New(cfg)
 	srv := service.NewServerWithEngine(eng, logger)
 	if *dataDir != "" {
+		logs, err := unmigratedLogs(*dataDir)
+		if err == nil && len(logs) > 0 {
+			err = fmt.Errorf("JSON-lines logs this version does not read: %s; run `opprenticectl wal migrate -data-dir %s` first",
+				strings.Join(logs, ", "), *dataDir)
+		}
+		if err != nil {
+			logger.Error("open data dir", "err", err)
+			os.Exit(1)
+		}
 		var storeOpts []tsdb.Option
 		if *walSeg > 0 {
 			storeOpts = append(storeOpts, tsdb.WithSegmentBytes(*walSeg))
@@ -162,4 +174,27 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// unmigratedLogs names the "<name>.wal" files in dir: per-series JSON-lines
+// logs of releases before the segmented WAL. The store would not see them,
+// so serving next to one would silently drop that series' points and labels;
+// main refuses to start instead. What `opprenticectl wal migrate` leaves
+// behind (*.wal.migrated) does not match, nor does anything that is not a
+// regular file.
+func unmigratedLogs(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil // tsdb.Open creates it
+	}
+	if err != nil {
+		return nil, err
+	}
+	var logs []string
+	for _, e := range entries {
+		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".wal") {
+			logs = append(logs, e.Name())
+		}
+	}
+	return logs, nil
 }

@@ -824,11 +824,11 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 // retrain; a series that is not trainable either restores its data and waits
 // for the operator.
 //
-// A series whose log is damaged is quarantined — renamed to
-// "<name>.wal.corrupt", logged, and counted — and restore continues with the
-// remaining series: one corrupt log must not take down the daemon. An
-// artifact that decodes to garbage is likewise quarantined (*.corrupt inside
-// the registry) before the cold fallback.
+// A series whose log is damaged is quarantined — tombstoned in the store
+// (its frames stay on disk for inspection), logged, and counted — and restore
+// continues with the remaining series: one corrupt log must not take down the
+// daemon. An artifact that decodes to garbage is likewise quarantined
+// (*.corrupt inside the registry) before the cold fallback.
 func (e *Engine) Restore(ctx context.Context) (int, error) {
 	if e.store == nil {
 		return 0, nil

@@ -351,7 +351,7 @@ func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool
 		case <-wctx.Done():
 		}
 	case !errors.Is(err, errWALBufferFull) && wctx.Err() == nil:
-		// Refused outright (closed store, unimportable legacy log).
+		// Refused outright (closed store, invalid record).
 		e.counters.walAppendErrors.Add(1)
 		e.log.Error("wal write refused", "series", m.name, "err", err)
 		return false

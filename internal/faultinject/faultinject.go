@@ -228,32 +228,6 @@ func FlipByte(path string, offset int64) error {
 	return err
 }
 
-// CorruptLine XOR-flips a byte in the payload of 1-based line lineNo,
-// leaving the line count intact — a targeted mid-log corruption.
-func CorruptLine(path string, lineNo int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	line := 1
-	for i, c := range data {
-		if line == lineNo && c != '\n' && c != '{' && c != '"' {
-			// Flip a benign-looking byte inside the target line; avoiding
-			// the structural characters keeps the mutation subtle, which is
-			// exactly what a checksum must still catch.
-			data[i] ^= 0x01
-			return os.WriteFile(path, data, 0o644)
-		}
-		if c == '\n' {
-			line++
-			if line > lineNo {
-				break
-			}
-		}
-	}
-	return fmt.Errorf("faultinject: %s has no corruptible byte on line %d", path, lineNo)
-}
-
 // AppendGarbage appends raw bytes (default: a plausible-but-broken record)
 // to the file.
 func AppendGarbage(path string, garbage []byte) error {

@@ -54,8 +54,7 @@
 //     opprenticed_notify_dropped_total — asynchronous webhook delivery
 //     outcomes, summed over the per-series alerting pipelines.
 //   - opprenticed_wal_quarantined_total — corrupt series tombstoned out of
-//     the segmented WAL during Restore (legacy JSON-lines logs are renamed
-//     to *.wal.corrupt instead).
+//     the segmented WAL during Restore.
 //   - opprenticed_wal_append_errors_total — durable appends (points or
 //     labels) that failed; the affected points responses also carry
 //     "persisted": false.

@@ -20,7 +20,7 @@ const (
 	reqPoints
 	reqLabel
 	reqTombstone
-	reqImport // legacy-log migration: meta + points + labels in one frame
+	reqImport // Store.Import: meta + points + labels in one frame
 )
 
 type request struct {
@@ -393,8 +393,8 @@ func (e *commitEncoder) add(req *request) error {
 		ps := e.lookup(req.name)
 		var scratch []byte
 		if ps == nil {
-			// Blind append without a create: intern and log it anyway, like
-			// the legacy store did; Load will report the missing meta.
+			// Blind append without a create: intern and log it anyway; Load
+			// will report the missing meta.
 			ps = e.intern(req.name)
 			scratch = e.internSub(nil, ps)
 		}

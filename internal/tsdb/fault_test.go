@@ -2,15 +2,12 @@ package tsdb
 
 // Fault-injection tests for WAL hardening: frame checksums must turn bit
 // rot into ErrCorrupt (not silently-wrong replays), torn segment tails must
-// stay tolerated and lose only unacknowledged writes, legacy JSON-lines
-// logs must still load and migrate, and Quarantine must retire a damaged
-// series so the rest of the store keeps working.
+// stay tolerated and lose only unacknowledged writes, and Quarantine must
+// retire a damaged series so the rest of the store keeps working.
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"opprentice/internal/faultinject"
@@ -153,80 +150,6 @@ func TestFaultMidLogCorruptionDetectedAfterMoreWrites(t *testing.T) {
 	}
 	if _, err := s.Load("pv"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want errors.Is(_, ErrCorrupt)", err)
-	}
-}
-
-func TestFaultLoadLegacyUnchecksummedLog(t *testing.T) {
-	s := openTemp(t)
-	// A log written by the pre-checksum format: bare JSON lines.
-	content := `{"kind":"meta","meta":{"name":"old","interval_seconds":60}}
-{"kind":"points","values":[1,2,3]}
-{"kind":"label","start":0,"end":2,"anomalous":true}
-`
-	path := filepath.Join(s.dir, "old.wal")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Load("old")
-	if err != nil {
-		t.Fatalf("legacy log should load: %v", err)
-	}
-	if len(got.Values) != 3 || !got.Labels[0] || !got.Labels[1] || got.Labels[2] {
-		t.Errorf("legacy replay = %v / %v", got.Values, got.Labels)
-	}
-	// The first write migrates the log into segments; the combined state
-	// must load and the legacy file must be set aside.
-	if err := s.AppendPoints(ctx, "old", []float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s.Load("old")
-	if err != nil {
-		t.Fatalf("migrated log should load: %v", err)
-	}
-	if len(got.Values) != 4 || got.Values[3] != 4 || !got.Labels[0] {
-		t.Errorf("migrated replay = %v / %v", got.Values, got.Labels)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("legacy file still present after migration: %v", err)
-	}
-	if _, err := os.Stat(path + ".migrated"); err != nil {
-		t.Errorf("migrated file missing: %v", err)
-	}
-}
-
-func TestFaultQuarantineLegacyLogSetAside(t *testing.T) {
-	s := openTemp(t)
-	content := `{"kind":"meta","meta":{"name":"bad","interval_seconds":60}}
-not json at all
-{"kind":"points","values":[1]}
-`
-	path := filepath.Join(s.dir, "bad.wal")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seedSeries(t, s, "good")
-	if _, err := s.Load("bad"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("setup: corrupted log should fail Load, got %v", err)
-	}
-	dst, err := s.Quarantine("bad")
-	if err != nil {
-		t.Fatalf("Quarantine: %v", err)
-	}
-	if !strings.HasSuffix(dst, "bad.wal.corrupt") {
-		t.Errorf("quarantine path = %q, want *.wal.corrupt", dst)
-	}
-	if _, err := os.Stat(dst); err != nil {
-		t.Errorf("quarantined file missing: %v", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("original path still present: %v", err)
-	}
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "good" {
-		t.Errorf("List = %v, want [good]", names)
 	}
 }
 

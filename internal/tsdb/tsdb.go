@@ -21,15 +21,14 @@
 //     commit batch put steady-state WAL cost at a few bytes per point,
 //     versus ~40+ for the JSON-lines format this replaced.
 //
-// Logs written by the legacy one-file-per-series JSON-lines format are still
-// readable: Open discovers them, Load falls back to the legacy reader, and
-// the first write to a legacy series imports it into segments (see
-// legacy.go). Quarantine keeps its old rename-aside behaviour for legacy
-// files; segment-resident series are retired with a durable tombstone record
-// instead, which keeps the damaged frames inspectable (`opprenticectl wal
-// cat`) while freeing the name. Segment rotation caps file size, and
-// compaction deletes only sealed segments holding exclusively tombstoned
-// state — retention never drops anything a replay could still need.
+// A series name has exactly one identity: its binding in the owning shard's
+// dictionary. Quarantine and Remove retire it with a durable tombstone
+// record, which keeps damaged frames inspectable (`opprenticectl wal cat`)
+// while freeing the name. Segment rotation caps file size, and compaction
+// deletes only sealed segments holding exclusively tombstoned state —
+// retention never drops anything a replay could still need. Import writes a
+// whole series (meta, points, labels) as one frame, for tools that bring
+// data in from elsewhere.
 package tsdb
 
 import (
@@ -51,24 +50,23 @@ import (
 // errors. Callers can errors.Is for it to decide on quarantine.
 var ErrCorrupt = errors.New("corrupt WAL")
 
-// Meta describes a series at creation time. The JSON tags are retained for
-// the legacy log format.
+// Meta describes a series at creation time.
 type Meta struct {
-	Name            string    `json:"name"`
-	Start           time.Time `json:"start"`
-	IntervalSeconds int       `json:"interval_seconds"`
-	Recall          float64   `json:"recall"`
-	Precision       float64   `json:"precision"`
-	Trees           int       `json:"trees"`
-	WebhookURL      string    `json:"webhook_url,omitempty"`
-	RetrainEvery    int       `json:"retrain_every,omitempty"`
+	Name            string
+	Start           time.Time
+	IntervalSeconds int
+	Recall          float64
+	Precision       float64
+	Trees           int
+	WebhookURL      string
+	RetrainEvery    int
 	// Predictor and EVTQ carry the series' cThld-predictor configuration
 	// (core.PredictorKind wire code; 0 = EWMA). A series with non-default
 	// values writes an opMetaV2 record; zero-valued config keeps the
 	// original opMeta byte stream so old logs and new default-config logs
 	// stay bit-identical.
-	Predictor uint8   `json:"predictor,omitempty"`
-	EVTQ      float64 `json:"evt_q,omitempty"`
+	Predictor uint8
+	EVTQ      float64
 }
 
 // Loaded is a series reconstructed from its log.
@@ -78,8 +76,8 @@ type Loaded struct {
 	Labels []bool
 	// Types carries the per-point anomaly class (core.AnomalyClass wire
 	// codes; 0 = none/untyped). It is nil when the log holds no typed label
-	// record — legacy logs and series labeled without a type — and otherwise
-	// runs parallel to Labels.
+	// record — imported series and series labeled without a type — and
+	// otherwise runs parallel to Labels.
 	Types []uint8
 }
 
@@ -136,10 +134,6 @@ type Store struct {
 	// race the appender shutdown.
 	opMu   sync.RWMutex
 	closed bool
-
-	// migrateMu serializes legacy-log imports (first write to a legacy
-	// series); see legacy.go.
-	migrateMu sync.Mutex
 }
 
 // extent locates one frame referencing a series: segment sequence number,
@@ -301,9 +295,8 @@ type Record struct {
 	Class      uint8
 }
 
-// prepare validates rec, imports the series' legacy log if it still has one,
-// and returns the appender request for it.
-func (s *Store) prepare(ctx context.Context, rec Record) (*request, error) {
+// prepare validates rec and returns the appender request for it.
+func (s *Store) prepare(rec Record) (*request, error) {
 	if err := validName(rec.Name); err != nil {
 		return nil, err
 	}
@@ -319,9 +312,6 @@ func (s *Store) prepare(ctx context.Context, rec Record) (*request, error) {
 	default:
 		return nil, fmt.Errorf("tsdb: %s: empty record or invalid label range [%d, %d)", rec.Name, rec.Start, rec.End)
 	}
-	if err := s.migrateLegacy(ctx, rec.Name); err != nil {
-		return nil, err
-	}
 	return req, nil
 }
 
@@ -334,7 +324,7 @@ func (s *Store) prepare(ctx context.Context, rec Record) (*request, error) {
 // waits for space only until ctx is done, so an already-done ctx makes the
 // enqueue a pure try.
 func (s *Store) Submit(ctx context.Context, rec Record, done func(error)) error {
-	req, err := s.prepare(ctx, rec)
+	req, err := s.prepare(rec)
 	if err != nil {
 		return err
 	}
@@ -345,7 +335,7 @@ func (s *Store) Submit(ctx context.Context, rec Record, done func(error)) error 
 // write is Submit plus the wait for the commit (or ctx — cancellation
 // abandons the wait, not the write, which may still commit).
 func (s *Store) write(ctx context.Context, rec Record) error {
-	req, err := s.prepare(ctx, rec)
+	req, err := s.prepare(rec)
 	if err != nil {
 		return err
 	}
@@ -373,6 +363,21 @@ func (s *Store) AppendPoints(ctx context.Context, name string, values []float64)
 // range [start, end). Context semantics match AppendPoints.
 func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
 	return s.write(ctx, Record{Name: name, Start: start, End: end, Anomalous: anomalous})
+}
+
+// Import durably creates a series that already has history — its meta, every
+// point and the anomalous label ranges — as one frame, so after a crash
+// either all of it replays or none of it. The name must be unused, as for
+// CreateSeries; labels[i] labels values[i]. Import takes ownership of values
+// and labels. Context semantics match AppendPoints.
+func (s *Store) Import(ctx context.Context, meta Meta, values []float64, labels []bool) error {
+	if err := validName(meta.Name); err != nil {
+		return err
+	}
+	if len(labels) > len(values) {
+		return fmt.Errorf("tsdb: %s: %d labels for %d points", meta.Name, len(labels), len(values))
+	}
+	return s.send(ctx, &request{op: reqImport, name: meta.Name, meta: meta, values: values, labels: labels})
 }
 
 // enqueue hands one request to the owning shard's appender, waiting for
@@ -413,7 +418,8 @@ func (s *Store) send(ctx context.Context, req *request) error {
 }
 
 // Load replays one series and returns its state. Damaged frames (or a
-// semantically invalid record sequence) yield an error wrapping ErrCorrupt.
+// semantically invalid record sequence) yield an error wrapping ErrCorrupt;
+// an unknown name yields one wrapping fs.ErrNotExist.
 func (s *Store) Load(name string) (*Loaded, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -423,7 +429,7 @@ func (s *Store) Load(name string) (*Loaded, error) {
 	ser := sh.byName[name]
 	if ser == nil {
 		sh.mu.Unlock()
-		return s.legacyLoad(name)
+		return nil, fmt.Errorf("tsdb: series %q: %w", name, fs.ErrNotExist)
 	}
 	if ser.corrupt {
 		sh.mu.Unlock()
@@ -569,44 +575,26 @@ func (sh *shard) readExtents(extents []extent, fn func(body []byte) error) error
 	return nil
 }
 
-// List returns every known series name — segment-resident (including
-// corrupt ones, so restore can quarantine them) and legacy JSON-lines logs
-// — sorted.
+// List returns every known series name (including corrupt ones, so restore
+// can quarantine them), sorted.
 func (s *Store) List() ([]string, error) {
-	seen := make(map[string]bool)
+	var names []string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for name := range sh.byName {
-			seen[name] = true
+			names = append(names, name)
 		}
 		sh.mu.Unlock()
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		if name, ok := strings.CutSuffix(e.Name(), legacySuffix); ok && validName(name) == nil {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Quarantine retires a damaged series. A segment-resident series gets a
-// durable tombstone: the name becomes reusable, replay drops its state, and
-// the damaged frames stay on disk for inspection (wal cat) until compaction
-// finds them fully retired. A legacy log keeps the historical behaviour and
-// is renamed aside to "<name>.wal.corrupt". The returned string names where
-// the evidence lives.
+// Quarantine retires a damaged series with a durable tombstone: the name
+// becomes reusable, replay drops its state, and the damaged frames stay on
+// disk for inspection (wal cat) until compaction finds them fully retired.
+// The returned string names where the evidence lives. Quarantining an
+// unknown series is an error.
 func (s *Store) Quarantine(name string) (string, error) {
 	if err := validName(name); err != nil {
 		return "", err
@@ -616,7 +604,7 @@ func (s *Store) Quarantine(name string) (string, error) {
 	_, exists := sh.byName[name]
 	sh.mu.Unlock()
 	if !exists {
-		return s.legacyQuarantine(name)
+		return "", fmt.Errorf("tsdb: quarantine: series %q: %w", name, fs.ErrNotExist)
 	}
 	if err := s.send(context.Background(), &request{op: reqTombstone, name: name}); err != nil {
 		return "", err
@@ -624,8 +612,8 @@ func (s *Store) Quarantine(name string) (string, error) {
 	return fmt.Sprintf("%s (tombstoned; frames retained until compaction)", sh.dir), nil
 }
 
-// Remove deletes a series (tombstone for segment-resident series, file
-// removal for legacy logs). Removing an unknown series is a no-op.
+// Remove deletes a series by tombstoning it. Removing an unknown series is a
+// no-op.
 func (s *Store) Remove(name string) error {
 	if err := validName(name); err != nil {
 		return err
@@ -634,13 +622,10 @@ func (s *Store) Remove(name string) error {
 	sh.mu.Lock()
 	_, exists := sh.byName[name]
 	sh.mu.Unlock()
-	if exists {
-		return s.send(context.Background(), &request{op: reqTombstone, name: name})
+	if !exists {
+		return nil
 	}
-	if err := os.Remove(s.legacyPath(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	return nil
+	return s.send(context.Background(), &request{op: reqTombstone, name: name})
 }
 
 // Compact deletes sealed segments that hold only tombstoned state. The

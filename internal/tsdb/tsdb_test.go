@@ -3,8 +3,10 @@ package tsdb
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -64,57 +66,108 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacyLoadSurvivesTornTail(t *testing.T) {
-	s := openTemp(t)
-	// A legacy JSON-lines log whose final line was torn by a crash.
-	content := `{"kind":"meta","meta":{"name":"pv","interval_seconds":60}}
-{"kind":"points","values":[1,2]}
-{"kind":"points","values":[9,9`
-	if err := os.WriteFile(filepath.Join(s.dir, "pv.wal"), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+// A name has one identity, its dictionary binding: once tombstoned it stays
+// gone — from this store and from a reopened one — whatever files lie
+// beside the shard directories.
+func TestTombstonedNameStaysGoneBesideStrayFile(t *testing.T) {
+	retire := map[string]func(*Store, string) error{
+		"Remove":     func(s *Store, name string) error { return s.Remove(name) },
+		"Quarantine": func(s *Store, name string) error { _, err := s.Quarantine(name); return err },
 	}
-	got, err := s.Load("pv")
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if len(got.Values) != 2 {
-		t.Errorf("values = %v, want the 2 intact points", got.Values)
-	}
-}
-
-func TestLegacyLoadRejectsMidLogCorruption(t *testing.T) {
-	s := openTemp(t)
-	path := filepath.Join(s.dir, "bad.wal")
-	content := `{"kind":"meta","meta":{"name":"bad","interval_seconds":60}}
-not json at all
-{"kind":"points","values":[1]}
+	for how, fn := range retire {
+		t.Run(how, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.CreateSeries(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			stray := `{"kind":"meta","meta":{"name":"pv","interval_seconds":60}}
+{"kind":"points","values":[7,8]}
 `
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("bad"); err == nil {
-		t.Error("mid-log corruption accepted")
+			if err := os.WriteFile(filepath.Join(dir, "pv.wal"), []byte(stray), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := fn(s, "pv"); err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string, s *Store) {
+				t.Helper()
+				if names, err := s.List(); err != nil || len(names) != 0 {
+					t.Errorf("%s: List = %v, %v; want empty", stage, names, err)
+				}
+				if got, err := s.Load("pv"); !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("%s: Load = %+v, %v; want fs.ErrNotExist", stage, got, err)
+				}
+			}
+			check("live", s)
+			s.Close()
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			check("reopened", s2)
+		})
 	}
 }
 
-func TestLegacyLoadValidations(t *testing.T) {
-	s := openTemp(t)
-	cases := map[string]string{
-		"nometa":    `{"kind":"points","values":[1]}` + "\n",
-		"dupmeta":   `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"meta","meta":{"name":"x"}}` + "\n",
-		"badlabel":  `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"label","start":0,"end":5,"anomalous":true}` + "\n",
-		"unknown":   `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"zap"}` + "\n",
-		"emptymeta": `{"kind":"meta"}` + "\n",
+func TestImport(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, content := range cases {
-		path := filepath.Join(s.dir, name+".wal")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+	defer s.Close()
+	values := []float64{10.5, 11, 80, 81, 12, 90}
+	labels := []bool{false, false, true, true, false, true}
+	if err := s.Import(ctx, meta, values, labels); err != nil {
+		t.Fatal(err)
+	}
+	// The whole series is one frame: a crash replays all of it or none.
+	sh := s.shardFor("pv")
+	sh.mu.Lock()
+	extents := len(sh.byName["pv"].extents)
+	sh.mu.Unlock()
+	if extents != 1 {
+		t.Errorf("import spans %d frames, want 1", extents)
+	}
+	if err := s.Import(ctx, meta, []float64{1}, nil); err == nil {
+		t.Error("import over an existing series accepted")
+	}
+	other := meta
+	other.Name = "short"
+	if err := s.Import(ctx, other, []float64{1}, []bool{true, true}); err == nil {
+		t.Error("more labels than points accepted")
+	}
+	if err := s.AppendPoints(ctx, "pv", []float64{13}); err != nil {
+		t.Fatal(err)
+	}
+	want := Loaded{Meta: meta, Values: append(values, 13), Labels: append(labels, false)}
+	check := func(stage string, s *Store) {
+		t.Helper()
+		got, err := s.Load("pv")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
-		if _, err := s.Load(name); err == nil {
-			t.Errorf("%s: accepted", name)
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("%s: Load =\n  %+v\nwant\n  %+v", stage, *got, want)
 		}
 	}
+	check("live", s)
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check("reopened", s2)
 }
 
 func TestInvalidNames(t *testing.T) {
