@@ -1,9 +1,9 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build test vet bench-vet loc race engine-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all build test vet bench-vet loc race engine-race oracle-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke bench-json bench-check eval eval-html fuzz staticcheck govulncheck clean
 
-all: build vet bench-vet staticcheck test bench-smoke upgrade-smoke engine-race sim cover bench-check
+all: build vet bench-vet staticcheck test bench-smoke upgrade-smoke engine-race oracle-race sim cover bench-check
 
 build:
 	$(GO) build ./...
@@ -85,10 +85,19 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the per-family detector benchmark (the table in
-# EXPERIMENTS.md): nothing else runs it, so this keeps it compiling and its
-# warm-up working.
+# EXPERIMENTS.md) and of the forest step at the repo benchmark's shape (133
+# kpigen severities, 20 trees, 64-row frame; it fails if a frame allocates):
+# nothing else runs them, so this keeps them compiling and their set-up
+# working.
 bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
+	$(GO) test -run '^$$' -bench 'ForestProbRows$$' -benchtime 1x ./internal/ml/forest
+
+# The two step kernels against their oracles under the race detector: the
+# sorted-window MAD detectors against copy-and-select, the raw-threshold
+# forest walk (ProbAll chunks rows across goroutines) against binned trees.
+oracle-race:
+	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestForestRawWalkMatchesBinned' ./internal/detectors ./internal/ml/forest
 
 # The JSON-lines data-directory upgrade on the real binaries: opprenticed
 # refuses the unmigrated fixture (exit 1, naming the files and the command),

@@ -22,7 +22,6 @@ type Monitor struct {
 	pred   Predictor
 	fcfg   forest.Config
 	pref   stats.Preference
-	row    []float64
 	points int
 	filter *DurationFilter
 
@@ -145,7 +144,6 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 		dynamic: pred.Kind() != PredictEWMA,
 		fcfg:    cfg.Forest,
 		pref:    cfg.Preference,
-		row:     make([]float64, len(dets)),
 		points:  history.Len(),
 		dead:    make([]bool, len(dets)),
 		onPanic: cfg.OnDetectorPanic,
@@ -197,30 +195,23 @@ type Verdict struct {
 	Class AnomalyClass
 }
 
-// Step consumes the next incoming point and classifies it online. A
-// detector that panics is sandboxed: its feature reads 0 ("no evidence of
-// anomaly") for this and all subsequent points, and the verdict is still
-// produced from the remaining configurations.
+// Step consumes the next incoming point and classifies it online: a
+// StepBatch of one.
 func (m *Monitor) Step(v float64) Verdict {
-	for j, d := range m.dets {
-		if m.dead[j] {
-			m.row[j] = 0
-			continue
-		}
-		m.row[j] = m.stepDetector(j, d, v)
-	}
-	m.points++
-	return m.finalize(m.model.Prob(m.row), m.row)
+	vals := [1]float64{v}
+	var out [1]Verdict
+	return m.StepBatch(vals[:], out[:0])[0]
 }
 
 // StepBatch consumes a batch of incoming points and appends one verdict per
-// point to out, returning the extended slice. It is the batched form of
-// Step: detectors are stepped per point (with the same panic sandboxing and
-// mid-batch degradation semantics), but the forest runs once over the whole
-// batch via ProbRowsInto instead of once per point. The verdict sequence is
-// bit-identical to calling Step on each value in order — detector stepping
-// never depends on forest output, and the duration filter still advances
-// point by point.
+// point to out, returning the extended slice. Detectors are stepped per
+// point; a detector that panics is sandboxed: its feature reads 0 ("no
+// evidence of anomaly") for this and all subsequent points, mid-batch
+// included, and the verdict is still produced from the remaining
+// configurations. The forest then runs once over the whole batch. The
+// verdict sequence does not depend on how a stream is split into batches —
+// detector stepping never depends on forest output, and the duration filter
+// advances point by point.
 func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
 	n := len(values)
 	if n == 0 {
@@ -476,7 +467,6 @@ func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timese
 		typeModel: m.typeModel,
 		fcfg:      m.fcfg,
 		pref:      m.pref,
-		row:       make([]float64, len(liveDets)),
 		points:    history.Len(),
 		dead:      make([]bool, len(liveDets)),
 		onPanic:   m.onPanic,

@@ -163,7 +163,6 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 		model:   model,
 		fcfg:    dto.ForestCfg,
 		pref:    dto.Preference,
-		row:     make([]float64, len(dets)),
 		points:  recent.Len(),
 		dead:    make([]bool, len(dets)),
 		onPanic: cfg.OnDetectorPanic,

@@ -111,7 +111,8 @@ func (d *TSD) Clone() Detector {
 
 // Clone implements Cloner.
 func (d *TSDMAD) Clone() Detector {
-	return &TSDMAD{winWeeks: d.winWeeks, ph: d.ph.clone(), resid: cloneRing(d.resid)}
+	ph := d.ph.clone()
+	return &TSDMAD{winWeeks: d.winWeeks, ph: ph, resid: windowAt(ph.extra(), len(d.resid.fifo)), nresid: d.nresid}
 }
 
 // Clone implements Cloner.

@@ -115,6 +115,53 @@ func TestRegistrySeverityContract(t *testing.T) {
 	}
 }
 
+// TestMADHostileWindows: ±Inf readings and NaN bursts placed to straddle the
+// edges of the day-phase, week-slot and residual windows. A ready severity of
+// a robust configuration is then never negative and never infinite (NaN is
+// how an unusable point is reported), and nothing panics.
+func TestMADHostileWindows(t *testing.T) {
+	ds, err := Registry(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := hostileMADStream(30 * 168)
+	for _, d := range ds {
+		switch d.(type) {
+		case *HistoricalMAD, *TSDMAD:
+		default:
+			continue
+		}
+		for i, v := range stream {
+			if sev, ready := d.Step(v); ready && (sev < 0 || math.IsInf(sev, 0)) {
+				t.Fatalf("%s: severity %v at %d (input %v)", d.Name(), sev, i, v)
+			}
+		}
+	}
+}
+
+// hostileMADStream is seasonal noise with, every twelve days or so, a burst of NaN
+// or ±Inf whose length (1, 23, 24, 25 or 169 points) just misses, fills or
+// overruns a day of phases, the 24-point residual window or a week of slots.
+func hostileMADStream(n int) []float64 {
+	rng := rand.New(rand.NewSource(777))
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = 200 + 80*math.Sin(2*math.Pi*float64(i)/24) + rng.NormFloat64()*4
+	}
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for at, k := 900, 0; at+169 < n; at, k = at+293, k+1 {
+		width := []int{1, 23, 24, 25, 169}[k%5]
+		for j := 0; j < width; j++ {
+			v := vals[k%3]
+			if k%4 == 3 {
+				v = vals[(k+j)%3] // mixed burst
+			}
+			s[at+j] = v
+		}
+	}
+	return s
+}
+
 // TestRegistryConfigNamesUnique: configuration names key feature columns,
 // caches, and degraded-set bookkeeping — a duplicate would silently merge
 // two features.

@@ -87,15 +87,6 @@ func (r *ring) at(k int) float64 {
 	return r.buf[k]
 }
 
-// values appends the stored values (in unspecified order) to dst and
-// returns it.
-func (r *ring) values(dst []float64) []float64 {
-	if r.full {
-		return append(dst, r.buf...)
-	}
-	return append(dst, r.buf[:r.pos]...)
-}
-
 // reset clears the ring.
 func (r *ring) reset() {
 	r.pos, r.full = 0, false

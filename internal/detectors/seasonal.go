@@ -3,8 +3,6 @@ package detectors
 import (
 	"fmt"
 	"math"
-
-	"opprentice/internal/timeseries"
 )
 
 // phaseHistory stores, for every phase of a seasonal period, a ring of the
@@ -85,18 +83,55 @@ func (d *HistoricalAverage) Step(v float64) (float64, bool) {
 // Reset implements Detector.
 func (d *HistoricalAverage) Reset() { d.ph.reset() }
 
+// phaseWindows is phaseHistory for the robust detectors: one sortedWindow
+// per phase of the period, all on one slab. Every phase is visited once per
+// period, so the push count of the current phase is t / period and is not
+// stored.
+type phaseWindows struct {
+	period, depth int
+	slab          []float64 // period × (fifo, sorted) pairs of depth values, then the owner's extra
+	t             int
+}
+
+// newPhaseWindows allocates period windows of depth values, followed on the
+// same slab by extra values for the owner's own windows.
+func newPhaseWindows(period, depth, extra int) phaseWindows {
+	if period < 1 || depth < 1 {
+		panic(fmt.Sprintf("detectors: phase windows period=%d depth=%d", period, depth))
+	}
+	return phaseWindows{period: period, depth: depth, slab: make([]float64, 2*period*depth+extra)}
+}
+
+// next returns the window of the current phase with its push count — past
+// periods' values at this phase, not yet including the incoming point, which
+// the caller pushes — and advances to the next point.
+func (p *phaseWindows) next() (w sortedWindow, n int) {
+	w = windowAt(p.slab[2*p.depth*(p.t%p.period):], p.depth)
+	n = p.t / p.period
+	p.t++
+	return w, n
+}
+
+// extra returns the slab past the phase windows.
+func (p *phaseWindows) extra() []float64 { return p.slab[2*p.period*p.depth:] }
+
+// clone deep-copies the windows and the owner's extra with them.
+func (p phaseWindows) clone() phaseWindows {
+	p.slab = append([]float64(nil), p.slab...)
+	return p
+}
+
 // HistoricalMAD is HistoricalAverage with the median and the median absolute
 // deviation replacing mean and standard deviation, for robustness to dirty
 // data [3, 15].
 type HistoricalMAD struct {
 	winWeeks int
-	ph       *phaseHistory
-	scratch  []float64
+	ph       phaseWindows
 }
 
 // NewHistoricalMAD returns the robust variant; ppd is points per day.
 func NewHistoricalMAD(winWeeks, ppd int) *HistoricalMAD {
-	return &HistoricalMAD{winWeeks: winWeeks, ph: newPhaseHistory(ppd, winWeeks*7)}
+	return &HistoricalMAD{winWeeks: winWeeks, ph: newPhaseWindows(ppd, winWeeks*7, 0)}
 }
 
 // Name implements Detector.
@@ -106,20 +141,19 @@ func (d *HistoricalMAD) Name() string {
 
 // Step implements Detector.
 func (d *HistoricalMAD) Step(v float64) (float64, bool) {
-	hist := d.ph.peek()
-	defer d.ph.push(v)
-	if !hist.full {
+	hist, n := d.ph.next()
+	if n < d.ph.depth {
+		hist.push(n, v)
 		return 0, false
 	}
-	// The scratch buffer is an owned copy of the ring, refilled every step,
-	// so the in-place median/MAD (which scrambles it) is free to reorder.
-	d.scratch = hist.values(d.scratch[:0])
-	med, mad := timeseries.MedianMADInPlace(d.scratch)
-	return math.Abs(v-med) / (mad + eps), true
+	med := medianSorted(hist.sorted)
+	mad := madSorted(hist.sorted, med)
+	hist.push(n, v)
+	return madSeverity(v, med, mad), true
 }
 
 // Reset implements Detector.
-func (d *HistoricalMAD) Reset() { d.ph.reset() }
+func (d *HistoricalMAD) Reset() { d.ph.t = 0 }
 
 // trendWindow bounds the residual window used by TSD's detrending so the
 // per-point cost stays small at fine data intervals.
@@ -194,22 +228,23 @@ func (d *TSD) Reset() {
 // data [3, 15].
 type TSDMAD struct {
 	winWeeks int
-	ph       *phaseHistory
-	resid    *ring
-	scratch  []float64
+	ph       phaseWindows
+	resid    sortedWindow // shares ph's slab
+	nresid   int          // residuals pushed so far
 }
 
-// NewTSDMAD returns the robust decomposition detector.
+// NewTSDMAD returns the robust decomposition detector, laid out on one slab:
+// the week-slot windows, then the residual window.
 func NewTSDMAD(winWeeks, ppw, ppd int) *TSDMAD {
 	tw := trendWindow
 	if ppd < tw {
 		tw = ppd
 	}
-	return &TSDMAD{
-		winWeeks: winWeeks,
-		ph:       newPhaseHistory(ppw, winWeeks),
-		resid:    newRing(tw),
+	if tw < 1 {
+		panic(fmt.Sprintf("detectors: TSD MAD with %d points per day", ppd))
 	}
+	ph := newPhaseWindows(ppw, winWeeks, 2*tw)
+	return &TSDMAD{winWeeks: winWeeks, ph: ph, resid: windowAt(ph.extra(), tw)}
 }
 
 // Name implements Detector.
@@ -217,29 +252,23 @@ func (d *TSDMAD) Name() string { return fmt.Sprintf("tsd_mad(win=%dw)", d.winWee
 
 // Step implements Detector.
 func (d *TSDMAD) Step(v float64) (float64, bool) {
-	hist := d.ph.peek()
-	defer d.ph.push(v)
-	if !hist.full {
+	hist, n := d.ph.next()
+	if n < d.ph.depth {
+		hist.push(n, v)
 		return 0, false
 	}
-	// Scratch is refilled from the rings before each use, so the in-place
-	// median/MAD (which scrambles it) never sees stale data.
-	d.scratch = hist.values(d.scratch[:0])
-	seasonal := timeseries.MedianInPlace(d.scratch)
-	r := v - seasonal
-	ready := d.resid.full
+	r := v - medianSorted(hist.sorted)
+	hist.push(n, v)
+	ready := d.nresid >= len(d.resid.fifo)
 	sev := 0.0
 	if ready {
-		d.scratch = d.resid.values(d.scratch[:0])
-		trend, spread := timeseries.MedianMADInPlace(d.scratch)
-		sev = math.Abs(r-trend) / (spread + eps)
+		trend := medianSorted(d.resid.sorted)
+		sev = madSeverity(r, trend, madSorted(d.resid.sorted, trend))
 	}
-	d.resid.push(r)
+	d.resid.push(d.nresid, r)
+	d.nresid++
 	return sev, ready
 }
 
 // Reset implements Detector.
-func (d *TSDMAD) Reset() {
-	d.ph.reset()
-	d.resid.reset()
-}
+func (d *TSDMAD) Reset() { d.ph.t, d.nresid = 0, 0 }

@@ -152,7 +152,7 @@ func TestPhaseHistoryPeekExcludesCurrent(t *testing.T) {
 	if r.len() != 2 {
 		t.Fatalf("phase ring len = %d, want 2", r.len())
 	}
-	vals := r.values(nil)
+	vals := ringValues(r, nil)
 	sum := vals[0] + vals[1]
 	if sum != 4 {
 		t.Errorf("phase-0 history = %v, want {1,3}", vals)

@@ -122,7 +122,9 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Forest {
 		}(t)
 	}
 	wg.Wait()
-	f.buildFlat()
+	if err := f.buildFlat(); err != nil {
+		panic(err) // Grow emits well-formed trees; only the feature count can be at fault
+	}
 	return f
 }
 
@@ -158,32 +160,18 @@ func (f *Forest) Importances() []float64 {
 // Prob returns the anomaly probability of a single sample given as a dense
 // feature row: by default the mean of the trees' leaf probabilities, or the
 // fraction of anomaly-voting trees under Config.MajorityVote (§4.4.2).
-// It allocates nothing for rows up to 256 features (the per-point hot path
-// of online classification).
+// It allocates nothing (the per-point hot path of online classification).
 func (f *Forest) Prob(row []float64) float64 {
 	if len(row) != f.binner.NumFeatures() {
 		panic(fmt.Sprintf("forest: row has %d features, want %d", len(row), f.binner.NumFeatures()))
 	}
-	// Stack-allocated codes buffer: probCodes does not retain its argument,
-	// so buf never escapes for the common d ≤ 256 case.
-	var buf [256]uint8
-	var codes []uint8
-	if len(row) <= len(buf) {
-		codes = buf[:len(row)]
-	} else {
-		codes = make([]uint8, len(row))
-	}
-	for j, v := range row {
-		codes[j] = f.binner.Code(j, v)
-	}
-	return f.probCodes(codes)
+	return f.probRow(row)
 }
 
 // ProbRowsInto classifies n = len(rows)/d samples packed row-major into
 // rows (sample s occupies rows[s*d : (s+1)*d]) and writes their anomaly
 // probabilities into out[:n]. It is the batched form of Prob — one call per
-// ingest batch instead of one per point — and is bit-identical to calling
-// Prob on each row in order. Zero allocations for d ≤ 256.
+// ingest batch instead of one per point — and allocates nothing.
 func (f *Forest) ProbRowsInto(rows []float64, d int, out []float64) {
 	if d != f.binner.NumFeatures() {
 		panic(fmt.Sprintf("forest: rows have %d features, want %d", d, f.binner.NumFeatures()))
@@ -195,19 +183,8 @@ func (f *Forest) ProbRowsInto(rows []float64, d int, out []float64) {
 	if len(out) < n {
 		panic(fmt.Sprintf("forest: out holds %d probabilities, need %d", len(out), n))
 	}
-	var buf [256]uint8
-	var codes []uint8
-	if d <= len(buf) {
-		codes = buf[:d]
-	} else {
-		codes = make([]uint8, d)
-	}
 	for s := 0; s < n; s++ {
-		row := rows[s*d : (s+1)*d]
-		for j, v := range row {
-			codes[j] = f.binner.Code(j, v)
-		}
-		out[s] = f.probCodes(codes)
+		out[s] = f.probRow(rows[s*d : (s+1)*d])
 	}
 }
 
@@ -222,14 +199,16 @@ const probAllSerialThreshold = 512
 // GOMAXPROCS workers; small windows run serially to avoid goroutine
 // overhead.
 func (f *Forest) ProbAll(cols [][]float64) []float64 {
-	binned := f.binner.Bin(cols)
+	if len(cols) != f.binner.NumFeatures() {
+		panic(fmt.Sprintf("forest: %d feature columns, want %d", len(cols), f.binner.NumFeatures()))
+	}
 	n := 0
 	if len(cols) > 0 {
 		n = len(cols[0])
 	}
 	out := make([]float64, n)
 	if n <= probAllSerialThreshold {
-		f.probColsRange(binned, out, 0, n)
+		f.probColsRange(cols, out, 0, n)
 		return out
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -246,7 +225,7 @@ func (f *Forest) ProbAll(cols [][]float64) []float64 {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			f.probColsRange(binned, out, lo, hi)
+			f.probColsRange(cols, out, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

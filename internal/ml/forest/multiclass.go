@@ -77,7 +77,7 @@ func rowsOf(cols [][]float64) int {
 
 // PredictRow classifies one feature row: the class whose head votes the
 // highest fraction, or 0 when no head clears the abstain floor. It allocates
-// nothing (each head's Prob is allocation-free for ≤ 256 features), so it is
+// nothing (each head's Prob is allocation-free), so it is
 // safe on the scoring hot path.
 func (mc *MultiClass) PredictRow(row []float64) (uint8, float64) {
 	best, bestProb := uint8(0), 0.0

@@ -62,6 +62,8 @@ func Load(r io.Reader) (*Forest, error) {
 		return nil, err
 	}
 	// The flat inference array is derived state: rebuild rather than ship it.
-	f.buildFlat()
+	if err := f.buildFlat(); err != nil {
+		return nil, err
+	}
 	return f, nil
 }

@@ -200,27 +200,6 @@ func MAD(xs []float64) float64 {
 	return medianInPlace(dev)
 }
 
-// MedianInPlace returns the median of xs, reordering xs in the process. It
-// exists for hot paths that own a scratch buffer and cannot afford Median's
-// defensive copy; the result is identical to Median(xs).
-func MedianInPlace(xs []float64) float64 { return medianInPlace(xs) }
-
-// MedianMADInPlace returns the median of xs and the median absolute
-// deviation around it without allocating: xs is reordered by the median
-// selection and then overwritten with the absolute deviations. The results
-// are identical to (Median(xs), MAD(xs)); use it only on scratch buffers
-// whose contents are disposable.
-func MedianMADInPlace(xs []float64) (med, mad float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	med = medianInPlace(xs)
-	for i, x := range xs {
-		xs[i] = math.Abs(x - med)
-	}
-	return med, medianInPlace(xs)
-}
-
 // medianInPlace selects the median of xs using quickselect, reordering xs.
 func medianInPlace(xs []float64) float64 {
 	n := len(xs)
