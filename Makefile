@@ -14,11 +14,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# bench/ is a module of its own, so `go vet ./...` above never reaches it.
-# Vetting it type-checks the repo benchmark's harness against internal/...,
-# so an internal API change that would break the benchmark fails here.
+# bench/ is a module of its own, so `go vet ./...` and `go test ./...` above
+# never reach it. Vetting it type-checks the repo benchmark's harness against
+# internal/..., so an internal API change that would break the benchmark fails
+# here; its own unit tests (BENCHMARK.json matches the harness, the oracle
+# flags a flipped verdict, self-times telescope, ... ≈ 2 s) run here too.
 bench-vet:
-	cd bench && $(GO) vet ./...
+	cd bench && $(GO) vet ./... && $(GO) test .
 
 # Non-test Go lines by package, at LOC_BASE and in the working tree (tracked
 # files only) — the before/after table every simplification PR reports.

@@ -1,8 +1,8 @@
 package core
 
 // Tests for the incremental feature-extraction cache: the contract is that
-// ExtractIncremental is BIT-identical to a cold Extract over the same series
-// and configuration set, no matter how the history was split into appends,
+// ExtractIncremental is BIT-identical to the NaN→0 image of a cold Extract
+// (what training consumes) over the same series and configuration set, no matter how the history was split into appends,
 // which detectors can checkpoint, which ones panic, and whether the Trainable
 // fit window moved between rounds.
 
@@ -37,6 +37,17 @@ func prefix(full *timeseries.Series, n int) *timeseries.Series {
 	return s
 }
 
+// coldImputed is the oracle: a cold Extract over s, imputed in place.
+func coldImputed(t *testing.T, s *timeseries.Series, ds []detectors.Detector) *Features {
+	t.Helper()
+	cold, err := Extract(s, ds, ExtractConfig{})
+	if err != nil {
+		t.Fatalf("Extract at n=%d: %v", s.Len(), err)
+	}
+	cold.ImputedFull()
+	return cold
+}
+
 // sameBits fails the test unless a and b match bit for bit (NaNs produced by
 // math.NaN() share a payload, so Float64bits equality covers them too).
 func sameBits(t *testing.T, context string, a, b []float64) {
@@ -54,7 +65,7 @@ func sameBits(t *testing.T, context string, a, b []float64) {
 
 // TestExtractIncrementalMatchesCold is the property test: a series revealed
 // in random append-sized chunks and extracted incrementally must yield, at
-// every step, exactly the matrix a cold extraction of the same prefix
+// every step, exactly the NaN→0 matrix a cold extraction of the same prefix
 // produces. The splits deliberately start below the 8-week fit cap so the
 // ARIMA fit window changes across rounds (forcing its cold-recompute path)
 // and include a mid-stream panicking configuration (degraded on both paths).
@@ -80,15 +91,12 @@ func TestExtractIncrementalMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ExtractIncremental at n=%d: %v", n, err)
 		}
-		cold, err := Extract(prefix(full, n), cacheRegistry(t), ExtractConfig{})
-		if err != nil {
-			t.Fatalf("Extract at n=%d: %v", n, err)
-		}
+		cold := coldImputed(t, prefix(full, n), cacheRegistry(t))
 		if len(inc.Cols) != len(cold.Cols) {
 			t.Fatalf("n=%d: %d vs %d columns", n, len(inc.Cols), len(cold.Cols))
 		}
 		for j := range inc.Cols {
-			sameBits(t, inc.Names[j]+" raw", inc.Cols[j], cold.Cols[j])
+			sameBits(t, inc.Names[j], inc.Cols[j], cold.Cols[j])
 		}
 		// Degraded sets agree: the panicking configuration degrades on both
 		// paths, every round.
@@ -98,18 +106,9 @@ func TestExtractIncrementalMatchesCold(t *testing.T) {
 		if len(cold.Degraded) != 1 || cold.Degraded[0] != "boom(mid)" {
 			t.Fatalf("n=%d: cold Degraded = %v", n, cold.Degraded)
 		}
-		// The cache's imputed twins are the NaN→0 view of the raw columns.
-		imp := inc.ImputedFull()
-		for j, col := range inc.Cols {
-			for i, v := range col {
-				want := v
-				if math.IsNaN(v) {
-					want = 0
-				}
-				if math.Float64bits(imp[j][i]) != math.Float64bits(want) {
-					t.Fatalf("n=%d: imputed[%d][%d] = %v, want %v", n, j, i, imp[j][i], want)
-				}
-			}
+		// One matrix: ImputedFull hands back the columns just compared.
+		if imp := inc.ImputedFull(); &imp[0][0] != &inc.Cols[0][0] {
+			t.Fatalf("n=%d: ImputedFull materialized a second matrix", n)
 		}
 		if outDets == nil || len(outDets) != len(inc.Cols) {
 			t.Fatalf("n=%d: outDets length %d", n, len(outDets))
@@ -184,10 +183,7 @@ func TestExtractIncrementalInvalidatesOnPrefixChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Extract(prefix(mutated, mutated.Len()), smallRegistry(t), ExtractConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldImputed(t, prefix(mutated, mutated.Len()), smallRegistry(t))
 	for j := range inc.Cols {
 		sameBits(t, inc.Names[j]+" after rewrite", inc.Cols[j], cold.Cols[j])
 	}
@@ -201,10 +197,7 @@ func TestExtractIncrementalInvalidatesOnPrefixChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err = Extract(prefix(full, full.Len()-300), smallRegistry(t), ExtractConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold = coldImputed(t, prefix(full, full.Len()-300), smallRegistry(t))
 	for j := range inc.Cols {
 		sameBits(t, inc.Names[j]+" after truncation", inc.Cols[j], cold.Cols[j])
 	}
@@ -226,10 +219,7 @@ func TestExtractIncrementalInvalidatesOnConfigChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Extract(full, append(smallRegistry(t), detectors.NewEWMA(0.1)), ExtractConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldImputed(t, full, append(smallRegistry(t), detectors.NewEWMA(0.1)))
 	for j := range inc.Cols {
 		sameBits(t, inc.Names[j]+" after config change", inc.Cols[j], cold.Cols[j])
 	}
@@ -250,10 +240,7 @@ func TestExtractCacheCapFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Extract(prefix(full, full.Len()), smallRegistry(t), ExtractConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldImputed(t, prefix(full, full.Len()), smallRegistry(t))
 	for j := range inc.Cols {
 		sameBits(t, inc.Names[j]+" over cap", inc.Cols[j], cold.Cols[j])
 	}

@@ -17,8 +17,10 @@ import (
 )
 
 // Features is the severity matrix the detectors extract from one series:
-// one column per configuration, one row per point. Warm-up points hold NaN
-// ("feature absent"); Imputed returns the NaN-free view the learners use.
+// one column per configuration, one row per point. From a cold Extract,
+// warm-up points hold NaN ("feature absent") until ImputedFull is called;
+// Imputed returns a NaN-free copy of a row range for the learners. From a
+// FeatureCache (ExtractIncremental), the columns are NaN-free from the start.
 //
 // A detector configuration that panics during extraction is sandboxed: its
 // column becomes all-NaN ("never ready") and the configuration is listed in
@@ -32,10 +34,10 @@ type Features struct {
 	// was sandboxed into an all-NaN column.
 	Degraded []string
 
-	// imp, when non-nil, is the incrementally maintained NaN→0 view of Cols,
-	// sharing storage with the FeatureCache this Features came from. See
-	// ImputedFull.
-	imp [][]float64
+	// imputed marks Cols as already NaN→0: set at birth for a cache-born
+	// Features (whose columns alias the FeatureCache's storage), and by the
+	// first ImputedFull otherwise.
+	imputed bool
 }
 
 // DegradedCount returns how many configurations were sandboxed during
@@ -44,16 +46,13 @@ func (f *Features) DegradedCount() int { return len(f.Degraded) }
 
 // ExtractConfig controls feature extraction.
 type ExtractConfig struct {
-	// FitWeeks is how many leading weeks Trainable detectors (ARIMA) see
-	// for parameter estimation; 0 means min(8, all complete weeks).
-	FitWeeks int
 	// Workers bounds extraction parallelism (default GOMAXPROCS).
 	Workers int
 }
 
 // Extract runs every detector configuration over the series in parallel and
 // returns the severity matrix. Detectors are Reset first, and Trainable ones
-// are fitted on the leading FitWeeks of data (§4.3.3). A Trainable detector
+// are fitted on the leading fitWeeks of data (§4.3.3). A Trainable detector
 // whose fit fails simply stays not-ready (all-NaN column): Opprentice is
 // explicitly designed to keep working when some detectors are unusable (§6
 // "dirty data").
@@ -92,6 +91,10 @@ func Extract(s *timeseries.Series, ds []detectors.Detector, cfg ExtractConfig) (
 	return f, nil
 }
 
+// fitWeeks is how many leading weeks Trainable detectors (ARIMA) see for
+// parameter estimation, capped at the series' complete weeks.
+const fitWeeks = 8
+
 // extractParams resolves the Trainable fit window (in points) and the worker
 // bound for an extraction over s — shared by Extract and ExtractIncremental
 // so both derive bit-identical fit windows.
@@ -100,18 +103,11 @@ func extractParams(s *timeseries.Series, cfg ExtractConfig) (fitN, workers int, 
 	if err != nil {
 		return 0, 0, err
 	}
-	fitWeeks := cfg.FitWeeks
-	if fitWeeks <= 0 {
-		fitWeeks = 8
-	}
-	if max := s.Len() / ppw; fitWeeks > max {
-		fitWeeks = max
-	}
 	workers = cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return fitWeeks * ppw, workers, nil
+	return min(fitWeeks, s.Len()/ppw) * ppw, workers, nil
 }
 
 // extractColumn runs one detector over the series, sandboxing panics: if the
@@ -208,29 +204,33 @@ func (f *Features) Imputed(lo, hi int) [][]float64 {
 	return out
 }
 
-// ImputedFull returns the full-length NaN→0 matrix in the cheapest way
-// available. When this Features came from a FeatureCache, the cache's
-// incrementally maintained imputed columns are returned (shared storage —
-// treat as read-only). Otherwise the raw columns are imputed *in place* —
-// destroying the NaN warm-up markers — and Cols itself is returned, so no
-// second matrix is materialized; callers that still need raw severities must
-// copy them first.
+// ImputedFull returns the full-length NaN→0 matrix without materializing a
+// second one: the columns are imputed *in place*, once — destroying the NaN
+// warm-up markers of a cold extraction — and Cols itself is returned. Callers
+// that still need the markers must copy them first. A cache-born Features is
+// imputed from birth and shares storage with its FeatureCache: treat the
+// result as read-only.
 func (f *Features) ImputedFull() [][]float64 {
-	if f.imp != nil {
-		return f.imp
-	}
-	for _, col := range f.Cols {
-		for i, v := range col {
-			if math.IsNaN(v) {
-				col[i] = 0
-			}
+	if !f.imputed {
+		for _, col := range f.Cols {
+			imputeInPlace(col)
 		}
+		f.imputed = true
 	}
 	return f.Cols
 }
 
+// imputeInPlace replaces NaN with 0 ("no evidence of anomaly") in col.
+func imputeInPlace(col []float64) {
+	for i, v := range col {
+		if math.IsNaN(v) {
+			col[i] = 0
+		}
+	}
+}
+
 // Column returns the full severity series of configuration j (shared
-// storage, NaN for warm-up points).
+// storage; NaN for warm-up points unless the matrix has been imputed).
 func (f *Features) Column(j int) []float64 { return f.Cols[j] }
 
 // ColumnByName returns the severity column with the given configuration

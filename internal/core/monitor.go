@@ -13,8 +13,8 @@ import (
 // through the basic detectors (feature extraction) and the latest anomaly
 // classifier, and the cThld turns the vote fraction into an alarm. It is
 // built from labeled history with NewMonitor and then fed one point at a
-// time; Retrain folds in newly labeled data without disturbing the
-// detectors' streaming state.
+// time; Retrain folds in newly labeled data by building a replacement
+// monitor whose detectors continue the same stream.
 type Monitor struct {
 	dets   []detectors.Detector
 	model  *forest.Forest
@@ -85,9 +85,9 @@ type MonitorConfig struct {
 	// the goroutine that observed the panic and must be cheap.
 	OnDetectorPanic func(name string, recovered any)
 	// Cache, when set, makes training extraction incremental: the initial
-	// extraction seeds the cache (cold) and every later
-	// RetrainCached/RetrainSnapshotCached against the same cache extracts
-	// only the points appended since (see ExtractIncremental).
+	// extraction seeds the cache (cold) and every later Retrain against the
+	// same cache extracts only the points appended since (see
+	// ExtractIncremental).
 	Cache *FeatureCache
 }
 
@@ -97,11 +97,8 @@ type MonitorConfig struct {
 // detector instances end positioned after the last history point, so Step
 // continues the stream seamlessly.
 func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cfg MonitorConfig) (*Monitor, error) {
-	if len(labels) != history.Len() {
-		return nil, fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if cfg.TypeLabels != nil && len(cfg.TypeLabels) != history.Len() {
-		return nil, fmt.Errorf("core: %d type labels for %d points", len(cfg.TypeLabels), history.Len())
+	if err := checkTrainable(history, labels, cfg.TypeLabels); err != nil {
+		return nil, err
 	}
 	if cfg.Preference == (stats.Preference{}) {
 		cfg.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
@@ -113,13 +110,10 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	if err != nil {
 		return nil, err
 	}
-	// ImputedFull avoids materializing a second matrix: without a cache the
-	// raw columns are imputed in place (this extraction is private to us);
-	// with one, the cache's incrementally maintained imputed view is used.
+	// ImputedFull materializes no second matrix: without a cache the raw
+	// columns are imputed in place (this extraction is private to us); with
+	// one, the cache's columns are NaN-free already.
 	cols := feats.ImputedFull()
-	if !bothClasses(labels) {
-		return nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
-	}
 	model := forest.Train(cols, labels, cfg.Forest)
 
 	cthld := 0.5
@@ -158,6 +152,22 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	// live instances Step would call: mark them degraded up front.
 	m.markDegraded(feats.Degraded)
 	return m, nil
+}
+
+// checkTrainable refuses history no model can be trained on — mismatched
+// label lengths, or only one class labeled — before NewMonitor or Retrain
+// pays for the 133-configuration extraction (and seeds a cache) on its behalf.
+func checkTrainable(history *timeseries.Series, labels timeseries.Labels, types []uint8) error {
+	if len(labels) != history.Len() {
+		return fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
+	}
+	if types != nil && len(types) != history.Len() {
+		return fmt.Errorf("core: %d type labels for %d points", len(types), history.Len())
+	}
+	if !bothClasses(labels) {
+		return fmt.Errorf("core: history must contain labeled anomalies and normal data")
+	}
+	return nil
 }
 
 // markDegraded flags the named configurations as dead and accounts for their
@@ -318,116 +328,39 @@ func (m *Monitor) DegradedDetectors() int {
 	return n
 }
 
-// Retrain replaces the classifier with one trained on the full labeled
-// history (incremental retraining, §3.2) and folds the period's best cThld
-// into the EWMA prediction. history must cover everything up to the present,
-// including the points already Stepped; detector streaming state is left
-// untouched. Extraction is cold; use RetrainCached with a FeatureCache to
-// make it O(new points).
-func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector) error {
-	return m.RetrainCached(history, labels, dets, nil)
-}
-
-// RetrainCached is Retrain with incremental feature extraction: with a
-// non-nil cache, only the points appended since the cache's last extraction
-// are run through the detectors (see ExtractIncremental); a nil cache
-// extracts cold.
-func (m *Monitor) RetrainCached(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cache *FeatureCache) error {
-	if len(labels) != history.Len() {
-		return fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if !bothClasses(labels) {
-		return fmt.Errorf("core: history must contain labeled anomalies and normal data")
-	}
-	// Extract with a fresh detector set so the live ones keep streaming.
-	feats, _, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
-	if err != nil {
-		return err
-	}
-	// Account for configurations that panicked during this extraction; the
-	// fresh instances are discarded afterwards, so the live detectors keep
-	// streaming (they are sandboxed separately by Step).
-	for _, name := range feats.Degraded {
-		m.panics++
-		if m.onPanic != nil {
-			m.onPanic(name, nil)
-		}
-	}
-	cols := feats.ImputedFull()
-	ppw, err := history.PointsPerWeek()
-	if err != nil {
-		return err
-	}
-	// Threshold update: a dynamic (EVT) predictor re-fits its tail on the
-	// trailing week scored by the OUTGOING model — that week arrived after
-	// the model's last training cut, so these are out-of-sample vote
-	// fractions, the distribution the monitor actually served online. The
-	// incoming model's in-sample scores would sit near 0 on normal points
-	// and collapse the tail.
-	if m.dynamic {
-		lo := history.Len() - ppw
-		if lo < 0 {
-			lo = 0
-		}
-		m.pred.Refit(m.model.ProbAll(featsSlice(cols, lo, history.Len())), labels[lo:])
-	}
-	m.model = forest.Train(cols, labels, m.fcfg)
-	if lo := history.Len() - ppw; !m.dynamic && lo > 0 && bothClasses(labels[lo:]) {
-		// EWMA observes the week's best cThld under the fresh model, as
-		// before. Anomaly-free weeks carry no cThld information; skip them.
-		scores := m.model.ProbAll(featsSlice(cols, lo, history.Len()))
-		best, _ := stats.BestByPCScore(stats.PRCurve(scores, labels[lo:]), m.pref)
-		m.pred.Observe(best.Threshold)
-	}
-	m.cthld = m.pred.Predict()
-	return nil
-}
-
-// RetrainSnapshot builds a replacement monitor from a snapshot of the
-// labeled history without mutating m. The returned monitor carries m's
-// tuning forward — preference, forest configuration, the cThld predictor's
-// EWMA state (cloned, with the snapshot's most recent week observed into
-// it), duration-filter configuration and panic callback — but has a freshly
-// trained model and a fresh detector set fitted over the snapshot and
-// positioned after its last point.
+// Retrain builds a replacement monitor from a snapshot of the full labeled
+// history (incremental retraining, §3.2) without mutating m. The returned
+// monitor carries m's tuning forward — preference, forest configuration, the
+// cThld predictor's state (cloned, with the snapshot's most recent week
+// folded into it), duration-filter configuration and panic callback — but
+// has a freshly trained model and the detector set dets fitted over the
+// snapshot and positioned after its last point. Past the 8-week fit cap that
+// is exactly where m's own detectors stand once they have been stepped over
+// the same points, so swapping the monitors never disturbs the stream; below
+// the cap a Trainable detector (ARIMA) is re-fitted on the longer window.
 //
-// It is the training half of an asynchronous retrain: while it runs, the
-// live monitor keeps Stepping newly arriving points; the caller then replays
-// the points that arrived mid-train through the returned monitor (to advance
-// its detectors and duration filter to the stream head) and atomically swaps
-// it in. Concurrent Step on m is safe — RetrainSnapshot only reads fields
-// Step never writes — but concurrent Retrain/RetrainSnapshot calls on the
-// same monitor must be serialized by the caller.
-func (m *Monitor) RetrainSnapshot(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector) (*Monitor, error) {
-	return m.RetrainSnapshotCached(history, labels, dets, nil)
-}
-
-// RetrainSnapshotCached is RetrainSnapshot with incremental feature
-// extraction: with a non-nil cache only the points appended since the cache's
-// last extraction are stepped, and the returned monitor's live detector set
-// is built from the cache's advanced checkpoints instead of replaying the
-// whole history (a nil cache extracts cold, exactly like RetrainSnapshot).
-// Rounds against the same cache must be serialized by the caller — the
-// engine's per-series train mutex already does.
-func (m *Monitor) RetrainSnapshotCached(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
-	return m.RetrainSnapshotTyped(history, labels, nil, dets, cache)
-}
-
-// RetrainSnapshotTyped is RetrainSnapshotCached with anomaly-type labels:
 // types, when non-nil, holds one AnomalyClass code per history point and the
 // returned monitor carries a freshly trained multi-class type head. A nil or
 // untrainable types slice (no typed anomalies yet) carries m's existing type
 // head forward unchanged, so typing never regresses across a retrain that
 // gained no new typed windows.
-func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
-	if len(labels) != history.Len() {
-		return nil, fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if types != nil && len(types) != history.Len() {
-		return nil, fmt.Errorf("core: %d type labels for %d points", len(types), history.Len())
-	}
-	if !bothClasses(labels) {
-		return nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
+//
+// With a non-nil cache only the points appended since the cache's last
+// extraction are stepped, and the returned monitor's detector set is built
+// from the cache's advanced checkpoints instead of replaying the whole
+// history (see ExtractIncremental); a nil cache extracts cold.
+//
+// It is the training half of an asynchronous retrain: while it runs, the
+// live monitor keeps Stepping newly arriving points; the caller then replays
+// the points that arrived mid-train through the returned monitor (to advance
+// its detectors and duration filter to the stream head) and atomically swaps
+// it in. Concurrent Step on m is safe — Retrain only reads fields Step never
+// writes — but concurrent Retrain calls on the same monitor, or against the
+// same cache, must be serialized by the caller (the engine's per-series
+// train mutex does).
+func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
+	if err := checkTrainable(history, labels, types); err != nil {
+		return nil, err
 	}
 	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
 	if err != nil {
@@ -439,9 +372,11 @@ func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timese
 	// Threshold update into a cloned predictor so the live monitor is
 	// untouched until the swap: the EVT clone re-fits its tail on the
 	// trailing week scored by the live (outgoing) model — out-of-sample
-	// vote fractions, the distribution served online (see RetrainCached) —
-	// while the EWMA clone observes the week's best cThld under the fresh
-	// model.
+	// vote fractions, the distribution served online; the incoming model's
+	// in-sample scores would sit near 0 on normal points and collapse the
+	// tail — while the EWMA clone observes the week's best cThld under the
+	// fresh model (anomaly-free weeks carry no cThld information and are
+	// skipped).
 	pred := m.pred.Clone()
 	ppw, err := history.PointsPerWeek()
 	if err != nil {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"opprentice/internal/detectors"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/ml/forest"
 )
@@ -84,16 +87,20 @@ func TestMonitorRetrainUpdatesCThld(t *testing.T) {
 	p2 := p
 	p2.Weeks = 11
 	d2 := kpigen.Generate(p2, 25)
-	if err := mon.Retrain(d2.Series, d2.Labels, smallRegistry(t)); err != nil {
+	next, err := mon.Retrain(d2.Series, d2.Labels, nil, smallRegistry(t), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := mon.CThld()
+	after := next.CThld()
 	if after < 0 || after > 1.01 {
 		t.Errorf("cThld after retrain = %v", after)
 	}
-	_ = before // the threshold may legitimately stay put; bounds checked above
+	// The threshold may legitimately stay put; the live monitor's must.
+	if mon.CThld() != before {
+		t.Errorf("Retrain moved the live monitor's cThld %v -> %v", before, mon.CThld())
+	}
 
-	if err := mon.Retrain(d2.Series, d2.Labels[:5], smallRegistry(t)); err == nil {
+	if _, err := mon.Retrain(d2.Series, d2.Labels[:5], nil, smallRegistry(t), nil); err == nil {
 		t.Error("want error for label mismatch on retrain")
 	}
 }
@@ -135,5 +142,122 @@ func TestMonitorDurationFilterSuppressesBlips(t *testing.T) {
 	}
 	if decided > steps || decided < steps-2 {
 		t.Errorf("decided %d of %d steps (pending may hold at most 2)", decided, steps)
+	}
+}
+
+// stepAll steps every detector over vals and returns what each reported:
+// sev[j][i], ready[j][i].
+func stepAll(dets []detectors.Detector, vals []float64) (sev [][]float64, ready [][]bool) {
+	sev, ready = make([][]float64, len(dets)), make([][]bool, len(dets))
+	for j, d := range dets {
+		sev[j], ready[j] = make([]float64, len(vals)), make([]bool, len(vals))
+		for i, v := range vals {
+			sev[j][i], ready[j][i] = d.Step(v)
+		}
+	}
+	return sev, ready
+}
+
+// sameStream reports whether two stepAll outputs of one configuration match
+// bit for bit, readiness included.
+func sameStream(sevA, sevB []float64, readyA, readyB []bool) bool {
+	for i := range sevA {
+		if readyA[i] != readyB[i] || math.Float64bits(sevA[i]) != math.Float64bits(sevB[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRetrainContinuesStream is the property the deleted in-place retrain
+// held by construction: swapping in the monitor Retrain returns never
+// disturbs the stream. At random cut points past the 8-week fit cap, the
+// replacement's detector set and the live monitor's — every configuration of
+// the paper's registry, ARIMA included — produce bit-identical severities
+// and readiness over the following 300 points, with and without a feature
+// cache. Below the cap there is exactly one exception: a Trainable detector
+// is re-fitted on the longer window, so its severities (and only its) move.
+func TestRetrainContinuesStream(t *testing.T) {
+	const ppw, follow = 168, 300
+	full, labels := testKPI(t, 16, 33)
+	registry := func() []detectors.Detector {
+		ds, err := detectors.Registry(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	boot := func(n int, cache *FeatureCache) *Monitor {
+		mon, err := NewMonitor(prefix(full, n), labels[:n], registry(), MonitorConfig{
+			Forest:        forest.Config{Trees: 3, Seed: 1},
+			SkipInitialCV: true,
+			Cache:         cache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	// retrainAt retrains mon (whose detectors stand at cut) and reports, per
+	// configuration, whether old and new detector sets agree over the next
+	// `follow` points. Both sets end at cut+follow.
+	retrainAt := func(mon *Monitor, cut int, cache *FeatureCache) (*Monitor, []bool) {
+		next, err := mon.Retrain(prefix(full, cut), labels[:cut], nil, registry(), cache)
+		if err != nil {
+			t.Fatalf("Retrain at %d: %v", cut, err)
+		}
+		vals := full.Values[cut : cut+follow]
+		oldSev, oldReady := stepAll(mon.dets, vals)
+		newSev, newReady := stepAll(next.dets, vals)
+		same := make([]bool, len(mon.dets))
+		for j := range same {
+			same[j] = sameStream(oldSev[j], newSev[j], oldReady[j], newReady[j])
+		}
+		return next, same
+	}
+
+	for _, cached := range []bool{false, true} {
+		var cache *FeatureCache
+		if cached {
+			cache = NewFeatureCache(nil)
+		}
+		rng := rand.New(rand.NewSource(5))
+		at := 8*ppw + 1 + rng.Intn(ppw)
+		mon := boot(at, cache)
+		for rounds := 0; ; rounds++ {
+			cut := at + rng.Intn(ppw)
+			if cut+follow > full.Len() {
+				if rounds < 3 {
+					t.Fatalf("only %d retrain rounds fit the series", rounds)
+				}
+				break
+			}
+			stepAll(mon.dets, full.Values[at:cut])
+			next, same := retrainAt(mon, cut, cache)
+			for j, ok := range same {
+				if !ok {
+					t.Errorf("cached=%v cut=%d: %s diverges from the live stream after Retrain",
+						cached, cut, mon.dets[j].Name())
+				}
+			}
+			mon, at = next, cut+follow
+		}
+
+		// Below the fit cap: boot on 5 weeks, retrain inside week 7.
+		if cached {
+			cache = NewFeatureCache(nil)
+		}
+		at = 5*ppw + 10
+		mon = boot(at, cache)
+		cut := 6*ppw + 20
+		stepAll(mon.dets, full.Values[at:cut])
+		_, same := retrainAt(mon, cut, cache)
+		for j, ok := range same {
+			_, trainable := mon.dets[j].(detectors.Trainable)
+			if ok == trainable {
+				t.Errorf("cached=%v pre-cap: %s same=%v, want refit to move exactly the Trainable configurations",
+					cached, mon.dets[j].Name(), ok)
+			}
+		}
 	}
 }

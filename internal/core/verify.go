@@ -10,12 +10,13 @@ import (
 
 // VerifyAgainstCold cross-checks the cache's incremental extraction state
 // against a from-scratch cold Extract over the same prefix: the incremental
-// path's core guarantee is that its output is bit-identical to a cold run, and
-// this method is the machine-checkable form of that guarantee (the simulation
-// harness calls it after every retrain). It re-derives the severity matrix for
-// the first Len() points of s with fresh detectors ds and compares every cell
-// by bit pattern (so NaN placement is compared exactly), plus the degraded
-// sets and the append-only prefix hash.
+// path's core guarantee is that the matrix training consumes is bit-identical
+// to a cold run's, and this method is the machine-checkable form of that
+// guarantee (the simulation harness calls it after every retrain). It
+// re-derives the severity matrix for the first Len() points of s with fresh
+// detectors ds, takes its NaN→0 image — the cache stores no warm-up markers,
+// only what the learners read — and compares every cell by bit pattern, plus
+// the degraded sets and the append-only prefix hash.
 //
 // It returns nil when the cache is empty/invalid (nothing to verify) and a
 // descriptive error naming the first mismatching configuration and row
@@ -51,6 +52,7 @@ func (c *FeatureCache) VerifyAgainstCold(s *timeseries.Series, ds []detectors.De
 		return fmt.Errorf("core: cold verification extract: %w", err)
 	}
 
+	coldCols := cold.ImputedFull()
 	coldDegraded := make(map[string]bool, len(cold.Degraded))
 	for _, name := range cold.Degraded {
 		coldDegraded[name] = true
@@ -59,7 +61,7 @@ func (c *FeatureCache) VerifyAgainstCold(s *timeseries.Series, ds []detectors.De
 		if c.degraded[j] != coldDegraded[name] {
 			return fmt.Errorf("core: configuration %q degraded=%v incrementally but %v cold", name, c.degraded[j], coldDegraded[name])
 		}
-		cachedCol, coldCol := c.cols[j], cold.Cols[j]
+		cachedCol, coldCol := c.cols[j], coldCols[j]
 		if len(cachedCol) != c.n || len(coldCol) != c.n {
 			return fmt.Errorf("core: configuration %q column length cached=%d cold=%d want %d", name, len(cachedCol), len(coldCol), c.n)
 		}
@@ -67,16 +69,6 @@ func (c *FeatureCache) VerifyAgainstCold(s *timeseries.Series, ds []detectors.De
 			if math.Float64bits(cachedCol[i]) != math.Float64bits(coldCol[i]) {
 				return fmt.Errorf("core: configuration %q severity diverges at row %d: incremental %v vs cold %v",
 					name, i, cachedCol[i], coldCol[i])
-			}
-		}
-		imp := c.imp[j]
-		for i := 0; i < c.n; i++ {
-			want := coldCol[i]
-			if math.IsNaN(want) {
-				want = 0
-			}
-			if math.Float64bits(imp[i]) != math.Float64bits(want) {
-				return fmt.Errorf("core: configuration %q imputed twin diverges at row %d: %v vs %v", name, i, imp[i], want)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func (e *Engine) Train(ctx context.Context, name string) (TrainResult, error) {
 //  2. Off-lock: fit a replacement monitor, supervised by the training
 //     watchdog (see fitSupervised). First-ever training builds it with
 //     core.NewMonitor (cross-validated initial cThld); afterwards
-//     Monitor.RetrainSnapshot carries the EWMA cThld state forward without
+//     Monitor.Retrain carries the cThld predictor's state forward without
 //     touching the live monitor.
 //  3. Under m.mu again: replay the points appended since the snapshot
 //     through the new monitor — their client-facing verdicts were already
@@ -96,9 +96,7 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 
 	// 3. Replay and swap.
 	m.mu.Lock()
-	for _, v := range m.series.Values[snap.Len():] {
-		next.Step(v)
-	}
+	m.vbatch = next.StepBatch(m.series.Values[snap.Len():], m.vbatch[:0])
 	m.monitor = next
 	m.trained = time.Now().UTC()
 	m.pointsAtTrain = m.series.Len()
@@ -157,7 +155,7 @@ func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries
 			}
 			return core.NewMonitor(snap, labels, dets, cfg)
 		}
-		return cur.RetrainSnapshotTyped(snap, labels, typed, dets, cache)
+		return cur.Retrain(snap, labels, typed, dets, cache)
 	}
 	if deadline <= 0 && ctx.Done() == nil {
 		// Watchdog disabled and nothing to cancel on: fit inline.

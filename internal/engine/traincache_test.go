@@ -8,6 +8,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"opprentice/internal/kpigen"
+	"opprentice/internal/timeseries"
 )
 
 func TestRetrainUsesCacheUnderConcurrentIngest(t *testing.T) {
@@ -158,5 +160,57 @@ func TestEngineCacheDisabled(t *testing.T) {
 	if c.ExtractPointsCold != 0 || c.ExtractPointsIncremental != 0 || c.ExtractCacheBytes != 0 {
 		t.Fatalf("disabled cache still accounts cold=%d incremental=%d bytes=%d",
 			c.ExtractPointsCold, c.ExtractPointsIncremental, c.ExtractCacheBytes)
+	}
+}
+
+// anomalousWindows returns the generator's anomaly windows that end within
+// the first n points, as label actions.
+func anomalousWindows(labels timeseries.Labels, n int) []Window {
+	var windows []Window
+	for _, w := range labels.Windows() {
+		if w.End <= n {
+			windows = append(windows, Window{Start: w.Start, End: w.End, Anomalous: true})
+		}
+	}
+	return windows
+}
+
+// TestRefusedFirstTrainExtractsNothing: the commonest operator mistake —
+// training before labelling — must be refused before the 133-configuration
+// cold extraction runs, not after: no cold points counted, no cache seeded.
+// Labelling and training afterwards works as if the refusal never happened.
+func TestRefusedFirstTrainExtractsNothing(t *testing.T) {
+	e := newTestEngine(t)
+	p := kpigen.PV(kpigen.Small)
+	p.Interval = time.Hour
+	p.Weeks = 9
+	d := kpigen.Generate(p, 91)
+	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 3600, Start: testStart, Trees: 10}); err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Point, d.Series.Len())
+	for i, v := range d.Series.Values {
+		pts[i] = Point{Value: v}
+	}
+	if _, err := e.Append(context.Background(), "pv", pts, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := e.Train(context.Background(), "pv"); !errors.Is(err, ErrRejected) {
+		t.Fatalf("train without labels: got %v, want ErrRejected", err)
+	}
+	if c := e.Counters(); c.ExtractPointsCold != 0 || c.ExtractCacheBytes != 0 {
+		t.Fatalf("refused train extracted cold=%d points and cached %d bytes, want 0 and 0",
+			c.ExtractPointsCold, c.ExtractCacheBytes)
+	}
+
+	if _, err := e.Label(context.Background(), "pv", anomalousWindows(d.Labels, d.Series.Len())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Train(context.Background(), "pv"); err != nil {
+		t.Fatalf("train after labelling: %v", err)
+	}
+	if c := e.Counters(); c.ExtractPointsCold == 0 || c.ExtractCacheBytes == 0 {
+		t.Fatalf("first accepted train seeded cold=%d points, %d cache bytes", c.ExtractPointsCold, c.ExtractCacheBytes)
 	}
 }

@@ -55,7 +55,8 @@ func EVTvsEWMA(o Options) ([]*Table, error) {
 
 // streamOnline drives one predictor arm over one KPI through the real
 // Monitor: boot on the first InitWeeks, then Step every remaining point
-// (whole weeks only) with a RetrainCached at each week boundary, and
+// (whole weeks only) with a Retrain at each week boundary — the replacement
+// monitor takes over at the stream head, as in the engine's swap — and
 // return the aggregate confusion of the alarms against the operator labels.
 func streamOnline(k *kpiData, kind core.PredictorKind, o Options) (stats.Confusion, error) {
 	boot := core.InitWeeks * k.ppw
@@ -89,7 +90,8 @@ func streamOnline(k *kpiData, kind core.PredictorKind, o Options) (stats.Confusi
 			if err != nil {
 				return stats.Confusion{}, err
 			}
-			if err := mon.RetrainCached(k.series.Slice(0, head), k.labels[:head], retrainDets, cache); err != nil {
+			mon, err = mon.Retrain(k.series.Slice(0, head), k.labels[:head], nil, retrainDets, cache)
+			if err != nil {
 				return stats.Confusion{}, err
 			}
 		}

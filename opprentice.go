@@ -18,8 +18,9 @@
 //			alert()
 //		}
 //	}
-//	// weekly: label the new data, then
-//	mon.Retrain(fullHistory, fullLabels, freshDets)
+//	// weekly: label the new data, then swap in the replacement monitor
+//	// (nil: no anomaly-type labels, no feature cache)
+//	mon, _ = mon.Retrain(fullHistory, fullLabels, nil, freshDets, nil)
 //
 // For offline evaluation and the paper's experiments, see Run, RunExperiment
 // and the cmd/evalbench tool.
