@@ -129,16 +129,7 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		// A dedicated mux on a dedicated listener: registering pprof on the
-		// serving handler would expose heap dumps and CPU profiles to anyone
-		// who can reach the API.
-		pmux := http.NewServeMux()
-		pmux.HandleFunc("/debug/pprof/", pprof.Index)
-		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		psrv := &http.Server{Addr: *pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
+		psrv := &http.Server{Addr: *pprofAddr, Handler: pprofHandler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			logger.Info("pprof listening", "addr", *pprofAddr)
 			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -174,6 +165,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// pprofHandler serves net/http/pprof on a mux of its own, for a listener of
+// its own: registering pprof on the serving handler would expose heap dumps
+// and CPU profiles to anyone who can reach the API.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // unmigratedLogs names the "<name>.wal" files in dir: per-series JSON-lines

@@ -1,11 +1,35 @@
 package main
 
 import (
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"opprentice/internal/service"
 )
+
+// TestPprofOffServingListener pins where profiling is reachable: on the
+// handler behind -pprof-addr, and not on the API handler.
+func TestPprofOffServingListener(t *testing.T) {
+	get := func(h http.Handler, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	if code := get(pprofHandler(), "/debug/pprof/cmdline"); code != http.StatusOK {
+		t.Errorf("pprof handler: /debug/pprof/cmdline = %d, want 200", code)
+	}
+	srv := service.NewServer(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	defer srv.Close()
+	if code := get(srv.Handler(), "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("serving handler: /debug/pprof/ = %d, want 404", code)
+	}
+}
 
 func TestUnmigratedLogs(t *testing.T) {
 	cases := []struct {

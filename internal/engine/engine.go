@@ -140,9 +140,6 @@ type Config struct {
 	// RetrainWorkers is the number of background training workers shared by
 	// all series (default 2).
 	RetrainWorkers int
-	// RetrainQueue bounds the pending automatic-retrain queue (default 64).
-	// When it is full a trigger is dropped and re-armed by the next append.
-	RetrainQueue int
 	// ExtractCacheMB caps the engine-wide incremental feature-extraction
 	// cache, in MiB, shared by all series (default 256). A series' cache
 	// makes its weekly retrain extraction O(new points) instead of O(full
@@ -276,6 +273,11 @@ type Engine struct {
 	closeOnce sync.Once
 }
 
+// retrainQueue bounds the pending automatic-retrain queue and the pending
+// publish queue. When the retrain queue is full a trigger is dropped and
+// re-armed by the next append.
+const retrainQueue = 64
+
 type shard struct {
 	mu     sync.RWMutex
 	series map[string]*managed
@@ -393,9 +395,6 @@ func New(cfg Config) *Engine {
 	if cfg.RetrainWorkers <= 0 {
 		cfg.RetrainWorkers = 2
 	}
-	if cfg.RetrainQueue <= 0 {
-		cfg.RetrainQueue = 64
-	}
 	if cfg.ExtractCacheMB == 0 {
 		cfg.ExtractCacheMB = 256
 	}
@@ -458,8 +457,8 @@ func New(cfg Config) *Engine {
 		ingestInflight: int64(cfg.IngestInflight),
 		trainRetries:   cfg.TrainRetries,
 		trainFailLimit: cfg.TrainFailLimit,
-		trainQ:         make(chan *managed, cfg.RetrainQueue),
-		pubQ:           make(chan *managed, cfg.RetrainQueue),
+		trainQ:         make(chan *managed, retrainQueue),
+		pubQ:           make(chan *managed, retrainQueue),
 		stop:           make(chan struct{}),
 	}
 	e.activeCfg = active.Config{

@@ -272,9 +272,7 @@ func (e *Engine) warmSwap(m *managed) error {
 	}
 
 	m.mu.Lock()
-	for _, v := range m.series.Values[snap.Len():] {
-		mon.Step(v)
-	}
+	m.vbatch = mon.StepBatch(m.series.Values[snap.Len():], m.vbatch[:0])
 	m.monitor = mon
 	m.trained = art.TrainedAt
 	// Like the retrain swap, the replay covered everything appended so far,

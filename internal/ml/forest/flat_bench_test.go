@@ -10,9 +10,8 @@ import (
 )
 
 // Pinned RNG seeds — seed policy (DESIGN.md "Seeds and reproducibility"):
-// bench fixtures feeding BENCH_baseline.json use fixed, named seeds so the
-// measured forest shape (and therefore ns/op and the alloc count) is stable
-// across runs; changing either seed requires regenerating the baseline.
+// bench fixtures use fixed, named seeds so the measured forest shape (and
+// therefore ns/op and the alloc count) is stable across runs.
 const (
 	benchDataSeed   int64 = 11 // feature matrix + probe row
 	benchForestSeed int64 = 12 // bootstrap/split sampling inside Train

@@ -2,9 +2,7 @@ package service
 
 // Handler-level ingest benchmarks: points POSTs served straight through
 // http.Handler.ServeHTTP (no TCP), isolating decode + series mutation +
-// verdict cost. Together with the engine-level BenchmarkEngineAppend at the
-// repo root these quantify the ingest hot path before/after the sharded
-// engine refactor (numbers in EXPERIMENTS.md).
+// verdict cost (the engine's own share is bench/'s engine.self layer).
 
 import (
 	"bytes"

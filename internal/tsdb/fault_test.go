@@ -7,7 +7,6 @@ package tsdb
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"opprentice/internal/faultinject"
@@ -37,10 +36,7 @@ func seedSeries(t *testing.T, s *Store, name string) {
 // store has written (segments are created lazily, so exactly one exists).
 func onlySegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := segPaths(t, dir)
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v, want exactly one", segs)
 	}

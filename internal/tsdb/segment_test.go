@@ -2,19 +2,26 @@ package tsdb
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
 
-func segCount(t *testing.T, dir string) int {
+// segPaths lists every segment file under dir.
+func segPaths(t *testing.T, dir string) []string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(segs)
+	return segs
+}
+
+func segCount(t *testing.T, dir string) int {
+	t.Helper()
+	return len(segPaths(t, dir))
 }
 
 // TestSegmentRotation forces tiny segments and checks that writes roll over
@@ -257,5 +264,68 @@ func TestOversizedBatchRoundTrips(t *testing.T) {
 		if got.Values[i] != values[i] {
 			t.Fatalf("value %d = %v, want %v", i, got.Values[i], values[i])
 		}
+	}
+}
+
+// segBytes sums the on-disk size of every segment under dir.
+func segBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	for _, seg := range segPaths(t, dir) {
+		info, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
+}
+
+// TestWALBytesPerPointCeiling pins the format's on-disk cost: a page-view
+// style counter (smooth daily shape plus a small integer wobble, so
+// consecutive points share most of their bits) appended in 256-point frames
+// must cost at most 8.6 B/pt — a fifth of the 43 B/pt the JSON-lines log
+// wrote for the same points. One writer, one frame per append: the byte
+// count is deterministic.
+func TestWALBytesPerPointCeiling(t *testing.T) {
+	const (
+		nSeries = 4
+		batches = 16
+		batch   = 256
+		ceiling = 8.6
+	)
+	s := openTemp(t)
+	dir := s.dir
+	names := make([]string, nSeries)
+	for i := range names {
+		m := meta
+		m.Name = fmt.Sprintf("pv-%03d", i)
+		names[i] = m.Name
+		if err := s.CreateSeries(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Creates are durable before CreateSeries returns, so the bytes on disk
+	// here are series bootstrap; subtracting them leaves the cost of points.
+	created := segBytes(t, dir)
+	vals := make([]float64, batch)
+	for b := 0; b < batches; b++ {
+		for i := range vals {
+			k := b*batch + i
+			vals[i] = float64(9000 + 40*(k%24) + (k*7)%13)
+		}
+		for _, name := range names {
+			if err := s.AppendPoints(ctx, name, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	perPt := float64(segBytes(t, dir)-created) / (nSeries * batches * batch)
+	t.Logf("WAL cost %.4f B/pt over %d points", perPt, nSeries*batches*batch)
+	if perPt > ceiling {
+		t.Fatalf("WAL cost %.4f B/pt over the %.1f B/pt ceiling", perPt, ceiling)
 	}
 }
