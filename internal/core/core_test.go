@@ -8,6 +8,7 @@ import (
 	"opprentice/internal/detectors"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 	"opprentice/internal/timeseries"
 )
@@ -220,7 +221,7 @@ func TestCrossValidateCThldOnSeparableData(t *testing.T) {
 			cols[0][i] = 0.1
 		}
 	}
-	got := CrossValidateCThld(cols, labels, 5, 100, forest.Config{Trees: 5, Seed: 1},
+	got := CrossValidateCThld(tree.Presort(cols), labels, 5, 100, forest.Config{Trees: 5, Seed: 1},
 		stats.Preference{Recall: 0.66, Precision: 0.66})
 	if got <= 0 || got > 1 {
 		t.Errorf("cv cThld = %v, want in (0,1]", got)
@@ -238,7 +239,7 @@ func predictWith(cols [][]float64, labels []bool, thr float64) []float64 {
 }
 
 func TestCrossValidateCThldTinyData(t *testing.T) {
-	got := CrossValidateCThld([][]float64{{1, 2}}, []bool{true, false}, 5, 10,
+	got := CrossValidateCThld(tree.Presort([][]float64{{1, 2}}), []bool{true, false}, 5, 10,
 		forest.Config{Trees: 3}, stats.Preference{})
 	if got != 0.5 {
 		t.Errorf("tiny-data CV = %v, want fallback 0.5", got)

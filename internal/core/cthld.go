@@ -2,6 +2,7 @@ package core
 
 import (
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 )
 
@@ -75,9 +76,9 @@ func cThldCandidates(numCandidates int) []float64 {
 // CrossValidateCThld predicts a cThld from a training set alone by k-fold
 // cross-validation (§4.5.2): the set is cut into k contiguous subsets; each
 // fold is scored by a forest trained on the others, and the candidate with
-// the best average PC-Score across folds wins. cols are column-major
-// NaN-free features.
-func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
+// the best average PC-Score across folds wins. ps holds the column-major
+// NaN-free features; every fold trains off its one sort.
+func CrossValidateCThld(ps *tree.Presorted, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
 	n := len(labels)
 	if folds < 2 {
 		folds = 5
@@ -90,25 +91,11 @@ func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates in
 	for fold := 0; fold < folds; fold++ {
 		lo := fold * n / folds
 		hi := (fold + 1) * n / folds
-		trainCols := make([][]float64, len(cols))
-		trainLabels := make([]bool, 0, n-(hi-lo))
-		for j, col := range cols {
-			tc := make([]float64, 0, n-(hi-lo))
-			tc = append(tc, col[:lo]...)
-			tc = append(tc, col[hi:]...)
-			trainCols[j] = tc
-		}
-		trainLabels = append(trainLabels, labels[:lo]...)
-		trainLabels = append(trainLabels, labels[hi:]...)
-		if !bothClasses(trainLabels) {
+		if !bothClasses(labels[:lo], labels[hi:]) {
 			continue
 		}
-		f := forest.Train(trainCols, trainLabels, fcfg)
-		testCols := make([][]float64, len(cols))
-		for j, col := range cols {
-			testCols[j] = col[lo:hi]
-		}
-		scores := f.ProbAll(testCols)
+		f := forest.TrainOn(ps, labels, lo, hi, fcfg)
+		scores := f.ProbAll(featsSlice(ps.Cols(), lo, hi))
 		pts := stats.AtThresholds(scores, labels[lo:hi], candidates)
 		for i, pt := range pts {
 			sums[i] += stats.PCScore(pt.Recall, pt.Precision, pref)
@@ -123,18 +110,20 @@ func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates in
 	return best
 }
 
-// bothClasses reports whether labels contain at least one anomaly and one
-// normal point.
-func bothClasses(labels []bool) bool {
+// bothClasses reports whether the label runs, taken together, contain at
+// least one anomaly and one normal point.
+func bothClasses(runs ...[]bool) bool {
 	var pos, neg bool
-	for _, l := range labels {
-		if l {
-			pos = true
-		} else {
-			neg = true
-		}
-		if pos && neg {
-			return true
+	for _, labels := range runs {
+		for _, l := range labels {
+			if l {
+				pos = true
+			} else {
+				neg = true
+			}
+			if pos && neg {
+				return true
+			}
 		}
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 
 	"opprentice/internal/detectors"
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 	"opprentice/internal/timeseries"
 )
@@ -112,13 +113,15 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	}
 	// ImputedFull materializes no second matrix: without a cache the raw
 	// columns are imputed in place (this extraction is private to us); with
-	// one, the cache's columns are NaN-free already.
-	cols := feats.ImputedFull()
-	model := forest.Train(cols, labels, cfg.Forest)
+	// one, the cache's columns are NaN-free already. One sort of them serves
+	// every fit of the round: the main forest, the cross-validation folds,
+	// EVT's held-out halves and the type heads.
+	ps := tree.Presort(feats.ImputedFull())
+	model := forest.TrainOn(ps, labels, 0, 0, cfg.Forest)
 
 	cthld := 0.5
 	if !cfg.SkipInitialCV {
-		cthld = CrossValidateCThld(cols, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
+		cthld = CrossValidateCThld(ps, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
 	}
 	pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
 	pred.Seed(cthld)
@@ -128,7 +131,7 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 		// In-sample scores would not do — a forest scores its own normal
 		// training points near 0, understating the served score distribution
 		// and biasing the tail (and so the threshold) far too low.
-		pred.Refit(heldOutScores(model, cols, labels, cfg.Forest), labels)
+		pred.Refit(heldOutScores(model, ps, labels, cfg.Forest), labels)
 	}
 	m := &Monitor{
 		dets:    liveDets,
@@ -143,7 +146,7 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 		onPanic: cfg.OnDetectorPanic,
 	}
 	if cfg.TypeLabels != nil {
-		m.typeModel = forest.TrainMulti(cols, cfg.TypeLabels, cfg.Forest)
+		m.typeModel = forest.TrainMulti(ps, cfg.TypeLabels, cfg.Forest)
 	}
 	if cfg.MinDuration > 1 {
 		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
@@ -367,7 +370,8 @@ func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, 
 		return nil, err
 	}
 	cols := feats.ImputedFull()
-	model := forest.Train(cols, labels, m.fcfg)
+	ps := tree.Presort(cols) // shared by the verdict forest and the type heads
+	model := forest.TrainOn(ps, labels, 0, 0, m.fcfg)
 
 	// Threshold update into a cloned predictor so the live monitor is
 	// untouched until the swap: the EVT clone re-fits its tail on the
@@ -407,7 +411,7 @@ func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, 
 		onPanic:   m.onPanic,
 	}
 	if types != nil {
-		if tm := forest.TrainMulti(cols, types, m.fcfg); tm != nil {
+		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
 			n.typeModel = tm
 		}
 	}
@@ -424,24 +428,21 @@ func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, 
 // produces on data it was not trained on. A half whose complement lacks both
 // label classes (untrainable) falls back to the in-sample model for those
 // rows, keeping the output aligned with labels.
-func heldOutScores(model *forest.Forest, cols [][]float64, labels timeseries.Labels, fcfg forest.Config) []float64 {
+func heldOutScores(model *forest.Forest, ps *tree.Presorted, labels timeseries.Labels, fcfg forest.Config) []float64 {
 	n := len(labels)
 	out := make([]float64, n)
-	score := func(lo, hi, clo, chi int) {
+	score := func(lo, hi int) {
 		if hi <= lo {
 			return
 		}
-		cl := []bool(labels[clo:chi])
-		if chi <= clo || !bothClasses(cl) {
-			copy(out[lo:hi], model.ProbAll(featsSlice(cols, lo, hi)))
-			return
+		f := model
+		if bothClasses(labels[:lo], labels[hi:]) {
+			f = forest.TrainOn(ps, labels, lo, hi, fcfg)
 		}
-		f := forest.Train(featsSlice(cols, clo, chi), cl, fcfg)
-		copy(out[lo:hi], f.ProbAll(featsSlice(cols, lo, hi)))
+		copy(out[lo:hi], f.ProbAll(featsSlice(ps.Cols(), lo, hi)))
 	}
-	mid := n / 2
-	score(0, mid, mid, n)
-	score(mid, n, 0, mid)
+	score(0, n/2)
+	score(n/2, n)
 	return out
 }
 

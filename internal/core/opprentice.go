@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 	"opprentice/internal/timeseries"
 )
@@ -95,7 +96,8 @@ func Run(f *Features, labels timeseries.Labels, ppw int, cfg Config) (*Result, e
 		if !bothClasses(trainLabels) {
 			return nil, fmt.Errorf("core: training data before week %d has a single class", w)
 		}
-		model := forest.Train(trainCols, trainLabels, cfg.Forest)
+		ps := tree.Presort(trainCols) // one sort for the week's fit and its CV folds
+		model := forest.TrainOn(ps, trainLabels, 0, 0, cfg.Forest)
 
 		testLo, testHi := trainHi, trainHi+ppw
 		scores := model.ProbAll(f.Imputed(testLo, testHi))
@@ -109,13 +111,13 @@ func Run(f *Features, labels timeseries.Labels, ppw int, cfg Config) (*Result, e
 		runCV := !cfg.SkipWeeklyCV
 		if w == cfg.InitWeeks {
 			if runCV {
-				cv5 = CrossValidateCThld(trainCols, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
+				cv5 = CrossValidateCThld(ps, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
 			} else {
 				cv5 = 0.5
 			}
 			pred.Seed(cv5)
 		} else if runCV {
-			cv5 = CrossValidateCThld(trainCols, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
+			cv5 = CrossValidateCThld(ps, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
 		}
 		ewmaCThld := pred.Predict()
 

@@ -115,6 +115,62 @@ func TestLoadMonitorVersionSkew(t *testing.T) {
 	}
 }
 
+// TestLoadMonitorAcceptsRemovedForestKnobs: forest.Config lost MaxBins and
+// Workers, which snapshotDTO gob-embeds. gob omits zero fields and skips
+// fields the receiver lacks, so a snapshot written before — knobs unset, or
+// set by a caller that no longer exists — must load to the same model and
+// configuration.
+func TestLoadMonitorAcceptsRemovedForestKnobs(t *testing.T) {
+	snap, d := trainedSnapshot(t, 12)
+	var dto snapshotDTO
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	// The former wire shape: same field names, the two knobs present and set.
+	type formerForestConfig struct {
+		Trees                               int
+		MajorityVote                        bool
+		FeaturesPerSplit, MinLeaf, MaxDepth int
+		MaxBins                             int
+		Seed                                int64
+		Workers                             int
+	}
+	former := struct {
+		Version     int
+		Fingerprint uint64
+		Forest      []byte
+		ForestCfg   formerForestConfig
+		CThld       float64
+		EWMAAlpha   float64
+		Preference  stats.Preference
+		MinDuration int
+		PredKind    uint8
+		EVTQ        float64
+	}{
+		dto.Version, dto.Fingerprint, dto.Forest,
+		formerForestConfig{Trees: dto.ForestCfg.Trees, Seed: dto.ForestCfg.Seed, MaxBins: 256, Workers: 4},
+		dto.CThld, dto.EWMAAlpha, dto.Preference, dto.MinDuration, dto.PredKind, dto.EVTQ,
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(former); err != nil {
+		t.Fatal(err)
+	}
+	mon, err := LoadMonitor(&old, d.Series, smallRegistry(t), LoadConfig{Trees: 12})
+	if err != nil {
+		t.Fatalf("snapshot with the removed knobs: %v", err)
+	}
+	if mon.fcfg != dto.ForestCfg || mon.CThld() != dto.CThld {
+		t.Errorf("loaded forest config %+v cThld %v, want %+v %v", mon.fcfg, mon.CThld(), dto.ForestCfg, dto.CThld)
+	}
+	var resaved bytes.Buffer
+	if err := mon.SaveModel(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), snap) {
+		t.Error("a snapshot loaded from the former shape does not save back to today's bytes")
+	}
+}
+
 // TestLoadMonitorFingerprintMismatch is the satellite regression test for
 // the registry half of the latent snapshot bug: before the fingerprint,
 // LoadMonitor accepted a snapshot trained under a different detector

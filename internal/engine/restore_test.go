@@ -40,10 +40,12 @@ func openModels(t testing.TB, dir string) *modelreg.Registry {
 const restoreDataSeed int64 = 91
 
 // restoreSpeedupFloor is the least cold ÷ warm restart speedup the model
-// registry must buy in BenchmarkRestoreWarmVsCold: 10 % under the 12× it
-// was last re-baselined at (16–18× measured at -benchtime 2x). With no model
-// dir both legs retrain and the ratio is ~1.
-const restoreSpeedupFloor = 10.8
+// registry must buy in BenchmarkRestoreWarmVsCold: 10 % under the 6× it was
+// re-baselined at when a cold train got 2.3× cheaper and the warm leg did
+// not move (cold 230 → 101 ms, warm 13.5 ms: 6.6–7.7× over ten runs at
+// -benchtime 2x, 16–18× before). With no model dir both legs retrain and the
+// ratio is ~1.
+const restoreSpeedupFloor = 5.4
 
 // seedTrainedStore builds a durable deployment: a tsdb store holding the
 // named series (9 weeks of hourly synthetic PV data, labels, one training

@@ -218,8 +218,7 @@ func maxPrecisionAtRecall(scores []float64, truth []bool, recallFloor float64) f
 func learnerAUC(name string, trainCols, testCols [][]float64, trainLabels, testLabels []bool, o Options) float64 {
 	switch name {
 	case "decision_tree":
-		b := tree.NewBinner(trainCols, tree.MaxBins)
-		binned := b.Bin(trainCols)
+		b, binned := tree.Presort(trainCols).Bin(0, 0, tree.MaxBins)
 		idx := make([]int, len(trainLabels))
 		for i := range idx {
 			idx[i] = i

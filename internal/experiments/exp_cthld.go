@@ -26,8 +26,7 @@ func Fig5(o Options) ([]*Table, error) {
 	cols := k.feats.Imputed(0, trainHi)
 	labels := []bool(k.labels[:trainHi])
 
-	b := tree.NewBinner(cols, tree.MaxBins)
-	binned := b.Bin(cols)
+	b, binned := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
 	idx := make([]int, len(labels))
 	for i := range idx {
 		idx[i] = i

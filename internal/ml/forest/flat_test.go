@@ -132,7 +132,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mc := TrainMulti(cols, classes, cfg)
+				mc := TrainMulti(tree.Presort(cols), classes, cfg)
 
 				rows := make([]float64, probes*d)
 				probeCols := make([][]float64, d)

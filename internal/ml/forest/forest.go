@@ -33,12 +33,8 @@ type Config struct {
 	MinLeaf int
 	// MaxDepth limits depth; 0 (default) grows fully.
 	MaxDepth int
-	// MaxBins is the feature quantization granularity (default 256).
-	MaxBins int
 	// Seed makes training deterministic.
 	Seed int64
-	// Workers bounds training parallelism (default GOMAXPROCS).
-	Workers int
 }
 
 func (c Config) withDefaults(numFeatures int) Config {
@@ -50,12 +46,6 @@ func (c Config) withDefaults(numFeatures int) Config {
 	}
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 1
-	}
-	if c.MaxBins <= 0 {
-		c.MaxBins = tree.MaxBins
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -81,27 +71,34 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Forest {
 	if len(cols) == 0 {
 		panic("forest: no features")
 	}
-	n := len(cols[0])
-	for j, col := range cols {
-		if len(col) != n {
-			panic(fmt.Sprintf("forest: feature %d has %d samples, want %d", j, len(col), n))
-		}
+	return TrainOn(tree.Presort(cols), labels, 0, 0, cfg)
+}
+
+// TrainOn fits a forest on the rows of ps outside [lo, hi) — lo == hi trains
+// on all of them — so that the fits of one training round (the main forest,
+// each cross-validation fold, each one-vs-rest head) share one sort of the
+// feature columns. labels holds one entry per row of ps. Each call still
+// learns its own quantile edges from exactly the rows it trains on: the
+// forest equals Train on a matrix with rows [lo, hi) cut out.
+func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest {
+	if len(labels) != ps.Rows() {
+		panic(fmt.Sprintf("forest: %d labels for %d samples", len(labels), ps.Rows()))
 	}
-	if len(labels) != n {
-		panic(fmt.Sprintf("forest: %d labels for %d samples", len(labels), n))
+	if hi > lo {
+		labels = append(labels[:lo:lo], labels[hi:]...)
 	}
+	n := len(labels)
 	if n == 0 {
 		panic("forest: no samples")
 	}
-	cfg = cfg.withDefaults(len(cols))
+	cfg = cfg.withDefaults(len(ps.Cols()))
 
-	binner := tree.NewBinner(cols, cfg.MaxBins)
-	binned := binner.Bin(cols)
+	binner, binned := ps.Bin(lo, hi, tree.MaxBins)
 	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner, majorityVote: cfg.MajorityVote}
 
 	// Deterministic parallel training: every tree gets its own seeded rng.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 0; t < cfg.Trees; t++ {
 		wg.Add(1)
 		sem <- struct{}{}

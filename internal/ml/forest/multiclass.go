@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"opprentice/internal/ml/tree"
 )
 
 // MultiClass is a one-vs-rest multi-class head built from binary random
@@ -28,16 +30,17 @@ const multiAbstain = 0.5
 // cfg.Seed + k·headSeedStride so no two heads share per-tree RNG streams.
 const headSeedStride = 7_777_777
 
-// TrainMulti trains a one-vs-rest multi-class head on column-major features
-// and per-row class codes (0 = none). One binary forest is trained per
+// TrainMulti trains a one-vs-rest multi-class head on presorted features (the
+// heads, and the verdict forest trained beside them, share the one sort) and
+// per-row class codes (0 = none). One binary forest is trained per
 // non-zero class code that has at least one positive and one negative row;
 // codes absent from the labels get no head and can never be predicted. It
 // returns nil when no trainable class exists (all rows are class 0, or a
 // single class covers every row) — callers treat a nil head as "typing
 // unavailable".
-func TrainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
-	if len(cols) == 0 || len(classes) != len(cols[0]) {
-		panic(fmt.Sprintf("forest: %d class labels for %d rows", len(classes), rowsOf(cols)))
+func TrainMulti(ps *tree.Presorted, classes []uint8, cfg Config) *MultiClass {
+	if len(ps.Cols()) == 0 || len(classes) != ps.Rows() {
+		panic(fmt.Sprintf("forest: %d class labels for %d rows", len(classes), ps.Rows()))
 	}
 	present := map[uint8]int{}
 	for _, c := range classes {
@@ -62,17 +65,9 @@ func TrainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
 		}
 		hcfg := cfg
 		hcfg.Seed = cfg.Seed + int64(k+1)*headSeedStride
-		mc.heads[k] = Train(cols, labels, hcfg)
+		mc.heads[k] = TrainOn(ps, labels, 0, 0, hcfg)
 	}
 	return mc
-}
-
-// rowsOf reports the row count of a column-major matrix (0 when empty).
-func rowsOf(cols [][]float64) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	return len(cols[0])
 }
 
 // PredictRow classifies one feature row: the class whose head votes the

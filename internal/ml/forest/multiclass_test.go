@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"opprentice/internal/ml/tree"
 )
 
 // multiSeed pins the RNG of the multiclass tests (PR 5 seed policy).
@@ -31,7 +33,7 @@ func multiFixture(rng *rand.Rand, n int) (cols [][]float64, classes []uint8) {
 func TestMultiClassTrainPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed))
 	cols, classes := multiFixture(rng, 400)
-	mc := TrainMulti(cols, classes, Config{Trees: 20, Seed: multiSeed})
+	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 20, Seed: multiSeed})
 	if mc == nil {
 		t.Fatal("TrainMulti returned nil on a trainable set")
 	}
@@ -55,10 +57,10 @@ func TestMultiClassTrainPredict(t *testing.T) {
 
 func TestMultiClassUntrainable(t *testing.T) {
 	cols := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	if mc := TrainMulti(cols, []uint8{0, 0, 0, 0}, Config{Trees: 5, Seed: multiSeed}); mc != nil {
+	if mc := TrainMulti(tree.Presort(cols), []uint8{0, 0, 0, 0}, Config{Trees: 5, Seed: multiSeed}); mc != nil {
 		t.Error("all-none labels should yield a nil head")
 	}
-	if mc := TrainMulti(cols, []uint8{2, 2, 2, 2}, Config{Trees: 5, Seed: multiSeed}); mc != nil {
+	if mc := TrainMulti(tree.Presort(cols), []uint8{2, 2, 2, 2}, Config{Trees: 5, Seed: multiSeed}); mc != nil {
 		t.Error("a single class covering every row has no negatives; want nil head")
 	}
 }
@@ -66,7 +68,7 @@ func TestMultiClassUntrainable(t *testing.T) {
 func TestMultiClassSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed + 1))
 	cols, classes := multiFixture(rng, 200)
-	mc := TrainMulti(cols, classes, Config{Trees: 10, Seed: multiSeed})
+	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 10, Seed: multiSeed})
 	var buf bytes.Buffer
 	if err := mc.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -91,7 +93,7 @@ func TestMultiClassSaveLoadRoundTrip(t *testing.T) {
 func TestMultiClassPredictRowZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed + 2))
 	cols, classes := multiFixture(rng, 200)
-	mc := TrainMulti(cols, classes, Config{Trees: 10, Seed: multiSeed})
+	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 10, Seed: multiSeed})
 	row := []float64{10, 11, 12}
 	if allocs := testing.AllocsPerRun(100, func() { mc.PredictRow(row) }); allocs != 0 {
 		t.Fatalf("PredictRow allocates %.1f/op, want 0", allocs)
@@ -101,7 +103,7 @@ func TestMultiClassPredictRowZeroAlloc(t *testing.T) {
 func TestLoadMultiRejectsDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed + 3))
 	cols, classes := multiFixture(rng, 100)
-	mc := TrainMulti(cols, classes, Config{Trees: 5, Seed: multiSeed})
+	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 5, Seed: multiSeed})
 	var buf bytes.Buffer
 	if err := mc.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -13,34 +13,40 @@ import (
 	"opprentice/internal/ml/forest"
 )
 
-// probRowsSeed pins the generated KPI and the forest of
-// BenchmarkForestProbRows (seed policy: DESIGN.md "Seeds and
+// probRowsSeed pins the generated KPI and the forests of severityFixture's
+// users (seed policy: DESIGN.md "Seeds and
 // reproducibility"): the measured depth and edge counts are then stable.
 const probRowsSeed int64 = 1602
 
-// BenchmarkForestProbRows is the forest step of the repo benchmark in
-// isolation: the 133 severities of the hourly registry over nine weeks of a
-// generated KPI, a 20-tree forest trained on them — so tree depth and the
-// number of edges per feature are what serving sees, not what Gaussian noise
-// gives — and a 64-row frame per call. Reports ns/row; allocating fails it.
-func BenchmarkForestProbRows(b *testing.B) {
+// severityFixture returns what the repo benchmark trains on: the 133
+// severities of the hourly registry over nine weeks of a generated KPI
+// (1 512 rows, NaN→0), its labels, and the 20-tree configuration.
+func severityFixture(tb testing.TB) ([][]float64, []bool, forest.Config) {
 	p := kpigen.PV(kpigen.Small)
 	p.Interval = time.Hour
 	p.Weeks = 9
 	data := kpigen.Generate(p, probRowsSeed)
 	dets, err := detectors.Registry(p.Interval)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	feats, err := core.Extract(data.Series, dets, core.ExtractConfig{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cols := feats.ImputedFull()
-	f := forest.Train(cols, data.Labels, forest.Config{Trees: 20, Seed: probRowsSeed})
+	return feats.ImputedFull(), data.Labels, forest.Config{Trees: 20, Seed: probRowsSeed}
+}
+
+// BenchmarkForestProbRows is the forest step of the repo benchmark in
+// isolation: a forest trained on severityFixture — so tree depth and the
+// number of edges per feature are what serving sees, not what Gaussian noise
+// gives — and a 64-row frame per call. Reports ns/row; allocating fails it.
+func BenchmarkForestProbRows(b *testing.B) {
+	cols, labels, cfg := severityFixture(b)
+	f := forest.Train(cols, labels, cfg)
 
 	const frame = 64
-	d, n := len(cols), data.Series.Len()
+	d, n := len(cols), len(labels)
 	rows := make([]float64, frame*d)
 	for s := 0; s < frame; s++ {
 		for j := range cols {

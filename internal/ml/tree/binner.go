@@ -21,43 +21,13 @@ const MaxBins = 256
 // Binner maps raw feature values to uint8 bucket codes using per-feature
 // quantile edges learned from training data.
 type Binner struct {
-	edges [][]float64 // edges[j] is sorted; code = #edges < ... (see Bin)
+	edges [][]float64 // edges[j] is sorted; code = #edges < v (see Code)
 }
 
 // NewBinner learns quantile edges (at most maxBins-1 per feature, deduped)
 // from the column-major training features. maxBins is clamped to [2, 256].
 func NewBinner(cols [][]float64, maxBins int) *Binner {
-	if maxBins < 2 {
-		maxBins = 2
-	}
-	if maxBins > MaxBins {
-		maxBins = MaxBins
-	}
-	b := &Binner{edges: make([][]float64, len(cols))}
-	for j, col := range cols {
-		sorted := make([]float64, 0, len(col))
-		for _, v := range col {
-			if !math.IsNaN(v) {
-				sorted = append(sorted, v)
-			}
-		}
-		sort.Float64s(sorted)
-		var edges []float64
-		for k := 1; k < maxBins; k++ {
-			if len(sorted) == 0 {
-				break
-			}
-			pos := k * len(sorted) / maxBins
-			if pos >= len(sorted) {
-				pos = len(sorted) - 1
-			}
-			e := sorted[pos]
-			if len(edges) == 0 || e > edges[len(edges)-1] {
-				edges = append(edges, e)
-			}
-		}
-		b.edges[j] = edges
-	}
+	b, _ := Presort(cols).Bin(0, 0, maxBins)
 	return b
 }
 
@@ -87,7 +57,9 @@ func (b *Binner) Threshold(j int, code uint8) float64 {
 	return e[code]
 }
 
-// Bin encodes column-major features into column-major uint8 codes.
+// Bin encodes column-major features into column-major uint8 codes, one
+// search per value. It is for rows the binner was not learned from (a held-out
+// fold); the training rows come encoded from Presorted.Bin.
 func (b *Binner) Bin(cols [][]float64) [][]uint8 {
 	if len(cols) != len(b.edges) {
 		panic(fmt.Sprintf("tree: binner built for %d features, got %d", len(b.edges), len(cols)))

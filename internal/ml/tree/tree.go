@@ -145,10 +145,7 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 	ok = false
 	for _, f := range feats[:k] {
 		codes := g.binned[f]
-		maxBin := uint8(0)
-		for b := range g.hist {
-			g.hist[b][0], g.hist[b][1] = 0, 0
-		}
+		minBin, maxBin := uint8(MaxBins-1), uint8(0)
 		for _, i := range idx {
 			c := codes[i]
 			if g.labels[i] {
@@ -159,11 +156,25 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 			if c > maxBin {
 				maxBin = c
 			}
+			if c < minBin {
+				minBin = c
+			}
 		}
+		// Every bin the node touched lies in [minBin, maxBin], and each is
+		// zeroed as it is read, which leaves the histogram clear for the
+		// next feature. A bin without samples cannot win: its left counts,
+		// hence its gain, are the previous bin's, which the strict > has
+		// already seen (or MinLeaf refused, as it would again). A node of n
+		// samples so costs at most n evaluations, not up to 255.
 		var left [2]int32
-		for b := 0; b < int(maxBin); b++ {
-			left[0] += g.hist[b][0]
-			left[1] += g.hist[b][1]
+		for b := int(minBin); b < int(maxBin); b++ {
+			h := g.hist[b]
+			if h[0]|h[1] == 0 {
+				continue
+			}
+			g.hist[b] = [2]int32{}
+			left[0] += h[0]
+			left[1] += h[1]
 			ln := left[0] + left[1]
 			rn := int32(n) - ln
 			if ln < int32(g.cfg.MinLeaf) || rn < int32(g.cfg.MinLeaf) {
@@ -176,6 +187,7 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 				feature, bin, ok = f, uint8(b), true
 			}
 		}
+		g.hist[maxBin] = [2]int32{}
 	}
 	return feature, bin, bestGain, ok
 }
