@@ -1,9 +1,16 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build test vet bench-vet loc race engine-race oracle-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all all-but-gates build test vet bench-vet loc race engine-race oracle-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke eval eval-html fuzz staticcheck govulncheck clean
 
-all: build vet bench-vet staticcheck test bench-smoke upgrade-smoke engine-race oracle-race sim cover
+# CI runs each of GATES as a step of its own, so a failing gate is named by
+# its step, and then all-but-gates: every target runs once there. A gate
+# added here needs its step in .github/workflows/ci.yml.
+GATES = bench-vet bench-smoke oracle-race upgrade-smoke
+
+all: all-but-gates $(GATES)
+
+all-but-gates: build vet staticcheck test engine-race sim cover
 
 build:
 	$(GO) build ./...

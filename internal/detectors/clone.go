@@ -154,20 +154,6 @@ func (d *ARIMADetector) Clone() Detector {
 	return c
 }
 
-// CloneAll clones every detector in ds, reporting ok=false (and a nil slice)
-// if any detector does not implement Cloner.
-func CloneAll(ds []Detector) ([]Detector, bool) {
-	out := make([]Detector, len(ds))
-	for i, d := range ds {
-		c, ok := d.(Cloner)
-		if !ok {
-			return nil, false
-		}
-		out[i] = c.Clone()
-	}
-	return out, true
-}
-
 // Compile-time proof that every registry detector family supports
 // checkpointing.
 var (

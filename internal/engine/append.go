@@ -220,7 +220,7 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 			e.scheduleRetrain(m)
 		case m.active != nil && m.active.TakeDrift():
 			if e.scheduleRetrain(m) {
-				e.counters.driftRetrains.Add(1)
+				e.met.DriftRetrains.Add(1)
 				e.log.Info("drift-triggered retrain scheduled",
 					"series", m.name, "psi", m.active.DriftScore())
 			}
@@ -230,9 +230,9 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 	m.mu.Unlock()
 
 	// Per-batch metric updates keep hot-path atomics off the per-point loop.
-	e.counters.pointsIngested.Add(int64(res.Appended))
+	e.met.PointsIngested.Add(int64(res.Appended))
 	if alarmsRaised > 0 {
-		e.counters.alarmsRaised.Add(int64(alarmsRaised))
+		e.met.AlarmsRaised.Add(int64(alarmsRaised))
 	}
 	return res, nil
 }

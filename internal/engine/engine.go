@@ -254,17 +254,17 @@ type Engine struct {
 	// DriftWindow default (one day of points) is resolved at attach time.
 	activeCfg active.Config
 
-	// Resilience knobs. The deadlines are atomic nanosecond values so tests
-	// and operators can retune them at runtime (Set* methods); zero means
-	// disabled after New's resolution.
+	// Resilience knobs; zero means disabled after New's resolution. The two
+	// deadlines are atomic nanosecond values so tests can retune them at
+	// runtime (Set* methods).
 	ingestInflight   int64 // per-shard admission budget in points; 0 = unlimited
 	walDeadline      atomic.Int64
 	trainDeadline    atomic.Int64
-	degradedRecovery atomic.Int64
+	degradedRecovery time.Duration
 	trainRetries     int
 	trainFailLimit   int
 
-	counters counters
+	met metricSet[atomic.Int64]
 
 	trainQ    chan *managed
 	pubQ      chan *managed
@@ -469,7 +469,7 @@ func New(cfg Config) *Engine {
 	}
 	e.walDeadline.Store(int64(resolve(cfg.WALDeadline, 2*time.Second)))
 	e.trainDeadline.Store(int64(resolve(cfg.TrainDeadline, 5*time.Minute)))
-	e.degradedRecovery.Store(int64(resolve(cfg.DegradedRecovery, 30*time.Second)))
+	e.degradedRecovery = resolve(cfg.DegradedRecovery, 30*time.Second)
 	for i := range e.shards {
 		e.shards[i].series = make(map[string]*managed)
 	}
@@ -523,10 +523,6 @@ func (e *Engine) SetNotifyConfig(cfg alerting.PipelineConfig) {
 	}
 	e.notifyCfg = cfg
 }
-
-// SetHooks installs lifecycle callbacks (see Hooks). Call it before traffic;
-// it is not safe to change hooks while workers are running.
-func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
 
 // SeriesConfig describes a series to create.
 type SeriesConfig struct {
@@ -651,21 +647,30 @@ func (e *Engine) attachIncident(m *managed, webhookURL string) {
 	m.incident = &alerting.Manager{Series: m.name, Notifier: m.pipeline}
 }
 
-// Names returns the managed series names, sorted.
-func (e *Engine) Names() []string {
-	var names []string
+// all returns every managed series sorted by name: the one walk over the
+// shards. A shard's lock is held only to copy its pointers out, never while a
+// series is locked.
+func (e *Engine) all() []*managed {
+	var ms []*managed
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
-		for name := range sh.series {
-			names = append(names, name)
+		for _, m := range sh.series {
+			ms = append(ms, m)
 		}
 		sh.mu.RUnlock()
 	}
-	if names == nil {
-		names = []string{}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	return ms
+}
+
+// Names returns the managed series names, sorted.
+func (e *Engine) Names() []string {
+	ms := e.all()
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -870,7 +875,7 @@ func (e *Engine) Restore(ctx context.Context) (int, error) {
 	}
 	close(work)
 	wg.Wait()
-	e.observeRestore(time.Since(started))
+	e.met.RestoreMillis.Store(time.Since(started).Milliseconds())
 	return int(restored.Load()), aborted
 }
 
@@ -886,7 +891,7 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 				"series", name, "load_err", err, "quarantine_err", qErr)
 			return false
 		}
-		e.counters.walQuarantined.Add(1)
+		e.met.WALQuarantined.Add(1)
 		e.log.Warn("corrupt series log quarantined",
 			"series", name, "err", err, "quarantined_to", quarantined)
 		return false
@@ -917,7 +922,7 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 	if e.models != nil {
 		if err := e.warmRestore(m); err == nil {
 			warm = true
-			e.counters.modelRestoreWarm.Add(1)
+			e.met.ModelRestoreWarm.Add(1)
 			e.log.Info("series restored warm", "series", meta.Name,
 				"trained_at", m.trained, "points", m.series.Len())
 		} else if !errors.Is(err, modelreg.ErrUnknownSeries) && !errors.Is(err, modelreg.ErrNoArtifact) {
@@ -931,7 +936,7 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 			// data anyway and let the operator train later.
 			e.log.Info("restored without classifier", "series", meta.Name, "reason", err)
 		} else {
-			e.counters.modelRestoreCold.Add(1)
+			e.met.ModelRestoreCold.Add(1)
 		}
 	}
 
@@ -952,15 +957,7 @@ func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
 	e.PublishModels()
-	var all []*managed
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.series {
-			all = append(all, m)
-		}
-		sh.mu.RUnlock()
-	}
+	all := e.all()
 	ctx, cancel := drainContext()
 	defer cancel()
 	for _, m := range all {

@@ -354,7 +354,21 @@ func TestAutoRetrainAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t)
+	// The retrain completion edge comes from the TrainDone hook, not from
+	// polling.
+	retrained := make(chan TrainResult, 1)
+	e := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Hooks: Hooks{
+		TrainDone: func(name string, res TrainResult, err error) {
+			if err != nil {
+				t.Errorf("training failed: %v", err)
+			}
+			select {
+			case retrained <- res:
+			default:
+			}
+		},
+	}})
+	t.Cleanup(e.Close)
 	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 3600, Start: testStart, Trees: 10, RetrainEvery: ppw}); err != nil {
 		t.Fatal(err)
 	}
@@ -379,20 +393,7 @@ func TestAutoRetrainAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The retrain completion edge comes from the TrainDone hook, not from
-	// polling: installed after the synchronous boot training (whose hook
-	// firing we don't want), before the append that arms the retrain.
-	retrained := make(chan TrainResult, 1)
-	e.SetHooks(Hooks{TrainDone: func(name string, res TrainResult, err error) {
-		if err != nil {
-			t.Errorf("background retrain failed: %v", err)
-		}
-		select {
-		case retrained <- res:
-		default:
-		}
-	}})
+	<-retrained // the synchronous boot training's own edge, fired before Train returned
 	week := make([]Point, ppw)
 	for i := range week {
 		week[i] = Point{Value: d.Series.Values[boot+i]}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"time"
 
 	"opprentice/internal/core"
 	modelreg "opprentice/internal/registry"
@@ -122,11 +121,11 @@ func (e *Engine) publishNow(m *managed) (bool, error) {
 		return err
 	})
 	if err != nil {
-		e.counters.modelPublishErrors.Add(1)
+		e.met.ModelPublishErrors.Add(1)
 		e.publishDone(m.name, 0, err)
 		return false, err
 	}
-	e.counters.modelPublishes.Add(1)
+	e.met.ModelPublishes.Add(1)
 
 	m.mu.Lock()
 	if trained.After(m.publishedAt) {
@@ -155,23 +154,14 @@ func (e *Engine) PublishModels() int {
 		return 0
 	}
 	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		ms := make([]*managed, 0, len(sh.series))
-		for _, m := range sh.series {
-			ms = append(ms, m)
+	for _, m := range e.all() {
+		published, err := e.publishNow(m)
+		if err != nil {
+			e.log.Warn("model publish failed", "series", m.name, "err", err)
+			continue
 		}
-		sh.mu.RUnlock()
-		for _, m := range ms {
-			published, err := e.publishNow(m)
-			if err != nil {
-				e.log.Warn("model publish failed", "series", m.name, "err", err)
-				continue
-			}
-			if published {
-				n++
-			}
+		if published {
+			n++
 		}
 	}
 	return n
@@ -341,7 +331,7 @@ func (e *Engine) RollbackModel(ctx context.Context, name string) (modelreg.Manif
 		}
 		return modelreg.Manifest{}, rejected(err)
 	}
-	e.counters.modelRollbacks.Add(1)
+	e.met.ModelRollbacks.Add(1)
 	if m, lookupErr := e.lookup(name); lookupErr == nil {
 		if swapErr := e.warmSwap(m); swapErr != nil {
 			e.log.Warn("rollback recorded but live swap failed; old model serves until restart or retrain",
@@ -351,10 +341,4 @@ func (e *Engine) RollbackModel(ctx context.Context, name string) (modelreg.Manif
 		}
 	}
 	return man, nil
-}
-
-// observeRestore records the wall time of one Restore pass in the
-// restore-time gauge.
-func (e *Engine) observeRestore(took time.Duration) {
-	e.counters.restoreMillis.Store(took.Milliseconds())
 }

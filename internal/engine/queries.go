@@ -30,26 +30,23 @@ func (e *Engine) Queries(ctx context.Context, name string) ([]Query, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	names := []string{name}
-	if name == "" {
-		names = e.Names()
-	}
-	out := []Query{}
-	for _, n := range names {
-		m, err := e.lookup(n)
+	ms := e.all()
+	if name != "" {
+		m, err := e.lookup(name)
 		if err != nil {
-			if name == "" {
-				continue // deleted between Names and here
-			}
 			return nil, err
 		}
+		ms = []*managed{m}
+	}
+	out := []Query{}
+	for _, m := range ms {
 		if m.active == nil {
 			continue
 		}
 		m.mu.Lock()
 		for _, w := range m.active.Windows(nil) {
 			out = append(out, Query{
-				Series:    n,
+				Series:    m.name,
 				Start:     w.Start,
 				End:       w.End,
 				StartTime: m.series.TimeAt(w.Start),
@@ -103,7 +100,7 @@ func (e *Engine) AnswerQuery(ctx context.Context, name string, start, end int, a
 	if e.store != nil {
 		e.walWrite(ctx, m, tsdb.Record{Name: m.name, Start: start, End: end, Anomalous: anomalous})
 	}
-	e.counters.queriesAnswered.Add(1)
+	e.met.QueriesAnswered.Add(1)
 	return LabelResult{
 		AnomalousPoints: m.labels.Count(),
 		LabeledWindows:  len(m.labels.Windows()),

@@ -128,10 +128,8 @@ func TestQueriesSurfaceAndAnswer(t *testing.T) {
 	}
 
 	// The per-series gauges reflect the queue.
-	for _, sm := range e.MetricsSnapshot() {
-		if sm.Name == "pv" && sm.PendingQueries != len(qs) {
-			t.Fatalf("PendingQueries gauge = %d, want %d", sm.PendingQueries, len(qs))
-		}
+	if got := exported(e)[`opprenticed_query_queue_depth{series="pv"}`]; got != float64(len(qs)) {
+		t.Fatalf("query queue depth gauge = %v, want %d", got, len(qs))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"opprentice/internal/tsdb"
@@ -26,10 +25,6 @@ func (e *Engine) SetWALDeadline(d time.Duration) { e.walDeadline.Store(int64(d))
 // (0 disables).
 func (e *Engine) SetTrainDeadline(d time.Duration) { e.trainDeadline.Store(int64(d)) }
 
-// SetDegradedRecovery retunes the degraded-mode recovery hysteresis at
-// runtime (0 makes degraded mode sticky).
-func (e *Engine) SetDegradedRecovery(d time.Duration) { e.degradedRecovery.Store(int64(d)) }
-
 // supervise runs fn on its own goroutine under the training-watchdog
 // deadline: a panic is recovered and counted instead of crashing the
 // engine, and a run that outlives the deadline is abandoned with an
@@ -41,7 +36,7 @@ func (e *Engine) supervise(op, series string, fn func() error) error {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				e.counters.workerPanics.Add(1)
+				e.met.WorkerPanics.Add(1)
 				done <- fmt.Errorf("%s panicked: %v", op, r)
 			}
 		}()
@@ -56,7 +51,7 @@ func (e *Engine) supervise(op, series string, fn func() error) error {
 	case err := <-done:
 		return err
 	case <-t.C:
-		e.counters.trainStalls.Add(1)
+		e.met.TrainStalls.Add(1)
 		return stalledf("%s for %q exceeded its %v deadline", op, series, deadline)
 	}
 }
@@ -84,7 +79,7 @@ func (e *Engine) admit(sh *shard, n int) (admitToken, error) {
 	}
 	if cur := sh.inflight.Add(int64(n)); cur > e.ingestInflight {
 		sh.inflight.Add(int64(-n))
-		e.counters.ingestSheds.Add(1)
+		e.met.IngestSheds.Add(1)
 		return admitToken{}, overloadedf("ingest budget exhausted: %d points in flight, batch of %d over the %d cap",
 			cur-int64(n), n, e.ingestInflight)
 	}
@@ -108,7 +103,7 @@ func (e *Engine) enterDegraded(m *managed, reason string) {
 	m.scorer.seed(m.series.Values)
 	m.pending = m.pending[:0]
 	m.lastViolation.Store(time.Now().UnixNano())
-	e.counters.degradedEntered.Add(1)
+	e.met.DegradedEntered.Add(1)
 	e.log.Warn("series degraded", "series", m.name, "reason", reason)
 }
 
@@ -123,7 +118,7 @@ func (e *Engine) maybeRecover(m *managed) {
 	if !m.degraded {
 		return
 	}
-	rec := time.Duration(e.degradedRecovery.Load())
+	rec := e.degradedRecovery
 	if rec <= 0 {
 		return // sticky until restart
 	}
@@ -141,7 +136,7 @@ func (e *Engine) maybeRecover(m *managed) {
 	}
 	m.pending = nil
 	m.degraded = false
-	e.counters.degradedRecovered.Add(1)
+	e.met.DegradedRecovered.Add(1)
 	e.log.Info("series recovered from degraded mode",
 		"series", m.name, "degraded_for", time.Since(m.degradedSince))
 }
@@ -217,25 +212,18 @@ type Readiness struct {
 // Ready reports whether every series is serving full-fidelity verdicts,
 // naming the ones that are not.
 func (e *Engine) Ready() Readiness {
-	r := Readiness{Ready: true}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		for name, m := range sh.series {
-			m.mu.Lock()
-			degraded := m.degraded
-			m.mu.Unlock()
-			if degraded {
-				r.Degraded = append(r.Degraded, name)
-			}
-			if m.quarantined.Load() {
-				r.Quarantined = append(r.Quarantined, name)
-			}
+	var r Readiness
+	for _, m := range e.all() {
+		m.mu.Lock()
+		degraded := m.degraded
+		m.mu.Unlock()
+		if degraded {
+			r.Degraded = append(r.Degraded, m.name)
 		}
-		sh.mu.RUnlock()
+		if m.quarantined.Load() {
+			r.Quarantined = append(r.Quarantined, m.name)
+		}
 	}
-	sort.Strings(r.Degraded)
-	sort.Strings(r.Quarantined)
 	r.Ready = len(r.Degraded) == 0 && len(r.Quarantined) == 0
 	return r
 }
@@ -298,7 +286,7 @@ func (e *Engine) submitWAL(ctx context.Context, m *managed, rec tsdb.Record, don
 	submitted := time.Now()
 	err := e.store.Submit(ctx, rec, func(err error) {
 		if err != nil {
-			e.counters.walAppendErrors.Add(1)
+			e.met.WALAppendErrors.Add(1)
 			e.log.Error("wal write failed", "series", m.name, "err", err)
 		} else if d := time.Duration(e.walDeadline.Load()); d > 0 && time.Since(submitted) > d {
 			// A write that committed but blew its budget counts as a
@@ -329,10 +317,10 @@ func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool
 	n := int64(len(rec.Values))
 	if m.degraded {
 		if err := e.submitWAL(noWait, m, rec, nil); err != nil {
-			e.counters.walLostPoints.Add(n)
+			e.met.WALLostPoints.Add(n)
 			e.log.Error("wal write dropped while degraded", "series", m.name, "points", n, "err", err)
 		} else {
-			e.counters.walBufferedPoints.Add(n)
+			e.met.WALBufferedPoints.Add(n)
 		}
 		return false
 	}
@@ -352,12 +340,12 @@ func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool
 		}
 	case !errors.Is(err, errWALBufferFull) && wctx.Err() == nil:
 		// Refused outright (closed store, invalid record).
-		e.counters.walAppendErrors.Add(1)
+		e.met.WALAppendErrors.Add(1)
 		e.log.Error("wal write refused", "series", m.name, "err", err)
 		return false
 	default:
 		reason = "store saturated"
-		e.counters.walLostPoints.Add(n)
+		e.met.WALLostPoints.Add(n)
 		e.log.Error("wal write dropped: store saturated", "series", m.name, "points", n, "err", err)
 	}
 	if ctx.Err() == nil {

@@ -142,8 +142,8 @@ func TestRestoreWarmNoRetrain(t *testing.T) {
 	if c.ModelRestoreWarm != 3 || c.ModelRestoreCold != 0 {
 		t.Errorf("restore modes warm=%d cold=%d, want 3/0", c.ModelRestoreWarm, c.ModelRestoreCold)
 	}
-	if c.RestoreSeconds < 0 {
-		t.Errorf("RestoreSeconds = %v, want >= 0", c.RestoreSeconds)
+	if c.RestoreMillis < 0 {
+		t.Errorf("RestoreMillis = %v, want >= 0", c.RestoreMillis)
 	}
 	for _, name := range []string{"pv-a", "pv-b", "pv-c"} {
 		st, err := e.Status(context.Background(), name)
@@ -352,13 +352,29 @@ func TestRestoreWarmConcurrentIngest(t *testing.T) {
 // TestPublishAsyncAfterTrain: a training round publishes its model to the
 // registry off the training path; PublishModels flushes deterministically.
 func TestPublishAsyncAfterTrain(t *testing.T) {
-	e, _, _ := trainableSeries(t, 9)
+	// A publication's completion edge comes from the PublishDone hook instead
+	// of polling the manifest.
+	published := make(chan uint64, 1)
+	e, _, _ := trainableSeriesCfg(t, 9, Config{Hooks: Hooks{
+		PublishDone: func(series string, gen uint64, err error) {
+			if err != nil {
+				t.Errorf("publish failed: %v", err)
+			}
+			select {
+			case published <- gen:
+			default:
+			}
+		},
+	}})
 	models := openModels(t, "")
 	e.SetModels(models)
 
 	// The first Train predates SetModels, so flush publishes it now.
 	if n := e.PublishModels(); n != 1 {
 		t.Fatalf("PublishModels flushed %d artifacts, want 1", n)
+	}
+	if gen := <-published; gen != 1 {
+		t.Fatalf("flush published generation %d, want 1", gen)
 	}
 	if n := e.PublishModels(); n != 0 {
 		t.Fatalf("second flush republished %d artifacts, want 0 (nothing new)", n)
@@ -371,18 +387,7 @@ func TestPublishAsyncAfterTrain(t *testing.T) {
 		t.Fatalf("manifest = current %d over %d generations, want 1/1", man.Current, len(man.Generations))
 	}
 
-	// A retrain publishes a new generation asynchronously; the completion
-	// edge comes from the PublishDone hook instead of polling the manifest.
-	published := make(chan uint64, 1)
-	e.SetHooks(Hooks{PublishDone: func(series string, gen uint64, err error) {
-		if err != nil {
-			t.Errorf("async publish failed: %v", err)
-		}
-		select {
-		case published <- gen:
-		default:
-		}
-	}})
+	// A retrain publishes a new generation asynchronously.
 	if _, err := e.Train(context.Background(), "pv"); err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,10 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	}
 	// Deferred last so it runs first: the round is counted before the hook
 	// announces it.
-	defer func() { e.counters.observeTraining(time.Since(started)) }()
+	defer func() {
+		e.met.TrainingsRun.Add(1)
+		e.met.TrainingMillis.Add(time.Since(started).Milliseconds())
+	}()
 	if err = ctx.Err(); err != nil {
 		return TrainResult{}, err
 	}
@@ -174,7 +177,7 @@ func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				e.counters.workerPanics.Add(1)
+				e.met.WorkerPanics.Add(1)
 				done <- fitResult{err: fmt.Errorf("training panicked: %v", r)}
 			}
 		}()
@@ -196,7 +199,7 @@ func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries
 	case <-timer:
 	case <-ctx.Done():
 	}
-	e.counters.trainStalls.Add(1)
+	e.met.TrainStalls.Add(1)
 	if cache != nil {
 		m.featCache = core.NewFeatureCache(e.cacheBudget)
 		go func() {
@@ -240,7 +243,7 @@ func (e *Engine) VerifyFeatureCache(name string) error {
 // never crash (see core's sandboxing).
 func (e *Engine) panicHook(name string) func(string, any) {
 	return func(detName string, recovered any) {
-		e.counters.detectorPanics.Add(1)
+		e.met.DetectorPanics.Add(1)
 		e.log.Warn("detector panic sandboxed", "series", name,
 			"detector", detName, "panic", recovered)
 	}
@@ -301,7 +304,7 @@ func (e *Engine) autoRetrain(m *managed) {
 			"attempt", attempt, "consecutive_failures", fails, "err", err)
 		if e.trainFailLimit > 0 && fails >= e.trainFailLimit {
 			if m.quarantined.CompareAndSwap(false, true) {
-				e.counters.seriesQuarantined.Add(1)
+				e.met.SeriesQuarantined.Add(1)
 				e.log.Error("series training quarantined after repeated failures",
 					"series", m.name, "failures", fails)
 			}
@@ -312,7 +315,7 @@ func (e *Engine) autoRetrain(m *managed) {
 		if !errors.Is(err, ErrStalled) || attempt >= e.trainRetries {
 			return
 		}
-		e.counters.trainRetriesRun.Add(1)
+		e.met.TrainRetries.Add(1)
 		delay := backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))
 		backoff *= 2
 		if backoff > maxBackoff {

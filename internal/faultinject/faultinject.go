@@ -107,9 +107,6 @@ type BlockingNotifier struct {
 	Release chan struct{}
 
 	started chan struct{}
-
-	mu      sync.Mutex
-	blocked int
 }
 
 // NewBlockingNotifier returns a notifier whose deliveries hang until
@@ -123,9 +120,6 @@ func NewBlockingNotifier() *BlockingNotifier {
 
 // Notify implements alerting.Notifier.
 func (n *BlockingNotifier) Notify(ctx context.Context, _ alerting.Event) error {
-	n.mu.Lock()
-	n.blocked++
-	n.mu.Unlock()
 	select {
 	case n.started <- struct{}{}:
 	default:
@@ -141,14 +135,6 @@ func (n *BlockingNotifier) Notify(ctx context.Context, _ alerting.Event) error {
 // Started yields one receive per Notify call as it begins blocking, so tests
 // can wait for "the worker is stuck inside delivery" without polling.
 func (n *BlockingNotifier) Started() <-chan struct{} { return n.started }
-
-// Blocked returns how many Notify calls have started (including finished
-// ones).
-func (n *BlockingNotifier) Blocked() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.blocked
-}
 
 // Unblock releases all current and future deliveries.
 func (n *BlockingNotifier) Unblock() { close(n.Release) }

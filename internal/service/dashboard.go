@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"opprentice/internal/engine"
 	"opprentice/internal/report"
 )
 
@@ -17,13 +18,8 @@ import (
 const dashboardWindow = 500
 
 type dashboardSeries struct {
-	Name       string
-	Points     int
-	Windows    int
-	Trained    bool
-	CThld      float64
-	Spark      template.HTML
-	LastAlarms []Alarm
+	engine.Inspection
+	Spark template.HTML
 }
 
 type dashboardData struct {
@@ -33,20 +29,8 @@ type dashboardData struct {
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	data := dashboardData{Generated: time.Now().UTC()}
-	for _, name := range s.eng.Names() {
-		ins, ok := s.eng.Inspect(name, dashboardWindow, 5)
-		if !ok {
-			continue // deleted between Names and here
-		}
-		data.Series = append(data.Series, dashboardSeries{
-			Name:       name,
-			Points:     ins.Points,
-			Windows:    ins.LabeledWindows,
-			Trained:    ins.Trained,
-			CThld:      ins.CThld,
-			Spark:      report.Sparkline(ins.Recent, 420, 64),
-			LastAlarms: ins.LastAlarms,
-		})
+	for _, ins := range s.eng.Inspect(dashboardWindow, 5) {
+		data.Series = append(data.Series, dashboardSeries{ins, report.Sparkline(ins.Recent, 420, 64)})
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_ = dashboardTemplate.Execute(w, data)
@@ -71,7 +55,7 @@ body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto; max-width: 64rem
 <div class="card">
 <h2>{{.Name}}</h2>
 <div>{{.Spark}}</div>
-<p class="meta">{{.Points}} points · {{.Windows}} labeled windows ·
+<p class="meta">{{.Points}} points · {{.LabeledWindows}} labeled windows ·
 {{if .Trained}}trained, cThld {{printf "%.3f" .CThld}}{{else}}not trained yet{{end}}</p>
 {{if .LastAlarms}}<p>recent alarms:</p><ul>
 {{range .LastAlarms}}<li class="alarm">{{.Time.Format "2006-01-02 15:04"}} — value {{printf "%.4g" .Value}} (p={{printf "%.2f" .Probability}})</li>{{end}}

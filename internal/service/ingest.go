@@ -94,7 +94,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(group) == 0 {
 			return true
 		}
-		ctx, cancel := opCtx(r, s.timeouts.Append)
+		ctx, cancel := context.WithTimeout(r.Context(), appendTimeout)
 		bsum, vbuf, err := s.eng.AppendBulk(ctx, group, *bufp)
 		cancel()
 		*bufp = vbuf

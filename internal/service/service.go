@@ -38,50 +38,11 @@
 //
 // # Operational metrics
 //
-// GET /v1/metrics exposes counters in the Prometheus text format (no client
-// library needed). Besides the throughput counters
-// (opprenticed_points_ingested_total, opprenticed_alarms_raised_total,
-// opprenticed_trainings_total, opprenticed_training_seconds_total,
-// opprenticed_request_errors_total) and per-series gauges
-// (opprenticed_series_points, opprenticed_series_labeled_windows,
-// opprenticed_series_cthld), the fault-tolerance layer reports:
-//
-//   - opprenticed_detector_panics_total — detector-configuration panics that
-//     were sandboxed into degraded features instead of crashing the server.
-//   - opprenticed_series_degraded_detectors{series=...} — configurations
-//     currently dead (sandboxed) per trained series.
-//   - opprenticed_notify_delivered_total / opprenticed_notify_retries_total /
-//     opprenticed_notify_dropped_total — asynchronous webhook delivery
-//     outcomes, summed over the per-series alerting pipelines.
-//   - opprenticed_wal_quarantined_total — corrupt series tombstoned out of
-//     the segmented WAL during Restore.
-//   - opprenticed_wal_append_errors_total — durable appends (points or
-//     labels) that failed; the affected points responses also carry
-//     "persisted": false.
-//
-// The overload and supervision layer (DESIGN.md §11) adds:
-//
-//   - opprenticed_ingest_sheds_total — point batches rejected whole by
-//     admission control (HTTP 429).
-//   - opprenticed_degraded_entered_total / opprenticed_degraded_recovered_total
-//     and the opprenticed_series_degraded gauge — degraded-mode transitions
-//     and the number of series currently degraded.
-//   - opprenticed_wal_buffered_points_total / opprenticed_wal_lost_points_total
-//     — points buffered by degraded WAL writers, and points dropped from the
-//     log when that buffer overflowed.
-//   - opprenticed_train_stalls_total / opprenticed_train_retries_total /
-//     opprenticed_series_quarantined_total / opprenticed_worker_panics_total
-//     — watchdog activity on the training/publish workers.
-//
-// The active-learning subsystem (DESIGN.md §14) adds:
-//
-//   - opprenticed_queries_answered_total — label queries resolved via
-//     POST /v1/queries/{name}/answer.
-//   - opprenticed_drift_retrains_total — retrains the concept-drift detector
-//     armed ahead of the fixed retrain tick.
-//   - opprenticed_query_queue_depth{series=...} — pending label queries.
-//   - opprenticed_drift_score{series=...} — the PSI of the last completed
-//     drift comparison window.
+// GET /v1/metrics exposes counters and per-series gauges in the Prometheus
+// text format (no client library needed). Every family but the transport's
+// own request-error counter is declared once, in the engine's metric table
+// (engine.Counters, engine.SeriesMetrics); DESIGN.md's "Metrics" table lists
+// them with what each one means and where it is incremented.
 //
 // A non-zero rate on any of these means a dependency is degrading while the
 // service keeps running; see DESIGN.md's "Failure modes & degradation".
@@ -109,10 +70,9 @@ import (
 // (which builds its own engine) or NewServerWithEngine, and mount Handler on
 // an http.Server.
 type Server struct {
-	eng      *engine.Engine
-	log      *slog.Logger
-	metrics  metrics
-	timeouts Timeouts
+	eng     *engine.Engine
+	log     *slog.Logger
+	metrics metrics
 
 	// vbufs pools verdict buffers for the points hot path; the engine
 	// appends verdicts into a pooled buffer instead of allocating per
@@ -120,52 +80,16 @@ type Server struct {
 	vbufs sync.Pool
 }
 
-// Timeouts are the per-endpoint deadlines the server attaches to each
-// request's context before calling into the engine; the engine propagates
-// them through its own budgets (WAL deadline, training watchdog). Zero
-// fields pick the defaults; negative disables that endpoint's deadline.
-type Timeouts struct {
-	// Append bounds POST points (default 30s).
-	Append time.Duration
-	// Label bounds POST labels (default 30s).
-	Label time.Duration
-	// Train bounds POST train (default 10m) — synchronous training is the
-	// slowest endpoint by far.
-	Train time.Duration
-	// Status bounds the cheap read endpoints (default 5s).
-	Status time.Duration
-	// Rollback bounds POST rollback, which hot-swaps a monitor (default 2m).
-	Rollback time.Duration
-}
-
-// resolveTimeouts fills zero fields with the defaults.
-func resolveTimeouts(t Timeouts) Timeouts {
-	def := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		} else if *v < 0 {
-			*v = 0
-		}
-	}
-	def(&t.Append, 30*time.Second)
-	def(&t.Label, 30*time.Second)
-	def(&t.Train, 10*time.Minute)
-	def(&t.Status, 5*time.Second)
-	def(&t.Rollback, 2*time.Minute)
-	return t
-}
-
-// SetTimeouts replaces the per-endpoint deadlines. Call it before serving.
-func (s *Server) SetTimeouts(t Timeouts) { s.timeouts = resolveTimeouts(t) }
-
-// opCtx derives the handler's working context: the request context plus
-// the endpoint's deadline (when enabled).
-func opCtx(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
+// The per-endpoint deadlines the server attaches to each request's context
+// before calling into the engine; the engine propagates them through its own
+// budgets (WAL deadline, training watchdog).
+const (
+	appendTimeout   = 30 * time.Second // POST points, /v1/ingest frames
+	labelTimeout    = 30 * time.Second // POST labels, POST query answers
+	trainTimeout    = 10 * time.Minute // synchronous training, the slowest endpoint by far
+	statusTimeout   = 5 * time.Second  // the cheap read endpoints
+	rollbackTimeout = 2 * time.Minute  // POST rollback hot-swaps a monitor
+)
 
 // NewServer returns a service over a fresh default engine.
 func NewServer(log *slog.Logger) *Server {
@@ -181,7 +105,7 @@ func NewServerWithEngine(eng *engine.Engine, log *slog.Logger) *Server {
 	if log == nil {
 		log = slog.Default()
 	}
-	s := &Server{eng: eng, log: log, timeouts: resolveTimeouts(Timeouts{})}
+	s := &Server{eng: eng, log: log}
 	s.vbufs.New = func() any {
 		buf := make([]engine.Verdict, 0, 256)
 		return &buf
@@ -403,7 +327,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := opCtx(r, s.timeouts.Status)
+	ctx, cancel := context.WithTimeout(r.Context(), statusTimeout)
 	defer cancel()
 	st, err := s.eng.Status(ctx, r.PathValue("name"))
 	if err != nil {
@@ -419,7 +343,7 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	ctx, cancel := opCtx(r, s.timeouts.Append)
+	ctx, cancel := context.WithTimeout(r.Context(), appendTimeout)
 	defer cancel()
 	bufp := s.vbufs.Get().(*[]engine.Verdict)
 	res, err := s.eng.Append(ctx, r.PathValue("name"), req.Points, *bufp)
@@ -453,7 +377,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	ctx, cancel := opCtx(r, s.timeouts.Label)
+	ctx, cancel := context.WithTimeout(r.Context(), labelTimeout)
 	defer cancel()
 	res, err := s.eng.Label(ctx, r.PathValue("name"), req.Windows)
 	if err != nil {
@@ -467,7 +391,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := opCtx(r, s.timeouts.Train)
+	ctx, cancel := context.WithTimeout(r.Context(), trainTimeout)
 	defer cancel()
 	res, err := s.eng.Train(ctx, r.PathValue("name"))
 	if err != nil {
@@ -518,7 +442,7 @@ func (s *Server) handleModelManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := opCtx(r, s.timeouts.Rollback)
+	ctx, cancel := context.WithTimeout(r.Context(), rollbackTimeout)
 	defer cancel()
 	man, err := s.eng.RollbackModel(ctx, r.PathValue("name"))
 	if err != nil {
@@ -531,7 +455,7 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
 // handleQueries lists pending label queries, most uncertain first; the
 // optional ?series= parameter narrows to one series (404 if unknown).
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := opCtx(r, s.timeouts.Status)
+	ctx, cancel := context.WithTimeout(r.Context(), statusTimeout)
 	defer cancel()
 	qs, err := s.eng.Queries(ctx, r.URL.Query().Get("series"))
 	if err != nil {
@@ -549,7 +473,7 @@ func (s *Server) handleAnswerQuery(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	ctx, cancel := opCtx(r, s.timeouts.Label)
+	ctx, cancel := context.WithTimeout(r.Context(), labelTimeout)
 	defer cancel()
 	res, err := s.eng.AnswerQuery(ctx, r.PathValue("name"), req.Start, req.End, req.Anomalous)
 	if err != nil {

@@ -426,7 +426,22 @@ func TestWebhookIncidentNotifications(t *testing.T) {
 }
 
 func TestAutoRetrain(t *testing.T) {
-	s := NewServer(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	// Retraining is asynchronous (ingest never blocks on a training round):
+	// take the completion edge from the engine's TrainDone hook instead of
+	// polling the status endpoint.
+	retrained := make(chan struct{}, 1)
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	s := NewServerWithEngine(engine.New(engine.Config{Log: log, Hooks: engine.Hooks{
+		TrainDone: func(name string, res engine.TrainResult, err error) {
+			if err != nil {
+				t.Errorf("training failed: %v", err)
+			}
+			select {
+			case retrained <- struct{}{}:
+			default:
+			}
+		},
+	}}), log)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	p := kpigen.PV(kpigen.Small)
@@ -464,20 +479,7 @@ func TestAutoRetrain(t *testing.T) {
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/series/pv", nil)
 	var before Status
 	json.Unmarshal(body, &before)
-
-	// Retraining is asynchronous (ingest never blocks on a training round):
-	// take the completion edge from the engine's TrainDone hook instead of
-	// polling the status endpoint.
-	retrained := make(chan struct{}, 1)
-	s.Engine().SetHooks(engine.Hooks{TrainDone: func(name string, res engine.TrainResult, err error) {
-		if err != nil {
-			t.Errorf("auto-retrain failed: %v", err)
-		}
-		select {
-		case retrained <- struct{}{}:
-		default:
-		}
-	}})
+	<-retrained // the synchronous training's own edge, fired before its response
 
 	// Stream one more week: the auto-retrain should fire.
 	week := make([]Point, ppw)

@@ -123,6 +123,10 @@ type Harness struct {
 	expStalls          int64
 	expRetries         int64
 	expQuarantined     int64
+	// Likewise since the last restore: publications the harness awaited, and
+	// how that restore split the survivors.
+	expPublishes                   int64
+	expRestoreWarm, expRestoreCold int64
 
 	twin       *twinState
 	tornSeries string
@@ -150,6 +154,11 @@ type Harness struct {
 	// uses it to emulate a non-atomic multi-kind publish (deleting one kind's
 	// file behind the manifest) and assert the manifest invariant catches it.
 	MutatePartialPublish func(series string, gen uint64, seriesDir string)
+	// MutateExported, when set, is invoked on every step's exported samples
+	// (keyed as checkExported keys them) before they are compared with the
+	// mirror. The mutation self-test uses it to emulate an engine that drops
+	// one counter increment and assert the metrics invariant catches it.
+	MutateExported func(step int, samples map[string]float64)
 }
 
 // Result summarizes a passing run.
@@ -342,6 +351,9 @@ func (h *Harness) Run() (Result, error) {
 			if err := h.applyFault(f); err != nil {
 				return Result{}, err
 			}
+		}
+		if err := h.checkExported(); err != nil {
+			return Result{}, err
 		}
 	}
 	return h.finalize()
@@ -569,6 +581,7 @@ func (h *Harness) awaitPublishInto(st *seriesState, res engine.TrainResult) erro
 		return h.fail("publish", "series %s: model publication failed: %v", name, pub.err)
 	}
 	st.pubs = append(st.pubs, pubRecord{gen: pub.gen, trainedAt: res.TrainedAt, points: res.Points, cthld: res.CThld})
+	h.expPublishes++
 	if h.MutatePartialPublish != nil {
 		h.MutatePartialPublish(name, pub.gen, filepath.Join(h.modelDir, name))
 	}

@@ -330,6 +330,7 @@ drained:
 	if c.ModelRestoreWarm != int64(alive-len(cold)) {
 		return h.fail("restore", "engine counted %d warm restores, mirror expected %d", c.ModelRestoreWarm, alive-len(cold))
 	}
+	h.expRestoreWarm, h.expRestoreCold = int64(alive-len(cold)), int64(len(cold))
 
 	// Torn type artifact: one torn secondary kind must cost exactly that kind.
 	// The registry quarantines it (a checksum failure), the generation stays
@@ -487,6 +488,53 @@ func (h *Harness) preCloseChecks() error {
 		return h.fail("sandbox", "%d detector panics sandboxed with no panicking detector configured", c.DetectorPanics)
 	}
 	return h.checkResilience()
+}
+
+// checkExported is the per-step truth check on the daemon's self-report: the
+// samples /v1/metrics would render right now — engine.Metrics read
+// in-process, keyed by declaring field plus labels so no exposition name is
+// spelled a second time — must equal what the mirror predicts since the last
+// restore. Every step ends quiescent, so the comparison is exact.
+func (h *Harness) checkExported() error {
+	got := make(map[string]float64)
+	for _, f := range h.eng.Metrics() {
+		for _, s := range f.Samples {
+			got[s.Field+s.Labels] = s.Value
+		}
+	}
+	if h.MutateExported != nil {
+		h.MutateExported(h.step, got)
+	}
+	type expect struct {
+		sample string
+		want   int64
+	}
+	wants := []expect{
+		{"PointsIngested", int64(h.ingestSinceRestore)},
+		{"IngestSheds", h.expSheds},
+		{"DegradedEntered", h.expDegEntered},
+		{"DegradedRecovered", h.expDegRecovered},
+		{"WALBufferedPoints", h.expBuffered},
+		{"TrainStalls", h.expStalls},
+		{"TrainRetries", h.expRetries},
+		{"SeriesQuarantined", h.expQuarantined},
+		{"ModelPublishes", h.expPublishes},
+		{`ModelRestoreWarm{mode="warm"}`, h.expRestoreWarm},
+		{`ModelRestoreCold{mode="cold"}`, h.expRestoreCold},
+		{"DegradedSeries", 0},
+		{"QuarantinedSeries", 0},
+	}
+	for _, name := range h.names {
+		if st := h.mirror[name]; !st.dead {
+			wants = append(wants, expect{`Points{series="` + name + `"}`, int64(st.total)})
+		}
+	}
+	for _, w := range wants {
+		if v, ok := got[w.sample]; !ok || v != float64(w.want) {
+			return h.fail("metrics", "the daemon would export %s = %v (exported: %v), mirror expected %d", w.sample, v, ok, w.want)
+		}
+	}
+	return nil
 }
 
 // assertQuiescent asserts that no lifecycle event is waiting anywhere: every

@@ -492,6 +492,8 @@ func (h *Harness) resetResilienceExpectations() {
 	h.expStalls = 0
 	h.expRetries = 0
 	h.expQuarantined = 0
+	h.expPublishes = 0
+	h.expRestoreWarm, h.expRestoreCold = 0, 0
 }
 
 func containsStr(ss []string, s string) bool {

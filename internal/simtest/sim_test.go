@@ -101,6 +101,31 @@ func TestSimCatchesVerdictLoss(t *testing.T) {
 	}
 }
 
+// TestSimCatchesDroppedIncrement is the metrics invariant's self-test: an
+// engine that forgets one counter increment (emulated by taking one publish
+// back out of the exported samples) must be caught as a seed-reproducible
+// metrics violation at that very step.
+func TestSimCatchesDroppedIncrement(t *testing.T) {
+	scen := GenScenario(1, false)
+	h, err := NewHarness(scen, t.TempDir(), false)
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	h.MutateExported = func(step int, samples map[string]float64) {
+		if step == 2 {
+			samples["ModelPublishes"]--
+		}
+	}
+	_, err = h.Run()
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("dropped increment reported as %T, want *Violation: %v", err, err)
+	}
+	if v.Invariant != "metrics" || v.Seed != 1 || v.Step != 2 {
+		t.Fatalf("violation is %q at seed %d step %d, want \"metrics\" at seed 1 step 2: %v", v.Invariant, v.Seed, v.Step, err)
+	}
+}
+
 // TestSimCatchesPartialPublish is the multi-kind manifest invariant's
 // self-test: a publish that loses one kind's artifact behind the manifest
 // (emulated by deleting a generation's anomaly-type file right after its

@@ -45,9 +45,6 @@ func NewMRA(levels int) *MRA {
 	return m
 }
 
-// Levels returns the number of detail levels.
-func (m *MRA) Levels() int { return m.levels }
-
 // WarmUp returns the number of points needed before Push reports ready:
 // the largest lag chain, 2^levels - 1.
 func (m *MRA) WarmUp() int { return 1<<m.levels - 1 }
