@@ -94,11 +94,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the per-family detector benchmark (the table in
-# EXPERIMENTS.md) and of the forest step and the forest fit at the repo
-# benchmark's shape (133 kpigen severities, 1 512 rows, 20 trees; the step
-# fails if a 64-row frame allocates, the fit runs one Train and one six-fit
-# round off a shared presort): nothing else runs them, so this keeps them
-# compiling and their set-up working. Then the two benchmarks that carry a
+# EXPERIMENTS.md), of the monitor step (core.stepbatch in isolation: 16
+# monitors trained on kpigen PV/SR/SRT, frames of 1 and of 64 points
+# round-robin, fails if a frame allocates) and of the forest step and the
+# forest fit at the repo benchmark's shape (133 kpigen severities, 1 512 rows,
+# 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train
+# and one six-fit round off a shared presort): nothing else runs them, so this
+# keeps them compiling and their set-up working. Then the two benchmarks that carry a
 # ratio floor — machine-independent RATIOS, not absolute ns/op; each fails by itself, after both
 # its legs ran: cold ÷ incremental retrain extraction (what the feature cache
 # buys, floor 7.2x) and cold ÷ warm restart (what the model registry buys,
@@ -106,18 +108,20 @@ bench:
 # ratios. DESIGN.md §13 lists where every other speed gate lives.
 bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
+	$(GO) test -run '^$$' -bench 'MonitorStepBatch$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'ForestProbRows$$|ForestTrain$$' -benchtime 1x ./internal/ml/forest
 	$(GO) test -run '^$$' -bench 'RetrainColdVsIncremental$$' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'RestoreWarmVsCold$$' -benchtime 2x ./internal/engine
 
 # The bit-exact kernels against their oracles under the race detector: the
-# sorted-window MAD detectors against copy-and-select, the raw-threshold
+# sorted-window MAD detectors against copy-and-select, the SVD power round
+# with its Gram rows written out against the generic loop, the raw-threshold
 # forest walk (ProbAll chunks rows across goroutines) against binned trees,
 # presorted binning and the empty-bin-skipping split search against sort,
 # search and full scan, and forests whose trees grow on goroutines over one
 # shared presort against the former Train on hand-cut matrices.
 oracle-race:
-	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestTrainMatchesReference' ./internal/detectors ./internal/ml/tree ./internal/ml/forest
+	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestSVDPowerRoundMatchesLoop|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestTrainMatchesReference' ./internal/detectors ./internal/ml/tree ./internal/ml/forest
 
 # The JSON-lines data-directory upgrade on the real binaries: opprenticed
 # refuses the unmigrated fixture (exit 1, naming the files and the command),

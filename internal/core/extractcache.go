@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -339,25 +340,15 @@ func ExtractIncremental(cache *FeatureCache, s *timeseries.Series, ds []detector
 }
 
 // extendColumn appends the tail's severities (0 for not-ready or NaN) to a
-// cached column by resuming the checkpointed detector state, inside the same
-// panic sandbox as extractColumn: a panic anywhere degrades the whole column
-// to all zeros — exactly the NaN→0 image of what a cold re-extraction of a
-// deterministically panicking detector would produce — and ok is false. total
-// is the final column length (len(col) + len(tail)).
+// cached column by resuming the checkpointed detector state. A panic anywhere
+// degrades the whole column to all zeros — exactly the NaN→0 image of what a
+// cold re-extraction of a deterministically panicking detector would produce
+// — and ok is false. total is the final column length (len(col) + len(tail)).
 func extendColumn(col []float64, d detectors.Detector, tail []float64, total int) (out []float64, ok bool) {
-	out = col
-	defer func() {
-		if r := recover(); r != nil {
-			out = make([]float64, total) // all zeros: "no evidence"
-			ok = false
-		}
-	}()
-	for _, v := range tail {
-		sev, ready := d.Step(v)
-		if !ready || math.IsNaN(sev) {
-			sev = 0
-		}
-		out = append(out, sev)
+	out = slices.Grow(col, len(tail))[:total]
+	if _, r := stepColumn(d, false, nil, tail, out[len(col):], 1, 0); r != nil {
+		return make([]float64, total), false // all zeros: "no evidence"
 	}
+	imputeInPlace(out[len(col):])
 	return out, true
 }

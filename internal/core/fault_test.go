@@ -5,6 +5,7 @@ package core
 // crash extraction or the online monitor.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -135,5 +136,44 @@ func TestFaultNewMonitorMarksTrainingPanicDegraded(t *testing.T) {
 	}
 	if mon.DetectorPanics() != 1 {
 		t.Errorf("dead detector was re-stepped: panics = %d", mon.DetectorPanics())
+	}
+}
+
+// TestFaultLoadMonitorReportsRewarmPanic: a configuration that panics while a
+// restored monitor re-warms is marked dead like an online panic, and the
+// callback gets the panic's value — the restore observed it directly.
+func TestFaultLoadMonitorReportsRewarmPanic(t *testing.T) {
+	s, labels := testKPI(t, 9, 11)
+	withFaulty := func(after int) []detectors.Detector {
+		return append(smallRegistry(t),
+			detectors.Detector(&faultinject.PanickingDetector{ConfigName: "boom(rewarm)", PanicAfter: after}))
+	}
+	mon, err := NewMonitor(s, labels, withFaulty(s.Len()), MonitorConfig{Forest: forest.Config{Trees: 10, Seed: 1}, SkipInitialCV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := mon.SaveModel(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var reported []any
+	restored, err := LoadMonitor(&snap, s, withFaulty(100), LoadConfig{Trees: 10, OnDetectorPanic: func(name string, recovered any) {
+		if name != "boom(rewarm)" {
+			t.Errorf("panic reported for %s", name)
+		}
+		reported = append(reported, recovered)
+	}})
+	if err != nil {
+		t.Fatalf("LoadMonitor with a detector panicking in re-warm: %v", err)
+	}
+	if len(reported) != 1 || reported[0] == nil {
+		t.Fatalf("OnDetectorPanic calls = %v, want one with the panic value", reported)
+	}
+	if restored.DegradedDetectors() != 1 || restored.DetectorPanics() != 1 {
+		t.Fatalf("restored monitor: %d degraded, %d panics, want 1 and 1", restored.DegradedDetectors(), restored.DetectorPanics())
+	}
+	restored.Step(s.Values[0]) // the dead configuration is not stepped again
+	if restored.DetectorPanics() != 1 {
+		t.Fatalf("dead detector was re-stepped: panics = %d", restored.DetectorPanics())
 	}
 }

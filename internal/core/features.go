@@ -110,34 +110,48 @@ func extractParams(s *timeseries.Series, cfg ExtractConfig) (fitN, workers int, 
 	return min(fitWeeks, s.Len()/ppw) * ppw, workers, nil
 }
 
-// extractColumn runs one detector over the series, sandboxing panics: if the
-// detector panics anywhere (Reset, Fit or Step), the whole column is returned
-// as all-NaN — "this configuration was never ready" — and ok is false. The
-// learners already impute NaN to "no evidence of anomaly", so a faulty
-// configuration degrades to a silent feature rather than a crashed request.
+// stepColumn is the one panic sandbox around detector code: every caller
+// that runs a configuration over a run of points — training extraction, the
+// cache's tail extension, the re-warm of a restored monitor and the online
+// StepBatch — does it here and keeps only its own fill policy. With prime set
+// the detector is first Reset and, when Trainable and fit is non-empty,
+// fitted (best effort: an unfittable detector just stays not-ready). Point
+// i's severity — notReady while the detector warms up — is stored at
+// dst[i*stride]: stride 1 fills a column, stride d one column of a row-major
+// d-wide matrix, stride 0 discards into a one-cell dst. done counts the
+// points stepped before a panic (0 when priming panicked) and recovered is
+// the panic's value, nil when there was none.
+func stepColumn(d detectors.Detector, prime bool, fit, values, dst []float64, stride int, notReady float64) (done int, recovered any) {
+	defer func() { recovered = recover() }()
+	if prime {
+		d.Reset()
+		if tr, isTrainable := d.(detectors.Trainable); isTrainable && len(fit) > 0 {
+			_ = tr.Fit(fit)
+		}
+	}
+	for _, v := range values {
+		sev, ready := d.Step(v)
+		if !ready {
+			sev = notReady
+		}
+		dst[done*stride] = sev
+		done++
+	}
+	return done, nil
+}
+
+// extractColumn runs one detector over the series from Reset. If it panics
+// anywhere (Reset, Fit or Step), the whole column is returned as all-NaN —
+// "this configuration was never ready" — and ok is false. The learners
+// already impute NaN to "no evidence of anomaly", so a faulty configuration
+// degrades to a silent feature rather than a crashed request.
 func extractColumn(s *timeseries.Series, d detectors.Detector, fitN int) (col []float64, ok bool) {
 	col = make([]float64, s.Len())
-	defer func() {
-		if r := recover(); r != nil {
-			for i := range col {
-				col[i] = math.NaN()
-			}
-			ok = false
-		}
-	}()
-	d.Reset()
-	if tr, isTrainable := d.(detectors.Trainable); isTrainable && fitN > 0 {
-		// Best effort: an unfittable detector contributes no
-		// features rather than failing the whole extraction.
-		_ = tr.Fit(s.Values[:fitN])
-	}
-	for i, v := range s.Values {
-		sev, ready := d.Step(v)
-		if ready {
-			col[i] = sev
-		} else {
+	if _, r := stepColumn(d, true, s.Values[:fitN], s.Values, col, 1, math.NaN()); r != nil {
+		for i := range col {
 			col[i] = math.NaN()
 		}
+		return col, false
 	}
 	return col, true
 }

@@ -37,9 +37,10 @@ type Monitor struct {
 	// leaves Verdict.Class at ClassNone.
 	typeModel *forest.MultiClass
 
-	// StepBatch scratch, grown on demand and reused across batches: a
-	// row-major feature matrix (batch × detectors) and a probability
-	// buffer. Never serialized; contents are dead between calls.
+	// StepBatch scratch, grown on demand up to one block (stepBlock rows)
+	// and reused across batches: a row-major feature matrix (rows ×
+	// detectors) and a probability buffer. Never serialized; contents are
+	// dead between calls.
 	rowsBuf []float64
 	probBuf []float64
 
@@ -179,13 +180,20 @@ func (m *Monitor) markDegraded(names []string) {
 	for _, name := range names {
 		for j, d := range m.dets {
 			if d.Name() == name && !m.dead[j] {
-				m.dead[j] = true
-				m.panics++
-				if m.onPanic != nil {
-					m.onPanic(name, nil)
-				}
+				m.kill(j, nil)
 			}
 		}
+	}
+}
+
+// kill permanently degrades configuration j — it is never stepped again and
+// its feature reads 0 — counts the panic and reports it with the recovered
+// value (nil when the panic was observed indirectly).
+func (m *Monitor) kill(j int, recovered any) {
+	m.dead[j] = true
+	m.panics++
+	if m.onPanic != nil {
+		m.onPanic(m.dets[j].Name(), recovered)
 	}
 }
 
@@ -216,43 +224,56 @@ func (m *Monitor) Step(v float64) Verdict {
 	return m.StepBatch(vals[:], out[:0])[0]
 }
 
+// stepBlock is how many points StepBatch carries through the battery and the
+// forest at a time: it bounds the scratch at stepBlock × detectors cells
+// (272 KB for the 133 configurations) whatever the batch length.
+const stepBlock = 256
+
 // StepBatch consumes a batch of incoming points and appends one verdict per
-// point to out, returning the extended slice. Detectors are stepped per
-// point; a detector that panics is sandboxed: its feature reads 0 ("no
-// evidence of anomaly") for this and all subsequent points, mid-batch
-// included, and the verdict is still produced from the remaining
-// configurations. The forest then runs once over the whole batch. The
-// verdict sequence does not depend on how a stream is split into batches —
+// point to out, returning the extended slice. The batch is cut into blocks of
+// stepBlock points; within a block the battery runs detector-major — each
+// live configuration is stepped over the block's values by one sandboxed
+// stepColumn call that fills its column of the row-major scratch — which is
+// the same computation as stepping every configuration point by point,
+// because a detector reads nothing but its own state and the input. A
+// detector that panics is sandboxed: its feature reads 0 ("no evidence of
+// anomaly") for the failing point and all subsequent ones, mid-batch
+// included, and the verdicts are still produced from the remaining
+// configurations. The forest then runs once over the block. The verdict
+// sequence does not depend on how a stream is split into batches or blocks —
 // detector stepping never depends on forest output, and the duration filter
 // advances point by point.
 func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
-	n := len(values)
-	if n == 0 {
-		return out
-	}
 	d := len(m.dets)
-	if need := n * d; cap(m.rowsBuf) < need {
-		m.rowsBuf = make([]float64, need)
-	}
-	rows := m.rowsBuf[:n*d]
-	for k, v := range values {
-		row := rows[k*d : (k+1)*d]
-		for j, det := range m.dets {
-			if m.dead[j] {
-				row[j] = 0
-				continue
-			}
-			row[j] = m.stepDetector(j, det, v)
+	for len(values) > 0 {
+		n := min(len(values), stepBlock)
+		block := values[:n]
+		values = values[n:]
+		if cap(m.rowsBuf) < n*d {
+			m.rowsBuf = make([]float64, n*d)
 		}
-		m.points++
-	}
-	if cap(m.probBuf) < n {
-		m.probBuf = make([]float64, n)
-	}
-	probs := m.probBuf[:n]
-	m.model.ProbRowsInto(rows, d, probs)
-	for k, p := range probs {
-		out = append(out, m.finalize(p, rows[k*d:(k+1)*d]))
+		rows := m.rowsBuf[:n*d]
+		for j, det := range m.dets {
+			k := 0 // rows [k, n) of column j read 0
+			if !m.dead[j] {
+				var r any
+				if k, r = stepColumn(det, false, nil, block, rows[j:], d, 0); r != nil {
+					m.kill(j, r)
+				}
+			}
+			for ; k < n; k++ {
+				rows[k*d+j] = 0
+			}
+		}
+		m.points += n
+		if cap(m.probBuf) < n {
+			m.probBuf = make([]float64, n)
+		}
+		probs := m.probBuf[:n]
+		m.model.ProbRowsInto(rows, d, probs)
+		for k, p := range probs {
+			out = append(out, m.finalize(p, rows[k*d:(k+1)*d]))
+		}
 	}
 	return out
 }
@@ -283,26 +304,6 @@ func (m *Monitor) finalize(p float64, row []float64) Verdict {
 		m.cthld = m.pred.Predict()
 	}
 	return verdict
-}
-
-// stepDetector runs one detector for one point inside a panic sandbox. On
-// panic the configuration is marked dead and contributes a 0 severity.
-func (m *Monitor) stepDetector(j int, d detectors.Detector, v float64) (sev float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.dead[j] = true
-			m.panics++
-			sev = 0
-			if m.onPanic != nil {
-				m.onPanic(d.Name(), r)
-			}
-		}
-	}()
-	s, ready := d.Step(v)
-	if !ready {
-		return 0
-	}
-	return s
 }
 
 // CThld returns the threshold currently in force.

@@ -155,9 +155,6 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 	if err != nil {
 		return nil, fmt.Errorf("core: %v (%w)", err, ErrSnapshotVersion)
 	}
-	// Re-warm the detectors by replaying the recent history. A detector
-	// that panics while re-warming is sandboxed (marked dead) like in
-	// Monitor.Step, instead of failing the whole restore.
 	m := &Monitor{
 		dets:    dets,
 		model:   model,
@@ -167,14 +164,14 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 		dead:    make([]bool, len(dets)),
 		onPanic: cfg.OnDetectorPanic,
 	}
-	fitN := recent.Len()
+	// Re-warm the detectors by replaying the recent history from Reset,
+	// severities discarded. A detector that panics while re-warming is
+	// sandboxed (marked dead) like in Monitor.StepBatch, instead of failing
+	// the whole restore.
+	var discard [1]float64
 	for j, d := range dets {
-		if !rewarm(d, recent.Values, fitN) {
-			m.dead[j] = true
-			m.panics++
-			if m.onPanic != nil {
-				m.onPanic(d.Name(), nil)
-			}
+		if _, r := stepColumn(d, true, recent.Values, recent.Values, discard[:], 0, 0); r != nil {
+			m.kill(j, r)
 		}
 	}
 	pred := newPredictor(PredictorKind(dto.PredKind), dto.EWMAAlpha, dto.EVTQ, dto.Preference)
@@ -239,22 +236,4 @@ func (m *Monitor) RestoreTypeModel(r io.Reader) error {
 	}
 	m.typeModel = tm
 	return nil
-}
-
-// rewarm replays history through one detector inside a panic sandbox,
-// reporting false when the detector panicked.
-func rewarm(d detectors.Detector, values []float64, fitN int) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-		}
-	}()
-	d.Reset()
-	if tr, isTrainable := d.(detectors.Trainable); isTrainable && fitN > 0 {
-		_ = tr.Fit(values)
-	}
-	for _, v := range values {
-		d.Step(v)
-	}
-	return true
 }

@@ -18,7 +18,8 @@ type HoltWinters struct {
 	level  float64
 	trend  float64
 	warm   []float64 // first period, used to initialize
-	t      int
+	t      int       // points consumed
+	phase  int       // t % period once the first period is in
 }
 
 // NewHoltWinters returns a Holt-Winters detector with the given smoothing
@@ -42,11 +43,12 @@ func (d *HoltWinters) Name() string {
 
 // Step implements Detector.
 func (d *HoltWinters) Step(v float64) (float64, bool) {
-	defer func() { d.t++ }()
-	if d.t < d.period {
+	t := d.t
+	d.t++
+	if t < d.period {
 		// Collect the first period to bootstrap level and seasonal profile.
 		d.warm = append(d.warm, v)
-		if d.t == d.period-1 {
+		if t == d.period-1 {
 			mean := 0.0
 			for _, w := range d.warm {
 				mean += w
@@ -62,7 +64,10 @@ func (d *HoltWinters) Step(v float64) (float64, bool) {
 		}
 		return 0, false
 	}
-	si := d.t % d.period
+	si := d.phase
+	if d.phase++; d.phase == d.period {
+		d.phase = 0
+	}
 	forecast := d.level + d.trend + d.season[si]
 	sev := math.Abs(v - forecast)
 
@@ -73,12 +78,12 @@ func (d *HoltWinters) Step(v float64) (float64, bool) {
 
 	// The second period still runs on a rough initialization; report ready
 	// only from the third period on.
-	return sev, d.t >= 2*d.period
+	return sev, t >= 2*d.period
 }
 
 // Reset implements Detector.
 func (d *HoltWinters) Reset() {
 	d.season, d.warm = nil, nil
 	d.level, d.trend = 0, 0
-	d.t = 0
+	d.t, d.phase = 0, 0
 }

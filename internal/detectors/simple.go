@@ -118,15 +118,18 @@ func (d *WeightedMA) Step(v float64) (float64, bool) {
 	ready := d.hist.full
 	sev := 0.0
 	if ready {
-		// Oldest stored value is at hist.pos; iterate oldest→newest with
-		// weights 1..win.
-		num, den := 0.0, 0.0
-		for k := 0; k < d.win; k++ {
-			w := float64(k + 1)
-			num += w * d.hist.buf[(d.hist.pos+k)%d.win]
-			den += w
+		// Oldest→newest with weights 1..win: the ring from hist.pos to its
+		// end, then from its start up to hist.pos.
+		num, w := 0.0, 0.0
+		for _, x := range d.hist.buf[d.hist.pos:] {
+			w++
+			num += w * x
 		}
-		sev = math.Abs(v - num/den)
+		for _, x := range d.hist.buf[:d.hist.pos] {
+			w++
+			num += w * x
+		}
+		sev = math.Abs(v - num/(w*(w+1)/2))
 	}
 	d.hist.push(v)
 	return sev, ready

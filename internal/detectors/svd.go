@@ -92,10 +92,49 @@ func (d *SVDDetector) Step(v float64) (float64, bool) {
 }
 
 // mulGram sets tmp = G·v1 and returns |tmp|². It is the inner loop of the
-// power iteration; the slices are held in locals because the stores to tmp
-// would otherwise make the compiler reload them through d for every row.
+// power iteration: for Table 3's column counts each row's dot product is
+// written out with v1 held in locals, so the compiler keeps the vector in
+// registers instead of reloading it past every store to tmp. The sums run in
+// mulGramLoop's order — from 0.0, left to right — so every result is the same
+// to the bit; other shapes take the loop.
 func (d *SVDDetector) mulGram() float64 {
-	v1, tmp, gram := d.v1, d.tmp[:len(d.v1)], d.gram
+	v, tmp, gram := d.v1, d.tmp, d.gram
+	norm2 := 0.0
+	switch len(v) {
+	case 3:
+		v0, v1, v2 := v[0], v[1], v[2]
+		for a := range tmp[:3] {
+			g := gram[a*3:][:3]
+			s := 0.0 + g[0]*v0 + g[1]*v1 + g[2]*v2
+			tmp[a] = s
+			norm2 += s * s
+		}
+	case 5:
+		v0, v1, v2, v3, v4 := v[0], v[1], v[2], v[3], v[4]
+		for a := range tmp[:5] {
+			g := gram[a*5:][:5]
+			s := 0.0 + g[0]*v0 + g[1]*v1 + g[2]*v2 + g[3]*v3 + g[4]*v4
+			tmp[a] = s
+			norm2 += s * s
+		}
+	case 7:
+		v0, v1, v2, v3, v4, v5, v6 := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
+		for a := range tmp[:7] {
+			g := gram[a*7:][:7]
+			s := 0.0 + g[0]*v0 + g[1]*v1 + g[2]*v2 + g[3]*v3 + g[4]*v4 + g[5]*v5 + g[6]*v6
+			tmp[a] = s
+			norm2 += s * s
+		}
+	default:
+		return mulGramLoop(gram, v, tmp)
+	}
+	return norm2
+}
+
+// mulGramLoop is mulGram for any shape, and the oracle its written-out rows
+// are tested against.
+func mulGramLoop(gram, v1, tmp []float64) float64 {
+	tmp = tmp[:len(v1)]
 	norm2 := 0.0
 	for a := range tmp {
 		s := 0.0

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"opprentice/internal/kpigen"
 )
 
 // exactSVD is the SVD detector without sliding state: every step it lays the
@@ -198,5 +201,94 @@ func TestSVDSlidingMatchesExact(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// loopSVD is the SVD detector with every power round taken by the generic
+// loop, as all of them were before PR 24 wrote the rows out for Table 3's
+// column counts: the same ring and sliding sums, and the former
+// subspaceResidual word for word around mulGramLoop.
+type loopSVD struct{ *SVDDetector }
+
+func (d loopSVD) Step(v float64) (float64, bool) {
+	if !d.hist.full {
+		return d.SVDDetector.Step(v)
+	}
+	sev := d.residual(v)
+	d.slide(v)
+	return sev, true
+}
+
+func (d loopSVD) residual(v float64) float64 {
+	rows, cols := d.rows, d.cols
+	if !d.warm || !finiteVec(d.v1) {
+		for j := range d.v1 {
+			d.v1[j] = 1 / math.Sqrt(float64(cols))
+		}
+	}
+	d.warm = true
+	for iter := 0; iter < 30; iter++ {
+		norm := math.Sqrt(mulGramLoop(d.gram, d.v1, d.tmp))
+		if norm == 0 {
+			d.warm = false
+			return math.Abs(v)
+		}
+		delta := 0.0
+		for a := 0; a < cols; a++ {
+			nv := d.tmp[a] / norm
+			delta += math.Abs(nv - d.v1[a])
+			d.v1[a] = nv
+		}
+		if delta < 1e-10 {
+			break
+		}
+	}
+	mulGramLoop(d.gram, d.v1, d.tmp)
+	uNorm := 0.0
+	for a, s := range d.tmp {
+		uNorm += d.v1[a] * s
+	}
+	if uNorm <= 0 {
+		return math.Abs(v)
+	}
+	uNorm = math.Sqrt(uNorm)
+	dot, uLast := 0.0, 0.0
+	for j := 0; j < cols; j++ {
+		last := d.hist.at(j*rows + rows - 1)
+		dot += d.v1[j] * (d.cross[j] + last*v)
+		uLast += d.v1[j] * last
+	}
+	return math.Abs(v - dot/uNorm*uLast/uNorm)
+}
+
+// TestSVDPowerRoundMatchesLoop: writing the Gram rows out changes how the
+// power round is compiled, not what it computes. Every severity of all 15
+// Table-3 shapes equals the generic loop's to the bit — signs of zeros and
+// NaN payloads included — on the contract and hostile streams and on nine
+// weeks of each generated KPI, and so does a shape outside Table 3, which
+// takes the loop itself.
+func TestSVDPowerRoundMatchesLoop(t *testing.T) {
+	_, planted, streams := hostileStreams(5000)
+	for name, s := range planted {
+		streams[name] = s
+	}
+	for name, s := range contractStreams(5000) {
+		streams[name] = s
+	}
+	for _, profile := range []func(kpigen.Scale) kpigen.Profile{kpigen.PV, kpigen.SR, kpigen.SRT} {
+		p := profile(kpigen.Small)
+		p.Interval, p.Weeks = time.Hour, 9
+		streams["kpigen-"+p.Name] = kpigen.Generate(p, 2424).Series.Values
+	}
+	shapes := [][2]int{{12, 4}} // outside Table 3
+	for _, rows := range []int{10, 20, 30, 40, 50} {
+		for _, cols := range []int{3, 5, 7} {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for _, shape := range shapes {
+		sameBits(t, streams, func() (got, want Detector) {
+			return NewSVD(shape[0], shape[1]), loopSVD{NewSVD(shape[0], shape[1])}
+		})
 	}
 }

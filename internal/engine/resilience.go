@@ -130,9 +130,7 @@ func (e *Engine) maybeRecover(m *managed) {
 		return
 	}
 	if m.monitor != nil {
-		for _, v := range m.pending {
-			m.monitor.Step(v)
-		}
+		m.vbatch = m.monitor.StepBatch(m.pending, m.vbatch[:0])
 	}
 	m.pending = nil
 	m.degraded = false

@@ -148,6 +148,8 @@ type PanickingDetector struct {
 	ConfigName string
 	// PanicAfter is how many Steps succeed before panicking.
 	PanicAfter int
+	// Severity is what every successful Step reports.
+	Severity float64
 
 	calls int
 }
@@ -167,7 +169,7 @@ func (d *PanickingDetector) Step(float64) (float64, bool) {
 	if d.calls > d.PanicAfter {
 		panic(fmt.Sprintf("faultinject: detector %s panicking on call %d", d.Name(), d.calls))
 	}
-	return 0, true
+	return d.Severity, true
 }
 
 // Reset implements detectors.Detector.

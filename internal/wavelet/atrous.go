@@ -70,7 +70,7 @@ func (m *MRA) Push(x float64) (details []float64, approx float64, ready bool) {
 			lagged = ring[m.pos[j]]
 		}
 		ring[m.pos[j]] = a
-		m.pos[j] = (m.pos[j] + 1) % len(ring)
+		m.pos[j] = (m.pos[j] + 1) & (len(ring) - 1) // ring j holds 2^j points
 		if m.filled[j] < len(ring) {
 			m.filled[j]++
 		}

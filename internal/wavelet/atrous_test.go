@@ -189,3 +189,73 @@ func TestBandValueSumsToSignal(t *testing.T) {
 		}
 	}
 }
+
+// formerPush is Push as it advanced the lag buffers before PR 24: by a
+// modulo, although ring j always holds 2^j points.
+func formerPush(m *MRA, x float64) (details []float64, approx float64, ready bool) {
+	if m.details == nil {
+		m.details = make([]float64, m.levels)
+	}
+	details = m.details
+	a := x
+	for j := 0; j < m.levels; j++ {
+		ring := m.rings[j]
+		lagged := a
+		if m.filled[j] == len(ring) {
+			lagged = ring[m.pos[j]]
+		}
+		ring[m.pos[j]] = a
+		m.pos[j] = (m.pos[j] + 1) % len(ring)
+		if m.filled[j] < len(ring) {
+			m.filled[j]++
+		}
+		next := (a + lagged) / 2
+		details[j] = a - next
+		a = next
+	}
+	m.n++
+	return details, a, m.n > m.WarmUp()
+}
+
+// TestPushMatchesFormer: every coefficient equals the modulo form's to the
+// bit, for each level count the detector uses and the smallest, over noise
+// with missing points (NaN), level steps and runs of zeros, through a Clone a
+// third of the way in and a Reset two thirds in.
+func TestPushMatchesFormer(t *testing.T) {
+	rng := rand.New(rand.NewSource(2424))
+	stream := make([]float64, 3000)
+	for i := range stream {
+		switch {
+		case rng.Float64() < 0.05:
+			stream[i] = math.NaN()
+		case (i/400)%3 == 1:
+			stream[i] = 1000 + rng.NormFloat64()
+		case (i/400)%3 == 2:
+			stream[i] = 0
+		default:
+			stream[i] = 120 + 40*math.Sin(float64(i)/24) + rng.NormFloat64()*8
+		}
+	}
+	for _, levels := range []int{1, 3, 6, 7} {
+		got, want := NewMRA(levels), NewMRA(levels)
+		for i, x := range stream {
+			switch i {
+			case len(stream) / 3:
+				got = got.Clone()
+			case 2 * len(stream) / 3:
+				got.Reset()
+				want.Reset()
+			}
+			details, approx, ready := got.Push(x)
+			wantDetails, wantApprox, wantReady := formerPush(want, x)
+			same := ready == wantReady && math.Float64bits(approx) == math.Float64bits(wantApprox)
+			for j := range details {
+				same = same && math.Float64bits(details[j]) == math.Float64bits(wantDetails[j])
+			}
+			if !same {
+				t.Fatalf("levels %d, point %d (input %v): %v %v %v, former %v %v %v",
+					levels, i, x, details, approx, ready, wantDetails, wantApprox, wantReady)
+			}
+		}
+	}
+}
