@@ -1,7 +1,7 @@
 # Opprentice reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all all-but-gates build test vet bench-vet loc race engine-race oracle-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke eval eval-html fuzz staticcheck govulncheck clean
+.PHONY: all all-but-gates build test vet bench-vet loc race engine-race oracle-race faults sim sim-race sim-long cover bench bench-smoke upgrade-smoke eval fuzz staticcheck govulncheck clean
 
 # CI runs each of GATES as a step of its own, so a failing gate is named by
 # its step, and then all-but-gates: every target runs once there. A gate
@@ -99,7 +99,9 @@ bench:
 # round-robin, fails if a frame allocates) and of the forest step and the
 # forest fit at the repo benchmark's shape (133 kpigen severities, 1 512 rows,
 # 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train
-# and one six-fit round off a shared presort): nothing else runs them, so this
+# and one six-fit round off a shared presort) and of the bulk append at the
+# stream_trained shape (16 trained series on a tsdb store, flush groups of 64
+# frames of 64 points round-robin, ns/pt): nothing else runs them, so this
 # keeps them compiling and their set-up working. Then the two benchmarks that carry a
 # ratio floor — machine-independent RATIOS, not absolute ns/op; each fails by itself, after both
 # its legs ran: cold ÷ incremental retrain extraction (what the feature cache
@@ -110,6 +112,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
 	$(GO) test -run '^$$' -bench 'MonitorStepBatch$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'ForestProbRows$$|ForestTrain$$' -benchtime 1x ./internal/ml/forest
+	$(GO) test -run '^$$' -bench 'AppendBulk$$' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'RetrainColdVsIncremental$$' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'RestoreWarmVsCold$$' -benchtime 2x ./internal/engine
 

@@ -13,6 +13,8 @@ package engine
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -79,7 +81,17 @@ func TestAppendTrainedZeroAllocs(t *testing.T) {
 // kpigen's injection schedule), so training fits the anomaly-type head too.
 func trainableTypedSeries(t *testing.T, weeks int, scfg SeriesConfig) (*Engine, []float64, int) {
 	t.Helper()
-	p := kpigen.PV(kpigen.Small)
+	e := newTestEngine(t)
+	future, boot := trainTypedSeries(t, e, "pv", kpigen.PV(kpigen.Small), weeks, 1, scfg)
+	return e, future, boot
+}
+
+// trainTypedSeries creates name on e as trainableTypedSeries does, from an
+// hourly weeks-long generation of profile p: all but the last held weeks
+// are appended, typed-labeled and trained on. It returns the held-back
+// values and the index of the first.
+func trainTypedSeries(t testing.TB, e *Engine, name string, p kpigen.Profile, weeks, held int, scfg SeriesConfig) ([]float64, int) {
+	t.Helper()
 	p.Interval = time.Hour
 	p.Weeks = weeks
 	d := kpigen.Generate(p, 91)
@@ -87,19 +99,18 @@ func trainableTypedSeries(t *testing.T, weeks int, scfg SeriesConfig) (*Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t)
 	scfg.IntervalSeconds = 3600
 	scfg.Start = testStart
 	scfg.Trees = 10
-	if err := e.Create("pv", scfg); err != nil {
+	if err := e.Create(name, scfg); err != nil {
 		t.Fatal(err)
 	}
-	boot := (weeks - 1) * ppw
+	boot := (weeks - held) * ppw
 	pts := make([]Point, boot)
 	for i := range pts {
 		pts[i] = Point{Value: d.Series.Values[i]}
 	}
-	if _, err := e.Append(context.Background(), "pv", pts, nil); err != nil {
+	if _, err := e.Append(context.Background(), name, pts, nil); err != nil {
 		t.Fatal(err)
 	}
 	var windows []Window
@@ -113,13 +124,13 @@ func trainableTypedSeries(t *testing.T, weeks int, scfg SeriesConfig) (*Engine, 
 			})
 		}
 	}
-	if _, err := e.Label(context.Background(), "pv", windows); err != nil {
+	if _, err := e.Label(context.Background(), name, windows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(context.Background(), "pv"); err != nil {
+	if _, err := e.Train(context.Background(), name); err != nil {
 		t.Fatal(err)
 	}
-	return e, d.Series.Values[boot:], boot
+	return d.Series.Values[boot:], boot
 }
 
 // TestAppendTrainedEVTZeroAllocs extends the trained-path allocation gate to
@@ -187,4 +198,66 @@ func TestAppendTrainedTypedZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("trained typed Append allocates %.1f objects per batch, want 0", allocs)
 	}
+}
+
+// bulkAllocProcs is the GOMAXPROCS TestAppendBulkGroupAllocs measures at, so
+// its bound does not depend on the machine. maxBulkGroupAllocs is that
+// bound: one closure per worker beside the caller. The run table, the merge
+// buffer and every worker's verdict buffer are pooled, so nothing scales
+// with the frames of a group.
+const (
+	bulkAllocProcs     = 4
+	maxBulkGroupAllocs = bulkAllocProcs - 1
+)
+
+// TestAppendBulkGroupAllocs: a flush group of 16 or of 64 frames over 16
+// trained series allocates at most maxBulkGroupAllocs objects, and the same
+// number either way.
+func TestAppendBulkGroupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains 16 models")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	e := newTestEngine(t)
+	feed := newBulkFeed(t, e)
+	ctx := context.Background()
+	var vbuf []Verdict
+	allocs := make(map[int]uint64)
+	for _, frames := range []int{16, 64} {
+		allocs[frames] = groupAllocs(func() {
+			sum, buf, err := e.AppendBulk(ctx, feed.fill(frames, 8), vbuf)
+			if err != nil || sum.Appended != frames*8 {
+				t.Fatalf("%d-frame group: %+v, %v", frames, sum, err)
+			}
+			vbuf = buf
+		})
+	}
+	t.Logf("objects allocated per group: %d at 16 frames, %d at 64", allocs[16], allocs[64])
+	if allocs[16] > maxBulkGroupAllocs || allocs[64] != allocs[16] {
+		t.Fatalf("a 16-frame group allocates %d objects and a 64-frame group %d, want the same and at most %d",
+			allocs[16], allocs[64], maxBulkGroupAllocs)
+	}
+}
+
+// groupAllocs calls group at bulkAllocProcs procs and returns the fewest heap
+// allocations of one call. An allocation per frame or per run would show in
+// every call; the minimum leaves out what only some calls pay — an
+// append-only series array doubling, a goroutine descriptor the scheduler
+// could not reuse.
+func groupAllocs(group func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bulkAllocProcs))
+	for i := 0; i < 16; i++ {
+		group() // fill the pools
+	}
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 16; i++ {
+		runtime.ReadMemStats(&before)
+		group()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

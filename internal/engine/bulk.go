@@ -3,10 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // SeriesBatch is one series' slice of a bulk append: points destined for the
-// series' next slots, in stream order.
+// series' next slots, in stream order, carrying no timestamps.
 type SeriesBatch struct {
 	Name   string
 	Points []Point
@@ -24,26 +28,21 @@ type BulkSummary struct {
 	Alarms int
 }
 
-// AppendBulk applies a group of batches in order with striped admission:
-// the group's point count is reserved against each touched shard's
-// in-flight budget with one atomic add per shard, instead of one admission
-// handshake per batch. It is the fan-in fast path behind streaming ingest,
-// where a single flush can carry dozens of single-series batches whose
-// per-batch admission and lookup costs would otherwise dominate.
+// AppendBulk applies a flush group — batches for any number of series — as
+// the ingest stream's fast path. Lookup and validation run up front: if the
+// k-th batch is empty, carries a timestamp or names an unknown series,
+// batches 0..k-1 apply and the error, naming that series, follows. Admission
+// reserves the prefix's points with one atomic add per touched shard and
+// sheds it whole if any shard is over budget.
 //
-// Semantics match a sequence of Append calls with one refinement: lookup
-// and validation run for the whole group up front, so a group whose k-th
-// batch names an unknown series (or is empty) applies batches 0..k-1 and
-// then fails — exactly the "nothing after the failing frame" contract of
-// the ingest stream. Admission is all-or-nothing for the admissible prefix:
-// an over-budget shard sheds the whole group before any mutation. A
-// mid-apply error (context cancellation, rejected timestamps) likewise
-// stops the group at the failing batch. The returned error wraps the
-// failing series' name and the underlying engine error kind.
+// The prefix applies as one run per series — its batches concatenated in
+// stream order, one locked append: one StepBatch, one WAL record, one commit
+// wait — with distinct series' runs on up to GOMAXPROCS goroutines. Each
+// series still takes its points in order under its lock, series share only
+// concurrency-safe state, and no run can fail, so the prefix contract holds.
 //
-// vbuf is a reusable verdict scratch buffer (grown as needed); the grown
-// buffer is returned for pooling. Verdicts are consumed internally — bulk
-// ingest summarizes instead of returning per-point verdicts.
+// vbuf is reusable verdict scratch, returned grown; it ends holding the
+// verdicts of the caller's last run — for a one-series group, its verdicts.
 func (e *Engine) AppendBulk(ctx context.Context, batches []SeriesBatch, vbuf []Verdict) (BulkSummary, []Verdict, error) {
 	var sum BulkSummary
 	if len(batches) == 0 {
@@ -52,70 +51,161 @@ func (e *Engine) AppendBulk(ctx context.Context, batches []SeriesBatch, vbuf []V
 	if err := ctx.Err(); err != nil {
 		return sum, vbuf, err
 	}
+	g := bulkGroups.Get().(*bulkGroup)
+	defer g.release()
 
-	// Resolve and validate the applicable prefix: the first empty or
-	// unknown batch bounds it, and its error is reported after the prefix
-	// applies.
-	type resolved struct {
-		m  *managed
-		sh *shard
-	}
-	rs := make([]resolved, 0, len(batches))
 	var deferred error
 	for _, b := range batches {
-		if len(b.Points) == 0 {
-			deferred = fmt.Errorf("series %q: %w", b.Name, invalidf("no points"))
-			break
-		}
-		sh := e.shardFor(b.Name)
-		sh.mu.RLock()
-		m := sh.series[b.Name]
-		sh.mu.RUnlock()
-		if m == nil {
-			deferred = fmt.Errorf("series %q: %w", b.Name, notFound(b.Name))
-			break
-		}
-		rs = append(rs, resolved{m: m, sh: sh})
-	}
-
-	// Striped admission: one reservation per distinct shard for the whole
-	// prefix. Shed the group whole if any shard is over budget.
-	tokens := make([]admitToken, 0, 8)
-	admitted := make(map[*shard]int, 8)
-	for i := range rs {
-		admitted[rs[i].sh] += len(batches[i].Points)
-	}
-	for sh, n := range admitted {
-		tok, err := e.admit(sh, n)
+		m, sh, err := e.resolveBatch(b)
 		if err != nil {
-			for _, t := range tokens {
-				t.release()
-			}
+			deferred = fmt.Errorf("series %q: %w", b.Name, err)
+			break
+		}
+		g.series = append(g.series, m)
+		k := slices.IndexFunc(g.shares, func(t admitToken) bool { return t.sh == sh })
+		if k < 0 {
+			k, g.shares = len(g.shares), append(g.shares, admitToken{sh: sh})
+		}
+		g.shares[k].n += int64(len(b.Points))
+	}
+	batches = batches[:len(g.series)]
+
+	for k, s := range g.shares {
+		tok, err := e.admit(s.sh, int(s.n))
+		if err != nil {
+			g.shares = g.shares[:k] // release only what was reserved
 			return sum, vbuf, err
 		}
-		tokens = append(tokens, tok)
+		g.shares[k] = tok
 	}
-	defer func() {
-		for _, t := range tokens {
-			t.release()
-		}
-	}()
 
-	for i := range rs {
-		res, err := e.appendSeries(ctx, rs[i].m, batches[i].Points, vbuf)
-		if len(res.Verdicts) > 0 {
-			vbuf = res.Verdicts
+	for lo := 0; lo < len(batches); {
+		hi := g.merge(batches, lo)
+		vbuf = e.applyRuns(ctx, g, vbuf)
+		for _, r := range g.runs {
+			sum.Appended += len(r.pts)
+			sum.Alarms += r.alarms
 		}
-		if err != nil {
-			return sum, vbuf, fmt.Errorf("series %q: %w", batches[i].Name, err)
+		lo = hi
+	}
+	sum.Batches = len(batches)
+	return sum, vbuf, deferred
+}
+
+// resolveBatch looks up a non-empty, timestamp-free batch's series.
+func (e *Engine) resolveBatch(b SeriesBatch) (*managed, *shard, error) {
+	if len(b.Points) == 0 {
+		return nil, nil, invalidf("no points")
+	}
+	if i := slices.IndexFunc(b.Points, func(p Point) bool { return !p.Timestamp.IsZero() }); i >= 0 {
+		return nil, nil, invalidf("bulk points take the next slots, got timestamp %v", b.Points[i].Timestamp.UTC())
+	}
+	sh := e.shardFor(b.Name)
+	sh.mu.RLock()
+	m := sh.series[b.Name]
+	sh.mu.RUnlock()
+	if m == nil {
+		return nil, nil, notFound(b.Name)
+	}
+	return m, sh, nil
+}
+
+// bulkRun is one series' batches of a round, applied by one appendSeries.
+type bulkRun struct {
+	m      *managed
+	n      int     // points
+	pts    []Point // the run's points once merged
+	alarms int
+}
+
+// bulkGroup is AppendBulk's pooled scratch: a group allocates only workers.
+type bulkGroup struct {
+	series []*managed   // per admitted batch
+	shares []admitToken // per touched shard: the points to admit, then their token
+	runs   []bulkRun    // the current round
+	merged []Point      // points of the round's runs of several batches
+	vbufs  [][]Verdict  // verdict buffers of the workers beside the caller
+	next   atomic.Int64 // the next run to claim
+	wg     sync.WaitGroup
+}
+
+var bulkGroups = sync.Pool{New: func() any { return new(bulkGroup) }}
+
+// merge builds the runs of batches[lo:hi], hi being the first batch that
+// would grow its run past walBufferPoints (the cap on a series' uncommitted
+// points) or the end. A series met once aliases its batch, capped so nothing
+// writes into the caller's arena; one met again is copied, in stream order,
+// into the pooled merge buffer.
+func (g *bulkGroup) merge(batches []SeriesBatch, lo int) (hi int) {
+	clear(g.runs)
+	g.runs, g.merged = g.runs[:0], g.merged[:0]
+	for hi = lo; hi < len(batches); hi++ {
+		m, pts := g.series[hi], batches[hi].Points
+		r := slices.IndexFunc(g.runs, func(r bulkRun) bool { return r.m == m })
+		if r < 0 {
+			r, g.runs = len(g.runs), append(g.runs, bulkRun{m: m, pts: pts[:len(pts):len(pts)]})
+		} else if g.runs[r].n+len(pts) > walBufferPoints {
+			break
 		}
-		sum.Appended += res.Appended
-		sum.Batches++
-		for _, v := range res.Verdicts {
+		g.runs[r].n += len(pts)
+	}
+	for i := range g.runs {
+		if r := &g.runs[i]; len(r.pts) < r.n {
+			from := len(g.merged)
+			for k, m := range g.series[lo:hi] {
+				if m == r.m {
+					g.merged = append(g.merged, batches[lo+k].Points...)
+				}
+			}
+			// Growing the buffer leaves earlier runs on the old array, intact.
+			r.pts = g.merged[from:len(g.merged):len(g.merged)]
+		}
+	}
+	return hi
+}
+
+// applyRuns applies the round's runs on min(GOMAXPROCS, runs) goroutines,
+// the caller's among them, each claiming runs from g.next.
+func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []Verdict {
+	g.next.Store(0)
+	workers := min(runtime.GOMAXPROCS(0), len(g.runs))
+	g.vbufs = append(g.vbufs, make([][]Verdict, max(workers-1-len(g.vbufs), 0))...)
+	for w := range workers - 1 {
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w])
+		}()
+	}
+	vbuf = e.claimRuns(ctx, g, vbuf)
+	g.wg.Wait()
+	return vbuf
+}
+
+// claimRuns is one worker's loop. appendSeries refuses only timestamped
+// points, which resolveBatch turned away, so its error is always nil.
+func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []Verdict {
+	for i := int(g.next.Add(1)) - 1; i < len(g.runs); i = int(g.next.Add(1)) - 1 {
+		r := &g.runs[i]
+		res, _ := e.appendSeries(ctx, r.m, r.pts, vbuf)
+		vbuf = res.Verdicts
+		for _, v := range vbuf {
 			if v.Anomalous && !v.Degraded {
-				sum.Alarms++
+				r.alarms++
 			}
 		}
 	}
-	return sum, vbuf, deferred
+	return vbuf
+}
+
+// release returns the admitted budget and g to the pool, dropping g's
+// references to series and to the caller's points.
+func (g *bulkGroup) release() {
+	for _, t := range g.shares {
+		t.release()
+	}
+	clear(g.series)
+	clear(g.runs)
+	g.series, g.shares, g.runs = g.series[:0], g.shares[:0], g.runs[:0]
+	bulkGroups.Put(g)
 }

@@ -21,12 +21,12 @@ package service
 // dictionary. Values are raw little-endian float64s appended at the series'
 // next slots (the implicit-timestamp fast path of the JSON API).
 //
-// Batches apply in stream order with the same semantics as POST points
-// (admission control, WAL append, verdicts). The first failing batch aborts
-// the stream: the response then reports the error plus how much committed,
-// and nothing after the failing frame is applied. Verdicts are not streamed
-// back — bulk ingest is for backfill and relay feeds; the response
-// summarizes how many points were appended and how many alarms they raised.
+// Frames apply in flush groups through engine.AppendBulk: one run per series,
+// its frames in stream order with POST points' semantics (admission, WAL
+// append, verdicts), distinct series on distinct cores. The first failing
+// batch aborts the stream: the response reports the error and how much
+// committed; nothing after it applies. Bulk ingest is for backfill and relay
+// feeds: verdicts are not streamed back, only counts of points and alarms.
 
 import (
 	"bufio"

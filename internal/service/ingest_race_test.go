@@ -9,7 +9,11 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,5 +116,126 @@ func TestIngestStreamConcurrentRetrain(t *testing.T) {
 	}
 	if !status.Trained {
 		t.Fatal("series lost its trained monitor across concurrent retrains")
+	}
+}
+
+// TestIngestStreamsConcurrent: two /v1/ingest streams and a one-point POSTer
+// feed the same three trained series at once. Each stream's flush groups
+// apply per series across cores, so every series takes runs from both
+// streams and single POSTs interleaved. Each sender's points must still land
+// in the order sent. Every POST's verdict must name the slot its value landed
+// in. The series' lengths and points_ingested must add up to the points
+// sent.
+func TestIngestStreamsConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	srv := NewServer(discardLogger())
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	ctx := context.Background()
+	names := []string{"a", "b", "c"} // Inspect's order
+	boot := make([]int, len(names))
+	for s, name := range names {
+		createSeries(t, ts, name, 3600)
+		boot[s] = trainOn(t, ts, name, int64(60+s)).Series.Len()
+	}
+
+	// Sender k's j-th point to a series has the value k·1e6 + j, so the
+	// series' history says who sent each point and in which order.
+	const streams, streamFrames, posts = 2, 60, 48
+	value := func(k, j int) float64 { return float64(k)*1e6 + float64(j) }
+	var sent [streams + 1][]int // per sender, points per series
+	for k := range sent {
+		sent[k] = make([]int, len(names))
+	}
+	type posted struct {
+		s, index int
+		value    float64
+	}
+	var verdicts []posted
+	errs := make(chan error, streams+1)
+	var wg sync.WaitGroup
+	for k := 0; k < streams; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(k)))
+			st, err := NewClient(ts.URL, nil).StreamPoints(ctx)
+			if err != nil {
+				errs <- err
+				return
+			}
+			frames, points := 0, 0
+			for range streamFrames {
+				s := rng.Intn(len(names))
+				vals := make([]float64, 1+rng.Intn(32))
+				for j := range vals {
+					vals[j] = value(k, sent[k][s])
+					sent[k][s]++
+				}
+				if err := st.Send(names[s], vals); err != nil {
+					errs <- err
+					return
+				}
+				frames, points = frames+1, points+len(vals)
+			}
+			if sum, err := st.Close(); err != nil || sum.Batches != frames || sum.Appended != points {
+				errs <- fmt.Errorf("stream %d: %+v, %v, want %d points in %d batches", k, sum, err, points, frames)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c := NewClient(ts.URL, nil)
+		for i := range posts {
+			s := i % len(names)
+			v := value(streams, sent[streams][s])
+			sent[streams][s]++
+			resp, err := c.Append(ctx, names[s], []Point{{Value: v}})
+			if err != nil || len(resp.Verdicts) != 1 {
+				errs <- fmt.Errorf("post %d: %+v, %v", i, resp, err)
+				return
+			}
+			verdicts = append(verdicts, posted{s, resp.Verdicts[0].Index, v})
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	total := 0
+	for s, in := range srv.Engine().Inspect(1<<20, 0) {
+		if in.Name != names[s] {
+			t.Fatalf("series %d is %s, want %s", s, in.Name, names[s])
+		}
+		history := in.Recent
+		want := boot[s]
+		for k := range sent {
+			want += sent[k][s]
+		}
+		total += want
+		if len(history) != want {
+			t.Fatalf("%s has %d points, want %d", in.Name, len(history), want)
+		}
+		var seen [streams + 1]int
+		for i, v := range history[boot[s]:] {
+			k, j := int(v/1e6), int(v)%1e6
+			if k > streams || j != seen[k] {
+				t.Fatalf("%s slot %d holds sender %d's point %d, want its point %d", in.Name, boot[s]+i, k, j, seen[k])
+			}
+			seen[k]++
+		}
+		for _, p := range verdicts {
+			if p.s == s && history[p.index] != p.value {
+				t.Fatalf("%s: a POST's verdict names slot %d, which holds %v, not the posted %v", in.Name, p.index, history[p.index], p.value)
+			}
+		}
+	}
+	if got := metricValue(t, ts, "opprenticed_points_ingested_total"); got != float64(total) {
+		t.Fatalf("points_ingested = %v, want %d", got, total)
 	}
 }
