@@ -53,7 +53,8 @@ engine-race:
 	$(GO) test -race -count=2 ./internal/engine/ ./internal/service/
 
 # Fault-injection suite only (panicking detectors/notifiers, WAL corruption,
-# retry/shutdown behaviour) — every such test is named TestFault*.
+# retry/shutdown behaviour, training rounds that panic or stall) — every such
+# test is named TestFault*.
 faults:
 	$(GO) test -run TestFault -v ./...
 
@@ -121,10 +122,12 @@ bench-smoke:
 # with its Gram rows written out against the generic loop, the raw-threshold
 # forest walk (ProbAll chunks rows across goroutines) against binned trees,
 # presorted binning and the empty-bin-skipping split search against sort,
-# search and full scan, and forests whose trees grow on goroutines over one
-# shared presort against the former Train on hand-cut matrices.
+# search and full scan, forests whose trees grow on goroutines over one
+# shared presort against the former Train on hand-cut matrices, and the one
+# training round NewMonitor and Retrain share against a reference round
+# (forest and type-head bytes, CV cThld, predictor state, both predictors).
 oracle-race:
-	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestSVDPowerRoundMatchesLoop|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestTrainMatchesReference' ./internal/detectors ./internal/ml/tree ./internal/ml/forest
+	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestSVDPowerRoundMatchesLoop|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestTrainMatchesReference|TestTrainingRoundMatchesReference' ./internal/detectors ./internal/ml/tree ./internal/ml/forest ./internal/core
 
 # The JSON-lines data-directory upgrade on the real binaries: opprenticed
 # refuses the unmigrated fixture (exit 1, naming the files and the command),

@@ -86,8 +86,6 @@ func main() {
 		}
 		cfg.Models = models
 	}
-	eng := engine.New(cfg)
-	srv := service.NewServerWithEngine(eng, logger)
 	if *dataDir != "" {
 		logs, err := unmigratedLogs(*dataDir)
 		if err == nil && len(logs) > 0 {
@@ -98,20 +96,18 @@ func main() {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)
 		}
-		var storeOpts []tsdb.Option
-		if *walSeg > 0 {
-			storeOpts = append(storeOpts, tsdb.WithSegmentBytes(*walSeg))
-		}
-		if *walGC > 0 {
-			storeOpts = append(storeOpts, tsdb.WithGroupCommit(*walGC))
-		}
-		store, err := tsdb.Open(*dataDir, storeOpts...)
+		// Both options leave a non-positive flag at the store's default.
+		store, err := tsdb.Open(*dataDir, tsdb.WithSegmentBytes(*walSeg), tsdb.WithGroupCommit(*walGC))
 		if err != nil {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)
 		}
 		defer store.Close()
-		srv.SetStore(store)
+		cfg.Store = store
+	}
+	eng := engine.New(cfg)
+	srv := service.NewServerWithEngine(eng, logger)
+	if cfg.Store != nil {
 		start := time.Now()
 		restored, err := srv.Restore()
 		if err != nil {

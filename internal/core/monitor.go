@@ -99,18 +99,57 @@ type MonitorConfig struct {
 // detector instances end positioned after the last history point, so Step
 // continues the stream seamlessly.
 func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cfg MonitorConfig) (*Monitor, error) {
-	if err := checkTrainable(history, labels, cfg.TypeLabels); err != nil {
-		return nil, err
-	}
 	if cfg.Preference == (stats.Preference{}) {
 		cfg.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
 	}
 	if cfg.Folds <= 0 {
 		cfg.Folds = 5
 	}
-	feats, liveDets, err := ExtractIncremental(cfg.Cache, history, dets, ExtractConfig{})
+	m := &Monitor{fcfg: cfg.Forest, pref: cfg.Preference, onPanic: cfg.OnDetectorPanic}
+	if cfg.MinDuration > 1 {
+		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
+	}
+	err := m.train(history, labels, cfg.TypeLabels, dets, cfg.Cache, func(model *forest.Forest, ps *tree.Presorted) (Predictor, error) {
+		cthld := 0.5
+		if !cfg.SkipInitialCV {
+			cthld = CrossValidateCThld(ps, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
+		}
+		pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
+		pred.Seed(cthld)
+		if pred.Kind() == PredictEVT {
+			// Initial POT fit over held-out vote fractions: each half of the
+			// training window is scored by a forest trained on the other half.
+			// In-sample scores would not do — a forest scores its own normal
+			// training points near 0, understating the served score distribution
+			// and biasing the tail (and so the threshold) far too low.
+			pred.Refit(heldOutScores(model, ps, labels, cfg.Forest), labels)
+		}
+		return pred, nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// train is the one training body NewMonitor and Retrain share. m arrives
+// holding its tuning — forest configuration, preference, panic callback,
+// duration filter, and the type head to keep if this round trains none — and
+// train fills in the rest: it refuses untrainable history, extracts
+// (incrementally when cache is set), presorts the imputed columns once, fits
+// the verdict forest, builds the cThld predictor with predict — the only
+// step the two callers do differently — trains the type head when types are
+// given, and marks the configurations that panicked during extraction as
+// degraded.
+func (m *Monitor) train(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector,
+	cache *FeatureCache, predict func(model *forest.Forest, ps *tree.Presorted) (Predictor, error)) error {
+
+	if err := checkTrainable(history, labels, types); err != nil {
+		return err
+	}
+	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
+	if err != nil {
+		return err
 	}
 	// ImputedFull materializes no second matrix: without a cache the raw
 	// columns are imputed in place (this extraction is private to us); with
@@ -118,44 +157,22 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	// every fit of the round: the main forest, the cross-validation folds,
 	// EVT's held-out halves and the type heads.
 	ps := tree.Presort(feats.ImputedFull())
-	model := forest.TrainOn(ps, labels, 0, 0, cfg.Forest)
-
-	cthld := 0.5
-	if !cfg.SkipInitialCV {
-		cthld = CrossValidateCThld(ps, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
+	m.model = forest.TrainOn(ps, labels, 0, 0, m.fcfg)
+	if m.pred, err = predict(m.model, ps); err != nil {
+		return err
 	}
-	pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
-	pred.Seed(cthld)
-	if pred.Kind() == PredictEVT {
-		// Initial POT fit over held-out vote fractions: each half of the
-		// training window is scored by a forest trained on the other half.
-		// In-sample scores would not do — a forest scores its own normal
-		// training points near 0, understating the served score distribution
-		// and biasing the tail (and so the threshold) far too low.
-		pred.Refit(heldOutScores(model, ps, labels, cfg.Forest), labels)
-	}
-	m := &Monitor{
-		dets:    liveDets,
-		model:   model,
-		cthld:   pred.Predict(),
-		pred:    pred,
-		dynamic: pred.Kind() != PredictEWMA,
-		fcfg:    cfg.Forest,
-		pref:    cfg.Preference,
-		points:  history.Len(),
-		dead:    make([]bool, len(dets)),
-		onPanic: cfg.OnDetectorPanic,
-	}
-	if cfg.TypeLabels != nil {
-		m.typeModel = forest.TrainMulti(ps, cfg.TypeLabels, cfg.Forest)
-	}
-	if cfg.MinDuration > 1 {
-		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
+	m.cthld = m.pred.Predict()
+	m.dynamic = m.pred.Kind() != PredictEWMA
+	m.dets, m.points, m.dead = liveDets, history.Len(), make([]bool, len(liveDets))
+	if types != nil {
+		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
+			m.typeModel = tm
+		}
 	}
 	// Configurations that panicked during training extraction are the same
 	// live instances Step would call: mark them degraded up front.
 	m.markDegraded(feats.Degraded)
-	return m, nil
+	return nil
 }
 
 // checkTrainable refuses history no model can be trained on — mismatched
@@ -363,63 +380,37 @@ func (m *Monitor) DegradedDetectors() int {
 // same cache, must be serialized by the caller (the engine's per-series
 // train mutex does).
 func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
-	if err := checkTrainable(history, labels, types); err != nil {
-		return nil, err
-	}
-	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
-	if err != nil {
-		return nil, err
-	}
-	cols := feats.ImputedFull()
-	ps := tree.Presort(cols) // shared by the verdict forest and the type heads
-	model := forest.TrainOn(ps, labels, 0, 0, m.fcfg)
-
-	// Threshold update into a cloned predictor so the live monitor is
-	// untouched until the swap: the EVT clone re-fits its tail on the
-	// trailing week scored by the live (outgoing) model — out-of-sample
-	// vote fractions, the distribution served online; the incoming model's
-	// in-sample scores would sit near 0 on normal points and collapse the
-	// tail — while the EWMA clone observes the week's best cThld under the
-	// fresh model (anomaly-free weeks carry no cThld information and are
-	// skipped).
-	pred := m.pred.Clone()
-	ppw, err := history.PointsPerWeek()
-	if err != nil {
-		return nil, err
-	}
-	if m.dynamic {
-		lo := history.Len() - ppw
-		if lo < 0 {
-			lo = 0
-		}
-		pred.Refit(m.model.ProbAll(featsSlice(cols, lo, history.Len())), labels[lo:])
-	} else if lo := history.Len() - ppw; lo > 0 && bothClasses(labels[lo:]) {
-		scores := model.ProbAll(featsSlice(cols, lo, history.Len()))
-		best, _ := stats.BestByPCScore(stats.PRCurve(scores, labels[lo:]), m.pref)
-		pred.Observe(best.Threshold)
-	}
-	n := &Monitor{
-		dets:      liveDets,
-		model:     model,
-		cthld:     pred.Predict(),
-		pred:      pred,
-		dynamic:   m.dynamic,
-		typeModel: m.typeModel,
-		fcfg:      m.fcfg,
-		pref:      m.pref,
-		points:    history.Len(),
-		dead:      make([]bool, len(liveDets)),
-		onPanic:   m.onPanic,
-	}
-	if types != nil {
-		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
-			n.typeModel = tm
-		}
-	}
+	n := &Monitor{fcfg: m.fcfg, pref: m.pref, onPanic: m.onPanic, typeModel: m.typeModel}
 	if m.filter != nil {
 		n.filter = &DurationFilter{MinPoints: m.filter.MinPoints}
 	}
-	n.markDegraded(feats.Degraded)
+	err := n.train(history, labels, types, dets, cache, func(model *forest.Forest, ps *tree.Presorted) (Predictor, error) {
+		// Threshold update into a cloned predictor so the live monitor is
+		// untouched until the swap: the EVT clone re-fits its tail on the
+		// trailing week scored by the live (outgoing) model — out-of-sample
+		// vote fractions, the distribution served online; the incoming model's
+		// in-sample scores would sit near 0 on normal points and collapse the
+		// tail — while the EWMA clone observes the week's best cThld under the
+		// fresh model (anomaly-free weeks carry no cThld information and are
+		// skipped).
+		pred := m.pred.Clone()
+		ppw, err := history.PointsPerWeek()
+		if err != nil {
+			return nil, err
+		}
+		if m.dynamic {
+			lo := max(history.Len()-ppw, 0)
+			pred.Refit(m.model.ProbAll(featsSlice(ps.Cols(), lo, history.Len())), labels[lo:])
+		} else if lo := history.Len() - ppw; lo > 0 && bothClasses(labels[lo:]) {
+			scores := model.ProbAll(featsSlice(ps.Cols(), lo, history.Len()))
+			best, _ := stats.BestByPCScore(stats.PRCurve(scores, labels[lo:]), m.pref)
+			pred.Observe(best.Threshold)
+		}
+		return pred, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 

@@ -138,9 +138,8 @@ func TestAppendBulkTimestampedBatchAppliesPrefix(t *testing.T) {
 // starts the next round. (The default admission budget stops such a group
 // per shard first; an operator may lift it.)
 func TestAppendBulkRunsStayUnderWALBuffer(t *testing.T) {
-	e := bulkEngine(t, Config{IngestInflight: -1})
 	store := &flakyStore{}
-	e.SetStore(store)
+	e := bulkEngine(t, Config{IngestInflight: -1, Store: store})
 	if err := e.Create("a", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,9 @@ type Config struct {
 	Registry func(time.Duration) ([]detectors.Detector, error)
 	// Notify tunes the per-series async webhook delivery pipelines.
 	Notify alerting.PipelineConfig
-	// Store, when non-nil, makes the engine durable (see SetStore).
+	// Store, when non-nil, makes the engine durable: every create/points/
+	// labels mutation is appended to the store's per-series write-ahead log,
+	// and Restore reloads existing logs.
 	Store Store
 	// RetrainWorkers is the number of background training workers shared by
 	// all series (default 2).
@@ -147,9 +149,9 @@ type Config struct {
 	// invalidated wholesale and that series retrains cold. Negative disables
 	// caching entirely.
 	ExtractCacheMB int
-	// Models, when non-nil, is the model-artifact registry (see SetModels):
-	// trained models are published to it asynchronously and Restore prefers
-	// warm starts from its artifacts over cold retraining.
+	// Models, when non-nil, is the model-artifact registry: trained models
+	// are published to it asynchronously and Restore prefers warm starts from
+	// its artifacts over cold retraining.
 	Models *modelreg.Registry
 	// RestoreWorkers bounds the parallelism of Restore's per-series pass
 	// (default min(8, GOMAXPROCS)).
@@ -501,29 +503,6 @@ func (e *Engine) lookup(name string) (*managed, error) {
 	return m, nil
 }
 
-// SetStore makes the engine durable: every create/points/labels mutation is
-// appended to the store's per-series write-ahead log. Call Restore after it
-// to reload existing logs. Must be called before traffic.
-func (e *Engine) SetStore(store Store) { e.store = store }
-
-// SetDetectorRegistry replaces the detector-set factory used by training.
-// Intended for tests and fault injection; call it before any series is
-// trained.
-func (e *Engine) SetDetectorRegistry(fn func(time.Duration) ([]detectors.Detector, error)) {
-	if fn != nil {
-		e.registry = fn
-	}
-}
-
-// SetNotifyConfig tunes the asynchronous webhook delivery pipelines created
-// for series from then on. Call it before creating or restoring series.
-func (e *Engine) SetNotifyConfig(cfg alerting.PipelineConfig) {
-	if cfg.Log == nil {
-		cfg.Log = e.log
-	}
-	e.notifyCfg = cfg
-}
-
 // SeriesConfig describes a series to create.
 type SeriesConfig struct {
 	// IntervalSeconds is the sampling interval; it must divide a day.
@@ -574,20 +553,18 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 	if cfg.EVTQ < 0 || cfg.EVTQ >= 1 {
 		return invalidf("evt q %g out of range (0, 1)", cfg.EVTQ)
 	}
-	m := &managed{
-		name:         name,
-		series:       timeseries.New(name, cfg.Start.UTC(), interval),
-		pref:         pref,
-		trees:        trees,
-		predKind:     predKind,
-		evtQ:         cfg.EVTQ,
-		retrainEvery: cfg.RetrainEvery,
-		alarms:       alarmRing{max: e.maxAlarms},
+	meta := tsdb.Meta{
+		Name:            name,
+		Start:           cfg.Start.UTC(),
+		IntervalSeconds: cfg.IntervalSeconds,
+		Recall:          pref.Recall,
+		Precision:       pref.Precision,
+		Trees:           trees,
+		WebhookURL:      cfg.WebhookURL,
+		RetrainEvery:    cfg.RetrainEvery,
+		Predictor:       uint8(predKind),
+		EVTQ:            cfg.EVTQ,
 	}
-	if e.cacheBudget != nil {
-		m.featCache = core.NewFeatureCache(e.cacheBudget)
-	}
-	e.attachActive(m)
 	sh := e.shardFor(name)
 	sh.createMu.Lock()
 	defer sh.createMu.Unlock()
@@ -601,24 +578,11 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 		// The meta record is durable before the series is published, so it
 		// precedes any points in the log and a creation that cannot reach
 		// disk fails synchronously, leaving nothing registered.
-		if err := e.createSeries(tsdb.Meta{
-			Name:            name,
-			Start:           cfg.Start.UTC(),
-			IntervalSeconds: cfg.IntervalSeconds,
-			Recall:          pref.Recall,
-			Precision:       pref.Precision,
-			Trees:           trees,
-			WebhookURL:      cfg.WebhookURL,
-			RetrainEvery:    cfg.RetrainEvery,
-			Predictor:       uint8(predKind),
-			EVTQ:            cfg.EVTQ,
-		}); err != nil {
+		if err := e.createSeries(meta); err != nil {
 			return err
 		}
 	}
-	if cfg.WebhookURL != "" {
-		e.attachIncident(m, cfg.WebhookURL)
-	}
+	m := e.newManaged(meta)
 	sh.mu.Lock()
 	sh.series[name] = m
 	sh.mu.Unlock()
@@ -626,25 +590,38 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 	return nil
 }
 
-// attachActive builds the series' active-learning state from the engine
-// template, defaulting the drift histogram window to one day of the series'
-// points so the statistic compares like-for-like across sampling intervals.
-func (e *Engine) attachActive(m *managed) {
-	cfg := e.activeCfg
-	if cfg.DriftWindow == 0 {
+// newManaged builds an empty series from its meta record — the one builder
+// Create and restoreOne share — with its feature cache, its active-learning
+// state (the drift histogram window defaults to one day of the series'
+// points, so the statistic compares like-for-like across sampling
+// intervals) and, for a webhook URL, an incident manager whose notifier is
+// an asynchronous retrying pipeline, so webhook trouble never blocks ingest.
+func (e *Engine) newManaged(meta tsdb.Meta) *managed {
+	m := &managed{
+		name:         meta.Name,
+		series:       timeseries.New(meta.Name, meta.Start.UTC(), time.Duration(meta.IntervalSeconds)*time.Second),
+		pref:         stats.Preference{Recall: meta.Recall, Precision: meta.Precision},
+		trees:        meta.Trees,
+		predKind:     core.PredictorKind(meta.Predictor),
+		evtQ:         meta.EVTQ,
+		retrainEvery: meta.RetrainEvery,
+		alarms:       alarmRing{max: e.maxAlarms},
+	}
+	if e.cacheBudget != nil {
+		m.featCache = core.NewFeatureCache(e.cacheBudget)
+	}
+	acfg := e.activeCfg
+	if acfg.DriftWindow == 0 {
 		if ppd, err := m.series.PointsPerDay(); err == nil {
-			cfg.DriftWindow = ppd
+			acfg.DriftWindow = ppd
 		}
 	}
-	m.active = active.NewState(cfg)
-}
-
-// attachIncident wires a webhook URL to an incident manager whose notifier
-// is an asynchronous retrying pipeline, so webhook trouble never blocks
-// ingest.
-func (e *Engine) attachIncident(m *managed, webhookURL string) {
-	m.pipeline = alerting.NewPipeline(e.notifier(m.name, webhookURL), e.notifyCfg)
-	m.incident = &alerting.Manager{Series: m.name, Notifier: m.pipeline}
+	m.active = active.NewState(acfg)
+	if meta.WebhookURL != "" {
+		m.pipeline = alerting.NewPipeline(e.notifier(m.name, meta.WebhookURL), e.notifyCfg)
+		m.incident = &alerting.Manager{Series: m.name, Notifier: m.pipeline}
+	}
+	return m
 }
 
 // all returns every managed series sorted by name: the one walk over the
@@ -879,9 +856,14 @@ func (e *Engine) Restore(ctx context.Context) (int, error) {
 	return int(restored.Load()), aborted
 }
 
-// restoreOne rebuilds one series from its log, walks the warm→cold→data-only
-// ladder, and registers the series in its shard. It reports whether the
-// series was restored (false only when the log itself is unreadable).
+// restoreOne rebuilds one series from its log (newManaged, the builder
+// Create uses, then the log's points and labels), walks the
+// warm→cold→data-only ladder on it before any shard publishes it — the warm
+// rung loads the published model (warmRestore), the cold rung runs the same
+// training round as Train, and both put the monitor in service through
+// managed.install — and registers the series in its shard. It reports
+// whether the series was restored (false only when the log itself is
+// unreadable).
 func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 	loaded, err := e.store.Load(name)
 	if err != nil {
@@ -897,26 +879,10 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 		return false
 	}
 	meta := loaded.Meta
-	m := &managed{
-		name:         meta.Name,
-		series:       timeseries.New(meta.Name, meta.Start.UTC(), time.Duration(meta.IntervalSeconds)*time.Second),
-		pref:         stats.Preference{Recall: meta.Recall, Precision: meta.Precision},
-		trees:        meta.Trees,
-		predKind:     core.PredictorKind(meta.Predictor),
-		evtQ:         meta.EVTQ,
-		retrainEvery: meta.RetrainEvery,
-		alarms:       alarmRing{max: e.maxAlarms},
-	}
-	if e.cacheBudget != nil {
-		m.featCache = core.NewFeatureCache(e.cacheBudget)
-	}
-	e.attachActive(m)
+	m := e.newManaged(meta)
 	m.series.Values = loaded.Values
 	m.labels = timeseries.Labels(loaded.Labels)
 	m.typed = loaded.Types
-	if meta.WebhookURL != "" {
-		e.attachIncident(m, meta.WebhookURL)
-	}
 
 	warm := false
 	if e.models != nil {

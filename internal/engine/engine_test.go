@@ -177,9 +177,9 @@ func (f *flakyStore) Quarantine(string) (string, error) { return "", fmt.Errorf(
 // failing store must not reject the append (points stay live in memory), but
 // the result reports Persisted=false and the engine counts the failure.
 func TestWALAppendFailureSurfaced(t *testing.T) {
-	e := newTestEngine(t)
 	store := &flakyStore{}
-	e.SetStore(store)
+	e := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Store: store})
+	t.Cleanup(e.Close)
 	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,24 +19,22 @@ import (
 //
 //	warm  load the newest valid artifact, verify its CRC (registry) and
 //	      deployment fingerprint (core.LoadMonitor), re-warm detectors from
-//	      trailing history — no training.
+//	      trailing history — no training (warmRestore).
 //	cold  anything on the warm rung failed (no artifact, corrupt, version or
-//	      fingerprint skew): synchronously retrain from the WAL like before
-//	      the registry existed. Only this series pays; its neighbors still
-//	      restore warm.
+//	      fingerprint skew): synchronously run the same training round as
+//	      Train over the WAL's history. Only this series pays; its
+//	      neighbors still restore warm.
 //	data  the series is not trainable either (no labels yet): restore the
 //	      data and let the operator train later.
+//
+// Every rung that produces a monitor, and a rollback's hot swap, puts it in
+// service through managed.install, the routine a training round uses.
 
 // warmWeeks is how much trailing history detectors replay when a monitor is
 // restored from an artifact. The longest warm-up in the default detector
 // registry is 5 weeks (weekly diffs over a 4-week window), so 6 gives one
 // full week of settled state beyond it.
 const warmWeeks = 6
-
-// SetModels attaches a model registry: every successful training round is
-// then published asynchronously, and Restore prefers warm starts from
-// published artifacts. Call it before Restore and before traffic.
-func (e *Engine) SetModels(r *modelreg.Registry) { e.models = r }
 
 // schedulePublish arms one asynchronous artifact publication for m. Like
 // scheduleRetrain it is a CAS plus a non-blocking send; a drop is harmless
@@ -98,7 +96,7 @@ func (e *Engine) publishNow(m *managed) (bool, error) {
 	// training: a registry wedged on bad storage cannot pin the publish
 	// worker forever, and a panic in serialization is recovered and counted.
 	var g modelreg.Generation
-	err := e.supervise("model publish", m.name, func() error {
+	err := e.supervise(context.Background(), "model publish", m.name, func() error {
 		var buf bytes.Buffer
 		if err := mon.SaveModel(&buf); err != nil {
 			return err
@@ -228,16 +226,18 @@ func (e *Engine) loadMonitorFromArtifact(m *managed, snap *timeseries.Series) (*
 	return mon, set, nil
 }
 
-// warmRestore is the warm rung of the restore ladder for a series not yet
-// registered in any shard (Restore builds m privately, so no locks are
-// needed). On success m serves the published model with its detectors warmed
-// to the stream head.
+// warmRestore is the warm rung of the restore ladder for a series no shard
+// has published yet (Restore builds m privately, so no locks are needed): it
+// loads the published model against m's own history — no copy of it — and
+// installs it with nothing to replay. The artifact's point count stays the
+// retrain watermark, so the auto-retrain trigger counts from where the model
+// was trained.
 func (e *Engine) warmRestore(m *managed) error {
 	mon, art, err := e.loadMonitorFromArtifact(m, m.series)
 	if err != nil {
 		return err
 	}
-	m.monitor = mon
+	m.install(mon, m.series.Len())
 	m.trained = art.TrainedAt
 	m.pointsAtTrain = art.Points
 	m.publishedAt = art.TrainedAt
@@ -245,9 +245,9 @@ func (e *Engine) warmRestore(m *managed) error {
 }
 
 // warmSwap hot-swaps a live series' monitor to the registry's current
-// generation, following the retrain-swap protocol (snapshot under mu, load
-// off-lock, replay mid-load points and swap under mu). RollbackModel uses it
-// so a rollback takes effect without a restart.
+// generation like a training round does (snapshot under mu, load off-lock,
+// install under mu). RollbackModel uses it so a rollback takes effect
+// without a restart.
 func (e *Engine) warmSwap(m *managed) error {
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
@@ -262,23 +262,14 @@ func (e *Engine) warmSwap(m *managed) error {
 	}
 
 	m.mu.Lock()
-	m.vbatch = mon.StepBatch(m.series.Values[snap.Len():], m.vbatch[:0])
-	m.monitor = mon
+	m.install(mon, snap.Len())
 	m.trained = art.TrainedAt
-	// Like the retrain swap, the replay covered everything appended so far,
-	// including values parked while degraded.
-	m.pending = m.pending[:0]
 	// The swapped-in model is deliberately old: pin pointsAtTrain to the
 	// stream head so the auto-retrain trigger counts from now instead of
 	// immediately republishing over the rollback, and mark it published so
 	// Close's sweep does not re-publish generation N-1 as generation N+1.
 	m.pointsAtTrain = m.series.Len()
 	m.publishedAt = art.TrainedAt
-	if m.active != nil {
-		// The monitor changed hands: queries and drift reference belong to
-		// the outgoing generation.
-		m.active.Reset()
-	}
 	m.mu.Unlock()
 	return nil
 }

@@ -13,10 +13,10 @@ import (
 // This file is the engine's overload and stall machinery: per-shard
 // admission control, the durable-write hand-off to the store whose deadline
 // misses flip a series into degraded mode, the threshold-only scorer that
-// serves verdicts while degraded, and the hysteresis that recovers out of
-// it. The training watchdog lives in train.go; together they give the
-// engine a defined answer to "what happens when it can't keep up" instead
-// of an unbounded stall.
+// serves verdicts while degraded, the hysteresis that recovers out of it,
+// and the watchdog training and publish rounds run under. Together they
+// give the engine a defined answer to "what happens when it can't keep up"
+// instead of an unbounded stall.
 
 // SetWALDeadline retunes the durable-write budget at runtime (0 disables).
 func (e *Engine) SetWALDeadline(d time.Duration) { e.walDeadline.Store(int64(d)) }
@@ -25,13 +25,20 @@ func (e *Engine) SetWALDeadline(d time.Duration) { e.walDeadline.Store(int64(d))
 // (0 disables).
 func (e *Engine) SetTrainDeadline(d time.Duration) { e.trainDeadline.Store(int64(d)) }
 
-// supervise runs fn on its own goroutine under the training-watchdog
-// deadline: a panic is recovered and counted instead of crashing the
-// engine, and a run that outlives the deadline is abandoned with an
+// supervise is the watchdog every training and publish round runs under: fn
+// runs on its own goroutine, where a panic is recovered and counted instead
+// of crashing the engine — with or without a deadline — and returned as an
+// error. The wait ends at the earlier of the training deadline and ctx's; a
+// run that outlives it, or whose ctx is cancelled, is abandoned with an
 // ErrStalled-wrapped error (the goroutine finishes in the background; its
-// buffered channel means it never leaks).
-func (e *Engine) supervise(op, series string, fn func() error) error {
+// buffered channel means it never leaks). Any other error is fn's own.
+func (e *Engine) supervise(ctx context.Context, op, series string, fn func() error) error {
 	deadline := time.Duration(e.trainDeadline.Load())
+	if dl, ok := ctx.Deadline(); ok {
+		if rem := time.Until(dl); deadline <= 0 || rem < deadline {
+			deadline = rem
+		}
+	}
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -42,18 +49,20 @@ func (e *Engine) supervise(op, series string, fn func() error) error {
 		}()
 		done <- fn()
 	}()
-	if deadline <= 0 {
-		return <-done
+	var timer <-chan time.Time
+	if deadline > 0 {
+		t := time.NewTimer(deadline)
+		defer t.Stop()
+		timer = t.C
 	}
-	t := time.NewTimer(deadline)
-	defer t.Stop()
 	select {
 	case err := <-done:
 		return err
-	case <-t.C:
-		e.met.TrainStalls.Add(1)
-		return stalledf("%s for %q exceeded its %v deadline", op, series, deadline)
+	case <-timer:
+	case <-ctx.Done():
 	}
+	e.met.TrainStalls.Add(1)
+	return stalledf("%s for %q exceeded its %v deadline", op, series, deadline)
 }
 
 // admitToken is a reservation against one shard's in-flight budget. It is a

@@ -8,9 +8,13 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"opprentice/internal/alerting"
+	"opprentice/internal/detectors"
+	"opprentice/internal/faultinject"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/tsdb"
 )
@@ -347,21 +351,190 @@ func (s *failOnceStore) Submit(ctx context.Context, rec tsdb.Record, done func(e
 // TestFailedCreateLeavesNothingRegistered is the regression test for the
 // zombie-series bug: a Create whose meta record cannot be written must not
 // leave the series registered, so the retry succeeds instead of colliding
-// with a series that has no meta record in the log.
+// with a series that has no meta record in the log. Nor does it start the
+// series' webhook pipeline.
 func TestFailedCreateLeavesNothingRegistered(t *testing.T) {
-	e := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Store: &failOnceStore{}})
+	var notifiers atomic.Int32
+	e := New(Config{
+		Log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Store: &failOnceStore{},
+		Notifier: func(string, string) alerting.Notifier {
+			notifiers.Add(1)
+			return &faultinject.FlakyNotifier{}
+		},
+	})
 	t.Cleanup(e.Close)
-	cfg := SeriesConfig{IntervalSeconds: 60, Start: testStart}
+	cfg := SeriesConfig{IntervalSeconds: 60, Start: testStart, WebhookURL: "http://hook.invalid"}
 	if err := e.Create("pv", cfg); err == nil {
 		t.Fatal("Create succeeded although the meta record failed")
 	}
 	if _, err := e.Status(context.Background(), "pv"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Status after failed Create: %v, want ErrNotFound", err)
 	}
+	if n := notifiers.Load(); n != 0 {
+		t.Fatalf("failed Create built %d notifier pipelines, want 0", n)
+	}
 	if err := e.Create("pv", cfg); err != nil {
 		t.Fatalf("retried Create: %v", err)
 	}
 	if _, err := e.Status(context.Background(), "pv"); err != nil {
 		t.Fatalf("Status after retried Create: %v", err)
+	}
+	if n := notifiers.Load(); n != 1 {
+		t.Fatalf("retried Create built %d notifier pipelines, want 1", n)
+	}
+}
+
+// panickingName is a detector whose Name panics. A training round reads every
+// configuration's name outside the per-configuration step sandbox, so the
+// panic reaches the training watchdog.
+type panickingName struct{ detectors.Detector }
+
+func (panickingName) Name() string { panic("faultinject: Name panicked") }
+
+// noEscape runs f and turns a panic that escapes it into a test failure
+// rather than a crashed test binary.
+func noEscape(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic escaped the training watchdog: %v", r)
+		}
+	}()
+	f()
+}
+
+// TestFaultTrainPanicRecovered: a panic inside the fit is recovered by the
+// watchdog whether or not a training deadline is set. Train rejects the
+// round and counts the panic, the old monitor keeps serving verdicts, and an
+// automatic round that hits the same panic leaves the engine running.
+func TestFaultTrainPanicRecovered(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+	}{{"default deadline", 0}, {"watchdog off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			e, rest, _ := trainableSeriesCfg(t, 9, Config{
+				TrainDeadline: tc.deadline,
+				Registry: func(iv time.Duration) ([]detectors.Detector, error) {
+					ds, err := detectors.Registry(iv)
+					if err == nil && armed.Load() {
+						ds = append(ds, panickingName{ds[0]})
+					}
+					return ds, err
+				},
+			})
+			m, err := e.lookup("pv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.mu.Lock()
+			live := m.monitor
+			m.mu.Unlock()
+			armed.Store(true)
+
+			noEscape(t, func() { _, err = e.Train(context.Background(), "pv") })
+			if !errors.Is(err, ErrRejected) {
+				t.Fatalf("Train with a panicking fit: %v, want ErrRejected", err)
+			}
+			if got := e.Counters().WorkerPanics; got != 1 {
+				t.Fatalf("WorkerPanics = %d, want 1", got)
+			}
+			res, err := e.Append(context.Background(), "pv", []Point{{Value: rest[0]}}, nil)
+			if err != nil || len(res.Verdicts) != 1 || res.Verdicts[0].Degraded {
+				t.Fatalf("append after the panicked round: %+v, %v; want one trained verdict", res, err)
+			}
+
+			noEscape(t, func() { e.autoRetrain(m) })
+			if got := e.Counters().WorkerPanics; got != 2 {
+				t.Fatalf("WorkerPanics after the automatic round = %d, want 2", got)
+			}
+			if got := m.trainFails.Load(); got != 1 {
+				t.Fatalf("consecutive failures = %d, want 1", got)
+			}
+			m.mu.Lock()
+			same := m.monitor == live
+			m.mu.Unlock()
+			if !same {
+				t.Fatal("a panicked round swapped the monitor")
+			}
+		})
+	}
+}
+
+// TestFaultTrainStallReleasesCache: a round the watchdog abandons hands the
+// series a fresh feature cache at once, while the abandoned fit keeps the
+// old one until it returns; then the old cache is invalidated and its budget
+// share given back, and the series retrains cold on the fresh cache.
+func TestFaultTrainStallReleasesCache(t *testing.T) {
+	gate := &faultinject.StallGate{}
+	e, rest, _ := trainableSeriesCfg(t, 9, Config{
+		Registry: func(iv time.Duration) ([]detectors.Detector, error) {
+			ds, err := detectors.Registry(iv)
+			return append(ds, &faultinject.StallingDetector{Gate: gate}), err
+		},
+	})
+	m, err := e.lookup("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points for the next round to extract, appended while the gate is open:
+	// the live monitor steps the stalling configuration too.
+	pts := make([]Point, 24)
+	for i := range pts {
+		pts[i] = Point{Value: rest[i]}
+	}
+	if _, err := e.Append(context.Background(), "pv", pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	c0 := e.Counters()
+	if c0.ExtractCacheBytes == 0 {
+		t.Fatal("first training cached nothing")
+	}
+	old := m.featCache
+
+	gate.Arm()
+	t.Cleanup(gate.Release)
+	e.SetTrainDeadline(50 * time.Millisecond)
+	if _, err := e.Train(context.Background(), "pv"); !errors.Is(err, ErrStalled) {
+		t.Fatalf("Train with a wedged fit: %v, want ErrStalled", err)
+	}
+	fresh := m.featCache
+	if fresh == old || fresh.Len() != 0 {
+		t.Fatal("the stalled round did not hand the series a fresh, empty cache")
+	}
+	if c := e.Counters(); c.ExtractCacheInvalidated != c0.ExtractCacheInvalidated {
+		t.Fatal("the old cache was invalidated while the abandoned fit still extracts into it")
+	}
+
+	gate.Release()
+	for wait := time.Now().Add(30 * time.Second); e.Counters().ExtractCacheInvalidated == c0.ExtractCacheInvalidated; {
+		if time.Now().After(wait) {
+			t.Fatal("the old cache was never invalidated after the abandoned fit returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c := e.Counters()
+	if c.ExtractCacheInvalidated != c0.ExtractCacheInvalidated+1 {
+		t.Fatalf("invalidations %d -> %d, want +1", c0.ExtractCacheInvalidated, c.ExtractCacheInvalidated)
+	}
+	if c.ExtractCacheBytes != fresh.Bytes() {
+		t.Fatalf("cache budget holds %d bytes, the live cache %d", c.ExtractCacheBytes, fresh.Bytes())
+	}
+	if c.TrainStalls != 1 {
+		t.Fatalf("TrainStalls = %d, want 1", c.TrainStalls)
+	}
+
+	e.SetTrainDeadline(5 * time.Minute)
+	if _, err := e.Train(context.Background(), "pv"); err != nil {
+		t.Fatalf("Train after the stall: %v", err)
+	}
+	c2 := e.Counters()
+	if m.featCache != fresh || c2.ExtractPointsCold <= c.ExtractPointsCold {
+		t.Fatal("the round after the stall did not extract cold into the fresh cache")
+	}
+	if c2.ExtractCacheBytes == 0 || c2.ExtractCacheBytes != fresh.Bytes() {
+		t.Fatalf("cache budget holds %d bytes, the live cache %d", c2.ExtractCacheBytes, fresh.Bytes())
 	}
 }

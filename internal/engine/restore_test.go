@@ -366,10 +366,10 @@ func TestPublishAsyncAfterTrain(t *testing.T) {
 			}
 		},
 	}})
+	// Attached after the first Train, so flush publishes it now.
 	models := openModels(t, "")
-	e.SetModels(models)
+	e.models = models
 
-	// The first Train predates SetModels, so flush publishes it now.
 	if n := e.PublishModels(); n != 1 {
 		t.Fatalf("PublishModels flushed %d artifacts, want 1", n)
 	}
@@ -413,7 +413,7 @@ func TestPublishAsyncAfterTrain(t *testing.T) {
 func TestRollbackModelLiveSwap(t *testing.T) {
 	e, _, _ := trainableSeries(t, 9)
 	models := openModels(t, "")
-	e.SetModels(models)
+	e.models = models // after the first Train: the flush below publishes it
 	if n := e.PublishModels(); n != 1 {
 		t.Fatalf("flush published %d, want 1", n)
 	}

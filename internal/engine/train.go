@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"opprentice/internal/core"
-	"opprentice/internal/detectors"
 	"opprentice/internal/ml/forest"
-	"opprentice/internal/timeseries"
 )
 
 // TrainResult reports one completed training round.
@@ -42,19 +40,15 @@ func (e *Engine) Train(ctx context.Context, name string) (TrainResult, error) {
 //  1. Under m.mu: clone the series and labels (cheap memcpy) and note the
 //     live monitor. Release m.mu — ingest continues against the live
 //     monitor throughout the expensive part.
-//  2. Off-lock: fit a replacement monitor, supervised by the training
-//     watchdog (see fitSupervised). First-ever training builds it with
-//     core.NewMonitor (cross-validated initial cThld); afterwards
-//     Monitor.Retrain carries the cThld predictor's state forward without
-//     touching the live monitor.
-//  3. Under m.mu again: replay the points appended since the snapshot
-//     through the new monitor — their client-facing verdicts were already
-//     issued by the old monitor, so replay verdicts are discarded; the
-//     replay only advances detector and duration-filter state to the stream
-//     head — then swap the monitor pointer. Every point thus receives
-//     exactly one verdict across the swap. The replay covers any values
-//     parked in the degraded-mode pending buffer too (they are ordinary
-//     series values by now), so pending is cleared at the swap.
+//  2. Off-lock: fit a replacement monitor under the watchdog (supervise).
+//     First-ever training builds it with core.NewMonitor (cross-validated
+//     initial cThld); afterwards Monitor.Retrain carries the cThld
+//     predictor's state forward without touching the live monitor. A fit
+//     error or panic rejects the round; a fit the watchdog abandons is
+//     detached from the series' feature cache (see below).
+//  3. Under m.mu again: install the new monitor, replaying the points
+//     appended since the snapshot (see managed.install). Every point thus
+//     receives exactly one verdict across the swap.
 //
 // m.trainMu serializes rounds so two trains cannot interleave their swaps.
 // On any error the live monitor is left untouched.
@@ -92,23 +86,54 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	if err != nil {
 		return TrainResult{}, rejected(err)
 	}
-	next, err := e.fitSupervised(ctx, m, snap, labels, typed, cur, dets)
-	if err != nil {
+	// The fit and the watchdog meet at a two-party rendezvous over the
+	// series' feature cache: whichever of "fit returned" and "watchdog gave
+	// up" comes second invalidates it. A fit that returns in time counts
+	// once and leaves the cache alone; an abandoned one keeps extending the
+	// old cache, which is handed back to the budget — and can never feed a
+	// later round — only once the zombie is done with it.
+	cache := m.featCache // stable: we hold m.trainMu
+	var handoff atomic.Int32
+	meet := func() {
+		if handoff.Add(1) == 2 && cache != nil {
+			cache.Invalidate()
+		}
+	}
+	var next *core.Monitor
+	err = e.supervise(ctx, "training round", m.name, func() error {
+		defer meet()
+		var err error
+		if cur == nil {
+			next, err = core.NewMonitor(snap, labels, dets, core.MonitorConfig{
+				Preference:      m.pref,
+				Forest:          forest.Config{Trees: m.trees, Seed: 1},
+				Predictor:       m.predKind,
+				EVTQ:            m.evtQ,
+				TypeLabels:      typed,
+				OnDetectorPanic: e.panicHook(m.name),
+				Cache:           cache,
+			})
+		} else {
+			next, err = cur.Retrain(snap, labels, typed, dets, cache)
+		}
+		return err
+	})
+	if errors.Is(err, ErrStalled) {
+		if cache != nil {
+			m.featCache = core.NewFeatureCache(e.cacheBudget) // the next round extracts cold
+		}
+		meet()
 		return TrainResult{}, err
 	}
+	if err != nil {
+		return TrainResult{}, rejected(err)
+	}
 
-	// 3. Replay and swap.
+	// 3. Install.
 	m.mu.Lock()
-	m.vbatch = next.StepBatch(m.series.Values[snap.Len():], m.vbatch[:0])
-	m.monitor = next
+	m.install(next, snap.Len())
 	m.trained = time.Now().UTC()
 	m.pointsAtTrain = m.series.Len()
-	m.pending = m.pending[:0]
-	if m.active != nil {
-		// New model generation: pending queries were scored by the outgoing
-		// monitor and the drift detector needs a fresh reference.
-		m.active.Reset()
-	}
 	res = TrainResult{TrainedAt: m.trained, CThld: next.CThld(), Points: m.series.Len()}
 	m.mu.Unlock()
 
@@ -126,90 +151,25 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	return res, nil
 }
 
-// fitSupervised runs the expensive fit under the training watchdog: the
-// fit executes on its own goroutine (panics recovered and counted, never
-// crashing the engine) while this one waits out the effective deadline —
-// the smaller of the engine's training deadline and ctx's. On a miss the
-// round is abandoned with an ErrStalled-wrapped error and the zombie fit
-// is detached: the series gets a fresh feature cache immediately (the next
-// round extracts cold), and the old cache is invalidated once the zombie
-// finishes so its budget is returned and its result can never be swapped
-// in. Caller holds m.trainMu, so m.featCache is stable here.
-func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries.Series,
-	labels timeseries.Labels, typed []uint8, cur *core.Monitor, dets []detectors.Detector) (*core.Monitor, error) {
-
-	deadline := time.Duration(e.trainDeadline.Load())
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); deadline <= 0 || rem < deadline {
-			deadline = rem
-		}
+// install puts mon in service — the one place a series' monitor changes
+// hands, for a training round, a rollback and a warm restore alike. The
+// caller holds m.mu (or owns a series no shard has published yet) and sets
+// its own trained-at, published-at and retrain-watermark fields afterwards.
+// The values appended since the history mon was built or loaded against,
+// m.series.Values[from:], are replayed through it: their client-facing
+// verdicts were already issued by the outgoing monitor, so the replay's are
+// discarded — it only advances detector and duration-filter state to the
+// stream head. The replay covers values parked in the degraded-mode pending
+// buffer too (they are ordinary series values by now), so pending is
+// cleared; pending label queries and the drift reference belong to the
+// outgoing generation, so the active-learning state is reset.
+func (m *managed) install(mon *core.Monitor, from int) {
+	m.vbatch = mon.StepBatch(m.series.Values[from:], m.vbatch[:0])
+	m.monitor = mon
+	m.pending = m.pending[:0]
+	if m.active != nil {
+		m.active.Reset()
 	}
-	cache := m.featCache
-	fit := func() (*core.Monitor, error) {
-		if cur == nil {
-			cfg := core.MonitorConfig{
-				Preference:      m.pref,
-				Forest:          forest.Config{Trees: m.trees, Seed: 1},
-				Predictor:       m.predKind,
-				EVTQ:            m.evtQ,
-				TypeLabels:      typed,
-				OnDetectorPanic: e.panicHook(m.name),
-				Cache:           cache,
-			}
-			return core.NewMonitor(snap, labels, dets, cfg)
-		}
-		return cur.Retrain(snap, labels, typed, dets, cache)
-	}
-	if deadline <= 0 && ctx.Done() == nil {
-		// Watchdog disabled and nothing to cancel on: fit inline.
-		next, err := fit()
-		if err != nil {
-			return nil, rejected(err)
-		}
-		return next, nil
-	}
-
-	type fitResult struct {
-		mon *core.Monitor
-		err error
-	}
-	done := make(chan fitResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.met.WorkerPanics.Add(1)
-				done <- fitResult{err: fmt.Errorf("training panicked: %v", r)}
-			}
-		}()
-		mon, err := fit()
-		done <- fitResult{mon, err}
-	}()
-	var timer <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, rejected(r.err)
-		}
-		return r.mon, nil
-	case <-timer:
-	case <-ctx.Done():
-	}
-	e.met.TrainStalls.Add(1)
-	if cache != nil {
-		m.featCache = core.NewFeatureCache(e.cacheBudget)
-		go func() {
-			<-done
-			cache.Invalidate()
-		}()
-	} else {
-		go func() { <-done }()
-	}
-	return nil, stalledf("training round for %q exceeded its %v deadline", m.name, deadline)
 }
 
 // VerifyFeatureCache cross-checks the named series' incremental

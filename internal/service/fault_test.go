@@ -24,6 +24,7 @@ import (
 
 	"opprentice/internal/alerting"
 	"opprentice/internal/detectors"
+	"opprentice/internal/engine"
 	"opprentice/internal/faultinject"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/tsdb"
@@ -98,8 +99,7 @@ func TestFaultRestoreQuarantinesCorruptLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := NewServer(discardLogger())
-	s1.SetStore(store)
+	s1 := NewServerWithEngine(engine.New(engine.Config{Log: discardLogger(), Store: store}), discardLogger())
 	ts1 := httptest.NewServer(s1.Handler())
 	for _, name := range []string{"a", "b", "c"} {
 		createSeries(t, ts1, name, 3600)
@@ -124,8 +124,7 @@ func TestFaultRestoreQuarantinesCorruptLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	s2 := NewServer(discardLogger())
-	s2.SetStore(store2)
+	s2 := NewServerWithEngine(engine.New(engine.Config{Log: discardLogger(), Store: store2}), discardLogger())
 	restored, err := s2.Restore()
 	if err != nil {
 		t.Fatalf("Restore must survive one corrupt log: %v", err)
@@ -166,14 +165,16 @@ func TestFaultRestoreQuarantinesCorruptLog(t *testing.T) {
 // trains, still answers every /points request with a verdict, and surfaces
 // the sandboxed panic through /v1/metrics.
 func TestFaultPanickingDetectorConfigDegrades(t *testing.T) {
-	srv := NewServer(discardLogger())
-	srv.SetDetectorRegistry(func(iv time.Duration) ([]detectors.Detector, error) {
-		ds, err := detectors.Registry(iv)
-		if err != nil {
-			return nil, err
-		}
-		return append(ds, &faultinject.PanickingDetector{ConfigName: "boom(cfg)"}), nil
-	})
+	srv := NewServerWithEngine(engine.New(engine.Config{
+		Log: discardLogger(),
+		Registry: func(iv time.Duration) ([]detectors.Detector, error) {
+			ds, err := detectors.Registry(iv)
+			if err != nil {
+				return nil, err
+			}
+			return append(ds, &faultinject.PanickingDetector{ConfigName: "boom(cfg)"}), nil
+		},
+	}), discardLogger())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -234,12 +235,14 @@ func TestFaultWebhookRetryKeepsIngestFast(t *testing.T) {
 	}))
 	defer receiver.Close()
 
-	srv := NewServer(discardLogger())
-	srv.SetNotifyConfig(alerting.PipelineConfig{
-		BaseDelay: time.Millisecond,
-		MaxDelay:  4 * time.Millisecond,
-		Log:       discardLogger(),
-	})
+	srv := NewServerWithEngine(engine.New(engine.Config{
+		Log: discardLogger(),
+		Notify: alerting.PipelineConfig{
+			BaseDelay: time.Millisecond,
+			MaxDelay:  4 * time.Millisecond,
+			Log:       discardLogger(),
+		},
+	}), discardLogger())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
@@ -300,8 +303,7 @@ func TestFaultGracefulShutdownCompletesInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(discardLogger())
-	srv.SetStore(store)
+	srv := NewServerWithEngine(engine.New(engine.Config{Log: discardLogger(), Store: store}), discardLogger())
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"opprentice/internal/engine"
 	"opprentice/internal/kpigen"
 	modelreg "opprentice/internal/registry"
 )
@@ -35,12 +36,12 @@ func TestModelRoutesWithoutRegistry(t *testing.T) {
 // the wire, including the typed client, and checks the Prometheus exposition
 // of the model counters.
 func TestModelLifecycleOverHTTP(t *testing.T) {
-	s := NewServer(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	models, err := modelreg.Open(modelreg.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetModels(models)
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	s := NewServerWithEngine(engine.New(engine.Config{Log: log, Models: models}), log)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 

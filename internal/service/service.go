@@ -59,11 +59,8 @@ import (
 	"sync"
 	"time"
 
-	"opprentice/internal/alerting"
-	"opprentice/internal/detectors"
 	"opprentice/internal/engine"
 	modelreg "opprentice/internal/registry"
-	"opprentice/internal/tsdb"
 )
 
 // Server is the HTTP adapter over an engine.Engine. Create it with NewServer
@@ -116,36 +113,6 @@ func NewServerWithEngine(eng *engine.Engine, log *slog.Logger) *Server {
 // Engine returns the underlying engine, for construction-time configuration
 // and tests.
 func (s *Server) Engine() *engine.Engine { return s.eng }
-
-// SetStore makes the service durable: every create/points/labels mutation is
-// appended to the store's per-series write-ahead log. Call Restore after it
-// to reload existing logs.
-func (s *Server) SetStore(store *tsdb.Store) {
-	if store == nil {
-		s.eng.SetStore(nil)
-		return
-	}
-	s.eng.SetStore(store)
-}
-
-// SetDetectorRegistry replaces the detector-set factory used by training.
-// Intended for tests and fault injection (e.g. wrapping the default registry
-// with a panicking configuration); call it before any series is trained.
-func (s *Server) SetDetectorRegistry(fn func(time.Duration) ([]detectors.Detector, error)) {
-	s.eng.SetDetectorRegistry(fn)
-}
-
-// SetNotifyConfig tunes the asynchronous webhook delivery pipelines created
-// for series from then on (queue size, backoff, circuit breaker). Call it
-// before creating or restoring series.
-func (s *Server) SetNotifyConfig(cfg alerting.PipelineConfig) {
-	s.eng.SetNotifyConfig(cfg)
-}
-
-// SetModels attaches a model-artifact registry: trained models are published
-// to it and Restore prefers warm starts from its artifacts. Call it before
-// Restore and before traffic; see engine.SetModels.
-func (s *Server) SetModels(r *modelreg.Registry) { s.eng.SetModels(r) }
 
 // Restore replays every series in the engine's store; see engine.Restore.
 // It keeps its context-free signature for callers that restore during boot

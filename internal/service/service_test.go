@@ -511,8 +511,7 @@ func TestDurableRestoreAcrossRestart(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	// First server generation: create, ingest, label, train.
-	s1 := NewServer(logger)
-	s1.SetStore(store)
+	s1 := NewServerWithEngine(engine.New(engine.Config{Log: logger, Store: store}), logger)
 	ts1 := httptest.NewServer(s1.Handler())
 	p := kpigen.PV(kpigen.Small)
 	p.Interval = time.Hour
@@ -546,8 +545,7 @@ func TestDurableRestoreAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	s2 := NewServer(logger)
-	s2.SetStore(store2)
+	s2 := NewServerWithEngine(engine.New(engine.Config{Log: logger, Store: store2}), logger)
 	restored, err := s2.Restore()
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"opprentice/internal/engine"
 	"opprentice/internal/tsdb"
 )
 
@@ -81,8 +82,7 @@ func TestPersistedFieldSurfacesWALFailure(t *testing.T) {
 	defer store.Close()
 	fs := &failingStore{Store: store}
 
-	s := NewServer(discardLogger())
-	s.Engine().SetStore(fs)
+	s := NewServerWithEngine(engine.New(engine.Config{Log: discardLogger(), Store: fs}), discardLogger())
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
