@@ -61,8 +61,11 @@ faults:
 # Deterministic end-to-end simulation: the full engine (WAL + model registry +
 # alert pipeline + async retrain/publish) driven through seeded scenarios of
 # traffic, noisy labels, weekly retrains, crashes, torn artifacts, WAL
-# corruption and rollbacks, with invariants checked after every step. The
-# matrix covers 8 fixed seeds; a failure prints a single-seed repro command.
+# corruption and rollbacks, with invariants checked after every step; each
+# scenario ends with a bulk episode, AppendBulk against a twin taking the same
+# frames through Append, at GOMAXPROCS 1, 2 or 4 by seed (seed mod 3), so both
+# targets run the GOMAXPROCS matrix. The matrix covers 8 fixed seeds; a
+# failure prints a single-seed repro command.
 sim:
 	$(GO) test -count=1 -run 'TestSim' ./internal/simtest/
 

@@ -71,6 +71,9 @@ type twinState struct {
 	eng   *engine.Engine
 	store *tsdb.Store
 	dir   string
+	// The twin's lifecycle hooks, which the bulk episode awaits.
+	trainCh chan trainEvent
+	pubCh   chan pubEvent
 }
 
 // Harness drives one scenario against a real engine (WAL + model registry +
@@ -159,6 +162,11 @@ type Harness struct {
 	// mirror. The mutation self-test uses it to emulate an engine that drops
 	// one counter increment and assert the metrics invariant catches it.
 	MutateExported func(step int, samples map[string]float64)
+	// MutateGroup, when set, is invoked on every flush group of the bulk
+	// episode before the live engine takes it (the twin takes the original).
+	// The mutation self-tests use it to emulate an AppendBulk that reorders
+	// a run's frames or drops a run, and assert the bulk invariant catches it.
+	MutateGroup func(batches []engine.SeriesBatch) []engine.SeriesBatch
 }
 
 // Result summarizes a passing run.
@@ -238,10 +246,10 @@ func (h *Harness) registryFn() func(time.Duration) ([]detectors.Detector, error)
 	}
 }
 
-// engineConfig assembles the engine configuration. hooked engines feed the
-// harness' lifecycle channels; the twin runs unhooked with a throwaway
-// recorder so it cannot pollute the live accounting.
-func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, rec *recorder, hooked bool) engine.Config {
+// engineConfig assembles the engine configuration. The live engine's hooks
+// feed the harness' lifecycle channels; the twin's feed its own, with a
+// throwaway recorder so it cannot pollute the live accounting.
+func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, rec *recorder, hooks engine.Hooks) engine.Config {
 	cfg := engine.Config{
 		Log:            h.log,
 		Shards:         4,
@@ -277,18 +285,21 @@ func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, re
 			Log:              h.log,
 		},
 		Notifier: func(_, _ string) alerting.Notifier { return rec },
-	}
-	if hooked {
-		cfg.Hooks = engine.Hooks{
-			TrainDone: func(series string, res engine.TrainResult, err error) {
-				h.trainCh <- trainEvent{series: series, res: res, err: err}
-			},
-			PublishDone: func(series string, gen uint64, err error) {
-				h.pubCh <- pubEvent{series: series, gen: gen, err: err}
-			},
-		}
+		Hooks:    hooks,
 	}
 	return cfg
+}
+
+// hooksTo feeds an engine's lifecycle hooks into the given channels.
+func hooksTo(trainCh chan<- trainEvent, pubCh chan<- pubEvent) engine.Hooks {
+	return engine.Hooks{
+		TrainDone: func(series string, res engine.TrainResult, err error) {
+			trainCh <- trainEvent{series: series, res: res, err: err}
+		},
+		PublishDone: func(series string, gen uint64, err error) {
+			pubCh <- pubEvent{series: series, gen: gen, err: err}
+		},
+	}
 }
 
 // buildEngine (re)opens the store and registry and starts a hooked engine.
@@ -302,7 +313,7 @@ func (h *Harness) buildEngine() error {
 		return err
 	}
 	h.store, h.models = store, models
-	h.eng = engine.New(h.engineConfig(&gatedStore{Store: store, gate: h.walGate}, models, h.rec, true))
+	h.eng = engine.New(h.engineConfig(&gatedStore{Store: store, gate: h.walGate}, models, h.rec, hooksTo(h.trainCh, h.pubCh)))
 	// The resilience counters die with the engine instance (checkResilience
 	// ran just before the previous teardown); the mirror's predictions
 	// restart with it.
@@ -682,6 +693,8 @@ func (h *Harness) applyFault(f FaultEvent) error {
 		return h.faultSlowDisk()
 	case FaultIngestFlood:
 		return h.faultIngestFlood()
+	case FaultBulk:
+		return h.faultBulk()
 	case FaultHungTrainer:
 		// Applied in-step: stepSeries wedges the scheduled retrain of the
 		// first qualifying series at or after the fault's step.
@@ -785,51 +798,56 @@ func (h *Harness) faultTornTypeArtifact() error {
 	return nil
 }
 
-// faultRollback rolls the first eligible series back one generation and
-// checks the live hot-swap took effect (manifest and live cThld agree).
+// faultRollback rolls the first eligible series back one generation.
 func (h *Harness) faultRollback() error {
 	for _, name := range h.names {
-		st := h.mirror[name]
-		if st.dead || len(st.pubs) < 2 {
-			continue
-		}
-		man, err := h.eng.RollbackModel(context.Background(), name)
-		if err != nil {
-			return h.fail("rollback", "series %s: rollback rejected with %d published generations: %v", name, len(st.pubs), err)
-		}
-		h.rollbacks++
-		cur := manifestCurrent(man)
-		if cur == nil {
-			return h.fail("manifest", "series %s: post-rollback manifest current gen %d has no entry", name, man.Current)
-		}
-		status, err := h.eng.Status(context.Background(), name)
-		if err != nil {
+		if st := h.mirror[name]; !st.dead && len(st.pubs) >= 2 {
+			_, err := h.rollbackSeries(st)
 			return err
 		}
-		if math.Float64bits(status.CThld) != math.Float64bits(cur.CThld) {
-			return h.fail("rollback", "series %s: live cthld %v but rolled-back generation %d published %v — hot-swap did not take effect",
-				name, status.CThld, cur.Gen, cur.CThld)
-		}
-		if !status.TrainedAt.Equal(cur.TrainedAt) {
-			return h.fail("rollback", "series %s: live model trained at %v, rolled-back generation at %v", name, status.TrainedAt, cur.TrainedAt)
-		}
-		// Both heads must follow the rollback: the type head serves exactly
-		// when the rolled-back generation has a loadable type artifact.
-		if wantTyped := typeArtifactLoadable(h.modelDir, name, cur); status.TypedModel != wantTyped {
-			return h.fail("rollback", "series %s: live type head %v but rolled-back generation %d has type artifact %v — the hot-swap moved only one head",
-				name, status.TypedModel, cur.Gen, wantTyped)
-		}
-		// The engine pins the retrain watermark to the stream head so the
-		// rollback is not immediately republished over.
-		st.pointsAtTrain = st.total
-		if err := h.checkManifest(st, cur.CThld, false); err != nil {
-			return err
-		}
-		h.tracef("step %d: rollback %s to gen %d", h.step, name, cur.Gen)
-		return nil
 	}
 	h.tracef("step %d: rollback skipped (no series with 2 generations)", h.step)
 	return nil
+}
+
+// rollbackSeries rolls st back one generation and checks the live hot-swap
+// took effect (manifest and live cThld agree).
+func (h *Harness) rollbackSeries(st *seriesState) (modelreg.Manifest, error) {
+	name := st.spec.Name
+	man, err := h.eng.RollbackModel(context.Background(), name)
+	if err != nil {
+		return man, h.fail("rollback", "series %s: rollback rejected with %d published generations: %v", name, len(st.pubs), err)
+	}
+	h.rollbacks++
+	cur := manifestCurrent(man)
+	if cur == nil {
+		return man, h.fail("manifest", "series %s: post-rollback manifest current gen %d has no entry", name, man.Current)
+	}
+	status, err := h.eng.Status(context.Background(), name)
+	if err != nil {
+		return man, err
+	}
+	if math.Float64bits(status.CThld) != math.Float64bits(cur.CThld) {
+		return man, h.fail("rollback", "series %s: live cthld %v but rolled-back generation %d published %v — hot-swap did not take effect",
+			name, status.CThld, cur.Gen, cur.CThld)
+	}
+	if !status.TrainedAt.Equal(cur.TrainedAt) {
+		return man, h.fail("rollback", "series %s: live model trained at %v, rolled-back generation at %v", name, status.TrainedAt, cur.TrainedAt)
+	}
+	// Both heads must follow the rollback: the type head serves exactly
+	// when the rolled-back generation has a loadable type artifact.
+	if wantTyped := typeArtifactLoadable(h.modelDir, name, cur); status.TypedModel != wantTyped {
+		return man, h.fail("rollback", "series %s: live type head %v but rolled-back generation %d has type artifact %v — the hot-swap moved only one head",
+			name, status.TypedModel, cur.Gen, wantTyped)
+	}
+	// The engine pins the retrain watermark to the stream head so the
+	// rollback is not immediately republished over.
+	st.pointsAtTrain = st.total
+	if err := h.checkManifest(st, cur.CThld, false); err != nil {
+		return man, err
+	}
+	h.tracef("step %d: rollback %s to gen %d", h.step, name, cur.Gen)
+	return man, nil
 }
 
 // finalize runs the end-of-scenario checks and shuts everything down.

@@ -155,7 +155,13 @@ func (h *Harness) checkManifest(st *seriesState, cthld float64, checkCThld bool)
 		if ref == nil {
 			return h.fail("manifest", "series %s: current generation %d lists kind %q without an artifact ref", name, cur.Gen, kind)
 		}
-		fi, err := os.Stat(filepath.Join(h.modelDir, name, ref.File))
+		path := filepath.Join(h.modelDir, name, ref.File)
+		fi, err := os.Stat(path)
+		if _, qerr := os.Stat(path + ".corrupt"); err != nil && qerr == nil && kind != modelreg.KindVerdict {
+			// A torn secondary kind a restore set aside: the generation
+			// serves without it (a rollback can make it current again).
+			continue
+		}
 		if err != nil {
 			return h.fail("manifest", "series %s: current generation %d kind %q artifact %s missing — the kind set did not publish atomically: %v",
 				name, cur.Gen, kind, ref.File, err)
@@ -422,13 +428,30 @@ drained:
 	if err != nil {
 		return fmt.Errorf("simtest: open twin registry: %w", err)
 	}
-	teng := engine.New(h.engineConfig(tstore, tmodels, newRecorder(h.scen.Seed, 0), false))
+	twin := &twinState{store: tstore, dir: twinDir, trainCh: make(chan trainEvent, 1024), pubCh: make(chan pubEvent, 1024)}
+	teng := engine.New(h.engineConfig(tstore, tmodels, newRecorder(h.scen.Seed, 0), hooksTo(twin.trainCh, twin.pubCh)))
 	if _, err := teng.Restore(context.Background()); err != nil {
 		teng.Close()
 		tstore.Close()
 		return h.fail("restore_determinism", "twin restore from identical disk state failed: %v", err)
 	}
-	h.twin = &twinState{eng: teng, store: tstore, dir: twinDir}
+	twin.eng = teng
+	h.twin = twin
+	// The twin must restore the same series cold, to the same thresholds,
+	// and have published them before anything else awaits its hooks.
+	var coldNames []string
+	for name := range cold {
+		coldNames = append(coldNames, name)
+	}
+	twinCold, err := h.awaitTwin(coldNames...)
+	if err != nil {
+		return err
+	}
+	for name, res := range twinCold {
+		if math.Float64bits(res.CThld) != math.Float64bits(cold[name].CThld) {
+			return h.fail("restore_determinism", "series %s: cold restore trained cthld %v, the twin's %v", name, cold[name].CThld, res.CThld)
+		}
+	}
 	for _, name := range h.names {
 		st := h.mirror[name]
 		if st.dead {

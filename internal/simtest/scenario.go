@@ -35,7 +35,10 @@
 //   - the training watchdog abandons a wedged round as ErrStalled, retries
 //     with backoff, quarantines at the failure limit, and a manual retrain
 //     lifts the quarantine — with every resilience counter matching the
-//     mirror's prediction.
+//     mirror's prediction;
+//   - AppendBulk, at the seed's GOMAXPROCS, agrees bit for bit with a twin
+//     taking the same frames one at a time through Append, and a crash right
+//     after an acked flush group restores every point the group reported.
 //
 // Every failure carries the scenario seed and a trailing step trace so
 // `go test ./internal/simtest -run TestSimSeed -seed=N` reproduces it.
@@ -94,6 +97,11 @@ const (
 	// budget: admission control must shed it whole (ErrOverloaded, zero
 	// points appended) and the next normal batch must sail through.
 	FaultIngestFlood
+	// FaultBulk runs the bulk episode (bulk.go): random flush groups through
+	// AppendBulk, interleaved with labels, query answers, trains and
+	// rollbacks, checked against a twin that takes every frame through
+	// Append, and ended by a crash right after an acked group.
+	FaultBulk
 )
 
 // String names the fault kind.
@@ -115,6 +123,8 @@ func (k FaultKind) String() string {
 		return "hung_trainer"
 	case FaultIngestFlood:
 		return "ingest_flood"
+	case FaultBulk:
+		return "bulk"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -163,6 +173,9 @@ type Scenario struct {
 	// DetectorPanics adds a deterministically panicking detector
 	// configuration to every training round's registry.
 	DetectorPanics bool
+	// Procs is the GOMAXPROCS the bulk episode runs at, which sets how many
+	// goroutines AppendBulk spreads a group's runs over.
+	Procs int
 }
 
 // Steps returns the number of drive steps.
@@ -177,7 +190,8 @@ func (s Scenario) stepsPerWeek() int {
 
 // GenScenario derives a scenario from a seed. Every scenario includes at
 // least one crash+restore, one rollback, and one torn artifact (verdict or
-// type head, 50/50 — the acceptance floor); WAL corruption, an extra early
+// type head, 50/50 — the acceptance floor), and ends with the bulk episode
+// at a GOMAXPROCS of 1, 2 or 4 by seed; WAL corruption, an extra early
 // crash, and a panicking detector ride along pseudo-randomly. long roughly
 // doubles the driven length for soak runs.
 func GenScenario(seed int64, long bool) Scenario {
@@ -198,8 +212,9 @@ func GenScenario(seed int64, long bool) Scenario {
 		p.Interval = time.Hour // hourly keeps a seed in CI-sized time
 		// One spare week of generated data beyond the driven length: the
 		// slow-disk fault appends extra in-fault batches (degrade, buffer,
-		// recover) that consume points outside the regular step budget.
-		p.Weeks = bootWeeks + driveWeeks + 1
+		// recover) that consume points outside the regular step budget. The
+		// bulk episode feeds on weeks of its own after that.
+		p.Weeks = bootWeeks + driveWeeks + 1 + bulkWeeks
 		p.Name = fmt.Sprintf("%s-%d", p.Name, i)
 		series = append(series, SeriesSpec{
 			Name:    p.Name,
@@ -279,6 +294,10 @@ func GenScenario(seed int64, long bool) Scenario {
 	}
 	crash := torn + 1 + rng.Intn(steps-torn-2)
 	faults = append(faults, FaultEvent{Step: crash, Kind: FaultCrashRestore})
+	// The bulk episode comes last, after every other fault of the last step:
+	// its frames leave the series off the step grid the scheduled faults
+	// are placed on.
+	faults = append(faults, FaultEvent{Step: steps - 1, Kind: FaultBulk})
 
 	sortFaults(faults)
 	return Scenario{
@@ -289,6 +308,7 @@ func GenScenario(seed int64, long bool) Scenario {
 		Series:         series,
 		Faults:         faults,
 		DetectorPanics: rng.Float64() < 0.5,
+		Procs:          []int{1, 2, 4}[seed%3],
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,10 +20,11 @@ var (
 
 // matrixSeeds are the fixed seeds `make sim` runs. Every generated scenario
 // contains at least one crash+restore, one rollback, one torn artifact
-// (verdict or type head), one ingest flood, one slow-disk stall and one hung
-// trainer; the optional faults (WAL corruption, early crashes, panicking
-// detectors, and which artifact kind is torn) vary across the seeds, so the
-// matrix as a whole covers every fault kind.
+// (verdict or type head), one ingest flood, one slow-disk stall, one hung
+// trainer and the bulk episode; the optional faults (WAL corruption, early
+// crashes, panicking detectors, and which artifact kind is torn) vary across
+// the seeds, so the matrix as a whole covers every fault kind, and its bulk
+// episodes run at GOMAXPROCS 1, 2 and 4.
 var matrixSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
 // runScenario executes one scenario to completion and fails the test with
@@ -189,5 +191,54 @@ func TestSimCatchesWatchdogOutage(t *testing.T) {
 	}
 	if v.Invariant != "watchdog" {
 		t.Fatalf("watchdog outage blamed on invariant %q, want %q: %v", v.Invariant, "watchdog", err)
+	}
+}
+
+// TestSimCatchesBulkMutations is the bulk invariant's self-test: an
+// AppendBulk that applies a run's frames in reverse order, or drops a run,
+// (emulated by mutating the group the live engine receives) must be caught
+// as a seed-reproducible bulk violation, not silently absorbed.
+func TestSimCatchesBulkMutations(t *testing.T) {
+	for name, mutate := range map[string]func([]engine.SeriesBatch) ([]engine.SeriesBatch, bool){
+		"reversed frames": func(bs []engine.SeriesBatch) ([]engine.SeriesBatch, bool) {
+			for i := range bs {
+				for j := len(bs) - 1; j > i; j-- {
+					if bs[j].Name == bs[i].Name {
+						bs[i], bs[j] = bs[j], bs[i]
+						return bs, true
+					}
+				}
+			}
+			return bs, false
+		},
+		"dropped run": func(bs []engine.SeriesBatch) ([]engine.SeriesBatch, bool) {
+			first := bs[0].Name
+			return slices.DeleteFunc(bs, func(b engine.SeriesBatch) bool { return b.Name == first }), true
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, err := NewHarness(GenScenario(1, false), t.TempDir(), false)
+			if err != nil {
+				t.Fatalf("harness: %v", err)
+			}
+			mutated := false
+			h.MutateGroup = func(bs []engine.SeriesBatch) []engine.SeriesBatch {
+				if !mutated {
+					bs, mutated = mutate(bs)
+				}
+				return bs
+			}
+			_, err = h.Run()
+			if !mutated {
+				t.Fatal("no flush group had a run to mutate")
+			}
+			var v *Violation
+			if !errors.As(err, &v) {
+				t.Fatalf("%s reported as %T, want *Violation: %v", name, err, err)
+			}
+			if v.Invariant != "bulk" {
+				t.Fatalf("%s blamed on invariant %q, want %q: %v", name, v.Invariant, "bulk", err)
+			}
+		})
 	}
 }
