@@ -53,8 +53,9 @@ engine-race:
 	$(GO) test -race -count=2 ./internal/engine/ ./internal/service/
 
 # Fault-injection suite only (panicking detectors/notifiers, WAL corruption,
-# retry/shutdown behaviour, training rounds that panic or stall) — every such
-# test is named TestFault*.
+# retry/shutdown behaviour, training rounds that panic or stall, a store shard
+# stalling under a flush group: TestFaultBulkStallDegradesOnlyStalled) — every
+# such test is named TestFault*.
 faults:
 	$(GO) test -run TestFault -v ./...
 
@@ -104,8 +105,9 @@ bench:
 # forest fit at the repo benchmark's shape (133 kpigen severities, 1 512 rows,
 # 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train
 # and one six-fit round off a shared presort) and of the bulk append at the
-# stream_trained shape (16 trained series on a tsdb store, flush groups of 64
-# frames of 64 points round-robin, ns/pt): nothing else runs them, so this
+# stream_trained shapes on a tsdb store (stream: 16 trained series, flush
+# groups of 64 frames of 64 points round-robin; backfill: 32 untrained series,
+# groups of 64 frames of 256 points; ns/pt): nothing else runs them, so this
 # keeps them compiling and their set-up working. Then the two benchmarks that carry a
 # ratio floor — machine-independent RATIOS, not absolute ns/op; each fails by itself, after both
 # its legs ran: cold ÷ incremental retrain extraction (what the feature cache

@@ -85,34 +85,54 @@ type AppendResult struct {
 // vbuf, when non-nil, is reused for the verdicts (grown as needed) so a
 // serving layer can pool allocations; pass nil for a fresh slice.
 func (e *Engine) Append(ctx context.Context, name string, pts []Point, vbuf []Verdict) (AppendResult, error) {
-	if len(pts) == 0 {
-		return AppendResult{}, invalidf("no points")
+	if err := e.checkBatch(pts); err != nil {
+		return AppendResult{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return AppendResult{}, err
 	}
-	sh := e.shardFor(name)
-	sh.mu.RLock()
-	m := sh.series[name]
-	sh.mu.RUnlock()
-	if m == nil {
-		return AppendResult{}, notFound(name)
+	m, sh, err := e.lookupShard(name)
+	if err != nil {
+		return AppendResult{}, err
 	}
 	tok, err := e.admit(sh, len(pts))
 	if err != nil {
 		return AppendResult{}, err
 	}
 	defer tok.release()
-	return e.appendSeries(ctx, m, pts, vbuf)
+	m.mu.Lock()
+	s, err := e.stage(ctx, m, pts, vbuf)
+	if err != nil {
+		return AppendResult{}, err
+	}
+	return e.settle(ctx, &s), nil
 }
 
-// appendSeries is Append after lookup and admission: the per-series locked
-// ingest body shared by Append and AppendBulk. The caller has already
-// reserved len(pts) against the shard's in-flight budget.
-func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf []Verdict) (AppendResult, error) {
-	vbuf = vbuf[:0]
+// checkBatch is both append doors' check before admission: a batch is not
+// empty and fits one WAL record, which submitWAL would refuse as saturated.
+func (e *Engine) checkBatch(pts []Point) error {
+	if len(pts) == 0 {
+		return invalidf("no points")
+	}
+	if e.store != nil && len(pts) > walBufferPoints {
+		return rejectedf("batch of %d points is over the %d one WAL record holds: split the batch", len(pts), walBufferPoints)
+	}
+	return nil
+}
 
-	m.mu.Lock()
+// stagedRun is a staged batch whose series lock is still held.
+type stagedRun struct {
+	m      *managed
+	res    AppendResult
+	wal    walPending
+	alarms int // healthy verdicts that raised an alarm
+}
+
+// stage is the first half of the locked ingest body (caller holds m.mu and
+// admitted len(pts)): validate, append, score, submit the WAL record. On
+// error it has changed nothing and released m.mu.
+func (e *Engine) stage(ctx context.Context, m *managed, pts []Point, vbuf []Verdict) (stagedRun, error) {
+	vbuf = vbuf[:0]
 	e.maybeRecover(m)
 	// Whole-batch timestamp validation before any mutation: a rejected batch
 	// must leave the series exactly as it was (the pre-engine service
@@ -125,7 +145,7 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 		want := m.series.TimeAt(base + i)
 		if !p.Timestamp.UTC().Equal(want) {
 			m.mu.Unlock()
-			return AppendResult{}, rejectedf("out-of-order point: got %v, next slot is %v", p.Timestamp.UTC(), want)
+			return stagedRun{}, rejectedf("out-of-order point: got %v, next slot is %v", p.Timestamp.UTC(), want)
 		}
 	}
 
@@ -191,19 +211,30 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 			}
 		}
 	}
-	res := AppendResult{
+	s := stagedRun{m: m, alarms: alarmsRaised, res: AppendResult{
 		Appended:  len(pts),
 		Total:     m.series.Len(),
 		Verdicts:  vbuf,
 		Persisted: true,
-	}
+	}}
 	if e.store != nil {
 		// The record aliases the committed range of the series' value slice
 		// instead of copying it: the series is append-only, so [base, Total)
 		// is immutable from here on — later appends either write past Total
 		// or reallocate the backing array — and the store borrows it only
 		// until the commit.
-		res.Persisted = e.walWrite(ctx, m, tsdb.Record{Name: m.name, Values: m.series.Values[base:res.Total:res.Total]})
+		s.wal = e.stageWAL(ctx, m, tsdb.Record{Name: m.name, Values: m.series.Values[base:s.res.Total:s.res.Total]})
+	}
+	return s, nil
+}
+
+// settle is the second half: it awaits the commit (settleWAL), arms the
+// retrain triggers and releases m.mu — held until the points are durable, so
+// no retrain snapshot, label record or publish reads one that is not.
+func (e *Engine) settle(ctx context.Context, s *stagedRun) AppendResult {
+	m := s.m
+	if e.store != nil {
+		s.res.Persisted = e.settleWAL(ctx, m, s.wal)
 	}
 	// Weekly-style automatic incremental retraining (§3.2), scheduled on the
 	// background workers: ingest never blocks on a training round. The drift
@@ -226,15 +257,15 @@ func (e *Engine) appendSeries(ctx context.Context, m *managed, pts []Point, vbuf
 			}
 		}
 	}
-	res.Degraded = m.degraded
+	s.res.Degraded = m.degraded
 	m.mu.Unlock()
 
 	// Per-batch metric updates keep hot-path atomics off the per-point loop.
-	e.met.PointsIngested.Add(int64(res.Appended))
-	if alarmsRaised > 0 {
-		e.met.AlarmsRaised.Add(int64(alarmsRaised))
+	e.met.PointsIngested.Add(int64(s.res.Appended))
+	if s.alarms > 0 {
+		e.met.AlarmsRaised.Add(int64(s.alarms))
 	}
-	return res, nil
+	return s.res
 }
 
 // alarmRing is a bounded buffer of the most recent alarms: O(1) push with no

@@ -30,15 +30,16 @@ type BulkSummary struct {
 
 // AppendBulk applies a flush group — batches for any number of series — as
 // the ingest stream's fast path. Lookup and validation run up front: if the
-// k-th batch is empty, carries a timestamp or names an unknown series,
-// batches 0..k-1 apply and the error, naming that series, follows. Admission
-// reserves the prefix's points with one atomic add per touched shard and
-// sheds it whole if any shard is over budget.
+// k-th batch is empty, too large for one WAL record, carries a timestamp or
+// names an unknown series, batches 0..k-1 apply and the error, naming that
+// series, follows. Admission reserves the prefix's points with one atomic
+// add per touched shard and sheds it whole if any shard is over budget.
 //
 // The prefix applies as one run per series — its batches concatenated in
-// stream order, one locked append: one StepBatch, one WAL record, one commit
-// wait — with distinct series' runs on up to GOMAXPROCS goroutines. Each
-// series still takes its points in order under its lock, series share only
+// stream order, one locked append: one StepBatch, one WAL record — with
+// distinct series' runs on up to GOMAXPROCS goroutines, each paying one commit
+// wait per round (claimRuns). Each series still takes its points in order
+// under its lock, held until they are durable; series share only
 // concurrency-safe state, and no run can fail, so the prefix contract holds.
 //
 // vbuf is reusable verdict scratch, returned grown; it ends holding the
@@ -92,25 +93,18 @@ func (e *Engine) AppendBulk(ctx context.Context, batches []SeriesBatch, vbuf []V
 	return sum, vbuf, deferred
 }
 
-// resolveBatch looks up a non-empty, timestamp-free batch's series.
+// resolveBatch looks up a valid, timestamp-free batch's series.
 func (e *Engine) resolveBatch(b SeriesBatch) (*managed, *shard, error) {
-	if len(b.Points) == 0 {
-		return nil, nil, invalidf("no points")
+	if err := e.checkBatch(b.Points); err != nil {
+		return nil, nil, err
 	}
 	if i := slices.IndexFunc(b.Points, func(p Point) bool { return !p.Timestamp.IsZero() }); i >= 0 {
 		return nil, nil, invalidf("bulk points take the next slots, got timestamp %v", b.Points[i].Timestamp.UTC())
 	}
-	sh := e.shardFor(b.Name)
-	sh.mu.RLock()
-	m := sh.series[b.Name]
-	sh.mu.RUnlock()
-	if m == nil {
-		return nil, nil, notFound(b.Name)
-	}
-	return m, sh, nil
+	return e.lookupShard(b.Name)
 }
 
-// bulkRun is one series' batches of a round, applied by one appendSeries.
+// bulkRun is one series' batches of a round, applied by one stage and settle.
 type bulkRun struct {
 	m      *managed
 	n      int     // points
@@ -120,12 +114,13 @@ type bulkRun struct {
 
 // bulkGroup is AppendBulk's pooled scratch: a group allocates only workers.
 type bulkGroup struct {
-	series []*managed   // per admitted batch
-	shares []admitToken // per touched shard: the points to admit, then their token
-	runs   []bulkRun    // the current round
-	merged []Point      // points of the round's runs of several batches
-	vbufs  [][]Verdict  // verdict buffers of the workers beside the caller
-	next   atomic.Int64 // the next run to claim
+	series []*managed    // per admitted batch
+	shares []admitToken  // per touched shard: the points to admit, then their token
+	runs   []bulkRun     // the current round
+	merged []Point       // points of the round's runs of several batches
+	vbufs  [][]Verdict   // verdict buffers of the workers beside the caller
+	held   [][]stagedRun // per worker, the caller's first: runs staged, locks held
+	next   atomic.Int64  // the next run to claim
 	wg     sync.WaitGroup
 }
 
@@ -170,31 +165,44 @@ func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []
 	g.next.Store(0)
 	workers := min(runtime.GOMAXPROCS(0), len(g.runs))
 	g.vbufs = append(g.vbufs, make([][]Verdict, max(workers-1-len(g.vbufs), 0))...)
+	g.held = append(g.held, make([][]stagedRun, max(workers-len(g.held), 0))...)
 	for w := range workers - 1 {
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
-			g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w])
+			g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w], &g.held[w+1])
 		}()
 	}
-	vbuf = e.claimRuns(ctx, g, vbuf)
+	vbuf = e.claimRuns(ctx, g, vbuf, &g.held[0])
 	g.wg.Wait()
 	return vbuf
 }
 
-// claimRuns is one worker's loop. appendSeries refuses only timestamped
-// points, which resolveBatch turned away, so its error is always nil.
-func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []Verdict {
+// claimRuns is one worker's loop. It holds each run it stages, lock and all,
+// so the store commits earlier records while it steps later runs, and settles
+// them all once no run is left. It never blocks on a lock while holding one —
+// a busy lock makes it settle first — so nothing can deadlock against it.
+// stage refuses only timestamped points, which resolveBatch turned away.
+func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, held *[]stagedRun) []Verdict {
+	settleHeld := func() {
+		for i := range *held {
+			e.settle(ctx, &(*held)[i])
+		}
+		clear(*held)
+		*held = (*held)[:0]
+	}
 	for i := int(g.next.Add(1)) - 1; i < len(g.runs); i = int(g.next.Add(1)) - 1 {
 		r := &g.runs[i]
-		res, _ := e.appendSeries(ctx, r.m, r.pts, vbuf)
-		vbuf = res.Verdicts
-		for _, v := range vbuf {
-			if v.Anomalous && !v.Degraded {
-				r.alarms++
-			}
+		if !r.m.mu.TryLock() {
+			settleHeld()
+			r.m.mu.Lock()
+		}
+		if s, err := e.stage(ctx, r.m, r.pts, vbuf); err == nil {
+			vbuf, r.alarms = s.res.Verdicts, s.alarms
+			*held = append(*held, s)
 		}
 	}
+	settleHeld()
 	return vbuf
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
 	"testing"
 	"time"
 
@@ -214,29 +215,151 @@ func (f *bulkFeed) fill(frames, framePts int) []SeriesBatch {
 	return f.group
 }
 
-// BenchmarkAppendBulk is the stream_trained workload's stream round in
-// process: 16 trained series on a durable tsdb store, flush groups of 64
-// frames of 64 points round-robin over them. ns/pt is the wall time per
-// point; with the runs applied across cores it falls below one core's
-// scoring cost. `make bench-smoke` runs it once.
+// BenchmarkAppendBulk is the stream_trained workload in process, on a durable
+// tsdb store in a temp dir. stream: 16 trained series, flush groups of 64
+// frames of 64 points round-robin over them. backfill: 32 untrained series,
+// groups of 64 frames of 256 points round-robin, where the commit waits are
+// most of the cost. ns/pt is the wall time per point; with the runs applied
+// across cores it falls below one core's scoring cost. `make bench-smoke`
+// runs both once.
 func BenchmarkAppendBulk(b *testing.B) {
-	store, err := tsdb.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Store: store})
-	b.Cleanup(func() { e.Close(); store.Close() })
-	feed := newBulkFeed(b, e)
-	ctx := context.Background()
-	const frames, framePts = 64, 64
-	var vbuf []Verdict
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, buf, err := e.AppendBulk(ctx, feed.fill(frames, framePts), vbuf)
-		if err != nil || sum.Appended != frames*framePts {
-			b.Fatalf("group %d: %+v, %v", i, sum, err)
+	open := func(b *testing.B) *Engine {
+		store, err := tsdb.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
 		}
-		vbuf = buf
+		e := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Store: store})
+		b.Cleanup(func() { e.Close(); store.Close() })
+		return e
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames*framePts), "ns/pt")
+	run := func(b *testing.B, e *Engine, fill func() []SeriesBatch) {
+		ctx := context.Background()
+		var vbuf []Verdict
+		points := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			group := fill()
+			sum, buf, err := e.AppendBulk(ctx, group, vbuf)
+			if err != nil || sum.Batches != len(group) {
+				b.Fatalf("group %d: %+v, %v", i, sum, err)
+			}
+			vbuf = buf
+			points += sum.Appended
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/pt")
+	}
+	b.Run("stream", func(b *testing.B) {
+		e := open(b)
+		feed := newBulkFeed(b, e)
+		run(b, e, func() []SeriesBatch { return feed.fill(64, 64) })
+	})
+	b.Run("backfill", func(b *testing.B) {
+		const series, frames, framePts = 32, 64, 256
+		e := open(b)
+		arena := make([]Point, frames*framePts)
+		for i := range arena {
+			arena[i].Value = float64(i % 97)
+		}
+		group := make([]SeriesBatch, frames)
+		for s := range series {
+			if err := e.Create(fmt.Sprintf("b%02d", s), SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k := range group {
+			group[k] = SeriesBatch{Name: fmt.Sprintf("b%02d", k%series), Points: arena[k*framePts : (k+1)*framePts]}
+		}
+		run(b, e, func() []SeriesBatch { return group })
+	})
+}
+
+// TestAppendBulkOpposedGroupsNoDeadlock: a bulk worker holds every run it
+// stages, lock and all, until it settles them, so two ingest streams sending
+// groups over the same series in opposite orders would deadlock if a worker
+// ever blocked on a lock while holding another. One-point appends, labels
+// and manual trains run on the same series throughout. A hang panics with
+// every goroutine's stack.
+func TestAppendBulkOpposedGroupsNoDeadlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	store, err := tsdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := bulkEngine(t, Config{Store: store})
+	t.Cleanup(func() { store.Close() })
+	const series, groups = 8, 200
+	names := make([]string, series)
+	for i := range names {
+		names[i] = fmt.Sprintf("o%d", i)
+	}
+	// Two of the series are trained, so Train runs its full snapshot → fit →
+	// swap path on them.
+	for _, name := range names[:2] {
+		trainTypedSeries(t, e, name, kpigen.PV(kpigen.Small), 9, 1, SeriesConfig{})
+	}
+	for _, name := range names[2:] {
+		if err := e.Create(name, SeriesConfig{IntervalSeconds: 3600, Start: testStart}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	stream := func(order func(int) int) error {
+		var vbuf []Verdict
+		group := make([]SeriesBatch, 2*series)
+		for g := range groups {
+			for k := range group {
+				// Frames of 1 to 8 points; a series appears twice per group.
+				group[k] = SeriesBatch{Name: names[order(k%series)], Points: make([]Point, 1+(g+k)%8)}
+			}
+			sum, buf, err := e.AppendBulk(ctx, group, vbuf)
+			if err != nil || sum.Batches != len(group) {
+				return fmt.Errorf("group %d: %+v, %v", g, sum, err)
+			}
+			vbuf = buf
+		}
+		return nil
+	}
+	work := []func() error{
+		func() error { return stream(func(i int) int { return i }) },
+		func() error { return stream(func(i int) int { return series - 1 - i }) },
+		func() error {
+			for i := range groups {
+				if _, err := e.Append(ctx, names[i%series], []Point{{Value: 1}}, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error {
+			for i := range groups {
+				if _, err := e.Label(ctx, names[(i*3)%series], []Window{{Start: 0, End: 1, Anomalous: i%2 == 0}}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error {
+			for i := range 4 {
+				if _, err := e.Train(ctx, names[i%2]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	errs := make(chan error, len(work))
+	for _, w := range work {
+		go func() { errs <- w() }()
+	}
+	timeout := time.After(2 * time.Minute)
+	for range work {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			panic("AppendBulk deadlocked against an opposed group, Append, Label or Train")
+		}
+	}
 }

@@ -493,14 +493,20 @@ func (e *Engine) shardFor(name string) *shard {
 
 // lookup returns the managed series or a not-found error.
 func (e *Engine) lookup(name string) (*managed, error) {
+	m, _, err := e.lookupShard(name)
+	return m, err
+}
+
+// lookupShard is lookup that also returns the series' registry shard.
+func (e *Engine) lookupShard(name string) (*managed, *shard, error) {
 	sh := e.shardFor(name)
 	sh.mu.RLock()
 	m := sh.series[name]
 	sh.mu.RUnlock()
 	if m == nil {
-		return nil, notFound(name)
+		return nil, nil, notFound(name)
 	}
-	return m, nil
+	return m, sh, nil
 }
 
 // SeriesConfig describes a series to create.
@@ -568,10 +574,7 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 	sh := e.shardFor(name)
 	sh.createMu.Lock()
 	defer sh.createMu.Unlock()
-	sh.mu.RLock()
-	_, exists := sh.series[name]
-	sh.mu.RUnlock()
-	if exists {
+	if _, err := e.lookup(name); err == nil {
 		return &kindError{kind: ErrExists, cause: fmt.Errorf("series %q already exists", name)}
 	}
 	if e.store != nil {
@@ -765,33 +768,38 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 		classes[wi] = class
 	}
 	for wi, lw := range windows {
-		class := classes[wi]
-		typed := class != core.ClassNone
-		if typed && m.typed == nil {
-			m.typed = make([]uint8, len(m.labels))
-		}
-		for i := lw.Start; i < lw.End; i++ {
-			m.labels[i] = lw.Anomalous
-			if m.typed != nil {
-				// Keep the channels consistent: an untyped or un-labeling
-				// action clears the class over its range.
-				code := uint8(0)
-				if lw.Anomalous && typed {
-					code = uint8(class)
-				}
-				m.typed[i] = code
-			}
-		}
-		if e.store != nil {
-			// walWrite owns failure accounting and logging; a write that
-			// blows its deadline flips the series degraded inside.
-			e.walWrite(ctx, m, tsdb.Record{Name: m.name, Start: lw.Start, End: lw.End, Anomalous: lw.Anomalous, Class: uint8(class)})
-		}
+		e.applyLabel(ctx, m, lw, classes[wi])
 	}
 	return LabelResult{
 		AnomalousPoints: m.labels.Count(),
 		LabeledWindows:  len(m.labels.Windows()),
 	}, nil
+}
+
+// applyLabel labels one validated window with class (caller holds m.mu) and
+// makes the label record durable; the WAL halves own failure accounting and
+// logging, and a write that blows its deadline flips the series degraded.
+func (e *Engine) applyLabel(ctx context.Context, m *managed, lw Window, class core.AnomalyClass) {
+	typed := class != core.ClassNone
+	if typed && m.typed == nil {
+		m.typed = make([]uint8, len(m.labels))
+	}
+	for i := lw.Start; i < lw.End; i++ {
+		m.labels[i] = lw.Anomalous
+		if m.typed != nil {
+			// Keep the channels consistent: an untyped or un-labeling
+			// action clears the class over its range.
+			code := uint8(0)
+			if lw.Anomalous && typed {
+				code = uint8(class)
+			}
+			m.typed[i] = code
+		}
+	}
+	if e.store != nil {
+		rec := tsdb.Record{Name: m.name, Start: lw.Start, End: lw.End, Anomalous: lw.Anomalous, Class: uint8(class)}
+		e.settleWAL(ctx, m, e.stageWAL(ctx, m, rec))
+	}
 }
 
 // Restore reloads every series in the store with a bounded pool of parallel

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"opprentice/internal/tsdb"
+	"opprentice/internal/core"
 )
 
 // Query is one pending label query: a window of points the live forest was
@@ -89,17 +89,8 @@ func (e *Engine) AnswerQuery(ctx context.Context, name string, start, end int, a
 	if m.active == nil || !m.active.Remove(start, end) {
 		return LabelResult{}, rejectedf("no pending query [%d, %d) for series %q", start, end, name)
 	}
-	for i := start; i < end; i++ {
-		m.labels[i] = anomalous
-		// Query answers carry no anomaly type; clear any stale class so the
-		// typed channel never disagrees with the labels.
-		if m.typed != nil {
-			m.typed[i] = 0
-		}
-	}
-	if e.store != nil {
-		e.walWrite(ctx, m, tsdb.Record{Name: m.name, Start: start, End: end, Anomalous: anomalous})
-	}
+	// Query answers carry no anomaly type: the window's stale class clears.
+	e.applyLabel(ctx, m, Window{Start: start, End: end, Anomalous: anomalous}, core.ClassNone)
 	e.met.QueriesAnswered.Add(1)
 	return LabelResult{
 		AnomalousPoints: m.labels.Count(),

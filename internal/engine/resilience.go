@@ -313,14 +313,22 @@ func (e *Engine) submitWAL(ctx context.Context, m *managed, rec tsdb.Record, don
 	return err
 }
 
-// walWrite makes one points or label record durable (caller holds m.mu) and
-// reports whether it committed before the call returned. Healthy path: wait
-// for the commit up to the WAL deadline; a miss — or a shard queue that
-// stays full that long — flips the series degraded, while a write the store
+// walPending is a record stageWAL submitted, for settleWAL to judge.
+type walPending struct {
+	ctx     context.Context // bounded by the WAL deadline
+	cancel  context.CancelFunc
+	done    chan error // the commit to await; nil when there is none
+	degrade string     // why the series degrades without awaiting one
+}
+
+// stageWAL submits one points or label record (caller holds m.mu); settleWAL,
+// under the same hold, reports whether it committed. Healthy path: wait for
+// the commit up to the WAL deadline; a miss — or a shard queue that stays
+// full that long — flips the series degraded, while a write the store
 // accepted keeps heading to disk. Degraded path: submit without waiting. A
 // record the store cannot take is dropped from the log (never from memory)
 // with loss accounting; nothing is parked outside the store's queue.
-func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool {
+func (e *Engine) stageWAL(ctx context.Context, m *managed, rec tsdb.Record) (p walPending) {
 	n := int64(len(rec.Values))
 	if m.degraded {
 		if err := e.submitWAL(noWait, m, rec, nil); err != nil {
@@ -329,35 +337,48 @@ func (e *Engine) walWrite(ctx context.Context, m *managed, rec tsdb.Record) bool
 		} else {
 			e.met.WALBufferedPoints.Add(n)
 		}
-		return false
+		return p
 	}
 	wctx, cancel := e.walContext(ctx)
-	defer cancel()
 	done := make(chan error, 1) // buffered: an abandoned wait never blocks the appender
 	err := e.submitWAL(wctx, m, rec, done)
-	reason := "durable write blew its deadline"
 	switch {
 	case err == nil:
-		select {
-		case err := <-done:
-			// Durable before the call returns: the healthy contract. A failed
-			// commit was counted and logged by the completion.
-			return err == nil
-		case <-wctx.Done():
-		}
+		return walPending{ctx: wctx, cancel: cancel, done: done}
 	case !errors.Is(err, errWALBufferFull) && wctx.Err() == nil:
 		// Refused outright (closed store, invalid record).
 		e.met.WALAppendErrors.Add(1)
 		e.log.Error("wal write refused", "series", m.name, "err", err)
-		return false
 	default:
-		reason = "store saturated"
+		p.degrade = "store saturated"
 		e.met.WALLostPoints.Add(n)
 		e.log.Error("wal write dropped: store saturated", "series", m.name, "points", n, "err", err)
 	}
-	if ctx.Err() == nil {
+	cancel()
+	return p
+}
+
+// settleWAL is the wait half of a durable write. A waiter may arrive after
+// the deadline — AppendBulk steps later runs first — so a commit already in
+// hand wins over an expired deadline: it never degrades the series.
+func (e *Engine) settleWAL(ctx context.Context, m *managed, p walPending) bool {
+	if p.done != nil {
+		defer p.cancel()
+		select {
+		case err := <-p.done:
+			// Durable before the call returns: the healthy contract. A failed
+			// commit was counted and logged by the completion.
+			return err == nil
+		case <-p.ctx.Done():
+			if len(p.done) > 0 {
+				return <-p.done == nil
+			}
+		}
+		p.degrade = "durable write blew its deadline"
+	}
+	if p.degrade != "" && ctx.Err() == nil {
 		// A real deadline miss, not the client hanging up.
-		e.enterDegraded(m, reason)
+		e.enterDegraded(m, p.degrade)
 	}
 	return false
 }

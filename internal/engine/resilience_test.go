@@ -538,3 +538,181 @@ func TestFaultTrainStallReleasesCache(t *testing.T) {
 		t.Fatalf("cache budget holds %d bytes, the live cache %d", c2.ExtractCacheBytes, fresh.Bytes())
 	}
 }
+
+// shardStallStore is an in-memory store of two shards, the series stalled
+// names and the rest: while the gate is armed, points and labels on the
+// stalled shard complete only at Release — one shard's disk stalling.
+type shardStallStore struct {
+	stallStore
+	gate    faultinject.StallGate
+	stalled func(name string) bool
+}
+
+func (s *shardStallStore) Submit(_ context.Context, rec tsdb.Record, done func(error)) error {
+	if rec.Meta == nil && s.stalled(rec.Name) && s.gate.Armed() {
+		go func() {
+			s.gate.Wait()
+			done(nil)
+		}()
+		return nil
+	}
+	done(nil)
+	return nil
+}
+
+// TestFaultBulkStallDegradesOnlyStalled: one store shard stalls while flush
+// groups hold every staged run until they settle. Only the stalled shard's
+// series degrade, and the WAL accounting — degradations, points buffered
+// and lost while degraded, append errors — equals that of the same traffic
+// sent batch by batch through Append. The group naming an unknown series
+// still applies exactly its prefix.
+func TestFaultBulkStallDegradesOnlyStalled(t *testing.T) {
+	const series = 8
+	names := make([]string, series)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	stalled := func(name string) bool { return (name[1]-'0')%2 == 1 }
+	frames := func(n int) []SeriesBatch {
+		g := make([]SeriesBatch, series)
+		for i := range g {
+			g[i] = SeriesBatch{Name: names[i], Points: make([]Point, n)}
+		}
+		return g
+	}
+	// Degrade; buffer while degraded; overflow walBufferPoints and lose;
+	// then a group that fails at its fourth batch.
+	groups := [][]SeriesBatch{frames(100), frames(40000), frames(40000),
+		append(frames(10)[:3], SeriesBatch{Name: "ghost", Points: make([]Point, 1)}, frames(10)[3])}
+	run := func(bulk bool) (*Engine, Counters) {
+		store := &shardStallStore{stalled: stalled}
+		e := New(Config{
+			Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
+			Store:          store,
+			WALDeadline:    20 * time.Millisecond,
+			IngestInflight: -1,
+		})
+		t.Cleanup(e.Close)
+		for _, name := range names {
+			if err := e.Create(name, SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.gate.Arm()
+		t.Cleanup(store.gate.Release)
+		ctx := context.Background()
+		for gi, g := range groups {
+			last := gi == len(groups)-1
+			if bulk {
+				sum, _, err := e.AppendBulk(ctx, g, nil)
+				switch {
+				case !last && (err != nil || sum.Batches != len(g)):
+					t.Fatalf("group %d: %+v, %v", gi, sum, err)
+				case last && (!errors.Is(err, ErrNotFound) || sum.Batches != 3 || sum.Appended != 30):
+					t.Fatalf("group naming an unknown series: %+v, %v; want its 3-batch prefix and ErrNotFound", sum, err)
+				}
+				continue
+			}
+			for _, b := range g {
+				res, err := e.Append(ctx, b.Name, b.Points, nil)
+				if last && b.Name == "ghost" {
+					break
+				}
+				if err != nil || res.Persisted == stalled(b.Name) {
+					t.Fatalf("group %d, %s: %+v, %v", gi, b.Name, res, err)
+				}
+			}
+		}
+		return e, e.Counters()
+	}
+	bulk, got := run(true)
+	_, want := run(false)
+	for _, name := range names {
+		st, err := bulk.Status(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Degraded != stalled(name) {
+			t.Fatalf("%s: degraded=%v, want %v: only the stalled shard's series may degrade", name, st.Degraded, stalled(name))
+		}
+		wantPts := 100 + 40000 + 40000
+		if name[1]-'0' < 3 {
+			wantPts += 10
+		}
+		if st.Points != wantPts {
+			t.Fatalf("%s holds %d points, want %d", name, st.Points, wantPts)
+		}
+	}
+	if got.DegradedEntered != want.DegradedEntered || got.WALBufferedPoints != want.WALBufferedPoints ||
+		got.WALLostPoints != want.WALLostPoints || got.WALAppendErrors != want.WALAppendErrors {
+		t.Fatalf("bulk accounting degraded=%d buffered=%d lost=%d errors=%d, sequential %d/%d/%d/%d",
+			got.DegradedEntered, got.WALBufferedPoints, got.WALLostPoints, got.WALAppendErrors,
+			want.DegradedEntered, want.WALBufferedPoints, want.WALLostPoints, want.WALAppendErrors)
+	}
+	if got.DegradedEntered != series/2 || got.WALLostPoints == 0 {
+		t.Fatalf("degraded %d series and lost %d points: the stall did not bite", got.DegradedEntered, got.WALLostPoints)
+	}
+}
+
+// TestSettleLateWaiterNotDegraded: a bulk worker may settle a run after its
+// WAL deadline even though the record committed long before. A commit in
+// hand wins over an expired deadline, every time.
+func TestSettleLateWaiterNotDegraded(t *testing.T) {
+	e := New(Config{
+		Log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Store:       &stallStore{}, // commits inside Submit
+		WALDeadline: time.Millisecond,
+	})
+	t.Cleanup(e.Close)
+	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.lookup("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 32 {
+		m.mu.Lock()
+		s, err := e.stage(context.Background(), m, []Point{{Value: float64(i)}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.wal.ctx.Done() // the waiter arrives after the deadline
+		if res := e.settle(context.Background(), &s); !res.Persisted || res.Degraded {
+			t.Fatalf("settle %d after the deadline of a record committed in time: %+v", i, res)
+		}
+	}
+	if c := e.Counters(); c.DegradedEntered != 0 {
+		t.Fatalf("DegradedEntered = %d, want 0", c.DegradedEntered)
+	}
+}
+
+// TestAppendOverWALBufferRejected: a batch larger than one WAL record holds
+// is refused up front by both append doors, even with admission lifted,
+// instead of degrading its series and dropping its points from the log.
+func TestAppendOverWALBufferRejected(t *testing.T) {
+	e := New(Config{
+		Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Store:          &stallStore{},
+		IngestInflight: -1,
+	})
+	t.Cleanup(e.Close)
+	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Point, walBufferPoints+1)
+	if _, err := e.Append(context.Background(), "pv", pts, nil); !errors.Is(err, ErrRejected) {
+		t.Fatalf("Append of %d points: %v, want ErrRejected", len(pts), err)
+	}
+	sum, _, err := e.AppendBulk(context.Background(), []SeriesBatch{{Name: "pv", Points: pts}}, nil)
+	if !errors.Is(err, ErrRejected) || sum.Batches != 0 {
+		t.Fatalf("AppendBulk of a %d-point batch: %+v, %v, want ErrRejected and nothing applied", len(pts), sum, err)
+	}
+	st, err := e.Status(context.Background(), "pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); st.Points != 0 || st.Degraded || c.WALLostPoints != 0 {
+		t.Fatalf("series holds %d points, degraded=%v, %d points lost: want it unchanged", st.Points, st.Degraded, c.WALLostPoints)
+	}
+}

@@ -71,7 +71,7 @@ type twinState struct {
 	eng   *engine.Engine
 	store *tsdb.Store
 	dir   string
-	// The twin's lifecycle hooks, which the bulk episode awaits.
+	// The twin's lifecycle hooks, awaited wherever the live engine's are.
 	trainCh chan trainEvent
 	pubCh   chan pubEvent
 }
@@ -524,12 +524,19 @@ func (h *Harness) appendChecked(st *seriesState, n int) error {
 	}
 
 	if expectTrain {
-		after := h.afterWeeklyTrain
-		if h.stallArmed {
+		after, stalled := h.afterWeeklyTrain, h.stallArmed
+		if stalled {
 			after = h.afterStalledTrain
 		}
 		if err := after(st); err != nil {
 			return err
+		}
+		// The twin took the same batch and scheduled the same round: await
+		// it too, or the next probe of st races the twin's model swap.
+		if h.twin != nil && !stalled {
+			if err := h.sameTwinRounds(st); err != nil {
+				return err
+			}
 		}
 	}
 	// Weekly labeling of the just-completed week (labels always trail the
