@@ -1,0 +1,95 @@
+package core
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"opprentice/internal/detectors"
+	"opprentice/internal/kpigen"
+	"opprentice/internal/ml/forest"
+)
+
+var updateTrainingGolden = flag.Bool("update", false, "rewrite testdata/training.golden from this run's training rounds")
+
+// trainingGolden holds one line per KPI, predictor and field:
+// "<kpi>/<predictor> <field> <value>".
+const trainingGolden = "testdata/training.golden"
+
+// TestTrainingRoundGolden pins what a first training round produces — the
+// verdict forest and the type head (SHA-256 of their Save bytes) and the
+// threshold the monitor starts from (Float64bits: the cross-validated cThld
+// under EWMA, the POT threshold fitted on the held-out scores under EVT) — on
+// nine hourly weeks of kpigen PV, SR and SRT under both predictors. A change
+// to the fit that keeps forests bit-identical must pass it unedited; one that
+// means to move them regenerates the file with -update and says why in
+// CHANGES.md.
+func TestTrainingRoundGolden(t *testing.T) {
+	var got []string
+	for _, p := range kpigen.Profiles(kpigen.Small) {
+		p.Interval, p.Weeks = time.Hour, 9
+		d := kpigen.Generate(p, evtSeed)
+		types := kpigen.TypedLabels(d)
+		for _, kind := range []PredictorKind{PredictEWMA, PredictEVT} {
+			dets, err := detectors.Registry(p.Interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon, err := NewMonitor(d.Series, d.Labels, dets, MonitorConfig{
+				Forest: forest.Config{Trees: 20, Seed: evtSeed}, Predictor: kind, TypeLabels: types,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mon.typeModel == nil {
+				t.Fatalf("%s/%v: typed labels did not train a head", p.Name, kind)
+			}
+			threshold := "cv_cthld"
+			if kind == PredictEVT {
+				threshold = "evt_threshold"
+			}
+			at := fmt.Sprintf("%s/%v", p.Name, kind)
+			got = append(got,
+				fmt.Sprintf("%s forest %x", at, sha256.Sum256(forestBytes(t, mon.model))),
+				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(forestBytes(t, mon.typeModel))),
+				fmt.Sprintf("%s %s %#016x", at, threshold, math.Float64bits(mon.cthld)))
+		}
+	}
+
+	if *updateTrainingGolden {
+		if err := os.WriteFile(trainingGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(trainingGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // "<kpi>/<predictor> <field>" → value
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			want[line[:i]] = line[i+1:]
+		}
+	}
+	for _, line := range got {
+		i := strings.LastIndexByte(line, ' ')
+		key, value := line[:i], line[i+1:]
+		w, ok := want[key]
+		delete(want, key)
+		kpi, field, _ := strings.Cut(key, " ")
+		switch {
+		case !ok:
+			t.Errorf("%s: %s = %s is not in %s", kpi, field, value, trainingGolden)
+		case value != w:
+			t.Errorf("%s: %s = %s, golden %s", kpi, field, value, w)
+		}
+	}
+	for key := range want {
+		t.Errorf("%s: no round produced %q", trainingGolden, key)
+	}
+}

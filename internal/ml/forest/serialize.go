@@ -19,6 +19,18 @@ type forestDTO struct {
 // serializationVersion guards against loading incompatible snapshots.
 const serializationVersion = 1
 
+// init numbers both snapshot forms before anything else can. gob assigns
+// type ids process-wide, in the order it first meets each type, and writes
+// them into the stream, so without this the bytes Save writes would depend on
+// what the process had encoded or decoded before (a Monitor snapshot, say).
+func init() {
+	for _, dto := range []any{forestDTO{}, multiDTO{}} {
+		if err := gob.NewEncoder(io.Discard).Encode(dto); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // Save writes the trained forest (trees and feature binner) to w, so a
 // deployment can restart without retraining.
 func (f *Forest) Save(w io.Writer) error {
