@@ -198,11 +198,14 @@ const oracleSeed int64 = 2201
 // equal edges (==; a zero edge may differ in sign, see Presorted.Bin),
 // identical codes, and, on those codes, trees identical node for node
 // whether grown on all features from every row or forest-style on √d
-// features from a bootstrap sample. Exported so that the kpigen-severity
-// oracle, which needs internal/core and so lives in package tree_test, can
-// share it.
-func CheckPresortOracle(t *testing.T, cols [][]float64, labels []bool) {
+// features from a bootstrap sample, at each MinLeaf in minLeaves (1 when
+// none is given). Exported so that the kpigen-severity oracle, which needs
+// internal/core and so lives in package tree_test, can share it.
+func CheckPresortOracle(t *testing.T, cols [][]float64, labels []bool, minLeaves ...int) {
 	t.Helper()
+	if len(minLeaves) == 0 {
+		minLeaves = []int{1}
+	}
 	n := len(labels)
 	ranges := [][2]int{{0, 0}, {0, n / 2}, {n / 2, n}}
 	for fold := 0; fold < 5; fold++ {
@@ -238,23 +241,25 @@ func CheckPresortOracle(t *testing.T, cols [][]float64, labels []bool) {
 			if len(wantLabels) == 0 {
 				continue
 			}
-			for _, forestStyle := range []bool{false, true} {
-				growWith := func(grow func([][]uint8, []bool, []int, Config) *Tree, codes [][]uint8) *Tree {
-					rng := rand.New(rand.NewSource(oracleSeed))
-					idx, cfg := make([]int, len(wantLabels)), Config{}
-					for i := range idx {
-						idx[i] = i
-						if forestStyle {
-							idx[i] = rng.Intn(len(idx))
+			for _, minLeaf := range minLeaves {
+				for _, forestStyle := range []bool{false, true} {
+					growWith := func(grow func([][]uint8, []bool, []int, Config) *Tree, codes [][]uint8) *Tree {
+						rng := rand.New(rand.NewSource(oracleSeed))
+						idx, cfg := make([]int, len(wantLabels)), Config{MinLeaf: minLeaf}
+						for i := range idx {
+							idx[i] = i
+							if forestStyle {
+								idx[i] = rng.Intn(len(idx))
+							}
 						}
+						if forestStyle {
+							cfg.FeaturesPerSplit, cfg.Rng = int(math.Ceil(math.Sqrt(float64(len(cols))))), rng
+						}
+						return grow(codes, wantLabels, idx, cfg)
 					}
-					if forestStyle {
-						cfg = Config{FeaturesPerSplit: int(math.Ceil(math.Sqrt(float64(len(cols))))), Rng: rng}
-					}
-					return grow(codes, wantLabels, idx, cfg)
+					assertSameTree(t, fmt.Sprintf("%s, MinLeaf %d, forest-style %v", at, minLeaf, forestStyle),
+						growWith(Grow, gotCodes), growWith(refGrow, wantCodes))
 				}
-				assertSameTree(t, fmt.Sprintf("%s, forest-style %v", at, forestStyle),
-					growWith(Grow, gotCodes), growWith(refGrow, wantCodes))
 			}
 		}
 	}
@@ -308,8 +313,79 @@ func TestPresortMatchesOracleOnHostileColumns(t *testing.T) {
 			cols[9][i] = float64(i / 3)                                                 // sorted already, in runs
 			labels[i] = cols[4][i]+v+0.3*rng.NormFloat64() > 1
 		}
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { CheckPresortOracle(t, cols, labels) })
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { CheckPresortOracle(t, cols, labels, 1, 3) })
 	}
+	for _, n := range []int{60, 600} {
+		cols, labels := tiedColumns(rng, n)
+		t.Run(fmt.Sprintf("ties/n=%d", n), func(t *testing.T) { CheckPresortOracle(t, cols, labels, 1, 3) })
+	}
+	t.Run("duplicates/n=20000", func(t *testing.T) {
+		const n = 20000
+		col, labels := make([]float64, n), make([]bool, n)
+		for i := range col {
+			v := rng.NormFloat64()
+			col[i] = float64(rng.Intn(3)) // 95 % on three values
+			if rng.Intn(20) == 0 {
+				col[i] = v
+			}
+			labels[i] = col[i]+0.5*v > 1.5
+		}
+		CheckPresortOracle(t, [][]float64{col}, labels, 1, 3)
+	})
+}
+
+// tiedColumns builds n rows on which many candidate splits have the same
+// gain, exactly or to within a few ulps, so the split search's strict > and
+// its scan order decide. The labels are balanced and a palindrome (n a
+// multiple of 4), so the cut after k rows of a sorted column and the cut
+// after n−k rows leave the same counts on swapped sides: the same gain, bit
+// for bit, and so does the same cut on a reversed or duplicated column.
+// Columns of a few values meet the same label counts at many bins and across
+// features. A column read through a pairing of positive and negative rows
+// turns every cut's counts (a, b) into (b, a): equal gains in real
+// arithmetic, which rounding keeps equal only at times.
+func tiedColumns(rng *rand.Rand, n int) ([][]float64, []bool) {
+	labels := make([]bool, n)
+	for k, i := range rng.Perm(n / 2) {
+		labels[i] = k < n/4
+		labels[n-1-i] = labels[i]
+	}
+	var pos, neg []int
+	for i, l := range labels {
+		if l {
+			pos = append(pos, i)
+		} else {
+			neg = append(neg, i)
+		}
+	}
+	partner := make([]int, n)
+	for k := range pos {
+		partner[pos[k]], partner[neg[k]] = neg[k], pos[k]
+	}
+	cols := make([][]float64, 11)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		y := 0.0
+		if labels[i] {
+			y = 1
+		}
+		cols[0][i] = float64(i)         // sorted: mirrored cuts tie
+		cols[1][i] = float64(n - 1 - i) // reversed: ties cols[0] cut for cut
+		cols[2][i] = float64(i / 4)     // runs
+		cols[3][i] = float64(rng.Intn(4))
+		cols[4][i] = cols[3][i] // a duplicate: every cut ties across features
+		cols[5][i] = float64(rng.Intn(3)) + y
+		cols[6][i] = -cols[5][i] // the same cuts from the other end
+		cols[7][i] = rng.NormFloat64() + 2*y
+		cols[8][i] = float64(min(i, n-1-i)) // folded: pairs rows the palindrome pairs
+	}
+	for i := 0; i < n; i++ {
+		cols[9][i] = cols[7][partner[i]] // class-swapped cuts of cols[7]
+		cols[10][i] = cols[5][partner[i]]
+	}
+	return cols, labels
 }
 
 // TestPresortEmptyAndRagged pins the two shapes outside the oracle: a matrix
