@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"opprentice/internal/alerting"
@@ -128,42 +128,76 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func renderLabel(k, v string) string { return "{" + k + `="` + labelEscaper.Replace(v) + `"}` }
 
-// families is the one loop from declarations to samples: it walks t's tagged
-// fields in order and reads each off every row (one row of engine-wide
-// metrics, or one row per series, labelled rowLabels[j] — no per-series field
-// carries a label of its own) into the family the field declares or
-// continues. A declaration the tag grammar does not cover shows up in the
-// scrape, which TestMetricsGolden and TestMetricsTable pin.
-func families(t reflect.Type, rows []reflect.Value, rowLabels []string, transport []Family) []Family {
-	var fams []Family
+// field is one exported field of a declaration, its tags read once.
+type field struct {
+	index     int
+	name      string  // Go identifier
+	labels    string  // the rendered label tag; empty for none
+	opens     Family  // the family the field declares, without samples; Name is empty when it continues the one above
+	scale     float64 // 10^Decimals of its family
+	gate      []int   // index of the `when` field; nil when ungated
+	transport bool    // the transport's families follow this one
+}
+
+// fieldsOf reads t's tags in field order, leaving snapshot-only fields out.
+func fieldsOf(t reflect.Type) []field {
+	var fields []field
+	scale := 1.0
 	for i := 0; i < t.NumField(); i++ {
-		tag := t.Field(i).Tag
-		labels := ""
-		if k, v, ok := strings.Cut(tag.Get("label"), "="); ok {
-			labels = renderLabel(k, v)
+		sf := t.Field(i)
+		f := field{index: i, name: sf.Name, transport: sf.Tag.Get("then") == "transport"}
+		if k, v, ok := strings.Cut(sf.Tag.Get("label"), "="); ok {
+			f.labels = renderLabel(k, v)
 		}
-		if name := tag.Get("metric"); name != "" {
-			decimals, _ := strconv.Atoi(tag.Get("decimals")) // absent reads as 0
-			fams = append(fams, Family{Name: name, Help: tag.Get("help"), Gauge: tag.Get("kind") == "gauge", Decimals: decimals,
-				Samples: make([]Sample, 0, len(rows))})
-		} else if labels == "" {
+		if name := sf.Tag.Get("metric"); name != "" {
+			decimals, _ := strconv.Atoi(sf.Tag.Get("decimals")) // absent reads as 0
+			f.opens = Family{Name: name, Help: sf.Tag.Get("help"), Gauge: sf.Tag.Get("kind") == "gauge", Decimals: decimals}
+			scale = math.Pow10(decimals)
+		} else if f.labels == "" {
 			continue // snapshot-only
 		}
+		if gate, ok := t.FieldByName(sf.Tag.Get("when")); ok {
+			f.gate = gate.Index
+		}
+		f.scale = scale
+		fields = append(fields, f)
+	}
+	return fields
+}
+
+// The field tables of the two declarations, built on first scrape.
+var (
+	counterFields = sync.OnceValue(func() []field { return fieldsOf(reflect.TypeFor[Counters]()) })
+	seriesFields  = sync.OnceValue(func() []field { return fieldsOf(reflect.TypeFor[SeriesMetrics]()) })
+)
+
+// families is the one loop from declarations to samples: it walks a
+// declaration's fields in order and reads each off every row (one row of
+// engine-wide metrics, or one row per series, labelled rowLabels[j] — no
+// per-series field carries a label of its own) into the family the field
+// declares or continues. A declaration the tag grammar does not cover shows
+// up in the scrape, which TestMetricsGolden and TestMetricsTable pin.
+func families(fields []field, rows []reflect.Value, rowLabels []string, transport []Family) []Family {
+	fams := make([]Family, 0, len(fields)+len(transport))
+	for _, f := range fields {
+		if f.opens.Name != "" {
+			fams = append(fams, f.opens)
+			fams[len(fams)-1].Samples = make([]Sample, 0, len(rows))
+		}
 		fam := &fams[len(fams)-1]
-		gate, gated := t.FieldByName(tag.Get("when"))
 		for j, row := range rows {
-			if gated && !row.FieldByIndex(gate.Index).Bool() {
+			if f.gate != nil && !row.FieldByIndex(f.gate).Bool() {
 				continue
 			}
-			s := Sample{Field: t.Field(i).Name, Labels: labels + rowLabels[j]}
-			if v := row.Field(i); v.CanInt() {
-				s.Value = float64(v.Int()) / math.Pow10(fam.Decimals)
+			s := Sample{Field: f.name, Labels: f.labels + rowLabels[j]}
+			if v := row.Field(f.index); v.CanInt() {
+				s.Value = float64(v.Int()) / f.scale
 			} else {
 				s.Value = v.Float()
 			}
 			fam.Samples = append(fam.Samples, s)
 		}
-		if tag.Get("then") == "transport" {
+		if f.transport {
 			fams = append(fams, transport...)
 		}
 	}
@@ -252,8 +286,8 @@ func (e *Engine) Metrics(transport ...Family) []Family {
 	for i := range series {
 		rows[i], labels[i] = reflect.ValueOf(&series[i]).Elem(), renderLabel("series", series[i].Name)
 	}
-	return append(families(reflect.TypeOf(c), []reflect.Value{reflect.ValueOf(c)}, []string{""}, transport),
-		families(reflect.TypeOf(SeriesMetrics{}), rows, labels, nil)...)
+	return append(families(counterFields(), []reflect.Value{reflect.ValueOf(c)}, []string{""}, transport),
+		families(seriesFields(), rows, labels, nil)...)
 }
 
 // WriteMetrics renders families in the Prometheus text exposition format, one
@@ -265,7 +299,7 @@ func WriteMetrics(w io.Writer, fams []Family) error {
 		if f.Gauge {
 			kind = "gauge"
 		}
-		b = fmt.Appendf(b[:0], "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, kind)
+		b = append(b[:0], "# HELP "+f.Name+" "+f.Help+"\n# TYPE "+f.Name+" "+kind+"\n"...)
 		for _, s := range f.Samples {
 			b = append(append(append(b, f.Name...), s.Labels...), ' ')
 			b = append(strconv.AppendFloat(b, s.Value, 'f', f.Decimals, 64), '\n')

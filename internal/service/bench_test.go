@@ -88,3 +88,23 @@ func BenchmarkHandlePoints(b *testing.B) {
 		b.SetBytes(int64(batch))
 	})
 }
+
+// BenchmarkMetricsScrape serves GET /v1/metrics over 32 and 2 000 untrained
+// series: the engine-wide families are the fixed part of a scrape, one
+// sample per series in each per-series family the part that grows.
+func BenchmarkMetricsScrape(b *testing.B) {
+	for _, n := range []int{32, 2000} {
+		b.Run(fmt.Sprintf("%dseries", n), func(b *testing.B) {
+			h, _, _ := benchServer(b, n, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+				if w.Code != http.StatusOK {
+					b.Fatalf("metrics: %d %s", w.Code, w.Body.String())
+				}
+			}
+		})
+	}
+}
