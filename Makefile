@@ -112,7 +112,7 @@ bench:
 # ratio floor — machine-independent RATIOS, not absolute ns/op; each fails by itself, after both
 # its legs ran: cold ÷ incremental retrain extraction (what the feature cache
 # buys, floor 7.2x) and cold ÷ warm restart (what the model registry buys,
-# floor 5.4x). The fixed -benchtime keeps the runs short while giving stable
+# floor 3.4x). The fixed -benchtime keeps the runs short while giving stable
 # ratios. DESIGN.md §13 lists where every other speed gate lives.
 bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
