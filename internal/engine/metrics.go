@@ -128,21 +128,21 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func renderLabel(k, v string) string { return "{" + k + `="` + labelEscaper.Replace(v) + `"}` }
 
-// field is one exported field of a declaration, its tags read once.
+// field is one exported field of a declaration with its tags read: labels
+// is the rendered label tag, opens the family the field declares (without
+// samples; no Name when it continues the one above), gate the index of its
+// `when` field.
 type field struct {
-	index     int
-	name      string  // Go identifier
-	labels    string  // the rendered label tag; empty for none
-	opens     Family  // the family the field declares, without samples; Name is empty when it continues the one above
-	scale     float64 // 10^Decimals of its family
-	gate      []int   // index of the `when` field; nil when ungated
-	transport bool    // the transport's families follow this one
+	index        int
+	name, labels string
+	opens        Family
+	gate         []int
+	transport    bool
 }
 
 // fieldsOf reads t's tags in field order, leaving snapshot-only fields out.
 func fieldsOf(t reflect.Type) []field {
 	var fields []field
-	scale := 1.0
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		f := field{index: i, name: sf.Name, transport: sf.Tag.Get("then") == "transport"}
@@ -152,14 +152,12 @@ func fieldsOf(t reflect.Type) []field {
 		if name := sf.Tag.Get("metric"); name != "" {
 			decimals, _ := strconv.Atoi(sf.Tag.Get("decimals")) // absent reads as 0
 			f.opens = Family{Name: name, Help: sf.Tag.Get("help"), Gauge: sf.Tag.Get("kind") == "gauge", Decimals: decimals}
-			scale = math.Pow10(decimals)
 		} else if f.labels == "" {
 			continue // snapshot-only
 		}
 		if gate, ok := t.FieldByName(sf.Tag.Get("when")); ok {
 			f.gate = gate.Index
 		}
-		f.scale = scale
 		fields = append(fields, f)
 	}
 	return fields
@@ -191,7 +189,7 @@ func families(fields []field, rows []reflect.Value, rowLabels []string, transpor
 			}
 			s := Sample{Field: f.name, Labels: f.labels + rowLabels[j]}
 			if v := row.Field(f.index); v.CanInt() {
-				s.Value = float64(v.Int()) / f.scale
+				s.Value = float64(v.Int()) / math.Pow10(fam.Decimals)
 			} else {
 				s.Value = v.Float()
 			}
