@@ -123,15 +123,11 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	return me
 }
 
-// splitMargin is how far a bin's exact weighted impurity must sit above the
-// best split's before bestSplit skips the bin unevaluated: six orders of
-// magnitude over the rounding of either formula (≤ ~1e-15), so a skipped bin
-// could not have won. boundRows is the node size up to which the bound's
-// int64 products are exact: they are at most n³/16 < 2⁶³.
-const (
-	splitMargin = 1e-9
-	boundRows   = 1 << 22
-)
+// splitMargin is how far a bin's weighted impurity must sit above the best
+// split's before bestSplit skips the bin unevaluated: six orders of magnitude
+// over the relative rounding of either formula (≤ ~1e-15 at any node size),
+// so a skipped bin could not have won.
+const splitMargin = 1e-9
 
 // bestSplit searches the (possibly subsampled) features for the split with
 // the lowest weighted gini impurity, returning the impurity decrease.
@@ -154,11 +150,10 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 	bestGain = 1e-12
 	ok = false
 	// In real arithmetic w = 2·(L0·L1·rn + R0·R1·ln)/(n·ln·rn), so a bin whose
-	// exact int64 L0·L1·rn + R0·R1·ln reaches cut·ln·rn, with cut =
+	// L0·L1·rn + R0·R1·ln reaches cut·ln·rn, with cut =
 	// (parentGini − bestGain + splitMargin)·n/2, cannot pass gain > bestGain:
 	// it is skipped without a division. Every other bin runs the arithmetic
-	// below unchanged. Above boundRows every bin does.
-	bounded := n <= boundRows
+	// below unchanged.
 	cut := (parentGini - bestGain + splitMargin) * float64(n) / 2
 	for _, f := range feats[:k] {
 		codes := g.binned[f]
@@ -198,8 +193,8 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 				continue
 			}
 			right := [2]int32{total[0] - left[0], total[1] - left[1]}
-			if bounded && float64(int64(left[0])*int64(left[1])*int64(rn)+int64(right[0])*int64(right[1])*int64(ln)) >=
-				cut*float64(int64(ln)*int64(rn)) {
+			if float64(left[0])*float64(left[1])*float64(rn)+float64(right[0])*float64(right[1])*float64(ln) >=
+				cut*(float64(ln)*float64(rn)) {
 				continue
 			}
 			w := (float64(ln)*gini(left) + float64(rn)*gini(right)) / float64(n)
