@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"opprentice/internal/alerting"
@@ -163,10 +162,10 @@ func fieldsOf(t reflect.Type) []field {
 	return fields
 }
 
-// The field tables of the two declarations, built on first scrape.
+// The field tables of the two declarations.
 var (
-	counterFields = sync.OnceValue(func() []field { return fieldsOf(reflect.TypeFor[Counters]()) })
-	seriesFields  = sync.OnceValue(func() []field { return fieldsOf(reflect.TypeFor[SeriesMetrics]()) })
+	counterFields = fieldsOf(reflect.TypeFor[Counters]())
+	seriesFields  = fieldsOf(reflect.TypeFor[SeriesMetrics]())
 )
 
 // families is the one loop from declarations to samples: it walks a
@@ -284,8 +283,8 @@ func (e *Engine) Metrics(transport ...Family) []Family {
 	for i := range series {
 		rows[i], labels[i] = reflect.ValueOf(&series[i]).Elem(), renderLabel("series", series[i].Name)
 	}
-	return append(families(counterFields(), []reflect.Value{reflect.ValueOf(c)}, []string{""}, transport),
-		families(seriesFields(), rows, labels, nil)...)
+	return append(families(counterFields, []reflect.Value{reflect.ValueOf(c)}, []string{""}, transport),
+		families(seriesFields, rows, labels, nil)...)
 }
 
 // WriteMetrics renders families in the Prometheus text exposition format, one
