@@ -30,18 +30,23 @@ bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test .
 
 # Non-test Go lines by package, at LOC_BASE and in the working tree (tracked
-# files only) — the before/after table every simplification PR reports.
+# files only) — the before/after table every simplification PR reports — then
+# the total of test lines: _test.go files and the Go files of testdata
+# modules.
 LOC_BASE ?= HEAD
 
 loc:
-	@{ git grep -c '' $(LOC_BASE) -- '*.go' ':!*_test.go' | sed 's/^[^:]*:/base:/'; \
-	   git grep -c '' -- '*.go' ':!*_test.go' | sed 's/^/now:/'; } | \
+	@{ git grep -c '' $(LOC_BASE) -- '*.go' ':!*_test.go' ':!*testdata/*' | sed 's/^[^:]*:/base:/'; \
+	   git grep -c '' -- '*.go' ':!*_test.go' ':!*testdata/*' | sed 's/^/now:/'; } | \
 	awk -F: '{ n = split($$2, d, "/"); pkg = (n > 1) ? substr($$2, 1, length($$2) - length(d[n]) - 1) : "."; \
 	           v[$$1, pkg] += $$3; t[$$1] += $$3; seen[pkg] = 1 } \
 	     END { printf "%-32s %8s %8s %7s\n", "package", "$(LOC_BASE)", "now", "delta"; \
 	           for (pkg in seen) printf "%-32s %8d %8d %+7d\n", pkg, v["base", pkg], v["now", pkg], v["now", pkg] - v["base", pkg] | "sort"; \
 	           close("sort"); \
 	           printf "%-32s %8d %8d %+7d\n", "total", t["base"], t["now"], t["now"] - t["base"] }'
+	@{ git grep -c '' $(LOC_BASE) -- '*_test.go' '*testdata/*.go' | sed 's/^[^:]*:/base:/'; \
+	   git grep -c '' -- '*_test.go' '*testdata/*.go' | sed 's/^/now:/'; } | \
+	awk -F: '{ t[$$1] += $$3 } END { printf "%-32s %8d %8d %+7d\n", "tests (_test.go, testdata)", t["base"], t["now"], t["now"] - t["base"] }'
 
 race:
 	$(GO) test -race ./...

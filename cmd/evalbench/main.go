@@ -18,7 +18,6 @@ import (
 
 	"opprentice/internal/experiments"
 	"opprentice/internal/kpigen"
-	"opprentice/internal/report"
 )
 
 func main() {
@@ -104,7 +103,7 @@ func main() {
 			os.Exit(1)
 		}
 		title := fmt.Sprintf("Opprentice reproduction — %s scale, seed %d", *scale, *seed)
-		if err := report.HTML(f, title, allTables); err != nil {
+		if err := writeHTML(f, title, allTables); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "evalbench:", err)
 			os.Exit(1)

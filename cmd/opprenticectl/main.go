@@ -6,7 +6,7 @@
 //
 //	opprenticectl -server http://localhost:8080 list
 //	opprenticectl create pv -interval 60 -start 2015-01-05T00:00:00Z
-//	opprenticectl ingest pv -csv pv.csv            # labeled CSV also labels
+//	opprenticectl ingest pv -csv pv.csv            # must continue the series; a labeled CSV also labels
 //	opprenticectl label pv -window 120:135
 //	opprenticectl train pv
 //	opprenticectl status pv
@@ -170,6 +170,13 @@ func runIngest(ctx context.Context, c *service.Client, args []string) error {
 	if err != nil {
 		return err
 	}
+	st, err := c.Status(ctx, name)
+	if err != nil {
+		return err
+	}
+	if time.Duration(st.IntervalSeconds)*time.Second != series.Interval {
+		return fmt.Errorf("%s: the CSV's interval is %v, the series' %ds", *csvPath, series.Interval, st.IntervalSeconds)
+	}
 	var sent, alarms int
 	pts := make([]service.Point, 0, *batch)
 	flush := func() error {
@@ -189,8 +196,15 @@ func runIngest(ctx context.Context, c *service.Client, args []string) error {
 		pts = pts[:0]
 		return nil
 	}
-	for _, v := range series.Values {
-		pts = append(pts, service.Point{Value: v})
+	for i, v := range series.Values {
+		p := service.Point{Value: v}
+		if len(pts) == 0 {
+			// The engine refuses a batch whose first point is not at the
+			// series' next slot, so a re-run or a CSV that does not continue
+			// the series appends nothing.
+			p.Timestamp = series.TimeAt(i)
+		}
+		pts = append(pts, p)
 		if len(pts) == *batch {
 			if err := flush(); err != nil {
 				return err
@@ -204,7 +218,7 @@ func runIngest(ctx context.Context, c *service.Client, args []string) error {
 	if labels != nil {
 		var windows []service.LabelWindow
 		for _, w := range labels.Windows() {
-			windows = append(windows, service.LabelWindow{Start: w.Start, End: w.End, Anomalous: true})
+			windows = append(windows, service.LabelWindow{Start: st.Points + w.Start, End: st.Points + w.End, Anomalous: true})
 		}
 		if err := c.Label(ctx, name, windows); err != nil {
 			return err

@@ -17,9 +17,10 @@ var update = flag.Bool("update", false, "regenerate the wal cat fixture segment 
 
 // genFixture writes the committed fixture data directory: one shard holding
 // one segment with a create, two point batches, a label, a second series, a
-// tombstone — and one deliberately corrupted points frame. Every append is a
-// blocking single request (no group-commit window), so the frame sequence is
-// deterministic and the golden file stays stable across regenerations.
+// tombstone — and one deliberately corrupted points frame. Every write is
+// awaited before the next is made, so each commits in a frame of its own, the
+// frame sequence is deterministic and the golden file stays stable across
+// regenerations.
 func genFixture(t *testing.T, dir string) {
 	t.Helper()
 	ctx := context.Background()
@@ -41,7 +42,11 @@ func genFixture(t *testing.T, dir string) {
 	if err := s.AppendPoints(ctx, "pv", []float64{10.5, 11, 11.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 1, 3, true); err != nil {
+	label := make(chan error, 1)
+	if err := s.Submit(ctx, tsdb.Record{Name: "pv", Start: 1, End: 3, Anomalous: true}, func(err error) { label <- err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-label; err != nil {
 		t.Fatal(err)
 	}
 	meta.Name = "gone"
@@ -52,7 +57,7 @@ func genFixture(t *testing.T, dir string) {
 	if err := s.AppendPoints(ctx, "gone", []float64{7, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Remove("gone"); err != nil {
+	if _, err := s.Quarantine("gone"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendPoints(ctx, "pv", []float64{12, 80}); err != nil {

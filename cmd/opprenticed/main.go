@@ -48,7 +48,6 @@ func main() {
 		inflight  = flag.Int("ingest-inflight", 0, "per-shard in-flight ingest budget in points; batches over it are shed with 429 (0 = default 65536, negative = unlimited)")
 		walDL     = flag.Duration("wal-deadline", 0, "how long an append waits for its durable WAL write before the series degrades to threshold-only serving (0 = default 2s, negative = disabled)")
 		walSeg    = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 64 MiB)")
-		walGC     = flag.Duration("wal-group-commit", 0, "how long the WAL appender holds a commit open to batch concurrent writers into one fsync (0 = commit immediately, coalescing only what is already queued)")
 		trainDL   = flag.Duration("train-deadline", 0, "training watchdog deadline per round; stalled rounds are abandoned and retried (0 = default 5m, negative = disabled)")
 		degradedR = flag.Duration("degraded-recovery", 0, "quiet period before a degraded series recovers full serving (0 = default 30s, negative = sticky until restart)")
 		queryBand = flag.Float64("query-band", 0, "uncertainty band around the live cThld within which verdicts become label-query candidates (0 = default 0.1, negative = queries disabled)")
@@ -96,8 +95,8 @@ func main() {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)
 		}
-		// Both options leave a non-positive flag at the store's default.
-		store, err := tsdb.Open(*dataDir, tsdb.WithSegmentBytes(*walSeg), tsdb.WithGroupCommit(*walGC))
+		// A non-positive flag leaves the store's default.
+		store, err := tsdb.Open(*dataDir, tsdb.WithSegmentBytes(*walSeg))
 		if err != nil {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)

@@ -1,17 +1,16 @@
 // Package alerting turns point-level anomaly verdicts into operator-facing
 // incidents: consecutive anomalous points coalesce into one incident (the
 // window semantics operators think in, §4.2), notifications are rate
-// limited, and delivery is pluggable (log, webhook). This is the "report to
-// operators and let them decide" hand-off the paper's §6 prescribes.
+// limited, and delivery is pluggable (a webhook, or any Notifier). This is
+// the "report to operators and let them decide" hand-off the paper's §6
+// prescribes.
 package alerting
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -37,22 +36,6 @@ type Event struct {
 // use.
 type Notifier interface {
 	Notify(ctx context.Context, e Event) error
-}
-
-// LogNotifier writes events to a slog logger.
-type LogNotifier struct {
-	Log *slog.Logger
-}
-
-// Notify implements Notifier.
-func (n LogNotifier) Notify(_ context.Context, e Event) error {
-	log := n.Log
-	if log == nil {
-		log = slog.Default()
-	}
-	log.Info("incident", "series", e.Series, "state", e.State,
-		"start", e.Start, "points", e.Points, "peak", e.PeakProbability)
-	return nil
 }
 
 // WebhookNotifier POSTs events as JSON to a URL.
@@ -86,22 +69,6 @@ func (n WebhookNotifier) Notify(ctx context.Context, e Event) error {
 		return fmt.Errorf("alerting: webhook %s returned %d", n.URL, resp.StatusCode)
 	}
 	return nil
-}
-
-// Multi fans an event out to several notifiers. Every notifier is attempted
-// even when earlier ones fail; the returned error aggregates all failures
-// with errors.Join, so no delivery problem is silently swallowed.
-type Multi []Notifier
-
-// Notify implements Notifier.
-func (m Multi) Notify(ctx context.Context, e Event) error {
-	var errs []error
-	for _, n := range m {
-		if err := n.Notify(ctx, e); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Manager coalesces verdicts into incidents and notifies on transitions.
@@ -184,18 +151,4 @@ func (m *Manager) notify(ctx context.Context, e Event) error {
 		return nil
 	}
 	return m.Notifier.Notify(ctx, e)
-}
-
-// Open reports whether an incident is currently open.
-func (m *Manager) Open() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.open
-}
-
-// Suppressed returns how many incident-open notifications were rate limited.
-func (m *Manager) Suppressed() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.suppressed
 }

@@ -58,16 +58,6 @@ func (f *DurationFilter) Step(anomalous bool) []Decision {
 	return out
 }
 
-// Pending returns how many points are currently withheld awaiting a
-// duration decision.
-func (f *DurationFilter) Pending() int { return f.run }
-
-// Reset clears the filter state.
-func (f *DurationFilter) Reset() {
-	f.run = 0
-	f.confirmed = false
-}
-
 // FilterByDuration is the batch form: it returns a copy of the point-level
 // predictions with every anomalous run shorter than minPoints cleared.
 func FilterByDuration(pred []bool, minPoints int) []bool {

@@ -53,7 +53,7 @@ func replay(verdicts []bool, min int) []bool {
 	}
 	// Flush: a pending run at stream end never reached min, so it is
 	// normal by the batch convention.
-	for k := 0; k < f.Pending(); k++ {
+	for k := 0; k < f.run; k++ {
 		out = append(out, false)
 	}
 	return out
@@ -90,11 +90,11 @@ func TestDurationFilterLatencyBounded(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Step(true)
 	}
-	if f.Pending() != 4 {
-		t.Errorf("pending = %d, want 4", f.Pending())
+	if f.run != 4 {
+		t.Errorf("pending = %d, want 4", f.run)
 	}
 	// Latency never exceeds MinPoints-1.
-	if f.Pending() >= 5 {
+	if f.run >= 5 {
 		t.Error("latency bound violated")
 	}
 	out := f.Step(true)
@@ -105,20 +105,6 @@ func TestDurationFilterLatencyBounded(t *testing.T) {
 	out = f.Step(true)
 	if len(out) != 1 || !out[0].Anomalous || out[0].Count != 1 {
 		t.Errorf("continuation = %+v", out)
-	}
-}
-
-func TestDurationFilterReset(t *testing.T) {
-	f := &DurationFilter{MinPoints: 3}
-	f.Step(true)
-	f.Step(true)
-	f.Reset()
-	if f.Pending() != 0 {
-		t.Error("pending after Reset")
-	}
-	out := f.Step(false)
-	if len(out) != 1 || out[0].Anomalous {
-		t.Errorf("post-reset step = %+v", out)
 	}
 }
 

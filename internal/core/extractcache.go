@@ -136,16 +136,6 @@ func NewFeatureCache(budget *CacheBudget) *FeatureCache {
 	return &FeatureCache{budget: budget}
 }
 
-// Len returns how many points the cache currently covers (0 when invalid).
-func (c *FeatureCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.valid {
-		return 0
-	}
-	return c.n
-}
-
 // Bytes returns the cache's currently accounted footprint.
 func (c *FeatureCache) Bytes() int64 {
 	c.mu.Lock()

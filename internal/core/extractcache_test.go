@@ -113,8 +113,8 @@ func TestExtractIncrementalMatchesCold(t *testing.T) {
 		if outDets == nil || len(outDets) != len(inc.Cols) {
 			t.Fatalf("n=%d: outDets length %d", n, len(outDets))
 		}
-		if cache.Len() != n {
-			t.Fatalf("n=%d: cache covers %d points", n, cache.Len())
+		if !cache.valid || cache.n != n {
+			t.Fatalf("n=%d: cache covers %d points (valid %v)", n, cache.n, cache.valid)
 		}
 	}
 
@@ -244,8 +244,8 @@ func TestExtractCacheCapFallback(t *testing.T) {
 	for j := range inc.Cols {
 		sameBits(t, inc.Names[j]+" over cap", inc.Cols[j], cold.Cols[j])
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache still covers %d points after cap overflow", cache.Len())
+	if cache.valid {
+		t.Fatalf("cache still covers %d points after cap overflow", cache.n)
 	}
 	st := budget.Stats()
 	if st.Invalidations == 0 {

@@ -23,8 +23,8 @@ func TestFaultExtractSandboxesPanickingDetector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract with panicking detector: %v", err)
 	}
-	if got := f.DegradedCount(); got != 1 {
-		t.Fatalf("DegradedCount = %d, want 1 (degraded: %v)", got, f.Degraded)
+	if got := len(f.Degraded); got != 1 {
+		t.Fatalf("%d configurations degraded, want 1 (degraded: %v)", got, f.Degraded)
 	}
 	if f.Degraded[0] != "boom(now)" {
 		t.Errorf("Degraded = %v, want [boom(now)]", f.Degraded)
@@ -58,8 +58,8 @@ func TestFaultExtractSandboxesMidStreamPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.DegradedCount(); got != 1 {
-		t.Fatalf("DegradedCount = %d, want 1", got)
+	if got := len(f.Degraded); got != 1 {
+		t.Fatalf("%d configurations degraded, want 1", got)
 	}
 	col, err := f.ColumnByName("boom(later)")
 	if err != nil {
@@ -105,8 +105,8 @@ func TestFaultMonitorStepSurvivesPanickingDetector(t *testing.T) {
 			t.Fatalf("step %d: NaN probability", i)
 		}
 	}
-	if mon.DetectorPanics() == 0 {
-		t.Error("DetectorPanics = 0, want > 0")
+	if mon.panics == 0 {
+		t.Error("panics = 0, want > 0")
 	}
 	if mon.DegradedDetectors() != 1 {
 		t.Errorf("DegradedDetectors = %d, want 1", mon.DegradedDetectors())
@@ -127,15 +127,15 @@ func TestFaultNewMonitorMarksTrainingPanicDegraded(t *testing.T) {
 	if mon.DegradedDetectors() != 1 {
 		t.Errorf("DegradedDetectors = %d, want 1", mon.DegradedDetectors())
 	}
-	if mon.DetectorPanics() != 1 {
-		t.Errorf("DetectorPanics = %d, want 1", mon.DetectorPanics())
+	if mon.panics != 1 {
+		t.Errorf("panics = %d, want 1", mon.panics)
 	}
 	// The degraded detector is never stepped again, so Step stays safe.
 	for i := 0; i < 5; i++ {
 		mon.Step(s.Values[i])
 	}
-	if mon.DetectorPanics() != 1 {
-		t.Errorf("dead detector was re-stepped: panics = %d", mon.DetectorPanics())
+	if mon.panics != 1 {
+		t.Errorf("dead detector was re-stepped: panics = %d", mon.panics)
 	}
 }
 
@@ -169,11 +169,11 @@ func TestFaultLoadMonitorReportsRewarmPanic(t *testing.T) {
 	if len(reported) != 1 || reported[0] == nil {
 		t.Fatalf("OnDetectorPanic calls = %v, want one with the panic value", reported)
 	}
-	if restored.DegradedDetectors() != 1 || restored.DetectorPanics() != 1 {
-		t.Fatalf("restored monitor: %d degraded, %d panics, want 1 and 1", restored.DegradedDetectors(), restored.DetectorPanics())
+	if restored.DegradedDetectors() != 1 || restored.panics != 1 {
+		t.Fatalf("restored monitor: %d degraded, %d panics, want 1 and 1", restored.DegradedDetectors(), restored.panics)
 	}
 	restored.Step(s.Values[0]) // the dead configuration is not stepped again
-	if restored.DetectorPanics() != 1 {
-		t.Fatalf("dead detector was re-stepped: panics = %d", restored.DetectorPanics())
+	if restored.panics != 1 {
+		t.Fatalf("dead detector was re-stepped: panics = %d", restored.panics)
 	}
 }

@@ -40,10 +40,6 @@ type Features struct {
 	imputed bool
 }
 
-// DegradedCount returns how many configurations were sandboxed during
-// extraction.
-func (f *Features) DegradedCount() int { return len(f.Degraded) }
-
 // ExtractConfig controls feature extraction.
 type ExtractConfig struct {
 	// Workers bounds extraction parallelism (default GOMAXPROCS).
@@ -242,10 +238,6 @@ func imputeInPlace(col []float64) {
 		}
 	}
 }
-
-// Column returns the full severity series of configuration j (shared
-// storage; NaN for warm-up points unless the matrix has been imputed).
-func (f *Features) Column(j int) []float64 { return f.Cols[j] }
 
 // ColumnByName returns the severity column with the given configuration
 // name.

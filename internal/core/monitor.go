@@ -332,11 +332,6 @@ func (m *Monitor) PredictorKind() PredictorKind { return m.pred.Kind() }
 // HasTypeModel reports whether an anomaly-type head is trained.
 func (m *Monitor) HasTypeModel() bool { return m.typeModel != nil }
 
-// DetectorPanics returns how many detector panics this monitor has sandboxed
-// (training extraction and online Steps combined). Not safe for concurrent
-// use with Step; serialize as you would Step itself.
-func (m *Monitor) DetectorPanics() int { return m.panics }
-
 // DegradedDetectors returns how many configurations are currently degraded
 // (dead) and contributing no features.
 func (m *Monitor) DegradedDetectors() int {

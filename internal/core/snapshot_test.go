@@ -220,16 +220,17 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 		cols[1][i] = float64(i % 7)
 	}
 	f := forest.Train(cols, labels, forest.Config{Trees: 9, Seed: 3})
-	var buf bytes.Buffer
+	var buf, again bytes.Buffer
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	g, err := forest.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTrees() != f.NumTrees() {
-		t.Fatalf("trees = %d, want %d", g.NumTrees(), f.NumTrees())
+	if err := g.Save(&again); err != nil || !bytes.Equal(again.Bytes(), saved) {
+		t.Fatalf("the loaded forest saves different bytes (err %v)", err)
 	}
 	a, b := f.ProbAll(cols), g.ProbAll(cols)
 	for i := range a {

@@ -155,9 +155,9 @@ func TestStepBatchSandboxesMidBatchPanic(t *testing.T) {
 					t.Fatalf("verdict %d: StepBatch %+v, Step %+v", i, got[i], want[i])
 				}
 			}
-			if n := len(tc.blow); seq.DetectorPanics() != n || bat.DetectorPanics() != n || bat.DegradedDetectors() != n {
+			if n := len(tc.blow); seq.panics != n || bat.panics != n || bat.DegradedDetectors() != n {
 				t.Fatalf("panics: sequential %d, batched %d (%d degraded), want %d each",
-					seq.DetectorPanics(), bat.DetectorPanics(), bat.DegradedDetectors(), n)
+					seq.panics, bat.panics, bat.DegradedDetectors(), n)
 			}
 			for i := range tc.blow {
 				if name := fmt.Sprintf("boom(%d)", i); reported[name] != 1 {

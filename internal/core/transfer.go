@@ -70,7 +70,3 @@ func (fs *FeatureScaler) Apply(cols [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// Scale returns configuration j's calibrated unit (for inspection and
-// tests).
-func (fs *FeatureScaler) Scale(j int) float64 { return fs.scale[j] }

@@ -23,8 +23,8 @@ func TestFeatureScalerUnits(t *testing.T) {
 			t.Fatalf("normalized columns diverge at %d: %v vs %v", i, norm[0][i], norm[1][i])
 		}
 	}
-	if math.Abs(fs.Scale(1)-10*fs.Scale(0)) > 1e-9 {
-		t.Errorf("scales = %v, %v; want 10× ratio", fs.Scale(0), fs.Scale(1))
+	if math.Abs(fs.scale[1]-10*fs.scale[0]) > 1e-9 {
+		t.Errorf("scales = %v, %v; want 10× ratio", fs.scale[0], fs.scale[1])
 	}
 }
 

@@ -222,7 +222,7 @@ func TestARIMADetectorLifecycle(t *testing.T) {
 	if err := d.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
-	if d.Model() == nil {
+	if d.model == nil {
 		t.Fatal("Model should be set after Fit")
 	}
 	var normal float64

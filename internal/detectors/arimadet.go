@@ -1,10 +1,6 @@
 package detectors
 
-import (
-	"errors"
-
-	"opprentice/internal/arima"
-)
+import "opprentice/internal/arima"
 
 // ARIMADetector wraps an ARIMA model as a basic detector [10]. Following
 // §4.3.3, its parameters are not swept: Fit estimates the order and
@@ -25,10 +21,6 @@ func NewARIMA(maxP, maxD, maxQ int) *ARIMADetector {
 
 // Name implements Detector.
 func (d *ARIMADetector) Name() string { return "arima(auto)" }
-
-// ErrUntrained is returned by Fit when the history is too short to estimate
-// any model.
-var ErrUntrained = errors.New("detectors: arima has no usable history")
 
 // Fit implements Trainable: it estimates the model order and coefficients
 // from history and restarts the forecaster. Refitting periodically keeps the
@@ -51,9 +43,6 @@ func (d *ARIMADetector) Fit(history []float64) error {
 	}
 	return nil
 }
-
-// Model returns the fitted model, or nil before Fit succeeds.
-func (d *ARIMADetector) Model() *arima.Model { return d.model }
 
 // Step implements Detector.
 func (d *ARIMADetector) Step(v float64) (float64, bool) {

@@ -186,10 +186,6 @@ type Config struct {
 	// failed write for this long and has no write in flight. Negative makes
 	// degraded mode sticky until restart.
 	DegradedRecovery time.Duration
-	// TrainRetries is how many times an automatic retrain that stalled or
-	// failed is retried with exponential backoff before giving up for that
-	// trigger (default 3).
-	TrainRetries int
 	// TrainFailLimit quarantines a series' training after this many
 	// consecutive failed automatic rounds (default 5): the old model keeps
 	// serving, automatic retrains stop, and a successful manual Train
@@ -263,7 +259,6 @@ type Engine struct {
 	walDeadline      atomic.Int64
 	trainDeadline    atomic.Int64
 	degradedRecovery time.Duration
-	trainRetries     int
 	trainFailLimit   int
 
 	met metricSet[atomic.Int64]
@@ -426,12 +421,6 @@ func New(cfg Config) *Engine {
 	if cfg.IngestInflight < 0 {
 		cfg.IngestInflight = 0
 	}
-	if cfg.TrainRetries == 0 {
-		cfg.TrainRetries = 3
-	}
-	if cfg.TrainRetries < 0 {
-		cfg.TrainRetries = 0
-	}
 	if cfg.TrainFailLimit == 0 {
 		cfg.TrainFailLimit = 5
 	}
@@ -457,7 +446,6 @@ func New(cfg Config) *Engine {
 		restoreWorkers: cfg.RestoreWorkers,
 		cacheBudget:    budget,
 		ingestInflight: int64(cfg.IngestInflight),
-		trainRetries:   cfg.TrainRetries,
 		trainFailLimit: cfg.TrainFailLimit,
 		trainQ:         make(chan *managed, retrainQueue),
 		pubQ:           make(chan *managed, retrainQueue),

@@ -501,7 +501,7 @@ func TestFaultTrainStallReleasesCache(t *testing.T) {
 		t.Fatalf("Train with a wedged fit: %v, want ErrStalled", err)
 	}
 	fresh := m.featCache
-	if fresh == old || fresh.Len() != 0 {
+	if fresh == old || fresh.Bytes() != 0 {
 		t.Fatal("the stalled round did not hand the series a fresh, empty cache")
 	}
 	if c := e.Counters(); c.ExtractCacheInvalidated != c0.ExtractCacheInvalidated {

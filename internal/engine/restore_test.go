@@ -257,7 +257,7 @@ func TestRestoreFingerprintMismatchFallsBackCold(t *testing.T) {
 	}
 	// The mismatched artifact is still loadable for a reverted deployment.
 	models := openModels(t, modelDir)
-	if _, err := models.Load("pv"); err != nil {
+	if _, err := models.LoadSet("pv"); err != nil {
 		t.Errorf("fingerprint-mismatched artifact was damaged or quarantined: %v", err)
 	}
 }

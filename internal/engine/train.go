@@ -245,9 +245,13 @@ func (e *Engine) retrainWorker() {
 	}
 }
 
+// trainRetries is how many times an automatic round that stalled is retried
+// before autoRetrain gives up on that trigger.
+const trainRetries = 3
+
 // autoRetrain runs one automatic round under the watchdog's retry policy:
 // a stalled round is retried with exponential backoff and jitter (bounded
-// by the retry budget and engine shutdown); any failure advances the
+// by trainRetries and engine shutdown); any failure advances the
 // series' consecutive-failure streak, and crossing the limit quarantines
 // its training — the last good model keeps serving, automatic retrains
 // stop, and a successful manual Train lifts it.
@@ -272,7 +276,7 @@ func (e *Engine) autoRetrain(m *managed) {
 		}
 		// Only stalls are worth retrying: a rejected round (untrainable
 		// history, bad registry) fails identically on every attempt.
-		if !errors.Is(err, ErrStalled) || attempt >= e.trainRetries {
+		if !errors.Is(err, ErrStalled) || attempt >= trainRetries {
 			return
 		}
 		e.met.TrainRetries.Add(1)

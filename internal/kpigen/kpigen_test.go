@@ -230,7 +230,7 @@ func TestMissingRateInjection(t *testing.T) {
 	}
 	missing := 0
 	for i := 1; i < d.Series.Len(); i++ {
-		if d.Series.IsMissing(i) {
+		if d.Series.Missing[i] {
 			missing++
 			if d.Series.Values[i] != d.Series.Values[i-1] {
 				t.Fatalf("missing point %d not carried forward", i)
@@ -241,7 +241,7 @@ func TestMissingRateInjection(t *testing.T) {
 	if frac < 0.03 || frac > 0.08 {
 		t.Errorf("missing fraction = %v, want ≈ 0.05", frac)
 	}
-	if d.Series.IsMissing(0) {
+	if d.Series.Missing[0] {
 		t.Error("first point can never be missing (nothing to carry forward)")
 	}
 }

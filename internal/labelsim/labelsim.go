@@ -197,6 +197,3 @@ func (o *QueryOracle) Answer(start, end int) (anomalous, ok bool) {
 
 // SpentMinutes returns the modeled labeling time consumed so far.
 func (o *QueryOracle) SpentMinutes() float64 { return o.spent }
-
-// Answered returns how many queries have been answered.
-func (o *QueryOracle) Answered() int { return o.answered }

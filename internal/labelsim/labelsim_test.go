@@ -182,7 +182,7 @@ func TestQueryOracleBudgetRefusal(t *testing.T) {
 	if _, ok := o.Answer(50, 55); ok {
 		t.Error("answer beyond budget accepted")
 	}
-	if got := o.Answered(); got != 2 {
+	if got := o.answered; got != 2 {
 		t.Errorf("answered = %d, want 2", got)
 	}
 	// A fresh sitting cannot open either: base + one answer exceeds what is

@@ -73,21 +73,12 @@ func classOf(anomalous bool) int {
 	return 0
 }
 
-// Score returns the anomaly log-odds of one dense feature row.
-func (m *Model) Score(row []float64) float64 {
-	if len(row) != len(m.mean[0]) {
-		panic(fmt.Sprintf("bayes: row has %d features, want %d", len(row), len(m.mean[0])))
-	}
-	s := m.priorLogOdds
-	for j, v := range row {
-		s += logGauss(v, m.mean[1][j], m.variance[1][j]) -
-			logGauss(v, m.mean[0][j], m.variance[0][j])
-	}
-	return s
-}
-
-// ScoreAll scores every sample of a column-major feature matrix.
+// ScoreAll scores every sample of a column-major feature matrix, returning
+// each sample's anomaly log-odds.
 func (m *Model) ScoreAll(cols [][]float64) []float64 {
+	if len(cols) != len(m.mean[0]) {
+		panic(fmt.Sprintf("bayes: matrix has %d features, want %d", len(cols), len(m.mean[0])))
+	}
 	n := 0
 	if len(cols) > 0 {
 		n = len(cols[0])

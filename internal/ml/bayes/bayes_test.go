@@ -34,22 +34,6 @@ func TestBayesSeparates(t *testing.T) {
 	}
 }
 
-func TestBayesScoreMatchesScoreAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	cols, labels := makeGaussians(300, rng)
-	m := Train(cols, labels)
-	all := m.ScoreAll(cols)
-	row := make([]float64, len(cols))
-	for i := 0; i < 10; i++ {
-		for j := range cols {
-			row[j] = cols[j][i]
-		}
-		if got := m.Score(row); math.Abs(got-all[i]) > 1e-12 {
-			t.Fatalf("Score(%d) = %v, ScoreAll = %v", i, got, all[i])
-		}
-	}
-}
-
 func TestBayesPriorReflectsImbalance(t *testing.T) {
 	cols := [][]float64{{0, 0, 0, 0, 0, 0, 0, 0, 0, 5}}
 	labels := []bool{false, false, false, false, false, false, false, false, false, true}
@@ -84,14 +68,14 @@ func TestBayesScorePanicsOnRowShape(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	m.Score([]float64{1, 2})
+	m.ScoreAll([][]float64{{1}, {2}})
 }
 
 func TestBayesConstantFeatureFinite(t *testing.T) {
 	cols := [][]float64{{3, 3, 3, 3}, {0, 1, 2, 10}}
 	labels := []bool{false, false, false, true}
 	m := Train(cols, labels)
-	s := m.Score([]float64{3, 10})
+	s := m.ScoreAll([][]float64{{3}, {10}})[0]
 	if math.IsNaN(s) || math.IsInf(s, 0) {
 		t.Errorf("score = %v, want finite", s)
 	}

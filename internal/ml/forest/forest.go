@@ -125,9 +125,6 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 	return f
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // Importances returns the mean gini importance per feature across the
 // ensemble, normalized to sum to 1 (all zeros if no tree ever split).
 // Features with high importance are the detector configurations the forest

@@ -90,8 +90,8 @@ func TestForestProbabilityIsVoteFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cols, labels := makeBlobs(500, 0, rng)
 	f := Train(cols, labels, Config{Trees: 40, Seed: 5, MajorityVote: true})
-	if f.NumTrees() != 40 {
-		t.Fatalf("NumTrees = %d", f.NumTrees())
+	if len(f.trees) != 40 {
+		t.Fatalf("%d trees, want 40", len(f.trees))
 	}
 	scores := f.ProbAll(cols)
 	for i, s := range scores {

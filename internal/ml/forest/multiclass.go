@@ -87,13 +87,6 @@ func (mc *MultiClass) PredictRow(row []float64) (uint8, float64) {
 	return best, bestProb
 }
 
-// Classes returns the class codes with a trained head, ascending.
-func (mc *MultiClass) Classes() []uint8 {
-	out := make([]uint8, len(mc.classes))
-	copy(out, mc.classes)
-	return out
-}
-
 // multiDTO is the gob wire form of a multi-class head: each per-class forest
 // rides as its own Save payload.
 type multiDTO struct {

@@ -37,8 +37,8 @@ func TestMultiClassTrainPredict(t *testing.T) {
 	if mc == nil {
 		t.Fatal("TrainMulti returned nil on a trainable set")
 	}
-	if got := mc.Classes(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("Classes() = %v, want [1 2 3]", got)
+	if got := mc.classes; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("classes = %v, want [1 2 3]", got)
 	}
 	correct := 0
 	row := make([]float64, 3)

@@ -140,21 +140,12 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Model {
 	return m
 }
 
-// Score returns the decision value of one dense feature row; higher means
-// more anomalous.
-func (m *Model) Score(row []float64) float64 {
-	if len(row) != len(m.w) {
-		panic(fmt.Sprintf("linear: row has %d features, want %d", len(row), len(m.w)))
-	}
-	z := m.b
-	for j, v := range row {
-		z += m.w[j] * (v - m.mean[j]) / m.std[j]
-	}
-	return z
-}
-
-// ScoreAll scores every sample of a column-major feature matrix.
+// ScoreAll scores every sample of a column-major feature matrix, returning
+// each sample's decision value; higher means more anomalous.
 func (m *Model) ScoreAll(cols [][]float64) []float64 {
+	if len(cols) != len(m.w) {
+		panic(fmt.Sprintf("linear: matrix has %d features, want %d", len(cols), len(m.w)))
+	}
 	n := 0
 	if len(cols) > 0 {
 		n = len(cols[0])

@@ -43,27 +43,11 @@ func TestSVMSeparates(t *testing.T) {
 	}
 }
 
-func TestScoreMatchesScoreAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cols, labels := makeSeparable(300, rng)
-	m := Train(cols, labels, Config{Kind: Logistic, Seed: 3})
-	all := m.ScoreAll(cols)
-	row := make([]float64, len(cols))
-	for i := 0; i < 10; i++ {
-		for j := range cols {
-			row[j] = cols[j][i]
-		}
-		if got := m.Score(row); got != all[i] {
-			t.Fatalf("Score(%d) = %v, ScoreAll = %v", i, got, all[i])
-		}
-	}
-}
-
 func TestConstantFeatureDoesNotBlowUp(t *testing.T) {
 	cols := [][]float64{{5, 5, 5, 5, 5, 5}, {0, 1, 0, 1, 0, 6}}
 	labels := []bool{false, false, false, false, false, true}
 	m := Train(cols, labels, Config{Kind: Logistic, Seed: 4})
-	s := m.Score([]float64{5, 6})
+	s := m.ScoreAll([][]float64{{5}, {6}})[0]
 	if s != s { // NaN check
 		t.Error("score is NaN with constant feature")
 	}
@@ -93,7 +77,7 @@ func TestScorePanicsOnRowShape(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	m.Score([]float64{1, 2})
+	m.ScoreAll([][]float64{{1}, {2}})
 }
 
 func TestKindString(t *testing.T) {

@@ -111,8 +111,9 @@ type LoadedSet struct {
 // fsync), then the single manifest rename that commits the whole set
 // atomically. A crash before the manifest rename leaves the previous
 // generation current and only stray files behind (swept by a later publish),
-// so no generation is ever observable with a partial kind set. payloads must
-// include KindVerdict; other kinds are optional.
+// so no generation is ever observable with a partial kind set. Old
+// generations beyond Keep are pruned after the manifest is durable. payloads
+// must include KindVerdict; other kinds are optional.
 func (r *Registry) PublishSet(series string, info Info, payloads map[string][]byte) (Generation, error) {
 	if len(payloads[KindVerdict]) == 0 {
 		return Generation{}, fmt.Errorf("registry: publish %s: missing %s payload", series, KindVerdict)

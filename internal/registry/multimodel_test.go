@@ -53,14 +53,6 @@ func TestPublishSetLoadSetRoundTrip(t *testing.T) {
 	if len(set.Unavailable) != 0 {
 		t.Fatalf("unavailable = %v, want none", set.Unavailable)
 	}
-	// Load still serves the verdict artifact alone.
-	art, err := r.Load("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(art.Payload) != "verdict payload generation 1" {
-		t.Fatalf("Load payload = %q", art.Payload)
-	}
 }
 
 func TestPublishSetRequiresVerdict(t *testing.T) {

@@ -20,18 +20,18 @@
 // temp-file → fsync → atomic rename → directory fsync, then the manifest is
 // rewritten the same way. A crash at any point leaves either the previous
 // manifest (pointing at the previous, intact generation) or the new one; a
-// torn temp file is ignored and swept on the next publish. Load walks the
+// torn temp file is ignored and swept on the next publish. LoadSet walks the
 // manifest's generations newest-current-first and quarantines (renames to
 // *.corrupt) any artifact whose frame or checksum fails, so one flipped bit
 // costs one generation, never the series.
 //
 // # Generations, retention, rollback
 //
-// Publish appends a monotonically increasing generation and points `current`
-// at it, pruning all but the last Keep generations (the current one is never
-// pruned). Rollback moves `current` one loadable generation backwards;
-// generations newer than `current` are deliberately skipped by Load until a
-// new publish supersedes them.
+// PublishSet appends a monotonically increasing generation and points
+// `current` at it, pruning all but the last Keep generations (the current one
+// is never pruned). Rollback moves `current` one loadable generation
+// backwards; generations newer than `current` are deliberately skipped by
+// LoadSet until a new publish supersedes them.
 package registry
 
 import (
@@ -193,13 +193,6 @@ type Info struct {
 	TrainedAt   time.Time
 }
 
-// Artifact is one loaded generation: the validated payload plus its
-// manifest entry.
-type Artifact struct {
-	Generation
-	Payload []byte
-}
-
 // lockFor returns the per-series mutex, creating it on first use.
 func (r *Registry) lockFor(series string) *sync.Mutex {
 	r.mu.Lock()
@@ -221,16 +214,6 @@ func (r *Registry) seriesDir(series string) (string, error) {
 }
 
 func genFileName(gen uint64) string { return fmt.Sprintf("%012d.model", gen) }
-
-// Publish writes payload as the series' next generation: artifact first
-// (temp file, fsync, atomic rename, directory fsync), manifest second (same
-// discipline). If anything fails before the manifest rename, the previous
-// generation remains current and loadable; the orphaned artifact is swept by
-// a later publish. Old generations beyond Keep are pruned after the manifest
-// is durable. It is PublishSet with a verdict-only artifact set.
-func (r *Registry) Publish(series string, info Info, payload []byte) (Generation, error) {
-	return r.PublishSet(series, info, map[string][]byte{KindVerdict: payload})
-}
 
 // nextGen picks the next generation number: one past both the manifest's
 // maximum and any stray artifact files on disk (from a crash between
@@ -483,22 +466,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("current gen %d not in generation list (%w)", man.Current, ErrCorruptManifest)
 	}
 	return &man, nil
-}
-
-// Load returns the newest loadable artifact at or below the series' current
-// generation: the current one when intact, otherwise the fallback walk
-// quarantines each damaged artifact (renames it to *.corrupt, counts a
-// checksum failure) and tries the next older generation — a crash or bit
-// flip costs one generation, never the series. Generations newer than
-// current (rolled back from) are not considered. It is LoadSet reduced to
-// the verdict artifact; secondary kinds are still validated (and damaged
-// ones quarantined) along the way.
-func (r *Registry) Load(series string) (*Artifact, error) {
-	set, err := r.LoadSet(series)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{Generation: set.Generation, Payload: set.Payloads[KindVerdict]}, nil
 }
 
 // Manifest returns a copy of the series' manifest.

@@ -24,12 +24,12 @@ func openTest(t *testing.T, keep int) *Registry {
 
 func mustPublish(t *testing.T, r *Registry, series string, gen int) Generation {
 	t.Helper()
-	g, err := r.Publish(series, Info{
+	g, err := r.PublishSet(series, Info{
 		Fingerprint: 0xfeed,
 		Points:      gen * 100,
 		CThld:       0.5,
 		TrainedAt:   time.Date(2015, 1, gen, 0, 0, 0, 0, time.UTC),
-	}, []byte(fmt.Sprintf("model payload generation %d", gen)))
+	}, map[string][]byte{KindVerdict: []byte(fmt.Sprintf("model payload generation %d", gen))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +42,18 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 	if g.Gen != 1 {
 		t.Fatalf("first generation = %d, want 1", g.Gen)
 	}
-	art, err := r.Load("pv")
+	art, err := r.LoadSet("pv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(art.Payload) != "model payload generation 1" {
-		t.Fatalf("payload = %q", art.Payload)
+	if string(art.Payloads[KindVerdict]) != "model payload generation 1" {
+		t.Fatalf("payload = %q", art.Payloads[KindVerdict])
 	}
 	if art.Gen != 1 || art.Fingerprint != 0xfeed || art.Points != 100 {
 		t.Fatalf("metadata = %+v", art.Generation)
 	}
 
-	if _, err := r.Load("nope"); !errors.Is(err, ErrUnknownSeries) {
+	if _, err := r.LoadSet("nope"); !errors.Is(err, ErrUnknownSeries) {
 		t.Fatalf("unknown series: err = %v, want ErrUnknownSeries", err)
 	}
 }
@@ -95,12 +95,12 @@ func TestRollbackWalksBackwards(t *testing.T) {
 	if man.Current != 2 {
 		t.Fatalf("current after rollback = %d, want 2", man.Current)
 	}
-	art, err := r.Load("pv")
+	art, err := r.LoadSet("pv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if art.Gen != 2 {
-		t.Fatalf("Load after rollback served gen %d, want 2", art.Gen)
+		t.Fatalf("LoadSet after rollback served gen %d, want 2", art.Gen)
 	}
 	if man, err = r.Rollback("pv"); err != nil || man.Current != 1 {
 		t.Fatalf("second rollback: current=%d err=%v, want 1", man.Current, err)
@@ -110,7 +110,7 @@ func TestRollbackWalksBackwards(t *testing.T) {
 	}
 	// A fresh publish supersedes the rollback.
 	g := mustPublish(t, r, "pv", 4)
-	if art, err := r.Load("pv"); err != nil || art.Gen != g.Gen {
+	if art, err := r.LoadSet("pv"); err != nil || art.Gen != g.Gen {
 		t.Fatalf("publish after rollback: load gen=%d err=%v, want %d", art.Gen, err, g.Gen)
 	}
 }
@@ -127,12 +127,12 @@ func TestFaultCorruptCurrentFallsBack(t *testing.T) {
 	if err := faultinject.FlipByte(path, -3); err != nil {
 		t.Fatal(err)
 	}
-	art, err := r.Load("pv")
+	art, err := r.LoadSet("pv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Gen != 1 || string(art.Payload) != "model payload generation 1" {
-		t.Fatalf("fallback served gen %d (%q), want gen 1", art.Gen, art.Payload)
+	if art.Gen != 1 || string(art.Payloads[KindVerdict]) != "model payload generation 1" {
+		t.Fatalf("fallback served gen %d (%q), want gen 1", art.Gen, art.Payloads[KindVerdict])
 	}
 	if r.Stats().ChecksumFailures != 1 {
 		t.Fatalf("ChecksumFailures = %d, want 1", r.Stats().ChecksumFailures)
@@ -142,7 +142,7 @@ func TestFaultCorruptCurrentFallsBack(t *testing.T) {
 		t.Fatalf("corrupt artifact not quarantined: %v", err)
 	}
 	// The fallback is persisted: a second load serves gen 1 directly.
-	if art, err := r.Load("pv"); err != nil || art.Gen != 1 {
+	if art, err := r.LoadSet("pv"); err != nil || art.Gen != 1 {
 		t.Fatalf("second load: gen=%d err=%v, want 1", art.Gen, err)
 	}
 }
@@ -156,7 +156,7 @@ func TestFaultShortWrite(t *testing.T) {
 	if err := faultinject.TruncateTail(filepath.Join(r.dir, "pv", g2.File), 7); err != nil {
 		t.Fatal(err)
 	}
-	art, err := r.Load("pv")
+	art, err := r.LoadSet("pv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFaultTornTempFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if art, err := r.Load("pv"); err != nil || art.Gen != 1 {
+	if art, err := r.LoadSet("pv"); err != nil || art.Gen != 1 {
 		t.Fatalf("load with torn temp present: gen=%d err=%v, want 1", art.Gen, err)
 	}
 	// Next publish must skip the orphaned gen number and sweep the debris.
@@ -211,16 +211,16 @@ func TestFaultRenameFailure(t *testing.T) {
 	mustPublish(t, r, "pv", 1)
 
 	fail = true
-	if _, err := r.Publish("pv", Info{}, []byte("doomed")); err == nil {
+	if _, err := r.PublishSet("pv", Info{}, map[string][]byte{KindVerdict: []byte("doomed")}); err == nil {
 		t.Fatal("publish with failing rename succeeded")
 	}
 	fail = false
-	art, err := r.Load("pv")
+	art, err := r.LoadSet("pv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Gen != 1 || string(art.Payload) != "model payload generation 1" {
-		t.Fatalf("after failed publish: gen=%d payload=%q, want intact gen 1", art.Gen, art.Payload)
+	if art.Gen != 1 || string(art.Payloads[KindVerdict]) != "model payload generation 1" {
+		t.Fatalf("after failed publish: gen=%d payload=%q, want intact gen 1", art.Gen, art.Payloads[KindVerdict])
 	}
 	// And the store still accepts new publishes.
 	if g := mustPublish(t, r, "pv", 2); g.Gen < 2 {
@@ -239,7 +239,7 @@ func TestFaultEveryGenerationCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Load("pv"); !errors.Is(err, ErrNoArtifact) {
+	if _, err := r.LoadSet("pv"); !errors.Is(err, ErrNoArtifact) {
 		t.Fatalf("all-corrupt load: err = %v, want ErrNoArtifact", err)
 	}
 	if got := r.Stats().ChecksumFailures; got != 2 {
@@ -256,7 +256,7 @@ func TestFaultCorruptManifest(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"series":"pv","current":9,"generations":[{"gen":1,"file":"x"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Load("pv"); !errors.Is(err, ErrCorruptManifest) {
+	if _, err := r.LoadSet("pv"); !errors.Is(err, ErrCorruptManifest) {
 		t.Fatalf("corrupt manifest load: err = %v, want ErrCorruptManifest", err)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
@@ -274,7 +274,7 @@ func TestQuarantineGeneration(t *testing.T) {
 	if err := r.Quarantine("pv", g2.Gen); err != nil {
 		t.Fatal(err)
 	}
-	if art, err := r.Load("pv"); err != nil || art.Gen != 1 {
+	if art, err := r.LoadSet("pv"); err != nil || art.Gen != 1 {
 		t.Fatalf("load after quarantine: gen=%d err=%v, want 1", art.Gen, err)
 	}
 	if err := r.Quarantine("pv", 99); err == nil {
@@ -296,7 +296,7 @@ func TestListAndManifest(t *testing.T) {
 	if _, err := r.Manifest("missing"); !errors.Is(err, ErrUnknownSeries) {
 		t.Fatalf("Manifest(missing): err = %v, want ErrUnknownSeries", err)
 	}
-	if _, err := r.Publish("../evil", Info{}, []byte("x")); err == nil {
+	if _, err := r.PublishSet("../evil", Info{}, map[string][]byte{KindVerdict: []byte("x")}); err == nil {
 		t.Fatal("path-escaping series name accepted")
 	}
 }

@@ -194,11 +194,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	return json.Unmarshal(data, out)
 }
 
-// Health checks service liveness.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
-}
-
 // Ready fetches the readiness probe: whether every series serves
 // full-fidelity verdicts, and the degraded/quarantined ones by name. A
 // not-ready service answers 503; the readiness body is still parsed and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func newClientPair(t *testing.T) *Client {
 func TestClientHealthAndList(t *testing.T) {
 	c := newClientPair(t)
 	ctx := context.Background()
-	if err := c.Health(ctx); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	names, err := c.List(ctx)
@@ -125,7 +126,7 @@ func TestClientContextCancellation(t *testing.T) {
 	c := newClientPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.Health(ctx); err == nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err == nil {
 		t.Error("cancelled context should fail")
 	}
 }

@@ -431,8 +431,8 @@ func TestFaultClientRetriesIdempotentOn5xx(t *testing.T) {
 	defer backend.Close()
 	c := NewClient(backend.URL, backend.Client())
 	c.Retry = RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond}
-	if err := c.Health(context.Background()); err != nil {
-		t.Fatalf("Health should succeed after retries: %v", err)
+	if err := c.do(context.Background(), http.MethodGet, "/v1/healthz", nil, nil); err != nil {
+		t.Fatalf("GET /v1/healthz should succeed after retries: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("attempts = %d, want 3 (2 failures + 1 success)", got)

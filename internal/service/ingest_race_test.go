@@ -208,7 +208,7 @@ func TestIngestStreamsConcurrent(t *testing.T) {
 	}
 
 	total := 0
-	for s, in := range srv.Engine().Inspect(1<<20, 0) {
+	for s, in := range srv.eng.Inspect(1<<20, 0) {
 		if in.Name != names[s] {
 			t.Fatalf("series %d is %s, want %s", s, in.Name, names[s])
 		}

@@ -70,7 +70,7 @@ func TestModelLifecycleOverHTTP(t *testing.T) {
 		if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/series/pv/train", nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("train %d: %d %s", i, resp.StatusCode, body)
 		}
-		s.Engine().PublishModels()
+		s.eng.PublishModels()
 	}
 
 	client := NewClient(ts.URL, nil)

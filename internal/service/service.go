@@ -110,10 +110,6 @@ func NewServerWithEngine(eng *engine.Engine, log *slog.Logger) *Server {
 	return s
 }
 
-// Engine returns the underlying engine, for construction-time configuration
-// and tests.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // Restore replays every series in the engine's store; see engine.Restore.
 // It keeps its context-free signature for callers that restore during boot
 // with no deadline to propagate.
@@ -223,9 +219,6 @@ type Status = engine.Status
 // ModelManifest is a series' model-registry generation index; the registry
 // package's JSON tags are the wire format of GET /v1/models/{name}.
 type ModelManifest = modelreg.Manifest
-
-// ModelGeneration is one published artifact's manifest entry.
-type ModelGeneration = modelreg.Generation
 
 // Alarm is one anomalous verdict the service raised.
 type Alarm = engine.Alarm

@@ -265,7 +265,6 @@ func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, re
 		// of 2 so one watchdog retry reaches quarantine.
 		IngestInflight:   simInflight,
 		DegradedRecovery: recoveryWindow,
-		TrainRetries:     3,
 		TrainFailLimit:   2,
 		// Drift detection is off in the classic matrix: its mirror predicts
 		// retrains from the fixed watermark tick alone, and the fault

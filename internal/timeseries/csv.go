@@ -43,8 +43,9 @@ func WriteCSV(w io.Writer, s *Series, labels Labels) error {
 }
 
 // ReadCSV parses a series written by WriteCSV. It infers the interval from
-// the first two timestamps and returns the labels column when present
-// (nil otherwise).
+// the first two timestamps and refuses any row whose timestamp is not
+// t0 + i·interval, so a gap or a duplicate row cannot shift later points. It
+// returns the labels column when present (nil otherwise).
 func ReadCSV(r io.Reader, name string) (*Series, Labels, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -75,6 +76,14 @@ func ReadCSV(r io.Reader, name string) (*Series, Labels, error) {
 	for i, rec := range records[1:] {
 		if len(rec) < 2 {
 			return nil, nil, fmt.Errorf("timeseries: row %d: need at least 2 fields", i+1)
+		}
+		ts, err := time.Parse(time.RFC3339, rec[0])
+		if err != nil {
+			return nil, nil, fmt.Errorf("timeseries: row %d: %w", i+1, err)
+		}
+		if want := s.TimeAt(i); !ts.Equal(want) {
+			return nil, nil, fmt.Errorf("timeseries: row %d: timestamp %s, want %s (rows must be %v apart, with no gap or duplicate)",
+				i+1, rec[0], want.Format(time.RFC3339), interval)
 		}
 		v, err := strconv.ParseFloat(rec[1], 64)
 		if err != nil {

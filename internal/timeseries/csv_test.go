@@ -70,15 +70,19 @@ func TestWriteCSVLabelMismatch(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"too short":      "timestamp,value\n2015-01-05T00:00:00Z,1\n",
-		"bad timestamp":  "timestamp,value\nnope,1\n2015-01-05T00:01:00Z,2\n",
-		"bad value":      "timestamp,value\n2015-01-05T00:00:00Z,x\n2015-01-05T00:01:00Z,2\n",
-		"non-increasing": "timestamp,value\n2015-01-05T00:01:00Z,1\n2015-01-05T00:00:00Z,2\n",
+	cases := map[string]struct{ in, names string }{
+		"too short":      {"timestamp,value\n2015-01-05T00:00:00Z,1\n", ""},
+		"bad timestamp":  {"timestamp,value\nnope,1\n2015-01-05T00:01:00Z,2\n", "row 1"},
+		"bad value":      {"timestamp,value\n2015-01-05T00:00:00Z,x\n2015-01-05T00:01:00Z,2\n", "row 1"},
+		"non-increasing": {"timestamp,value\n2015-01-05T00:01:00Z,1\n2015-01-05T00:00:00Z,2\n", ""},
+		"gap":            {"timestamp,value\n2015-01-05T00:00:00Z,1\n2015-01-05T00:01:00Z,2\n2015-01-05T00:03:00Z,3\n", "row 3"},
+		"duplicate row":  {"timestamp,value\n2015-01-05T00:00:00Z,1\n2015-01-05T00:01:00Z,2\n2015-01-05T00:01:00Z,2\n", "row 3"},
+		"bad later row":  {"timestamp,value\n2015-01-05T00:00:00Z,1\n2015-01-05T00:01:00Z,2\nnope,3\n", "row 3"},
 	}
-	for name, in := range cases {
-		if _, _, err := ReadCSV(strings.NewReader(in), "x"); err == nil {
-			t.Errorf("%s: want error", name)
+	for name, tc := range cases {
+		_, _, err := ReadCSV(strings.NewReader(tc.in), "x")
+		if err == nil || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: err = %v, want an error naming %q", name, err, tc.names)
 		}
 	}
 }

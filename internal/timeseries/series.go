@@ -6,7 +6,6 @@
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -57,26 +56,6 @@ func (s *Series) Append(v float64) {
 	}
 }
 
-// AppendMissing adds a placeholder for an unobserved point. The placeholder
-// value repeats the previous observation (or 0 for the first point) so that
-// windowed detectors stay numerically well-behaved.
-func (s *Series) AppendMissing() {
-	v := 0.0
-	if n := len(s.Values); n > 0 {
-		v = s.Values[n-1]
-	}
-	if s.Missing == nil {
-		s.Missing = make([]bool, len(s.Values))
-	}
-	s.Values = append(s.Values, v)
-	s.Missing = append(s.Missing, true)
-}
-
-// IsMissing reports whether point i was unobserved.
-func (s *Series) IsMissing(i int) bool {
-	return s.Missing != nil && s.Missing[i]
-}
-
 // PointsPerDay returns the number of points in one day, or an error if the
 // interval does not divide a day evenly.
 func (s *Series) PointsPerDay() (int, error) {
@@ -93,15 +72,6 @@ func (s *Series) PointsPerWeek() (int, error) {
 		return 0, fmt.Errorf("timeseries: interval %v does not divide a week", s.Interval)
 	}
 	return int(Week / s.Interval), nil
-}
-
-// Weeks returns the number of complete weeks in the series.
-func (s *Series) Weeks() int {
-	ppw, err := s.PointsPerWeek()
-	if err != nil {
-		return 0
-	}
-	return s.Len() / ppw
 }
 
 // Slice returns a view of points [i, j). The returned series shares the
@@ -131,9 +101,6 @@ func (s *Series) Clone() *Series {
 	}
 	return out
 }
-
-// ErrEmpty is returned by statistics that are undefined on empty series.
-var ErrEmpty = errors.New("timeseries: empty series")
 
 // Mean returns the arithmetic mean of the observed values.
 func (s *Series) Mean() float64 { return Mean(s.Values) }
@@ -175,90 +142,4 @@ func Std(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), xs...)
-	return medianInPlace(tmp)
-}
-
-// MAD returns the median absolute deviation around the median, the robust
-// dispersion measure used by the TSD MAD and historical MAD detectors.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return medianInPlace(dev)
-}
-
-// medianInPlace selects the median of xs using quickselect, reordering xs.
-func medianInPlace(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return quickselect(xs, n/2)
-	}
-	lo := quickselect(xs, n/2-1)
-	// After quickselect, elements right of k are >= xs[k]; find the min of
-	// the upper half for the even-length median.
-	hi := xs[n/2]
-	for _, x := range xs[n/2:] {
-		if x < hi {
-			hi = x
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// quickselect returns the k-th smallest element of xs, reordering xs.
-func quickselect(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		p := partition(xs, lo, hi)
-		switch {
-		case k == p:
-			return xs[k]
-		case k < p:
-			hi = p - 1
-		default:
-			lo = p + 1
-		}
-	}
-	return xs[k]
-}
-
-func partition(xs []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three pivot to avoid quadratic behaviour on sorted data.
-	if xs[mid] < xs[lo] {
-		xs[mid], xs[lo] = xs[lo], xs[mid]
-	}
-	if xs[hi] < xs[lo] {
-		xs[hi], xs[lo] = xs[lo], xs[hi]
-	}
-	if xs[hi] < xs[mid] {
-		xs[hi], xs[mid] = xs[mid], xs[hi]
-	}
-	pivot := xs[mid]
-	xs[mid], xs[hi] = xs[hi], xs[mid]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if xs[j] < pivot {
-			xs[i], xs[j] = xs[j], xs[i]
-			i++
-		}
-	}
-	xs[i], xs[hi] = xs[hi], xs[i]
-	return i
 }

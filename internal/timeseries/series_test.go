@@ -2,10 +2,7 @@ package timeseries
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -33,27 +30,6 @@ func TestAppendAndTimeAt(t *testing.T) {
 	}
 }
 
-func TestAppendMissing(t *testing.T) {
-	s := New("pv", epoch, time.Minute)
-	s.Append(7)
-	s.AppendMissing()
-	s.Append(9)
-	if !s.IsMissing(1) || s.IsMissing(0) || s.IsMissing(2) {
-		t.Errorf("missing mask wrong: %v", s.Missing)
-	}
-	if s.Values[1] != 7 {
-		t.Errorf("missing placeholder = %v, want previous value 7", s.Values[1])
-	}
-}
-
-func TestAppendMissingFirstPoint(t *testing.T) {
-	s := New("pv", epoch, time.Minute)
-	s.AppendMissing()
-	if s.Values[0] != 0 || !s.IsMissing(0) {
-		t.Errorf("first missing point: value=%v missing=%v", s.Values[0], s.IsMissing(0))
-	}
-}
-
 func TestPointsPerDayWeek(t *testing.T) {
 	s := New("pv", epoch, 10*time.Minute)
 	ppd, err := s.PointsPerDay()
@@ -67,16 +43,6 @@ func TestPointsPerDayWeek(t *testing.T) {
 	bad := New("x", epoch, 7*time.Minute)
 	if _, err := bad.PointsPerDay(); err == nil {
 		t.Error("7-minute interval should not divide a day")
-	}
-}
-
-func TestWeeks(t *testing.T) {
-	s := New("pv", epoch, time.Hour)
-	for i := 0; i < 168*2+10; i++ {
-		s.Append(1)
-	}
-	if got := s.Weeks(); got != 2 {
-		t.Errorf("Weeks = %d, want 2", got)
 	}
 }
 
@@ -112,11 +78,11 @@ func TestSlicePanicsOutOfRange(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	s := New("pv", epoch, time.Minute)
 	s.Append(1)
-	s.AppendMissing()
+	s.Missing = []bool{true}
 	c := s.Clone()
 	c.Values[0] = 42
-	c.Missing[1] = false
-	if s.Values[0] != 1 || !s.IsMissing(1) {
+	c.Missing[0] = false
+	if s.Values[0] != 1 || !s.Missing[0] {
 		t.Error("Clone should be independent")
 	}
 }
@@ -143,82 +109,5 @@ func TestCvZeroMean(t *testing.T) {
 	s.Append(-1)
 	if !math.IsNaN(s.Cv()) {
 		t.Error("Cv of zero-mean series should be NaN")
-	}
-}
-
-func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median empty = %v, want 0", got)
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	Median(xs)
-	want := []float64{5, 1, 4, 2, 3}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("Median mutated input: %v", xs)
-		}
-	}
-}
-
-func TestMAD(t *testing.T) {
-	// median = 3, |dev| = {2,1,0,1,2}, MAD = 1.
-	if got := MAD([]float64{1, 2, 3, 4, 5}); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-	if got := MAD(nil); got != 0 {
-		t.Errorf("MAD empty = %v, want 0", got)
-	}
-}
-
-func TestMedianMatchesSortQuick(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) == 0 {
-			return Median(xs) == 0
-		}
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				xs[i] = float64(i) // keep the property about finite data
-			}
-		}
-		got := Median(xs)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		var want float64
-		n := len(sorted)
-		if n%2 == 1 {
-			want = sorted[n/2]
-		} else {
-			want = (sorted[n/2-1] + sorted[n/2]) / 2
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickselectRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		k := rng.Intn(n)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		if got := quickselect(xs, k); got != sorted[k] {
-			t.Fatalf("quickselect(k=%d) = %v, want %v", k, got, sorted[k])
-		}
 	}
 }

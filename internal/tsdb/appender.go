@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Per-shard appender: one goroutine owns the shard's active segment file
@@ -53,12 +52,12 @@ func (sh *shard) run() {
 	for {
 		select {
 		case req := <-sh.reqs:
-			sh.commit(sh.gather(req, true))
+			sh.commit(sh.gather(req))
 		case <-sh.quit:
 			for {
 				select {
 				case req := <-sh.reqs:
-					sh.commit(sh.gather(req, false))
+					sh.commit(sh.gather(req))
 				default:
 					sh.closeActive()
 					return
@@ -68,27 +67,11 @@ func (sh *shard) run() {
 	}
 }
 
-// gather builds one batch starting from first. With a group-commit window
-// configured (and wait set), the batch is held open for the window so
-// concurrent writers share the fsync; otherwise it takes whatever is
-// already queued.
-func (sh *shard) gather(first *request, wait bool) []*request {
+// gather builds one batch from first and whatever is already queued behind
+// it: writers that queued while the previous frame committed share this
+// frame's fsync.
+func (sh *shard) gather(first *request) []*request {
 	batch := []*request{first}
-	if window := sh.store.opts.groupCommit; window > 0 && wait {
-		timer := time.NewTimer(window)
-		defer timer.Stop()
-		for len(batch) < maxBatchReqs {
-			select {
-			case req := <-sh.reqs:
-				batch = append(batch, req)
-			case <-timer.C:
-				return batch
-			case <-sh.quit:
-				return batch
-			}
-		}
-		return batch
-	}
 	for len(batch) < maxBatchReqs {
 		select {
 		case req := <-sh.reqs:

@@ -27,7 +27,7 @@ func seedSeries(t *testing.T, s *Store, name string) {
 	if err := s.AppendPoints(ctx, name, []float64{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, name, 1, 3, true); err != nil {
+	if err := s.write(ctx, Record{Name: name, Start: 1, End: 3, Anomalous: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,7 +141,7 @@ func TestFaultMidLogCorruptionDetectedAfterMoreWrites(t *testing.T) {
 	if err := CorruptPointsFrame(s.dir, "pv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 0, 1, true); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 1, Anomalous: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Load("pv"); !errors.Is(err, ErrCorrupt) {

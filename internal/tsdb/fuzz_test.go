@@ -25,13 +25,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3}); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 0, 2, true); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 2, Anomalous: true}); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.write(ctx, Record{Name: "pv", Start: 1, End: 2, Anomalous: true, Class: 3}); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.Remove("pv"); err != nil {
+	if _, err := s.Quarantine("pv"); err != nil {
 		f.Fatal(err)
 	}
 	s.Close()

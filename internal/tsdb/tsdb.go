@@ -15,17 +15,17 @@
 //   - Million-series scale: a handful of open files per shard, not one per
 //     series; a per-series extent index built by one sequential scan at Open
 //     so Load reads only its own frames; group commit amortizes fsync across
-//     every series that wrote in the window.
+//     every series whose writes queued while the previous frame committed.
 //   - Cheap bytes: interned IDs instead of names, Gorilla-style XOR float
 //     compression chained across frames, and shared frame overhead per
 //     commit batch put steady-state WAL cost at a few bytes per point,
 //     versus ~40+ for the JSON-lines format this replaced.
 //
 // A series name has exactly one identity: its binding in the owning shard's
-// dictionary. Quarantine and Remove retire it with a durable tombstone
-// record, which keeps damaged frames inspectable (`opprenticectl wal cat`)
-// while freeing the name. Segment rotation caps file size, and compaction
-// deletes only sealed segments holding exclusively tombstoned state —
+// dictionary. Quarantine retires it with a durable tombstone record, which
+// keeps damaged frames inspectable (`opprenticectl wal cat`) while freeing
+// the name. Segment rotation caps file size, and compaction after each
+// rotation deletes only sealed segments holding exclusively tombstoned state —
 // retention never drops anything a replay could still need. Import writes a
 // whole series (meta, points, labels) as one frame, for tools that bring
 // data in from elsewhere.
@@ -87,7 +87,6 @@ type Option func(*options)
 type options struct {
 	shards       int
 	segmentBytes int64
-	groupCommit  time.Duration
 }
 
 // WithShards sets the shard count for a fresh data directory (default 8).
@@ -106,18 +105,6 @@ func WithSegmentBytes(n int64) Option {
 	return func(o *options) {
 		if n > 0 {
 			o.segmentBytes = n
-		}
-	}
-}
-
-// WithGroupCommit sets the group-commit accumulation window. Zero (the
-// default) commits whatever is queued the moment the appender is free; a
-// positive window holds each batch open that long, trading single-writer
-// latency for fewer, larger fsyncs under concurrency.
-func WithGroupCommit(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.groupCommit = d
 		}
 	}
 }
@@ -357,12 +344,6 @@ func (s *Store) AppendPoints(ctx context.Context, name string, values []float64)
 	// The appender holds the slice until commit, which may outlive an
 	// abandoned wait; copy so the caller may reuse its buffer immediately.
 	return s.write(ctx, Record{Name: name, Values: append([]float64(nil), values...)})
-}
-
-// AppendLabel durably records one untyped label action over the half-open
-// range [start, end). Context semantics match AppendPoints.
-func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	return s.write(ctx, Record{Name: name, Start: start, End: end, Anomalous: anomalous})
 }
 
 // Import durably creates a series that already has history — its meta, every
@@ -612,37 +593,6 @@ func (s *Store) Quarantine(name string) (string, error) {
 	return fmt.Sprintf("%s (tombstoned; frames retained until compaction)", sh.dir), nil
 }
 
-// Remove deletes a series by tombstoning it. Removing an unknown series is a
-// no-op.
-func (s *Store) Remove(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	sh := s.shardFor(name)
-	sh.mu.Lock()
-	_, exists := sh.byName[name]
-	sh.mu.Unlock()
-	if !exists {
-		return nil
-	}
-	return s.send(context.Background(), &request{op: reqTombstone, name: name})
-}
-
-// Compact deletes sealed segments that hold only tombstoned state. The
-// appenders also run this opportunistically after every rotation.
-func (s *Store) Compact() error {
-	var first error
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := sh.compactLocked()
-		sh.mu.Unlock()
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Close stops the appenders (draining already queued writes), flushes, and
 // closes every segment handle.
 func (s *Store) Close() error {
@@ -668,7 +618,9 @@ func (s *Store) Close() error {
 	return first
 }
 
-// compactLocked implements Compact for one shard; the caller holds sh.mu.
+// compactLocked deletes the shard's sealed segments that hold only
+// tombstoned state; the appender runs it after every rotation. The caller
+// holds sh.mu.
 // Deletion re-runs to a fixpoint: a tombstone's own segment only becomes
 // deletable once every older segment holding the retired series' data is
 // gone.

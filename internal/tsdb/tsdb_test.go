@@ -44,10 +44,10 @@ func TestRoundTrip(t *testing.T) {
 	if err := s.AppendPoints(ctx, "pv", []float64{4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 1, 3, true); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 1, End: 3, Anomalous: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 2, 3, false); err != nil { // partial undo
+	if err := s.write(ctx, Record{Name: "pv", Start: 2, End: 3, Anomalous: false}); err != nil { // partial undo
 		t.Fatal(err)
 	}
 	got, err := s.Load("pv")
@@ -71,7 +71,6 @@ func TestRoundTrip(t *testing.T) {
 // beside the shard directories.
 func TestTombstonedNameStaysGoneBesideStrayFile(t *testing.T) {
 	retire := map[string]func(*Store, string) error{
-		"Remove":     func(s *Store, name string) error { return s.Remove(name) },
 		"Quarantine": func(s *Store, name string) error { _, err := s.Quarantine(name); return err },
 	}
 	for how, fn := range retire {
@@ -195,15 +194,15 @@ func TestListAndRemove(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("List = %v", names)
 	}
-	if err := s.Remove("a"); err != nil {
+	if _, err := s.Quarantine("a"); err != nil {
 		t.Fatal(err)
 	}
 	names, _ = s.List()
 	if len(names) != 1 || names[0] != "b" {
-		t.Errorf("after Remove, List = %v", names)
+		t.Errorf("after Quarantine, List = %v", names)
 	}
-	if err := s.Remove("a"); err != nil {
-		t.Errorf("removing a missing series should be idempotent: %v", err)
+	if _, err := s.Quarantine("a"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("quarantining a retired series: err = %v, want fs.ErrNotExist", err)
 	}
 }
 
@@ -236,10 +235,10 @@ func TestAppendAfterReopen(t *testing.T) {
 
 func TestAppendLabelValidation(t *testing.T) {
 	s := openTemp(t)
-	if err := s.AppendLabel(ctx, "pv", 3, 3, true); err == nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 3, End: 3, Anomalous: true}); err == nil {
 		t.Error("empty range accepted")
 	}
-	if err := s.AppendLabel(ctx, "pv", -1, 2, true); err == nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: -1, End: 2, Anomalous: true}); err == nil {
 		t.Error("negative start accepted")
 	}
 }

@@ -56,7 +56,7 @@ func TestTypedLabelUndoClearsClass(t *testing.T) {
 	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 4, Anomalous: true, Class: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 0, 2, false); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 2, Anomalous: false}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.write(ctx, Record{Name: "pv", Start: 2, End: 3, Anomalous: false, Class: 5}); err != nil {
@@ -88,7 +88,7 @@ func TestUntypedLogLoadsNilTypes(t *testing.T) {
 	if err := s.AppendPoints(ctx, "pv", []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLabel(ctx, "pv", 0, 2, true); err != nil {
+	if err := s.write(ctx, Record{Name: "pv", Start: 0, End: 2, Anomalous: true}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Load("pv")

@@ -1,0 +1,25 @@
+// Package lib declares one export of each kind the dead-export gate sorts.
+package lib
+
+// Shape is an interface the module declares.
+type Shape interface{ Area() float64 }
+
+// Square satisfies Shape and encoding.BinaryMarshaler; nothing calls either
+// method.
+type Square struct{ Side float64 }
+
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+func (s Square) MarshalBinary() ([]byte, error) { return []byte{byte(s.Side)}, nil }
+
+// Used is called from main.
+func Used() Shape { return Square{Side: 2} }
+
+// Dead has no user.
+func Dead() {}
+
+// TestOnly is used only from lib_test.go.
+func TestOnly() int { return 1 }
+
+// Listed has no user but is listed.
+func Listed() {}
