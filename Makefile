@@ -32,7 +32,8 @@ bench-vet:
 # Non-test Go lines by package, at LOC_BASE and in the working tree (tracked
 # files only) — the before/after table every simplification PR reports — then
 # the total of test lines: _test.go files and the Go files of testdata
-# modules.
+# modules, then the working tree's settable values as TestNoDeadKnobs tallies
+# them: each option struct's field count and cmd/opprenticed's flags.
 LOC_BASE ?= HEAD
 
 loc:
@@ -47,6 +48,7 @@ loc:
 	@{ git grep -c '' $(LOC_BASE) -- '*_test.go' '*testdata/*.go' | sed 's/^[^:]*:/base:/'; \
 	   git grep -c '' -- '*_test.go' '*testdata/*.go' | sed 's/^/now:/'; } | \
 	awk -F: '{ t[$$1] += $$3 } END { printf "%-32s %8d %8d %+7d\n", "tests (_test.go, testdata)", t["base"], t["now"], t["now"] - t["base"] }'
+	@$(GO) test -count=1 -run '^TestNoDeadKnobs$$' -v . | sed -n 's/^.*settable: //p'
 
 race:
 	$(GO) test -race ./...
@@ -160,6 +162,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/timeseries/
 	$(GO) test -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/registry/
 	$(GO) test -fuzz=FuzzHandlePoints -fuzztime=$(FUZZTIME) ./internal/service/
+	$(GO) test -fuzz=FuzzIngestStream -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME) ./internal/tsdb/
 
 # Static analysis beyond vet. Both tools are optional: the targets no-op with

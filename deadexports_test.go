@@ -14,8 +14,10 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,18 +39,31 @@ var keptExports = map[string]string{
 	"alerting.Pipeline.BreakerOpen": "alerting's black-box tests (package alerting_test) assert the breaker opened",
 }
 
+// keptKnobs lists the option fields under internal/ that no program sets
+// but that stay, each with its reason; keys are "pkg.Type.Field" path.Match
+// patterns, as in keptExports. An entry that names nothing dead fails the
+// test too.
+var keptKnobs = map[string]string{
+	"ml/tree.Config.MinLeaf": "the split-search oracles grow trees at MinLeaf 3 and 50 to reach the bound's refusal path",
+	"registry.Config.Rename": "the fault-injection seam for a rename that fails mid-publish",
+}
+
+// gateModules are the module roots the gates read: this module and bench/.
+var gateModules = []string{".", "bench"}
+
 // TestNoDeadExports fails on every exported package-level func, type, var
 // and const, and every exported method, declared in a non-test file under
 // internal/ that no non-test file of this module or of bench/ references and
 // keptExports does not list. Uses in the declaring package count; the
-// declaration itself does not. Struct fields are exempt, and so is a method
-// whose type satisfies an interface that has the method: one the program
-// declares, or one of exemptInterfaces.
+// declaration itself does not. Struct fields are exempt (TestNoDeadKnobs
+// checks the option fields), and so is a method whose type satisfies an
+// interface that has the method: one the program declares, or one of
+// exemptInterfaces.
 func TestNoDeadExports(t *testing.T) {
 	if len(keptExports) > 15 {
 		t.Errorf("keptExports has %d entries; the limit is 15", len(keptExports))
 	}
-	dead, stale := deadExports(t, []string{".", "bench"}, keptExports)
+	dead, stale := deadExports(t, loadProgram(t, gateModules...), keptExports)
 	for _, d := range dead {
 		t.Errorf("%s is exported, but no non-test file uses it: delete it, or list it in keptExports with a reason", d)
 	}
@@ -57,41 +72,62 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
-// TestDeadExportsAnalysis runs the gate's analysis on the module in
-// testdata/deadexports.
+// TestNoDeadKnobs fails on every exported field of an exported struct type
+// under internal/ whose name ends in Config or Options that no non-test file
+// of this module or of bench/ references outside the declaring package, and
+// keptKnobs does not list. A value no program sets is a constant: the
+// declaring package's own uses, such as its default fills, do not count.
+// Under -v it logs the settable values: each option struct's field count and
+// cmd/opprenticed's flags.
+func TestNoDeadKnobs(t *testing.T) {
+	if len(keptKnobs) > 5 {
+		t.Errorf("keptKnobs has %d entries; the limit is 5", len(keptKnobs))
+	}
+	prog := loadProgram(t, gateModules...)
+	dead, stale := deadKnobs(prog, keptKnobs)
+	for _, d := range dead {
+		t.Errorf("%s is an option no program sets: make it the constant its default is, or list it in keptKnobs with a reason", d)
+	}
+	for _, k := range stale {
+		t.Errorf("keptKnobs[%q] names nothing dead: remove the entry", k)
+	}
+	for _, line := range settable(prog, "opprentice/cmd/opprenticed") {
+		t.Log("settable: " + line)
+	}
+}
+
+// TestDeadExportsAnalysis runs the export gate's analysis on the module in
+// testdata/deadexports, whose declarations say which are dead.
 func TestDeadExportsAnalysis(t *testing.T) {
-	dead, stale := deadExports(t, []string{"testdata/deadexports"}, map[string]string{
+	dead, stale := deadExports(t, loadProgram(t, "testdata/deadexports"), map[string]string{
 		"lib.Listed": "listed",
 		"lib.Gone":   "stale: the module declares no Gone",
 	})
-	reported := map[string]bool{}
+	checkReported(t, dead, stale, "lib.Dead", "lib.Gone", "lib.TestOnly")
+}
+
+// TestDeadKnobsAnalysis runs the knob gate's analysis on the same module:
+// of lib.Config's fields, Set is set from main and Flagged bound by
+// flag.IntVar there, while Defaulted is set only by lib's own withDefaults
+// and TestOnly only from lib_test.go.
+func TestDeadKnobsAnalysis(t *testing.T) {
+	dead, stale := deadKnobs(loadProgram(t, "testdata/deadexports"), map[string]string{
+		"lib.Config.Listed": "listed",
+		"lib.Config.Gone":   "stale: Config has no field Gone",
+	})
+	checkReported(t, dead, stale, "lib.Config.Defaulted", "lib.Config.Gone", "lib.Config.TestOnly")
+}
+
+// checkReported fails unless the keys of dead ("file:line: key") and stale
+// are exactly want, in order.
+func checkReported(t *testing.T, dead, stale []string, want ...string) {
+	t.Helper()
+	got := stale
 	for _, d := range dead {
-		reported[d[strings.LastIndexByte(d, ' ')+1:]] = true
+		got = append(got, d[strings.LastIndexByte(d, ' ')+1:])
 	}
-	for _, k := range stale {
-		reported[k] = true
-	}
-	for _, tc := range []struct {
-		key  string
-		want bool
-	}{
-		{"lib.Dead", true},
-		{"lib.TestOnly", true}, // used only from lib_test.go
-		{"lib.Gone", true},     // the stale entry
-		{"lib.Listed", false},
-		{"lib.Used", false},
-		{"lib.Shape", false},
-		{"lib.Square", false},
-		{"lib.Square.Area", false},          // satisfies Shape
-		{"lib.Square.MarshalBinary", false}, // satisfies encoding.BinaryMarshaler
-	} {
-		if reported[tc.key] != tc.want {
-			t.Errorf("%s: reported %v, want %v", tc.key, reported[tc.key], tc.want)
-		}
-		delete(reported, tc.key)
-	}
-	for k := range reported {
-		t.Errorf("%s: reported, but not in the table", k)
+	if sort.Strings(got); !slices.Equal(got, want) {
+		t.Errorf("reported %q, want %q", got, want)
 	}
 }
 
@@ -118,20 +154,41 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-type exported struct {
-	key  string
-	pos  token.Position
-	span [2]token.Pos // the declaration, whose own uses do not count
-	used bool
+// checkedPackage is one type-checked package of a program.
+type checkedPackage struct {
+	*listedPackage
+	files    []*ast.File
+	info     *types.Info
+	types    *types.Package
+	rel      string // the import path below the module's internal/
+	internal bool
 }
 
-// deadExports type-checks the non-test files of every package of the
-// modules rooted at dirs, with the standard library read from export data.
-// It returns the dead exports under each module's internal/, as
-// "file:line: key" in file order, and the keys of kept that match none.
-func deadExports(t testing.TB, dirs []string, kept map[string]string) (dead, stale []string) {
+// program is the non-test code of the modules rooted at some directories,
+// type-checked with the standard library read from export data.
+type program struct {
+	fset *token.FileSet
+	pkgs []*checkedPackage  // every package after its dependencies
+	std  types.ImporterFrom // the standard library's export data
+}
+
+var (
+	programsMu sync.Mutex
+	programs   = map[string]*program{}
+)
+
+// loadProgram type-checks the non-test files of every package of the modules
+// rooted at dirs, once per set of dirs: the gates share the load.
+func loadProgram(t testing.TB, dirs ...string) *program {
 	t.Helper()
-	var pkgs []*listedPackage
+	programsMu.Lock()
+	defer programsMu.Unlock()
+	key := strings.Join(dirs, "\n")
+	if prog := programs[key]; prog != nil {
+		return prog
+	}
+
+	var listed []*listedPackage
 	byPath := map[string]*listedPackage{}
 	for _, dir := range dirs {
 		args := []string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,Module,Error", "./..."}
@@ -156,58 +213,115 @@ func deadExports(t testing.TB, dirs []string, kept map[string]string) (dead, sta
 			}
 			if byPath[p.ImportPath] == nil {
 				byPath[p.ImportPath] = p
-				pkgs = append(pkgs, p)
+				listed = append(listed, p)
 			}
 		}
 	}
 
-	fset := token.NewFileSet()
-	fromExport := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	prog := &program{fset: token.NewFileSet()}
+	prog.std = importer.ForCompiler(prog.fset, "gc", func(path string) (io.ReadCloser, error) {
 		if p := byPath[path]; p != nil && p.Export != "" {
 			return os.Open(p.Export)
 		}
 		return nil, fmt.Errorf("no export data for %s", path)
-	})
+	}).(types.ImporterFrom)
 	checked := map[string]*types.Package{}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		if p := checked[path]; p != nil {
 			return p, nil
 		}
-		return fromExport.Import(path)
+		return prog.std.Import(path)
 	})}
-
-	decls := map[types.Object]*exported{}
-	receivers := map[*ast.Ident]bool{} // a receiver's type is part of the type's declaration
-	var interfaces []*types.Interface
-	var infos []*types.Info
-	for _, p := range pkgs {
+	for _, p := range listed {
 		if p.Standard {
 			continue
 		}
-		var files []*ast.File
+		cp := &checkedPackage{listedPackage: p}
 		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(prog.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)
 			}
-			files = append(files, f)
+			cp.files = append(cp.files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		tp, err := conf.Check(p.ImportPath, fset, files, info)
+		cp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		tp, err := conf.Check(p.ImportPath, prog.fset, cp.files, cp.info)
 		if err != nil {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
-		checked[p.ImportPath] = tp
-		infos = append(infos, info)
-		interfaces = appendInterfaces(interfaces, tp, "*")
+		checked[p.ImportPath], cp.types = tp, tp
+		cp.rel, cp.internal = strings.CutPrefix(p.ImportPath, p.Module.Path+"/internal/")
+		prog.pkgs = append(prog.pkgs, cp)
+	}
+	programs[key] = prog
+	return prog
+}
 
-		rel, internal := strings.CutPrefix(p.ImportPath, p.Module.Path+"/internal/")
-		add := func(id *ast.Ident, key string, span [2]token.Pos) {
-			if internal && id.IsExported() {
-				decls[info.Defs[id]] = &exported{key: rel + "." + key, pos: fset.Position(id.Pos()), span: span}
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// candidate is one declaration a gate checks for users.
+type candidate struct {
+	key  string
+	pos  token.Position
+	used bool
+}
+
+// sweep returns the unused candidates that kept does not list, as
+// "file:line: key" in file order, and the keys of kept that match no unused
+// candidate.
+func sweep(cands []*candidate, kept map[string]string) (dead, stale []string) {
+	hits := map[string]int{}
+	wd, _ := os.Getwd()
+	for _, c := range cands {
+		if c.used {
+			continue
+		}
+		listed := false
+		for k := range kept {
+			if ok, _ := path.Match(k, c.key); ok {
+				hits[k]++
+				listed = true
 			}
 		}
-		for _, f := range files {
+		if !listed {
+			file, err := filepath.Rel(wd, c.pos.Filename)
+			if err != nil {
+				file = c.pos.Filename
+			}
+			dead = append(dead, fmt.Sprintf("%s:%d: %s", file, c.pos.Line, c.key))
+		}
+	}
+	for k := range kept {
+		if hits[k] == 0 {
+			stale = append(stale, k)
+		}
+	}
+	sort.Strings(dead)
+	sort.Strings(stale)
+	return dead, stale
+}
+
+// deadExports returns the dead exports under each module's internal/, as
+// "file:line: key" in file order, and the keys of kept that match none.
+func deadExports(t testing.TB, prog *program, kept map[string]string) (dead, stale []string) {
+	t.Helper()
+	type export struct {
+		*candidate
+		span [2]token.Pos // the declaration, whose own uses do not count
+	}
+	decls := map[types.Object]export{}
+	receivers := map[*ast.Ident]bool{} // a receiver's type is part of the type's declaration
+	var interfaces []*types.Interface
+	for _, p := range prog.pkgs {
+		interfaces = appendInterfaces(interfaces, p.types, "*")
+		add := func(id *ast.Ident, key string, span [2]token.Pos) {
+			if p.internal && id.IsExported() {
+				decls[p.info.Defs[id]] = export{&candidate{key: p.rel + "." + key, pos: prog.fset.Position(id.Pos())}, span}
+			}
+		}
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -237,7 +351,7 @@ func deadExports(t testing.TB, dirs []string, kept map[string]string) (dead, sta
 	}
 	interfaces = append(interfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	for std, names := range exemptInterfaces {
-		tp, err := fromExport.Import(std)
+		tp, err := prog.std.Import(std)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,51 +360,106 @@ func deadExports(t testing.TB, dirs []string, kept map[string]string) (dead, sta
 		}
 	}
 
-	for _, info := range infos {
-		for id, obj := range info.Uses {
+	for _, p := range prog.pkgs {
+		for id, obj := range p.info.Uses {
 			if f, ok := obj.(*types.Func); ok {
 				obj = f.Origin()
 			}
-			if d := decls[obj]; d != nil && !receivers[id] && (id.Pos() < d.span[0] || id.Pos() >= d.span[1]) {
+			if d, ok := decls[obj]; ok && !receivers[id] && (id.Pos() < d.span[0] || id.Pos() >= d.span[1]) {
 				d.used = true
 			}
 		}
 	}
-
-	hits := map[string]int{}
-	wd, _ := os.Getwd()
+	var cands []*candidate
 	for obj, d := range decls {
-		if d.used || satisfiesInterface(obj, interfaces) {
-			continue
-		}
-		listed := false
-		for k := range kept {
-			if ok, _ := path.Match(k, d.key); ok {
-				hits[k]++
-				listed = true
-			}
-		}
-		if !listed {
-			file, err := filepath.Rel(wd, d.pos.Filename)
-			if err != nil {
-				file = d.pos.Filename
-			}
-			dead = append(dead, fmt.Sprintf("%s:%d: %s", file, d.pos.Line, d.key))
-		}
+		d.used = d.used || satisfiesInterface(obj, interfaces)
+		cands = append(cands, d.candidate)
 	}
-	for k := range kept {
-		if hits[k] == 0 {
-			stale = append(stale, k)
-		}
-	}
-	sort.Strings(dead)
-	sort.Strings(stale)
-	return dead, stale
+	return sweep(cands, kept)
 }
 
-type importerFunc func(path string) (*types.Package, error)
+// optionFields returns the exported fields of every exported struct type
+// under internal/ whose name ends in Config or Options, keyed "pkg.Type".
+func optionFields(prog *program) map[string][]*types.Var {
+	out := map[string][]*types.Var{}
+	for _, p := range prog.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !p.internal || tn.IsAlias() || !tn.Exported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				var fields []*types.Var
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Exported() {
+						fields = append(fields, st.Field(i))
+					}
+				}
+				out[p.rel+"."+name] = fields
+			}
+		}
+	}
+	return out
+}
 
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+// deadKnobs returns the option fields no program sets, as "file:line: key"
+// in file order, and the keys of kept that match none. A field counts as
+// set when a non-test file outside its package names it: a selector, a
+// composite-literal key, or &cfg.Field handed to the flag package. Unkeyed
+// literals of another package's struct name no field, but go vet refuses
+// them.
+func deadKnobs(prog *program, kept map[string]string) (dead, stale []string) {
+	fields := map[*types.Var]*candidate{}
+	var cands []*candidate
+	for key, vars := range optionFields(prog) {
+		for _, f := range vars {
+			c := &candidate{key: key + "." + f.Name(), pos: prog.fset.Position(f.Pos())}
+			fields[f] = c
+			cands = append(cands, c)
+		}
+	}
+	for _, p := range prog.pkgs {
+		for _, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != p.types {
+				if c := fields[v.Origin()]; c != nil {
+					c.used = true
+				}
+			}
+		}
+	}
+	return sweep(cands, kept)
+}
+
+// settable tallies the program's settable values, one line each: every
+// option struct's exported field count, then the flags the daemon package
+// at importPath defines (its uses of package flag's functions that take a
+// usage string: the flag definers, and nothing else there).
+func settable(prog *program, importPath string) []string {
+	var lines []string
+	for key, fields := range optionFields(prog) {
+		lines = append(lines, fmt.Sprintf("%-28s %3d fields", key, len(fields)))
+	}
+	sort.Strings(lines)
+	for _, p := range prog.pkgs {
+		if p.ImportPath != importPath {
+			continue
+		}
+		flags := 0
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "flag" {
+				params := fn.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len(); i++ {
+					if params.At(i).Name() == "usage" {
+						flags++
+					}
+				}
+			}
+		}
+		lines = append(lines, fmt.Sprintf("%-28s %3d flags", path.Base(importPath), flags))
+	}
+	return lines
+}
 
 // appendInterfaces appends the non-generic interfaces with methods that tp
 // declares at package level under name, or under any name for "*".

@@ -44,10 +44,6 @@ type Config struct {
 	// 5-minute sampling); the engine overrides it with the series' actual
 	// points-per-day. Values below MinDriftWindow are raised to it.
 	DriftWindow int
-	// Hysteresis is how many consecutive over-threshold windows are needed
-	// before drift latches (default 2), so one noisy window cannot trigger
-	// a retrain.
-	Hysteresis int
 }
 
 // Defaults, exported so the engine and CLI flag help can state them.
@@ -56,7 +52,6 @@ const (
 	DefaultDepth          = 8
 	DefaultDriftThreshold = 0.25
 	DefaultDriftWindow    = 288
-	DefaultHysteresis     = 2
 	// MinDriftWindow floors the histogram window: PSI over fewer points is
 	// all smoothing noise.
 	MinDriftWindow = 48
@@ -79,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftWindow < MinDriftWindow {
 		c.DriftWindow = MinDriftWindow
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = DefaultHysteresis
 	}
 	return c
 }
@@ -108,7 +100,7 @@ func NewState(cfg Config) *State {
 		s.queue.init(cfg.Band, cfg.Depth)
 	}
 	if drifts {
-		s.drift.init(cfg.DriftThreshold, cfg.DriftWindow, cfg.Hysteresis)
+		s.drift.init(cfg.DriftThreshold, cfg.DriftWindow)
 	}
 	return s
 }
@@ -121,7 +113,7 @@ func (s *State) Observe(index int, prob, cthld float64) {
 }
 
 // TakeDrift consumes the drift latch: it reports whether the detector has
-// seen Hysteresis consecutive over-threshold windows since the last take,
+// seen two consecutive over-threshold windows since the last take,
 // and clears the latch so one drift episode arms at most one retrain.
 func (s *State) TakeDrift() bool { return s.drift.take() }
 

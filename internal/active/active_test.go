@@ -112,9 +112,9 @@ func TestQueueRemoveAndReset(t *testing.T) {
 
 // driftState builds a drift-only detector with a tiny window so tests can
 // drive whole comparison windows cheaply.
-func driftState(t *testing.T, threshold float64, window, hysteresis int) *State {
+func driftState(t *testing.T, threshold float64, window int) *State {
 	t.Helper()
-	s := NewState(Config{Band: -1, Depth: -1, DriftThreshold: threshold, DriftWindow: window, Hysteresis: hysteresis})
+	s := NewState(Config{Band: -1, Depth: -1, DriftThreshold: threshold, DriftWindow: window})
 	if s == nil {
 		t.Fatal("NewState returned nil with drift enabled")
 	}
@@ -129,7 +129,7 @@ func feed(s *State, n int, draw func() float64) {
 }
 
 func TestDriftStationaryNeverLatches(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow, 2)
+	s := driftState(t, 0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(7))
 	// Reference + 20 live windows from the same distribution.
 	feed(s, 21*MinDriftWindow, func() float64 { return 0.2 + 0.1*rng.Float64() })
@@ -142,7 +142,7 @@ func TestDriftStationaryNeverLatches(t *testing.T) {
 }
 
 func TestDriftShiftLatchesWithHysteresis(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow, 2)
+	s := driftState(t, 0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(7))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
@@ -164,7 +164,7 @@ func TestDriftShiftLatchesWithHysteresis(t *testing.T) {
 }
 
 func TestDriftStrikeResetOnCalmWindow(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow, 2)
+	s := driftState(t, 0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(9))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
@@ -178,14 +178,14 @@ func TestDriftStrikeResetOnCalmWindow(t *testing.T) {
 }
 
 func TestDriftResetStartsFreshReference(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow, 1)
+	s := driftState(t, 0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(11))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
 	feed(s, MinDriftWindow, low)
-	feed(s, MinDriftWindow, high)
+	feed(s, 2*MinDriftWindow, high)
 	if !s.TakeDrift() {
-		t.Fatal("shift did not latch with hysteresis 1")
+		t.Fatal("shift did not latch")
 	}
 	// After a reset (the retrain swap), the new regime becomes the
 	// reference: continuing in it must not re-latch.

@@ -12,17 +12,20 @@ const driftBins = 20
 // PSI, so empty bins contribute a finite, bounded term instead of ±Inf.
 const smooth = 0.5
 
+// hysteresis is how many consecutive over-threshold windows latch drift, so
+// one noisy window cannot trigger a retrain.
+const hysteresis = 2
+
 // detector is a windowed-reference PSI drift detector over the stream of
 // forest vote fractions. The first `window` trained verdicts after a reset
 // build the reference histogram — the distribution the current model was
 // effectively validated against — and every subsequent window of the same
 // size is compared to it. PSI at or above the threshold is one strike;
-// `hysteresis` consecutive strikes latch drift. Fixed arrays throughout:
+// hysteresis consecutive strikes latch drift. Fixed arrays throughout:
 // observe never allocates.
 type detector struct {
-	threshold  float64
-	window     int
-	hysteresis int
+	threshold float64
+	window    int
 
 	ref     [driftBins]float64
 	live    [driftBins]float64
@@ -35,10 +38,9 @@ type detector struct {
 	latched bool
 }
 
-func (d *detector) init(threshold float64, window, hysteresis int) {
+func (d *detector) init(threshold float64, window int) {
 	d.threshold = threshold
 	d.window = window
-	d.hysteresis = hysteresis
 }
 
 func (d *detector) observe(prob float64) {
@@ -68,7 +70,7 @@ func (d *detector) observe(prob float64) {
 	d.score = psi(&d.ref, d.refN, &d.live, d.liveN)
 	if d.score >= d.threshold {
 		d.strikes++
-		if d.strikes >= d.hysteresis {
+		if d.strikes >= hysteresis {
 			d.latched = true
 		}
 	} else {

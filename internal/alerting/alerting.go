@@ -1,9 +1,8 @@
 // Package alerting turns point-level anomaly verdicts into operator-facing
 // incidents: consecutive anomalous points coalesce into one incident (the
-// window semantics operators think in, §4.2), notifications are rate
-// limited, and delivery is pluggable (a webhook, or any Notifier). This is
-// the "report to operators and let them decide" hand-off the paper's §6
-// prescribes.
+// window semantics operators think in, §4.2), and delivery is pluggable (a
+// webhook, or any Notifier). This is the "report to operators and let them
+// decide" hand-off the paper's §6 prescribes.
 package alerting
 
 import (
@@ -71,75 +70,51 @@ func (n WebhookNotifier) Notify(ctx context.Context, e Event) error {
 	return nil
 }
 
-// Manager coalesces verdicts into incidents and notifies on transitions.
-// One Manager watches one series; it is safe for concurrent use.
+// Manager coalesces verdicts into incidents and notifies on transitions: an
+// anomalous point opens an incident, and the first normal point after it
+// resolves it. One Manager watches one series; it is safe for concurrent use.
 type Manager struct {
 	// Series names the KPI in events.
 	Series string
 	// Notifier receives open/resolved events (required).
 	Notifier Notifier
-	// ResolveAfter is how many consecutive normal points end an incident
-	// (default 1).
-	ResolveAfter int
-	// MinInterval rate-limits "open" notifications: a new incident within
-	// MinInterval of the previous notification is tracked but not announced.
-	MinInterval time.Duration
 
-	mu           sync.Mutex
-	open         bool
-	start        time.Time
-	points       int
-	peak         float64
-	normalStreak int
-	lastNotify   time.Time
-	suppressed   int
+	mu     sync.Mutex
+	open   bool
+	start  time.Time
+	points int
+	peak   float64
 }
 
 // Observe feeds one classified point. ts is the point's timestamp,
-// anomalous the (possibly duration-filtered) verdict, probability the
-// classifier score. Notification errors are returned but do not disturb the
-// incident state.
+// anomalous the verdict, probability the classifier score. Notification
+// errors are returned but do not disturb the incident state.
 func (m *Manager) Observe(ctx context.Context, ts time.Time, anomalous bool, probability float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	resolveAfter := m.ResolveAfter
-	if resolveAfter < 1 {
-		resolveAfter = 1
-	}
 	switch {
 	case anomalous && !m.open:
 		m.open = true
 		m.start = ts
 		m.points = 1
 		m.peak = probability
-		m.normalStreak = 0
-		if m.MinInterval > 0 && ts.Sub(m.lastNotify) < m.MinInterval {
-			m.suppressed++
-			return nil
-		}
-		m.lastNotify = ts
 		return m.notify(ctx, Event{
 			Series: m.Series, State: "open", Start: m.start,
 			Points: m.points, PeakProbability: m.peak,
 		})
 	case anomalous:
 		m.points++
-		m.normalStreak = 0
 		if probability > m.peak {
 			m.peak = probability
 		}
 	case m.open:
-		m.normalStreak++
-		if m.normalStreak >= resolveAfter {
-			e := Event{
-				Series: m.Series, State: "resolved", Start: m.start, End: ts,
-				Points: m.points, PeakProbability: m.peak,
-			}
-			m.open = false
-			m.points = 0
-			m.normalStreak = 0
-			return m.notify(ctx, e)
+		e := Event{
+			Series: m.Series, State: "resolved", Start: m.start, End: ts,
+			Points: m.points, PeakProbability: m.peak,
 		}
+		m.open = false
+		m.points = 0
+		return m.notify(ctx, e)
 	}
 	return nil
 }

@@ -63,48 +63,17 @@ func TestManagerCoalescesIncident(t *testing.T) {
 	}
 }
 
+// TestManagerResolveAfter: one normal point resolves an incident, and the
+// next anomalous point opens and announces a new one at once.
 func TestManagerResolveAfter(t *testing.T) {
 	rec := &recorder{}
-	m := &Manager{Series: "pv", Notifier: rec, ResolveAfter: 3}
-	ctx := context.Background()
-	// Anomaly, then 2 normals (not resolved), anomaly continues, then 3
-	// normals (resolved).
-	seq := []bool{true, false, false, true, false, false, false}
-	for i, v := range seq {
-		m.Observe(ctx, at(i), v, 0.9)
+	m := &Manager{Series: "pv", Notifier: rec}
+	for i, v := range []bool{true, true, false, true} {
+		m.Observe(context.Background(), at(i), v, 0.9)
 	}
-	events := rec.all()
-	if len(events) != 2 {
-		t.Fatalf("events = %+v", events)
-	}
-	if events[1].State != "resolved" || events[1].Points != 2 {
-		t.Errorf("resolved = %+v (gap should not split the incident)", events[1])
-	}
-	if m.open {
-		t.Error("incident should be closed")
-	}
-}
-
-func TestManagerRateLimit(t *testing.T) {
-	rec := &recorder{}
-	m := &Manager{Series: "pv", Notifier: rec, MinInterval: 10 * time.Minute}
-	ctx := context.Background()
-	m.Observe(ctx, at(0), true, 0.9) // notified
-	m.Observe(ctx, at(1), false, 0.1)
-	m.Observe(ctx, at(2), true, 0.9) // suppressed (2 min later)
-	m.Observe(ctx, at(3), false, 0.1)
-	m.Observe(ctx, at(20), true, 0.9) // notified again
-	opens := 0
-	for _, e := range rec.all() {
-		if e.State == "open" {
-			opens++
-		}
-	}
-	if opens != 2 {
-		t.Errorf("open notifications = %d, want 2", opens)
-	}
-	if m.suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1", m.suppressed)
+	if e := rec.all(); len(e) != 3 || e[1].State != "resolved" || e[1].Points != 2 || !e[1].End.Equal(at(2)) ||
+		e[2].State != "open" || !e[2].Start.Equal(at(3)) {
+		t.Fatalf("events = %+v, want open, resolved at point 2, open at point 3", e)
 	}
 }
 

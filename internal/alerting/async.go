@@ -39,7 +39,7 @@ type Pipeline struct {
 	delivered atomic.Int64
 	retried   atomic.Int64
 	dropped   atomic.Int64
-	inflight  atomic.Int64 // events dequeued by the worker, not yet resolved
+	pending   atomic.Int64 // events Notify accepted, not yet delivered or dropped
 
 	brMu        sync.Mutex
 	brFailures  int
@@ -71,15 +71,6 @@ type PipelineConfig struct {
 	BreakerCooldown  time.Duration
 	// Log receives drop and breaker transitions (default slog.Default).
 	Log *slog.Logger
-	// OnResult, when set, is invoked after each accepted event resolves:
-	// err is nil on delivery, otherwise the reason the event was abandoned
-	// (max attempts exhausted, or ErrPipelineClosed when Close drained it).
-	// It runs on the worker goroutine, so it must be cheap and must not call
-	// back into the pipeline. Events rejected by Notify itself (queue full,
-	// already closing) never reach OnResult — the caller saw that error.
-	// Intended for tests and simulation harnesses that need delivery
-	// completion without polling.
-	OnResult func(e Event, err error)
 }
 
 func (cfg *PipelineConfig) applyDefaults() {
@@ -135,11 +126,15 @@ func (p *Pipeline) Notify(_ context.Context, e Event) error {
 		p.dropped.Add(1)
 		return ErrPipelineClosed
 	}
+	// Counted before the send, so Drain never sees an accepted event the
+	// worker has dequeued but not yet resolved as gone.
+	p.pending.Add(1)
 	select {
 	case p.ch <- e:
 		p.enqueued.Add(1)
 		return nil
 	default:
+		p.pending.Add(-1)
 		p.dropped.Add(1)
 		p.cfg.Log.Warn("alerting: queue full, event dropped",
 			"series", e.Series, "state", e.State)
@@ -165,14 +160,14 @@ func (p *Pipeline) Close() {
 	<-p.done
 }
 
-// Drain blocks until the queue is empty and the in-flight event (if any) is
-// resolved, or ctx expires. Useful in tests and graceful shutdown when
-// pending notifications should still go out.
+// Drain blocks until every event Notify accepted is delivered or dropped, or
+// ctx expires. Useful in tests and graceful shutdown when pending
+// notifications should still go out.
 func (p *Pipeline) Drain(ctx context.Context) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
-		if len(p.ch) == 0 && p.inflight.Load() == 0 {
+		if p.pending.Load() == 0 {
 			return nil
 		}
 		select {
@@ -226,17 +221,16 @@ func (p *Pipeline) run() {
 			// Count everything still queued as dropped and exit.
 			for {
 				select {
-				case e := <-p.ch:
+				case <-p.ch:
 					p.dropped.Add(1)
-					p.result(e, ErrPipelineClosed)
+					p.pending.Add(-1)
 				default:
 					return
 				}
 			}
 		case e := <-p.ch:
-			p.inflight.Add(1)
 			p.deliver(e)
-			p.inflight.Add(-1)
+			p.pending.Add(-1)
 		}
 	}
 }
@@ -249,7 +243,6 @@ func (p *Pipeline) deliver(e Event) {
 		if wait := p.breakerWait(); wait > 0 {
 			if !p.sleep(wait) {
 				p.dropped.Add(1)
-				p.result(e, ErrPipelineClosed)
 				return
 			}
 		}
@@ -257,7 +250,6 @@ func (p *Pipeline) deliver(e Event) {
 		if err == nil {
 			p.breakerSuccess()
 			p.delivered.Add(1)
-			p.result(e, nil)
 			return
 		}
 		p.breakerFailure()
@@ -266,26 +258,17 @@ func (p *Pipeline) deliver(e Event) {
 			p.cfg.Log.Warn("alerting: event dropped after max attempts",
 				"series", e.Series, "state", e.State,
 				"attempts", attempt, "err", err)
-			p.result(e, fmt.Errorf("alerting: dropped after %d attempts: %w", attempt, err))
 			return
 		}
 		p.retried.Add(1)
 		jittered := delay + time.Duration(p.cfg.Jitter*rand.Float64()*float64(delay))
 		if !p.sleep(jittered) {
 			p.dropped.Add(1)
-			p.result(e, ErrPipelineClosed)
 			return
 		}
 		if delay *= 2; delay > p.cfg.MaxDelay {
 			delay = p.cfg.MaxDelay
 		}
-	}
-}
-
-// result fires the OnResult hook, if configured.
-func (p *Pipeline) result(e Event, err error) {
-	if p.cfg.OnResult != nil {
-		p.cfg.OnResult(e, err)
 	}
 }
 

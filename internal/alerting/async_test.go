@@ -4,10 +4,10 @@ package alerting_test
 // tests live in an external test package so they can use the shared
 // internal/faultinject harness (which itself imports alerting).
 //
-// Synchronization policy: no fixed sleeps and no poll loops. Every test
-// waits on a channel — the pipeline's OnResult hook (fired once per
-// accepted event when it resolves) or BlockingNotifier.Started — so the
-// suite is deterministic under -race and -count=2.
+// Synchronization policy: no fixed sleeps. Every test waits for the pipeline
+// to settle — Drain (the queue empty and no event in flight), Close, or
+// BlockingNotifier.Started — and then reads the fake notifier and Stats, so
+// the suite is deterministic under -race and -count=2.
 
 import (
 	"context"
@@ -30,24 +30,14 @@ func quietCfg() alerting.PipelineConfig {
 	}
 }
 
-// hookResults installs an OnResult hook on cfg that forwards every resolved
-// event's error to the returned channel.
-func hookResults(cfg *alerting.PipelineConfig) <-chan error {
-	ch := make(chan error, 64)
-	cfg.OnResult = func(_ alerting.Event, err error) { ch <- err }
-	return ch
-}
-
-// awaitResult blocks until one accepted event resolves, returning its
-// delivery error (nil = delivered).
-func awaitResult(t *testing.T, ch <-chan error) error {
+// drain blocks until every accepted event has resolved: delivered or
+// dropped.
+func drain(t *testing.T, p *alerting.Pipeline) {
 	t.Helper()
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(10 * time.Second):
-		t.Fatal("timed out waiting for a delivery result")
-		return nil
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := p.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 }
 
@@ -57,9 +47,7 @@ func event(series string) alerting.Event {
 
 func TestFaultPipelineRetriesFlakyNotifier(t *testing.T) {
 	n := &faultinject.FlakyNotifier{FailFirst: 3}
-	cfg := quietCfg()
-	results := hookResults(&cfg)
-	p := alerting.NewPipeline(n, cfg)
+	p := alerting.NewPipeline(n, quietCfg())
 	defer p.Close()
 
 	start := time.Now()
@@ -69,9 +57,7 @@ func TestFaultPipelineRetriesFlakyNotifier(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("Notify blocked for %v; must be non-blocking", d)
 	}
-	if err := awaitResult(t, results); err != nil {
-		t.Fatalf("delivery result = %v, want nil", err)
-	}
+	drain(t, p)
 	if got := n.Attempts(); got != 4 {
 		t.Errorf("attempts = %d, want 4 (3 failures + 1 success)", got)
 	}
@@ -79,15 +65,9 @@ func TestFaultPipelineRetriesFlakyNotifier(t *testing.T) {
 	if st.Delivered != 1 || st.Retried != 3 || st.Dropped != 0 {
 		t.Errorf("stats = %+v, want delivered=1 retried=3 dropped=0", st)
 	}
-	// Exactly once: the event resolved, so no further delivery may happen and
-	// no second result may be pending.
+	// Exactly once: the event resolved, so no further delivery may happen.
 	if got := len(n.Delivered()); got != 1 {
 		t.Errorf("delivered %d times, want exactly 1", got)
-	}
-	select {
-	case err := <-results:
-		t.Errorf("unexpected second result %v for a single event", err)
-	default:
 	}
 }
 
@@ -95,14 +75,11 @@ func TestFaultPipelineDropsAfterMaxAttempts(t *testing.T) {
 	n := &faultinject.FailingNotifier{Err: errors.New("permanently down")}
 	cfg := quietCfg()
 	cfg.MaxAttempts = 3
-	results := hookResults(&cfg)
 	p := alerting.NewPipeline(n, cfg)
 	defer p.Close()
 
 	p.Notify(context.Background(), event("pv"))
-	if err := awaitResult(t, results); err == nil {
-		t.Fatal("delivery result = nil, want a max-attempts error")
-	}
+	drain(t, p)
 	st := p.Stats()
 	if st.Delivered != 0 || st.Retried != 2 || st.Dropped != 1 {
 		t.Errorf("stats = %+v, want delivered=0 retried=2 dropped=1", st)
@@ -152,15 +129,15 @@ func TestFaultPipelineCircuitBreakerTrips(t *testing.T) {
 	cfg.MaxAttempts = 4
 	cfg.BreakerThreshold = 4
 	cfg.BreakerCooldown = time.Hour // long enough to observe open state
-	results := hookResults(&cfg)
 	p := alerting.NewPipeline(n, cfg)
 	defer p.Close()
 
 	p.Notify(context.Background(), event("pv"))
 	// The 4th consecutive failure trips the breaker and exhausts the attempt
 	// budget, so the event resolves (dropped) with the breaker open.
-	if err := awaitResult(t, results); err == nil {
-		t.Fatal("delivery result = nil, want a max-attempts error")
+	drain(t, p)
+	if st := p.Stats(); st.Delivered != 0 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want delivered=0 dropped=1", st)
 	}
 	if got := p.Stats().BreakerTrips; got < 1 {
 		t.Errorf("breaker trips = %d, want >= 1", got)
@@ -173,14 +150,11 @@ func TestFaultPipelineCircuitBreakerTrips(t *testing.T) {
 func TestFaultPipelineSandboxesPanickingNotifier(t *testing.T) {
 	cfg := quietCfg()
 	cfg.MaxAttempts = 2
-	results := hookResults(&cfg)
 	p := alerting.NewPipeline(faultinject.PanickingNotifier{}, cfg)
 	defer p.Close()
 
 	p.Notify(context.Background(), event("pv"))
-	if err := awaitResult(t, results); err == nil {
-		t.Fatal("delivery result = nil, want panic-as-failure drop")
-	}
+	drain(t, p)
 	if st := p.Stats(); st.Dropped != 1 || st.Retried != 1 {
 		t.Errorf("stats = %+v, want dropped=1 retried=1 (panic treated as failure)", st)
 	}
@@ -192,7 +166,6 @@ func TestFaultPipelineCloseDropsQueued(t *testing.T) {
 	cfg := quietCfg()
 	cfg.QueueSize = 8
 	cfg.AttemptTimeout = 10 * time.Millisecond
-	results := hookResults(&cfg)
 	p := alerting.NewPipeline(n, cfg)
 
 	ctx := context.Background()
@@ -200,20 +173,10 @@ func TestFaultPipelineCloseDropsQueued(t *testing.T) {
 		p.Notify(ctx, event("pv"))
 	}
 	p.Close() // must not hang; queued events become drops
-	st := p.Stats()
-	if st.Delivered+st.Dropped != st.Enqueued {
-		t.Errorf("accounting leak: %+v", st)
-	}
-	// Every accepted event resolved exactly once, all as closed-drops.
-	for i := int64(0); i < st.Enqueued; i++ {
-		if err := awaitResult(t, results); err == nil {
-			t.Error("result = nil after Close, want ErrPipelineClosed")
-		}
-	}
-	select {
-	case err := <-results:
-		t.Errorf("more results than enqueued events: %v", err)
-	default:
+	// Every accepted event resolved exactly once, all as drops: the notifier
+	// never returned success.
+	if st := p.Stats(); st.Enqueued != 5 || st.Delivered != 0 || st.Dropped != st.Enqueued {
+		t.Errorf("stats = %+v, want enqueued=5 delivered=0 dropped=5", st)
 	}
 	if err := p.Notify(ctx, event("pv")); !errors.Is(err, alerting.ErrPipelineClosed) {
 		t.Errorf("Notify after Close = %v, want ErrPipelineClosed", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,16 +72,19 @@ func TestExtractShapesAndWarmUp(t *testing.T) {
 	}
 }
 
+// TestExtractDeterministicAcrossWorkerCounts: extraction runs on GOMAXPROCS
+// workers, and one worker or eight extract the same matrix.
 func TestExtractDeterministicAcrossWorkerCounts(t *testing.T) {
 	s, _ := testKPI(t, 9, 2)
-	a, err := Extract(s, smallRegistry(t), ExtractConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	extract := func(workers int) *Features {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		f, err := Extract(s, smallRegistry(t), ExtractConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	b, err := Extract(s, smallRegistry(t), ExtractConfig{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := extract(1), extract(8)
 	for j := range a.Cols {
 		for i := range a.Cols[j] {
 			av, bv := a.Cols[j][i], b.Cols[j][i]
@@ -294,8 +298,8 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(f, labels[:10], ppw, Config{}); err == nil {
 		t.Error("want error for label length mismatch")
 	}
-	if _, err := Run(f, labels, ppw, Config{InitWeeks: 20}); err == nil {
-		t.Error("want error when data shorter than InitWeeks")
+	if _, err := Run(f, labels, 2*ppw, Config{}); err == nil {
+		t.Error("want error when the data spans no more than InitWeeks")
 	}
 }
 

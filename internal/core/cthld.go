@@ -60,11 +60,19 @@ func SelectCThld(scores []float64, truth []bool, m Metric, pref stats.Preference
 	}
 }
 
+// The paper's cThld settings (§4.5.2): the EWMA predictor's α, the
+// cross-validation folds and the candidate grid's resolution.
+const (
+	ewmaAlpha = 0.8
+	cvFolds   = 5
+	cThldGrid = 1000
+)
+
 // cThldCandidates returns the candidate grid of §4.5.2: numCandidates+1
 // evenly spaced thresholds spanning [0, 1].
 func cThldCandidates(numCandidates int) []float64 {
 	if numCandidates < 1 {
-		numCandidates = 1000
+		numCandidates = cThldGrid
 	}
 	out := make([]float64, numCandidates+1)
 	for i := range out {
@@ -81,7 +89,7 @@ func cThldCandidates(numCandidates int) []float64 {
 func CrossValidateCThld(ps *tree.Presorted, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
 	n := len(labels)
 	if folds < 2 {
-		folds = 5
+		folds = cvFolds
 	}
 	if n < 2*folds {
 		return 0.5
@@ -140,7 +148,7 @@ type CThldPredictor struct {
 // is 0.
 func NewCThldPredictor(alpha float64) *CThldPredictor {
 	if alpha <= 0 {
-		alpha = 0.8
+		alpha = ewmaAlpha
 	}
 	return &CThldPredictor{ewma: stats.EWMA{Alpha: alpha}}
 }

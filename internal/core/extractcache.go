@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -200,7 +201,7 @@ func ExtractIncremental(cache *FeatureCache, s *timeseries.Series, ds []detector
 		f, err := Extract(s, ds, cfg)
 		return f, ds, err
 	}
-	fitN, workers, err := extractParams(s, cfg)
+	fitN, err := fitPoints(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,7 +243,7 @@ func ExtractIncremental(cache *FeatureCache, s *timeseries.Series, ds []detector
 	outDets := make([]detectors.Detector, len(ds))
 
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for j, d := range ds {
 		wg.Add(1)
 		sem <- struct{}{}

@@ -40,11 +40,9 @@ type Features struct {
 	imputed bool
 }
 
-// ExtractConfig controls feature extraction.
-type ExtractConfig struct {
-	// Workers bounds extraction parallelism (default GOMAXPROCS).
-	Workers int
-}
+// ExtractConfig is the options argument of the extraction entry points. It
+// has no fields: extraction runs on GOMAXPROCS workers.
+type ExtractConfig struct{}
 
 // Extract runs every detector configuration over the series in parallel and
 // returns the severity matrix. Detectors are Reset first, and Trainable ones
@@ -53,7 +51,7 @@ type ExtractConfig struct {
 // explicitly designed to keep working when some detectors are unusable (§6
 // "dirty data").
 func Extract(s *timeseries.Series, ds []detectors.Detector, cfg ExtractConfig) (*Features, error) {
-	fitN, workers, err := extractParams(s, cfg)
+	fitN, err := fitPoints(s)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +64,7 @@ func Extract(s *timeseries.Series, ds []detectors.Detector, cfg ExtractConfig) (
 		wg         sync.WaitGroup
 		degradedMu sync.Mutex
 	)
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for j, d := range ds {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -91,19 +89,15 @@ func Extract(s *timeseries.Series, ds []detectors.Detector, cfg ExtractConfig) (
 // parameter estimation, capped at the series' complete weeks.
 const fitWeeks = 8
 
-// extractParams resolves the Trainable fit window (in points) and the worker
-// bound for an extraction over s — shared by Extract and ExtractIncremental
-// so both derive bit-identical fit windows.
-func extractParams(s *timeseries.Series, cfg ExtractConfig) (fitN, workers int, err error) {
+// fitPoints resolves the Trainable fit window, in points, for an extraction
+// over s — shared by Extract and ExtractIncremental so both derive
+// bit-identical fit windows.
+func fitPoints(s *timeseries.Series) (int, error) {
 	ppw, err := s.PointsPerWeek()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	workers = cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(fitWeeks, s.Len()/ppw) * ppw, workers, nil
+	return min(fitWeeks, s.Len()/ppw) * ppw, nil
 }
 
 // stepColumn is the one panic sandbox around detector code: every caller

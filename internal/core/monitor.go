@@ -24,7 +24,6 @@ type Monitor struct {
 	fcfg   forest.Config
 	pref   stats.Preference
 	points int
-	filter *DurationFilter
 
 	// dynamic marks a per-point predictor (EVT): finalize feeds it every
 	// vote fraction and refreshes the threshold. False for EWMA, whose
@@ -58,8 +57,6 @@ type Monitor struct {
 type MonitorConfig struct {
 	Preference stats.Preference
 	Forest     forest.Config
-	// EWMAAlpha smooths cThld updates across retrains (default 0.8).
-	EWMAAlpha float64
 	// Predictor selects the cThld prediction strategy (default PredictEWMA,
 	// the paper's §4.5.2 predictor; PredictEVT is the POT/GPD dynamic one).
 	Predictor PredictorKind
@@ -72,14 +69,9 @@ type MonitorConfig struct {
 	// point and trains the multi-class anomaly-type head alongside the
 	// verdict forest. Must match the history length when set.
 	TypeLabels []uint8
-	// Folds for the initial cross-validated cThld (default 5; set
-	// SkipInitialCV to start from 0.5 instead).
-	Folds         int
+	// SkipInitialCV starts the cThld from 0.5 instead of 5-fold
+	// cross-validation.
 	SkipInitialCV bool
-	// MinDuration, when > 1, applies the §6 duration filter: an alarm is
-	// raised only once MinDuration consecutive points classify anomalous.
-	// Verdicts for withheld points are then delayed (see Verdict.Decided).
-	MinDuration int
 	// OnDetectorPanic, when set, is invoked every time a detector
 	// configuration panics (during training extraction or online Step) and
 	// is sandboxed. recovered is the panic value, or nil when the panic was
@@ -102,19 +94,13 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	if cfg.Preference == (stats.Preference{}) {
 		cfg.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
 	}
-	if cfg.Folds <= 0 {
-		cfg.Folds = 5
-	}
 	m := &Monitor{fcfg: cfg.Forest, pref: cfg.Preference, onPanic: cfg.OnDetectorPanic}
-	if cfg.MinDuration > 1 {
-		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
-	}
 	err := m.train(history, labels, cfg.TypeLabels, dets, cfg.Cache, func(model *forest.Forest, ps *tree.Presorted) (Predictor, error) {
 		cthld := 0.5
 		if !cfg.SkipInitialCV {
-			cthld = CrossValidateCThld(ps, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
+			cthld = CrossValidateCThld(ps, labels, cvFolds, cThldGrid, cfg.Forest, cfg.Preference)
 		}
-		pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
+		pred := newPredictor(cfg.Predictor, ewmaAlpha, cfg.EVTQ, cfg.Preference)
 		pred.Seed(cthld)
 		if pred.Kind() == PredictEVT {
 			// Initial POT fit over held-out vote fractions: each half of the
@@ -133,9 +119,9 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 }
 
 // train is the one training body NewMonitor and Retrain share. m arrives
-// holding its tuning — forest configuration, preference, panic callback,
-// duration filter, and the type head to keep if this round trains none — and
-// train fills in the rest: it refuses untrainable history, extracts
+// holding its tuning — forest configuration, preference, panic callback, and
+// the type head to keep if this round trains none — and train fills in the
+// rest: it refuses untrainable history, extracts
 // (incrementally when cache is set), presorts the imputed columns once, fits
 // the verdict forest, builds the cThld predictor with predict — the only
 // step the two callers do differently — trains the type head when types are
@@ -218,15 +204,10 @@ func (m *Monitor) kill(j int, recovered any) {
 type Verdict struct {
 	// Probability is the forest vote fraction.
 	Probability float64
-	// Anomalous is Probability ≥ the current cThld; when a duration filter
-	// is configured, it is the filtered alarm decision instead.
+	// Anomalous is Probability ≥ the current cThld.
 	Anomalous bool
 	// CThld is the threshold applied.
 	CThld float64
-	// Decided is how many points this verdict finalizes: always 1 without a
-	// duration filter; with one, 0 while a short anomalous run is pending
-	// and > 1 when a pending run resolves.
-	Decided int
 	// Class is the anomaly-type head's prediction for an anomalous verdict
 	// (ClassNone when the point is normal, the head abstains, or no head is
 	// trained).
@@ -257,9 +238,8 @@ const stepBlock = 256
 // anomaly") for the failing point and all subsequent ones, mid-batch
 // included, and the verdicts are still produced from the remaining
 // configurations. The forest then runs once over the block. The verdict
-// sequence does not depend on how a stream is split into batches or blocks —
-// detector stepping never depends on forest output, and the duration filter
-// advances point by point.
+// sequence does not depend on how a stream is split into batches or blocks:
+// detector stepping never depends on forest output.
 func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
 	d := len(m.dets)
 	for len(values) > 0 {
@@ -295,23 +275,13 @@ func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
 	return out
 }
 
-// finalize turns a vote fraction into a Verdict, applying the cThld, the
-// optional duration filter, and the optional anomaly-type head (row is the
-// point's feature row, consulted only for anomalous verdicts). A dynamic
-// predictor then absorbs the score and refreshes the threshold for the next
-// point — the point is judged against the threshold established before it
-// arrived, streaming-POT style.
+// finalize turns a vote fraction into a Verdict, applying the cThld and the
+// optional anomaly-type head (row is the point's feature row, consulted only
+// for anomalous verdicts). A dynamic predictor then absorbs the score and
+// refreshes the threshold for the next point — the point is judged against
+// the threshold established before it arrived, streaming-POT style.
 func (m *Monitor) finalize(p float64, row []float64) Verdict {
-	verdict := Verdict{Probability: p, Anomalous: p >= m.cthld, CThld: m.cthld, Decided: 1}
-	if m.filter != nil {
-		decisions := m.filter.Step(verdict.Anomalous)
-		verdict.Anomalous = false
-		verdict.Decided = 0
-		for _, d := range decisions {
-			verdict.Decided += d.Count
-			verdict.Anomalous = verdict.Anomalous || d.Anomalous
-		}
-	}
+	verdict := Verdict{Probability: p, Anomalous: p >= m.cthld, CThld: m.cthld}
 	if verdict.Anomalous && m.typeModel != nil {
 		c, _ := m.typeModel.PredictRow(row)
 		verdict.Class = AnomalyClass(c)
@@ -348,12 +318,12 @@ func (m *Monitor) DegradedDetectors() int {
 // history (incremental retraining, §3.2) without mutating m. The returned
 // monitor carries m's tuning forward — preference, forest configuration, the
 // cThld predictor's state (cloned, with the snapshot's most recent week
-// folded into it), duration-filter configuration and panic callback — but
-// has a freshly trained model and the detector set dets fitted over the
-// snapshot and positioned after its last point. Past the 8-week fit cap that
-// is exactly where m's own detectors stand once they have been stepped over
-// the same points, so swapping the monitors never disturbs the stream; below
-// the cap a Trainable detector (ARIMA) is re-fitted on the longer window.
+// folded into it) and panic callback — but has a freshly trained model and
+// the detector set dets fitted over the snapshot and positioned after its
+// last point. Past the 8-week fit cap that is exactly where m's own
+// detectors stand once they have been stepped over the same points, so
+// swapping the monitors never disturbs the stream; below the cap a Trainable
+// detector (ARIMA) is re-fitted on the longer window.
 //
 // types, when non-nil, holds one AnomalyClass code per history point and the
 // returned monitor carries a freshly trained multi-class type head. A nil or
@@ -369,16 +339,13 @@ func (m *Monitor) DegradedDetectors() int {
 // It is the training half of an asynchronous retrain: while it runs, the
 // live monitor keeps Stepping newly arriving points; the caller then replays
 // the points that arrived mid-train through the returned monitor (to advance
-// its detectors and duration filter to the stream head) and atomically swaps
-// it in. Concurrent Step on m is safe — Retrain only reads fields Step never
-// writes — but concurrent Retrain calls on the same monitor, or against the
-// same cache, must be serialized by the caller (the engine's per-series
-// train mutex does).
+// its detectors to the stream head) and atomically swaps it in. Concurrent
+// Step on m is safe — Retrain only reads fields Step never writes — but
+// concurrent Retrain calls on the same monitor, or against the same cache,
+// must be serialized by the caller (the engine's per-series train mutex
+// does).
 func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
 	n := &Monitor{fcfg: m.fcfg, pref: m.pref, onPanic: m.onPanic, typeModel: m.typeModel}
-	if m.filter != nil {
-		n.filter = &DurationFilter{MinPoints: m.filter.MinPoints}
-	}
 	err := n.train(history, labels, types, dets, cache, func(model *forest.Forest, ps *tree.Presorted) (Predictor, error) {
 		// Threshold update into a cloned predictor so the live monitor is
 		// untouched until the swap: the EVT clone re-fits its tail on the

@@ -105,46 +105,6 @@ func TestMonitorRetrainUpdatesCThld(t *testing.T) {
 	}
 }
 
-func TestMonitorDurationFilterSuppressesBlips(t *testing.T) {
-	p := kpigen.PV(kpigen.Small)
-	p.Interval = time.Hour
-	p.Weeks = 10
-	d := kpigen.Generate(p, 61)
-	mon, err := NewMonitor(d.Series, d.Labels, smallRegistry(t), MonitorConfig{
-		Forest:        forest.Config{Trees: 12, Seed: 2},
-		SkipInitialCV: true,
-		MinDuration:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := d.Series.Values[d.Series.Len()-1]
-	// A single-point blip must not alarm immediately: with MinDuration 3 the
-	// filter withholds judgment on the first anomalous point.
-	v1 := mon.Step(base * 0.1)
-	if v1.Anomalous {
-		t.Errorf("1-point blip alarmed immediately: %+v", v1)
-	}
-	// A sustained drop must eventually alarm, and the per-step Decided
-	// counts must account for every point (minus at most MinDuration-1
-	// still pending).
-	steps := 1 // the blip
-	decided := v1.Decided
-	alarmed := false
-	for i := 0; i < 6; i++ {
-		v := mon.Step(base * 0.1)
-		steps++
-		decided += v.Decided
-		alarmed = alarmed || v.Anomalous
-	}
-	if !alarmed {
-		t.Error("sustained drop never alarmed")
-	}
-	if decided > steps || decided < steps-2 {
-		t.Errorf("decided %d of %d steps (pending may hold at most 2)", decided, steps)
-	}
-}
-
 // stepAll steps every detector over vals and returns what each reported:
 // sev[j][i], ready[j][i].
 func stepAll(dets []detectors.Detector, vals []float64) (sev [][]float64, ready [][]bool) {

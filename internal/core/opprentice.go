@@ -9,42 +9,15 @@ import (
 	"opprentice/internal/timeseries"
 )
 
-// Config parameterizes an Opprentice run. Zero values select the paper's
-// setup: preference (0.66, 0.66), 8 initial weeks, EWMA α = 0.8, 5 folds,
-// 1000 cThld candidates.
+// Config parameterizes an Opprentice run. The zero value selects the
+// paper's setup: preference (0.66, 0.66). The rest of it is fixed: InitWeeks
+// initial weeks, EWMA α = 0.8, 5 folds and 1000 cThld candidates.
 type Config struct {
 	Preference stats.Preference
 	Forest     forest.Config
-	// InitWeeks is the initial training period (default 8, Table 2).
-	InitWeeks int
-	// EWMAAlpha is the cThld-prediction smoothing constant (default 0.8).
-	EWMAAlpha float64
-	// Folds for the cross-validation cThld baseline (default 5).
-	Folds int
-	// CThldCandidates is the threshold grid resolution (default 1000).
-	CThldCandidates int
 	// SkipWeeklyCV disables the per-week 5-fold baseline (it is the
 	// expensive part); the EWMA predictor is then seeded with 0.5.
 	SkipWeeklyCV bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Preference == (stats.Preference{}) {
-		c.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
-	}
-	if c.InitWeeks <= 0 {
-		c.InitWeeks = InitWeeks
-	}
-	if c.EWMAAlpha <= 0 {
-		c.EWMAAlpha = 0.8
-	}
-	if c.Folds <= 0 {
-		c.Folds = 5
-	}
-	if c.CThldCandidates <= 0 {
-		c.CThldCandidates = 1000
-	}
-	return c
 }
 
 // WeekResult is one detection week of the online loop: the classifier was
@@ -77,19 +50,21 @@ type Result struct {
 // classify the week, then reveal the week's labels and update the cThld
 // predictor.
 func Run(f *Features, labels timeseries.Labels, ppw int, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Preference == (stats.Preference{}) {
+		cfg.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
+	}
 	n := f.NumPoints()
 	if len(labels) != n {
 		return nil, fmt.Errorf("core: %d labels for %d points", len(labels), n)
 	}
 	weeks := n / ppw
-	if weeks <= cfg.InitWeeks {
-		return nil, fmt.Errorf("core: %d weeks of data, need more than %d", weeks, cfg.InitWeeks)
+	if weeks <= InitWeeks {
+		return nil, fmt.Errorf("core: %d weeks of data, need more than %d", weeks, InitWeeks)
 	}
 	res := &Result{Config: cfg}
-	pred := NewCThldPredictor(cfg.EWMAAlpha)
+	pred := NewCThldPredictor(ewmaAlpha)
 
-	for w := cfg.InitWeeks; w < weeks; w++ {
+	for w := InitWeeks; w < weeks; w++ {
 		trainHi := w * ppw
 		trainCols := f.Imputed(0, trainHi)
 		trainLabels := []bool(labels[:trainHi])
@@ -109,15 +84,15 @@ func Run(f *Features, labels timeseries.Labels, ppw int, cfg Config) (*Result, e
 		// Online EWMA prediction, seeded by cross-validation (§4.5.2).
 		var cv5 float64
 		runCV := !cfg.SkipWeeklyCV
-		if w == cfg.InitWeeks {
+		if w == InitWeeks {
 			if runCV {
-				cv5 = CrossValidateCThld(ps, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
+				cv5 = CrossValidateCThld(ps, trainLabels, cvFolds, cThldGrid, cfg.Forest, cfg.Preference)
 			} else {
 				cv5 = 0.5
 			}
 			pred.Seed(cv5)
 		} else if runCV {
-			cv5 = CrossValidateCThld(ps, trainLabels, cfg.Folds, cfg.CThldCandidates, cfg.Forest, cfg.Preference)
+			cv5 = CrossValidateCThld(ps, trainLabels, cvFolds, cThldGrid, cfg.Forest, cfg.Preference)
 		}
 		ewmaCThld := pred.Predict()
 

@@ -33,6 +33,8 @@ var (
 // snapshotDTO is the gob wire form of a monitor's model state. Detector
 // streaming state is deliberately not serialized: detectors re-warm by
 // replaying recent history, which is simpler and correct by construction.
+// Snapshots written with fields since removed (MinDuration, forest knobs)
+// still load: gob skips a field the target type lacks.
 type snapshotDTO struct {
 	Version     int
 	Fingerprint uint64
@@ -41,7 +43,6 @@ type snapshotDTO struct {
 	CThld       float64
 	EWMAAlpha   float64
 	Preference  stats.Preference
-	MinDuration int
 	// PredKind and EVTQ (added with the EVT predictor) ride without a
 	// version bump: gob decodes a legacy snapshot with both zero, which is
 	// exactly PredictEWMA, and a legacy binary ignores the new fields. The
@@ -108,9 +109,6 @@ func (m *Monitor) SaveModel(w io.Writer) error {
 		dto.EWMAAlpha = p.ewma.Alpha
 	case *EVTPredictor:
 		dto.EVTQ = p.Q()
-	}
-	if m.filter != nil {
-		dto.MinDuration = m.filter.MinPoints
 	}
 	return gob.NewEncoder(w).Encode(dto)
 }
@@ -179,9 +177,6 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 	m.pred = pred
 	m.dynamic = pred.Kind() != PredictEWMA
 	m.cthld = dto.CThld
-	if dto.MinDuration > 1 {
-		m.filter = &DurationFilter{MinPoints: dto.MinDuration}
-	}
 	return m, nil
 }
 

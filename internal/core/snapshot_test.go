@@ -115,18 +115,19 @@ func TestLoadMonitorVersionSkew(t *testing.T) {
 	}
 }
 
-// TestLoadMonitorAcceptsRemovedForestKnobs: forest.Config lost MaxBins and
-// Workers, which snapshotDTO gob-embeds. gob omits zero fields and skips
-// fields the receiver lacks, so a snapshot written before — knobs unset, or
-// set by a caller that no longer exists — must load to the same model and
-// configuration.
+// TestLoadMonitorAcceptsRemovedForestKnobs: forest.Config lost MaxBins,
+// Workers, MajorityVote, FeaturesPerSplit, MinLeaf and MaxDepth, which
+// snapshotDTO gob-embeds, and snapshotDTO lost the duration filter's
+// MinDuration. gob omits zero fields and skips fields the receiver lacks, so
+// a snapshot written before — knobs unset, or set by a caller that no longer
+// exists — must load to the same model and configuration.
 func TestLoadMonitorAcceptsRemovedForestKnobs(t *testing.T) {
 	snap, d := trainedSnapshot(t, 12)
 	var dto snapshotDTO
 	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&dto); err != nil {
 		t.Fatal(err)
 	}
-	// The former wire shape: same field names, the two knobs present and set.
+	// The former wire shape, with the removed knobs present and set.
 	type formerForestConfig struct {
 		Trees                               int
 		MajorityVote                        bool
@@ -148,8 +149,9 @@ func TestLoadMonitorAcceptsRemovedForestKnobs(t *testing.T) {
 		EVTQ        float64
 	}{
 		dto.Version, dto.Fingerprint, dto.Forest,
-		formerForestConfig{Trees: dto.ForestCfg.Trees, Seed: dto.ForestCfg.Seed, MaxBins: 256, Workers: 4},
-		dto.CThld, dto.EWMAAlpha, dto.Preference, dto.MinDuration, dto.PredKind, dto.EVTQ,
+		formerForestConfig{Trees: dto.ForestCfg.Trees, Seed: dto.ForestCfg.Seed,
+			FeaturesPerSplit: 4, MinLeaf: 2, MaxDepth: 9, MaxBins: 256, Workers: 4},
+		dto.CThld, dto.EWMAAlpha, dto.Preference, 3, dto.PredKind, dto.EVTQ,
 	}
 	var old bytes.Buffer
 	if err := gob.NewEncoder(&old).Encode(former); err != nil {

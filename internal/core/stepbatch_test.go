@@ -3,8 +3,8 @@ package core
 // StepBatch is the batched form of the online hot path; these tests pin it
 // to the sequential contract: for any chunking of the input stream, the
 // verdict sequence must be bit-identical to per-point Step calls — including
-// under a duration filter (whose state advances point by point) and when a
-// detector panics mid-batch (degradation must land on the same point).
+// under the EVT predictor (whose threshold advances point by point) and when
+// a detector panics mid-batch (degradation must land on the same point).
 
 import (
 	"fmt"
@@ -63,7 +63,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		cfg  MonitorConfig
 	}{
 		{"plain", MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true}},
-		{"duration-filter", MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true, MinDuration: 3}},
+		{"evt", MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true, Predictor: PredictEVT}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seq, bat, future := twinMonitors(t, tc.cfg, nil)
@@ -172,7 +172,7 @@ func TestStepBatchSandboxesMidBatchPanic(t *testing.T) {
 // leaves the monitor holding one block of scratch, not the batch — and the
 // verdicts of 10 000 Steps.
 func TestStepBatchScratchIsBounded(t *testing.T) {
-	cfg := MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true, MinDuration: 2}
+	cfg := MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true}
 	seq, bat, future := twinMonitors(t, cfg, nil)
 	for len(future) < 10000 {
 		future = append(future, future...)

@@ -40,7 +40,7 @@ func (c *FeatureCache) VerifyAgainstCold(s *timeseries.Series, ds []detectors.De
 	}
 
 	prefix := s.Slice(0, c.n)
-	fitN, _, err := extractParams(prefix, cfg)
+	fitN, err := fitPoints(prefix)
 	if err != nil {
 		return fmt.Errorf("core: cold verification extract: %w", err)
 	}

@@ -20,7 +20,7 @@ func AblationEWMA(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-		Preference:   o.Preference,
+		Preference:   preference,
 		Forest:       o.forestConfig(),
 		SkipWeeklyCV: true,
 	})
@@ -40,7 +40,7 @@ func AblationEWMA(o Options) ([]*Table, error) {
 		for _, w := range res.Weeks {
 			thr := pred.Predict()
 			r, p := stats.AtThreshold(w.Scores, w.Truth, thr)
-			if o.Preference.Satisfied(r, p) {
+			if preference.Satisfied(r, p) {
 				in++
 			}
 			errSum += absF(thr - w.BestCThld)
@@ -73,7 +73,7 @@ func AblationPC(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-		Preference:   o.Preference,
+		Preference:   preference,
 		Forest:       o.forestConfig(),
 		SkipWeeklyCV: true,
 	})
@@ -88,8 +88,8 @@ func AblationPC(o Options) ([]*Table, error) {
 	for _, c := range []float64{0, 0.1, 0.5, 1, 2} {
 		in := 0
 		for _, w := range res.Weeks {
-			pt := selectWithIncentive(w.Scores, w.Truth, o.Preference, c)
-			if o.Preference.Satisfied(pt.Recall, pt.Precision) {
+			pt := selectWithIncentive(w.Scores, w.Truth, preference, c)
+			if preference.Satisfied(pt.Recall, pt.Precision) {
 				in++
 			}
 		}

@@ -38,7 +38,7 @@ func evaluateApproaches(k *kpiData, o Options) (*approachEval, error) {
 	testHi := weeks * k.ppw
 
 	res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-		Preference:   o.Preference,
+		Preference:   preference,
 		Forest:       o.forestConfig(),
 		SkipWeeklyCV: true,
 	})

@@ -61,18 +61,18 @@ func Active(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pcFull := full.pcScore(o.Preference)
+		pcFull := full.pcScore(preference)
 		aggFull += full.windows
-		addActiveRow(t, k.series.Name, "full", full, full, pcFull, o.Preference)
+		addActiveRow(t, k.series.Name, "full", full, full, pcFull, preference)
 		for _, depth := range depths {
 			run, err := runActiveLoop(k, o, model, depth)
 			if err != nil {
 				return nil, err
 			}
-			addActiveRow(t, k.series.Name, fmt.Sprintf("active@%d", depth), run, full, pcFull, o.Preference)
+			addActiveRow(t, k.series.Name, fmt.Sprintf("active@%d", depth), run, full, pcFull, preference)
 			aggWindows[depth] += run.windows
 			if pcFull > 0 {
-				if ratio := run.pcScore(o.Preference) / pcFull; ratio < minRatio[depth] {
+				if ratio := run.pcScore(preference) / pcFull; ratio < minRatio[depth] {
 					minRatio[depth] = ratio
 				}
 			}
@@ -216,7 +216,7 @@ func runActiveLoop(k *kpiData, o Options, model labelsim.TimeModel, depth int) (
 		// has — into the predictor, as the engine does after each retrain.
 		weekScores, weekTruth := gatherWeek(scores, working, labeledIdx, testLo, testHi)
 		if bothLabelClasses(weekTruth) {
-			best, _ := stats.BestByPCScore(stats.PRCurve(weekScores, weekTruth), o.Preference)
+			best, _ := stats.BestByPCScore(stats.PRCurve(weekScores, weekTruth), preference)
 			pred.Observe(best.Threshold)
 		}
 	}

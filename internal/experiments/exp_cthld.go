@@ -113,7 +113,7 @@ func Fig7(o Options) ([]*Table, error) {
 	maxWeeks := 0
 	for i, k := range kpis {
 		res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-			Preference:   o.Preference,
+			Preference:   preference,
 			Forest:       o.forestConfig(),
 			SkipWeeklyCV: true,
 		})
@@ -229,7 +229,7 @@ func Fig12(o Options) ([]*Table, error) {
 	}
 	for _, k := range kpis {
 		res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-			Preference:   o.Preference,
+			Preference:   preference,
 			Forest:       o.forestConfig(),
 			SkipWeeklyCV: true,
 		})
@@ -273,7 +273,7 @@ func Fig13(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, k := range kpis {
 		res, err := core.Run(k.feats, k.labels, k.ppw, core.Config{
-			Preference: o.Preference,
+			Preference: preference,
 			Forest:     o.forestConfig(),
 		})
 		if err != nil {
@@ -296,13 +296,13 @@ func Fig13(o Options) ([]*Table, error) {
 				fmtF(ewma[i].Recall), fmtF(ewma[i].Precision),
 				fmtF(cv5[i].Recall), fmtF(cv5[i].Precision),
 			})
-			if o.Preference.Satisfied(best[i].Recall, best[i].Precision) {
+			if preference.Satisfied(best[i].Recall, best[i].Precision) {
 				inBest++
 			}
-			if o.Preference.Satisfied(ewma[i].Recall, ewma[i].Precision) {
+			if preference.Satisfied(ewma[i].Recall, ewma[i].Precision) {
 				inEWMA++
 			}
-			if o.Preference.Satisfied(cv5[i].Recall, cv5[i].Precision) {
+			if preference.Satisfied(cv5[i].Recall, cv5[i].Precision) {
 				inCV5++
 			}
 		}

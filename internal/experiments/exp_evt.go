@@ -37,7 +37,7 @@ func EVTvsEWMA(o Options) ([]*Table, error) {
 				return nil, err
 			}
 			r, p := c.Recall(), c.Precision()
-			pc[kind] = stats.PCScore(r, p, o.Preference)
+			pc[kind] = stats.PCScore(r, p, preference)
 			t.Rows = append(t.Rows, []string{
 				k.series.Name, kind.String(),
 				fmtF(r), fmtF(p), fmtF(stats.FScore(r, p)), fmtF(pc[kind]),
@@ -71,7 +71,7 @@ func streamOnline(k *kpiData, kind core.PredictorKind, o Options) (stats.Confusi
 	}
 	cache := core.NewFeatureCache(nil)
 	mon, err := core.NewMonitor(k.series.Slice(0, boot), k.labels[:boot], dets, core.MonitorConfig{
-		Preference: o.Preference,
+		Preference: preference,
 		Forest:     o.forestConfig(),
 		Predictor:  kind,
 		Cache:      cache,

@@ -29,10 +29,11 @@ type Options struct {
 	Seed int64
 	// Trees is the forest size (default 60).
 	Trees int
-	// Preference is the operators' accuracy preference
-	// (default recall ≥ 0.66, precision ≥ 0.66).
-	Preference stats.Preference
 }
+
+// preference is the operators' accuracy preference every experiment runs at:
+// recall ≥ 0.66, precision ≥ 0.66.
+var preference = stats.Preference{Recall: 0.66, Precision: 0.66}
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
@@ -40,9 +41,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Trees == 0 {
 		o.Trees = 60
-	}
-	if o.Preference == (stats.Preference{}) {
-		o.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
 	}
 	return o
 }

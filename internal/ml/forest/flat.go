@@ -19,8 +19,7 @@ import (
 // flatNode is one packed node of the cross-tree flat array (16 bytes).
 // An internal node's children are adjacent: the left child sits at index
 // left, the right child at left+1. A leaf is marked by left < 0 and keeps
-// in val what it adds to the ensemble sum: its anomaly probability, or its
-// 0/1 vote under MajorityVote.
+// in val its anomaly probability, what it adds to the ensemble sum.
 type flatNode struct {
 	val     float64 // internal: go right iff row[feature] > val; leaf: contribution
 	left    int32   // internal: index of the left child; leaf: -1
@@ -54,7 +53,7 @@ func (f *Forest) buildFlat() error {
 			pending = pending[:len(pending)-1]
 			nd := t.Node(int(src))
 			if nd.Leaf {
-				f.flat[dst] = flatNode{val: f.leafValue(nd.Prob), left: -1}
+				f.flat[dst] = flatNode{val: float64(nd.Prob), left: -1}
 				continue
 			}
 			kids := int32(len(f.flat))
@@ -73,21 +72,8 @@ func (f *Forest) buildFlat() error {
 	return nil
 }
 
-// leafValue is what a leaf with anomaly probability p adds to the ensemble
-// sum: p itself, or its vote under MajorityVote.
-func (f *Forest) leafValue(p float32) float64 {
-	if !f.majorityVote {
-		return float64(p)
-	}
-	if p >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// probRow runs the whole ensemble over one dense feature row and combines
-// the leaves (mean leaf probability, or vote fraction under MajorityVote).
-// It is the only inference walker; zero allocations.
+// probRow runs the whole ensemble over one dense feature row and returns the
+// mean leaf probability. It is the only inference walker; zero allocations.
 func (f *Forest) probRow(row []float64) float64 {
 	flat := f.flat
 	sum := 0.0

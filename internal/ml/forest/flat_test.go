@@ -7,6 +7,7 @@ package forest
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,14 +26,7 @@ func refProb(f *Forest, row []float64) float64 {
 	}
 	sum := 0.0
 	for _, t := range f.trees {
-		p := t.Prob(func(j int) uint8 { return codes[j] })
-		if f.majorityVote {
-			if p >= 0.5 {
-				sum++
-			}
-		} else {
-			sum += p
-		}
+		sum += t.Prob(func(j int) uint8 { return codes[j] })
 	}
 	return sum / float64(len(f.trees))
 }
@@ -109,11 +103,12 @@ func probeRow(rng *rand.Rand, b *tree.Binner, row []float64) {
 }
 
 // TestForestRawWalkMatchesBinned is the equivalence property behind
-// "inference never bins": for forests of 1–60 trees under both combination
-// rules, on rows made of edge values and specials, the raw-threshold walk
-// returns the very bits that binning the row and traversing each tree does —
-// through Prob, ProbRowsInto and ProbAll, after a Save/Load round trip, and
-// for the multi-class type head.
+// "inference never bins": for forests of 1–60 trees, on rows made of edge
+// values and specials, the raw-threshold walk returns the very bits that
+// binning the row and traversing each tree does — through Prob, ProbRowsInto
+// and ProbAll, after a Save/Load round trip, and for the multi-class type
+// head. The round trip goes through a wire form whose MajorityVote flag is
+// set both ways: Load ignores it.
 func TestForestRawWalkMatchesBinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivalenceSeed))
 	cols, labels, classes := edgeFixture(rng, 1200)
@@ -122,10 +117,15 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 	for _, trees := range []int{1, 2, 7, 20, 60} {
 		for _, mv := range []bool{false, true} {
 			t.Run(fmt.Sprintf("trees=%d/majority=%v", trees, mv), func(t *testing.T) {
-				cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees), MajorityVote: mv}
+				cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
 				f := Train(cols, labels, cfg)
+				var dto forestDTO
+				if err := gob.NewDecoder(bytes.NewReader(saveBytes(t, f))).Decode(&dto); err != nil {
+					t.Fatal(err)
+				}
+				dto.MajorityVote = mv
 				var buf bytes.Buffer
-				if err := f.Save(&buf); err != nil {
+				if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
 					t.Fatal(err)
 				}
 				loaded, err := Load(&buf)
@@ -227,24 +227,22 @@ func TestProbAllSerialAndParallelAgree(t *testing.T) {
 func TestProbRowsIntoMatchesProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cols, labels := makeBlobs(600, 7, rng)
-	for _, mv := range []bool{false, true} {
-		f := Train(cols, labels, Config{Trees: 13, Seed: 5, MajorityVote: mv})
-		d := len(cols)
-		for _, n := range []int{1, 2, 17, 64} {
-			rows := make([]float64, n*d)
-			for i := range rows {
-				rows[i] = 6 * rng.NormFloat64()
+	f := Train(cols, labels, Config{Trees: 13, Seed: 5})
+	d := len(cols)
+	for _, n := range []int{1, 2, 17, 64} {
+		rows := make([]float64, n*d)
+		for i := range rows {
+			rows[i] = 6 * rng.NormFloat64()
+		}
+		out := make([]float64, n)
+		f.ProbRowsInto(rows, d, out)
+		for s := 0; s < n; s++ {
+			if want := f.Prob(rows[s*d : (s+1)*d]); out[s] != want {
+				t.Fatalf("n=%d sample %d: ProbRowsInto %v, Prob %v", n, s, out[s], want)
 			}
-			out := make([]float64, n)
-			f.ProbRowsInto(rows, d, out)
-			for s := 0; s < n; s++ {
-				if want := f.Prob(rows[s*d : (s+1)*d]); out[s] != want {
-					t.Fatalf("majorityVote=%v n=%d sample %d: ProbRowsInto %v, Prob %v", mv, n, s, out[s], want)
-				}
-			}
-			if allocs := testing.AllocsPerRun(50, func() { f.ProbRowsInto(rows, d, out) }); allocs != 0 {
-				t.Fatalf("ProbRowsInto allocates %.1f objects per call, want 0", allocs)
-			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.ProbRowsInto(rows, d, out) }); allocs != 0 {
+			t.Fatalf("ProbRowsInto allocates %.1f objects per call, want 0", allocs)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package forest implements the random forest classifier Opprentice trains
 // on detector severities (§4.4.2): an ensemble of fully grown CART trees,
 // each trained on a bootstrap sample and considering a random √d feature
-// subset at every split, combined by majority vote. The vote fraction is
-// the anomaly probability that the cThld of §4.5 thresholds.
+// subset at every split. The mean of the trees' leaf probabilities is the
+// anomaly probability that the cThld of §4.5 thresholds.
 package forest
 
 import (
@@ -16,45 +16,29 @@ import (
 )
 
 // Config controls forest training. The zero value trains the paper-style
-// default: 60 fully grown trees with √d features per split.
+// default: 60 trees. Every tree is fully grown and considers ⌈√d⌉ features
+// per split, and the forest averages the trees' leaf probabilities, which is
+// what the paper's scikit-learn implementation computes: smoother than the
+// fraction of anomaly-voting trees §4.4.2 words, and calibrated across
+// weekly retrains.
 type Config struct {
 	// Trees is the ensemble size (default 60).
 	Trees int
-	// MajorityVote makes Prob the fraction of trees whose leaf classifies
-	// anomalous — the combination rule as §4.4.2 words it. The default
-	// (false) averages the trees' leaf probabilities, which is what the
-	// paper's scikit-learn implementation computes; it is smoother and
-	// stays calibrated across weekly retrains.
-	MajorityVote bool
-	// FeaturesPerSplit is the per-split feature subset size
-	// (default √d rounded up).
-	FeaturesPerSplit int
-	// MinLeaf is the minimum samples per leaf (default 1: fully grown).
-	MinLeaf int
-	// MaxDepth limits depth; 0 (default) grows fully.
-	MaxDepth int
 	// Seed makes training deterministic.
 	Seed int64
 }
 
-func (c Config) withDefaults(numFeatures int) Config {
+func (c Config) withDefaults() Config {
 	if c.Trees <= 0 {
 		c.Trees = 60
-	}
-	if c.FeaturesPerSplit <= 0 {
-		c.FeaturesPerSplit = int(math.Ceil(math.Sqrt(float64(numFeatures))))
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 1
 	}
 	return c
 }
 
 // Forest is a trained random forest.
 type Forest struct {
-	trees        []*tree.Tree
-	binner       *tree.Binner
-	majorityVote bool
+	trees  []*tree.Tree
+	binner *tree.Binner
 
 	// flat packs every tree's nodes into one contiguous array (roots[t] is
 	// tree t's root index), built once after training or loading. All
@@ -91,10 +75,11 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 	if n == 0 {
 		panic("forest: no samples")
 	}
-	cfg = cfg.withDefaults(len(ps.Cols()))
+	cfg = cfg.withDefaults()
+	perSplit := featuresPerSplit(len(ps.Cols()))
 
 	binner, binned := ps.Bin(lo, hi, tree.MaxBins)
-	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner, majorityVote: cfg.MajorityVote}
+	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner}
 
 	// Deterministic parallel training: every tree gets its own seeded rng.
 	var wg sync.WaitGroup
@@ -110,12 +95,7 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 			for i := range idx {
 				idx[i] = rng.Intn(n) // bootstrap sample
 			}
-			f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{
-				MaxDepth:         cfg.MaxDepth,
-				MinLeaf:          cfg.MinLeaf,
-				FeaturesPerSplit: cfg.FeaturesPerSplit,
-				Rng:              rng,
-			})
+			f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
 		}(t)
 	}
 	wg.Wait()
@@ -123,6 +103,12 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 		panic(err) // Grow emits well-formed trees; only the feature count can be at fault
 	}
 	return f
+}
+
+// featuresPerSplit is the per-split feature subset size over d features:
+// ⌈√d⌉.
+func featuresPerSplit(d int) int {
+	return int(math.Ceil(math.Sqrt(float64(d))))
 }
 
 // Importances returns the mean gini importance per feature across the
@@ -152,9 +138,8 @@ func (f *Forest) Importances() []float64 {
 }
 
 // Prob returns the anomaly probability of a single sample given as a dense
-// feature row: by default the mean of the trees' leaf probabilities, or the
-// fraction of anomaly-voting trees under Config.MajorityVote (§4.4.2).
-// It allocates nothing (the per-point hot path of online classification).
+// feature row: the mean of the trees' leaf probabilities. It allocates
+// nothing (the per-point hot path of online classification).
 func (f *Forest) Prob(row []float64) float64 {
 	if len(row) != f.binner.NumFeatures() {
 		panic(fmt.Sprintf("forest: row has %d features, want %d", len(row), f.binner.NumFeatures()))

@@ -86,10 +86,13 @@ func TestForestProbMatchesProbAll(t *testing.T) {
 	}
 }
 
+// TestForestProbabilityIsVoteFraction: fully grown trees end in pure leaves
+// on separable data, so the mean leaf probability is §4.4.2's fraction of
+// anomaly-voting trees.
 func TestForestProbabilityIsVoteFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cols, labels := makeBlobs(500, 0, rng)
-	f := Train(cols, labels, Config{Trees: 40, Seed: 5, MajorityVote: true})
+	f := Train(cols, labels, Config{Trees: 40, Seed: 5})
 	if len(f.trees) != 40 {
 		t.Fatalf("%d trees, want 40", len(f.trees))
 	}

@@ -8,7 +8,9 @@ import (
 	"opprentice/internal/ml/tree"
 )
 
-// forestDTO is the gob wire form of a trained forest.
+// forestDTO is the gob wire form of a trained forest. MajorityVote stays in
+// it so that stored forests and Save's bytes keep one shape: Save writes it
+// false and Load ignores it.
 type forestDTO struct {
 	Version      int
 	Trees        [][]byte
@@ -34,7 +36,7 @@ func init() {
 // Save writes the trained forest (trees and feature binner) to w, so a
 // deployment can restart without retraining.
 func (f *Forest) Save(w io.Writer) error {
-	dto := forestDTO{Version: serializationVersion, Trees: make([][]byte, len(f.trees)), MajorityVote: f.majorityVote}
+	dto := forestDTO{Version: serializationVersion, Trees: make([][]byte, len(f.trees))}
 	for i, t := range f.trees {
 		b, err := t.MarshalBinary()
 		if err != nil {
@@ -62,7 +64,7 @@ func Load(r io.Reader) (*Forest, error) {
 	if len(dto.Trees) == 0 {
 		return nil, fmt.Errorf("forest: snapshot has no trees")
 	}
-	f := &Forest{trees: make([]*tree.Tree, len(dto.Trees)), binner: new(tree.Binner), majorityVote: dto.MajorityVote}
+	f := &Forest{trees: make([]*tree.Tree, len(dto.Trees)), binner: new(tree.Binner)}
 	for i, b := range dto.Trees {
 		t := new(tree.Tree)
 		if err := t.UnmarshalBinary(b); err != nil {

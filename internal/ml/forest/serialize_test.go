@@ -10,21 +10,19 @@ import (
 func TestForestSaveLoadWithinPackage(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cols, labels := makeBlobs(500, 2, rng)
-	for _, mv := range []bool{false, true} {
-		f := Train(cols, labels, Config{Trees: 7, Seed: 1, MajorityVote: mv})
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		g, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := f.ProbAll(cols), g.ProbAll(cols)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("majorityVote=%v sample %d: %v vs %v", mv, i, a[i], b[i])
-			}
+	f := Train(cols, labels, Config{Trees: 7, Seed: 1})
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := f.ProbAll(cols), g.ProbAll(cols)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sample %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }

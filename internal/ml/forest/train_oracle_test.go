@@ -17,22 +17,17 @@ import (
 // forest the former Train built from a hand-cut copy of the matrix. Exported
 // for the severity oracle in package forest_test.
 func RefTrain(cols [][]float64, labels []bool, cfg Config) *Forest {
-	cfg = cfg.withDefaults(len(cols))
+	cfg = cfg.withDefaults()
 	binner := tree.NewBinner(cols, tree.MaxBins)
 	binned := binner.Bin(cols)
-	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner, majorityVote: cfg.MajorityVote}
+	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner}
 	for t := range f.trees {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
 		idx := make([]int, len(labels))
 		for i := range idx {
 			idx[i] = rng.Intn(len(labels))
 		}
-		f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{
-			MaxDepth:         cfg.MaxDepth,
-			MinLeaf:          cfg.MinLeaf,
-			FeaturesPerSplit: cfg.FeaturesPerSplit,
-			Rng:              rng,
-		})
+		f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: featuresPerSplit(len(cols)), Rng: rng})
 	}
 	if err := f.buildFlat(); err != nil {
 		panic(err)
@@ -80,14 +75,14 @@ func saveBytes(t *testing.T, f *Forest) []byte {
 }
 
 // TestTrainMatchesReference runs the oracle on the binner's edge shapes (no
-// edge, one, a handful, all 255) under both combination rules and a depth
-// and leaf limit, and checks every one-vs-rest head of TrainMulti against a
-// reference forest on its own labels and seed.
+// edge, one, a handful, all 255) at two ensemble sizes and seeds, and checks
+// every one-vs-rest head of TrainMulti against a reference forest on its own
+// labels and seed.
 func TestTrainMatchesReference(t *testing.T) {
 	cols, labels, classes := edgeFixture(rand.New(rand.NewSource(equivalenceSeed)), 900)
 	for i, cfg := range []Config{
 		{Trees: 7, Seed: equivalenceSeed},
-		{Trees: 3, Seed: equivalenceSeed, MajorityVote: true, MaxDepth: 4, MinLeaf: 5, FeaturesPerSplit: 2},
+		{Trees: 3, Seed: equivalenceSeed + 1},
 	} {
 		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) { CheckTrainOracle(t, cols, labels, cfg) })
 	}

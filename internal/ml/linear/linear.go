@@ -30,27 +30,19 @@ func (k Kind) String() string {
 	return "logistic_regression"
 }
 
-// Config controls training. Zero values pick sensible defaults.
+// Config controls training.
 type Config struct {
-	Kind         Kind
-	Epochs       int     // default 40
-	LearningRate float64 // default 0.1
-	L2           float64 // default 1e-4
-	Seed         int64
+	Kind Kind
+	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Epochs <= 0 {
-		c.Epochs = 40
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
-	if c.L2 <= 0 {
-		c.L2 = 1e-4
-	}
-	return c
-}
+// The SGD schedule: epochs over the data, the initial learning rate (decayed
+// per step) and the L2 penalty.
+const (
+	epochs       = 40
+	learningRate = 0.1
+	l2           = 1e-4
+)
 
 // Model is a trained linear classifier.
 type Model struct {
@@ -63,7 +55,6 @@ type Model struct {
 // Train fits the model on column-major features (cols[j][i] is feature j of
 // sample i).
 func Train(cols [][]float64, labels []bool, cfg Config) *Model {
-	cfg = cfg.withDefaults()
 	d := len(cols)
 	if d == 0 {
 		panic("linear: no features")
@@ -98,11 +89,11 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Model {
 	order := rng.Perm(n)
 	x := make([]float64, d)
 	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, i := range order {
 			step++
-			lr := cfg.LearningRate / (1 + 1e-4*float64(step))
+			lr := learningRate / (1 + 1e-4*float64(step))
 			for j := 0; j < d; j++ {
 				x[j] = (cols[j][i] - m.mean[j]) / m.std[j]
 			}
@@ -127,12 +118,12 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Model {
 			}
 			if g != 0 {
 				for j := 0; j < d; j++ {
-					m.w[j] -= lr * (cw*g*x[j] + cfg.L2*m.w[j])
+					m.w[j] -= lr * (cw*g*x[j] + l2*m.w[j])
 				}
 				m.b -= lr * cw * g
-			} else if cfg.L2 > 0 {
+			} else {
 				for j := 0; j < d; j++ {
-					m.w[j] -= lr * cfg.L2 * m.w[j]
+					m.w[j] -= lr * l2 * m.w[j]
 				}
 			}
 		}

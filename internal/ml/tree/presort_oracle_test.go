@@ -77,11 +77,11 @@ func refGrow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
 	for j := range g.featScratch {
 		g.featScratch[j] = j
 	}
-	g.grow(idx, 0)
+	g.grow(idx)
 	return t
 }
 
-func (g *refGrower) grow(idx []int, depth int) int32 {
+func (g *refGrower) grow(idx []int) int32 {
 	pos := 0
 	for _, i := range idx {
 		if g.labels[i] {
@@ -91,8 +91,7 @@ func (g *refGrower) grow(idx []int, depth int) int32 {
 	n := len(idx)
 	me := int32(len(g.t.nodes))
 	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: float32(pos) / float32(n)})
-	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf ||
-		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf {
 		return me
 	}
 	feature, bin, gain, ok := g.bestSplit(idx, pos)
@@ -116,8 +115,8 @@ func (g *refGrower) grow(idx []int, depth int) int32 {
 	g.t.nodes[me].feature = feature
 	g.t.nodes[me].bin = bin
 	g.t.importance[feature] += gain * float64(n) / float64(g.total)
-	left := g.grow(idx[:lo], depth+1)
-	right := g.grow(idx[lo:], depth+1)
+	left := g.grow(idx[:lo])
+	right := g.grow(idx[lo:])
 	g.t.nodes[me].left = left
 	g.t.nodes[me].right = right
 	return me

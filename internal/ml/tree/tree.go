@@ -6,11 +6,9 @@ import (
 	"math/rand"
 )
 
-// Config controls tree growth.
+// Config controls tree growth. A tree grows fully, until pure or MinLeaf,
+// as random forests do (§4.4.2).
 type Config struct {
-	// MaxDepth limits tree depth; 0 grows fully (until pure or MinLeaf),
-	// as random forests do (§4.4.2).
-	MaxDepth int
 	// MinLeaf is the minimum samples per leaf (default 1).
 	MinLeaf int
 	// FeaturesPerSplit is how many randomly chosen features each split
@@ -55,7 +53,7 @@ func Grow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
 	for j := range g.featScratch {
 		g.featScratch[j] = j
 	}
-	g.grow(idx, 0)
+	g.grow(idx)
 	return t
 }
 
@@ -75,9 +73,8 @@ type grower struct {
 	hist        [MaxBins][2]int32
 }
 
-// grow builds the subtree for samples idx at the given depth and returns its
-// node index.
-func (g *grower) grow(idx []int, depth int) int32 {
+// grow builds the subtree for samples idx and returns its node index.
+func (g *grower) grow(idx []int) int32 {
 	pos := 0
 	for _, i := range idx {
 		if g.labels[i] {
@@ -88,8 +85,7 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	prob := float32(pos) / float32(n)
 	me := int32(len(g.t.nodes))
 	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: prob})
-	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf ||
-		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf {
 		return me
 	}
 	feature, bin, gain, ok := g.bestSplit(idx, pos)
@@ -116,8 +112,8 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	if g.total > 0 {
 		g.t.importance[feature] += gain * float64(n) / float64(g.total)
 	}
-	left := g.grow(idx[:lo], depth+1)
-	right := g.grow(idx[lo:], depth+1)
+	left := g.grow(idx[:lo])
+	right := g.grow(idx[lo:])
 	g.t.nodes[me].left = left
 	g.t.nodes[me].right = right
 	return me

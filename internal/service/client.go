@@ -7,42 +7,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"opprentice/internal/engine"
 )
 
 // Client is a typed Go client for the opprenticed HTTP API. The zero value
-// is not usable; construct it with NewClient.
+// is not usable; construct it with NewClient. Every call is one attempt: a
+// client never re-sends, so a points POST cannot double-append, and a 429 or
+// 503 comes back to the caller, whose APIError carries the status.
 type Client struct {
 	base string
 	http *http.Client
-
-	// Retry configures automatic retry with exponential backoff for
-	// idempotent requests (GET, PUT, HEAD, DELETE) that fail with a
-	// transport error, a 5xx status, or a 429 overload shed — for 429 and
-	// 503 the server's Retry-After header, when present, replaces the
-	// computed backoff. The zero value disables retry, so existing callers
-	// keep single-attempt semantics. Non-idempotent requests (POST
-	// points/labels/train/rollback) are never retried, not even on 429: a
-	// retried points POST could double-append and a retried rollback would
-	// walk back two generations.
-	Retry RetryConfig
-}
-
-// RetryConfig tunes Client retry behaviour.
-type RetryConfig struct {
-	// MaxAttempts is the total number of attempts including the first;
-	// values <= 1 mean no retry.
-	MaxAttempts int
-	// BaseDelay is the first backoff (default 100ms); it doubles per
-	// attempt up to MaxDelay (default 2s), with up to 20% random jitter.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 }
 
 // NewClient returns a client for the service at baseURL (e.g.
@@ -54,23 +32,10 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: baseURL, http: httpClient}
 }
 
-// retryable reports whether a request with this method may be safely
-// re-sent.
-func retryable(method string) bool {
-	switch method {
-	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
-		return true
-	}
-	return false
-}
-
 // APIError is a non-2xx response from the service.
 type APIError struct {
 	StatusCode int
 	Message    string
-	// RetryAfter is the server's Retry-After hint (zero when absent). The
-	// service sends it on 429 admission sheds and 503 stalls.
-	RetryAfter time.Duration
 }
 
 // Error implements error.
@@ -78,88 +43,21 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("opprenticed: %d: %s", e.StatusCode, e.Message)
 }
 
-// do performs one JSON round trip (with retry for idempotent methods when
-// configured); out may be nil.
+// do performs one JSON round trip; in and out may be nil.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var payload []byte
+	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		payload = b
-	}
-	attempts := 1
-	if c.Retry.MaxAttempts > 1 && retryable(method) {
-		attempts = c.Retry.MaxAttempts
-	}
-	delay := c.Retry.BaseDelay
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
-	maxDelay := c.Retry.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
-	var lastErr error
-	var serverWait time.Duration // Retry-After from the previous response
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			wait := delay + time.Duration(0.2*rand.Float64()*float64(delay))
-			if serverWait > 0 {
-				wait = serverWait
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-			if delay *= 2; delay > maxDelay {
-				delay = maxDelay
-			}
-		}
-		err := c.doOnce(ctx, method, path, payload, out)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		serverWait = 0
-		// Transport errors, 5xx responses, and 429 admission sheds are worth
-		// retrying (the method is already known idempotent here); any other
-		// 4xx will not improve on its own. A Retry-After hint overrides the
-		// computed backoff for the next attempt.
-		var apiErr *APIError
-		if errors.As(err, &apiErr) {
-			switch {
-			case apiErr.StatusCode >= 500:
-			case apiErr.StatusCode == http.StatusTooManyRequests:
-			default:
-				return err
-			}
-			if apiErr.RetryAfter > 0 {
-				serverWait = apiErr.RetryAfter
-			}
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-	}
-	return lastErr
-}
-
-// doOnce performs exactly one HTTP round trip.
-func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
+		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
 	}
-	if payload != nil {
+	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
@@ -176,15 +74,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		var er errorResponse
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			apiErr.Message = er.Error
-		}
-		// Only the delta-seconds Retry-After form is parsed (the service
-		// sends nothing else); an HTTP-date or garbage leaves the hint zero
-		// and the computed backoff applies. The hint is capped so a
-		// misconfigured server cannot park the client for minutes.
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				apiErr.RetryAfter = min(time.Duration(secs)*time.Second, 30*time.Second)
-			}
 		}
 		return apiErr
 	}
@@ -271,8 +160,7 @@ func (c *Client) ModelManifest(ctx context.Context, name string) (ModelManifest,
 }
 
 // RollbackModel rolls the series' served model back one generation and
-// returns the updated manifest. Not retried: a retried rollback would walk
-// back two generations.
+// returns the updated manifest.
 func (c *Client) RollbackModel(ctx context.Context, name string) (ModelManifest, error) {
 	var man ModelManifest
 	err := c.do(ctx, http.MethodPost, "/v1/models/"+url.PathEscape(name)+"/rollback", nil, &man)
@@ -293,9 +181,7 @@ func (c *Client) Queries(ctx context.Context, series string) ([]Query, error) {
 	return out["queries"], nil
 }
 
-// AnswerQuery resolves one pending query as a durable label action. Not
-// retried (POST): the first answer consumes the query, so a duplicate would
-// fail with 422 anyway.
+// AnswerQuery resolves one pending query as a durable label action.
 func (c *Client) AnswerQuery(ctx context.Context, series string, start, end int, anomalous bool) error {
 	return c.do(ctx, http.MethodPost, "/v1/queries/"+url.PathEscape(series)+"/answer",
 		AnswerRequest{Start: start, End: end, Anomalous: anomalous}, nil)

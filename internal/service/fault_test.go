@@ -417,129 +417,46 @@ func TestFaultMetricsExposeFaultCounters(t *testing.T) {
 	}
 }
 
-// Client retry fault tests.
-
-func TestFaultClientRetriesIdempotentOn5xx(t *testing.T) {
-	var calls atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			writeError(w, http.StatusBadGateway, errors.New("flaky proxy"))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond}
-	if err := c.do(context.Background(), http.MethodGet, "/v1/healthz", nil, nil); err != nil {
-		t.Fatalf("GET /v1/healthz should succeed after retries: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3 (2 failures + 1 success)", got)
-	}
-}
-
-func TestFaultClientNeverRetriesNonIdempotent(t *testing.T) {
-	var calls atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		writeError(w, http.StatusInternalServerError, errors.New("down"))
-	}))
-	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	if _, err := c.Train(context.Background(), "pv"); err == nil {
-		t.Fatal("Train against a dead backend should fail")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("POST attempts = %d, want exactly 1 (a retried POST could double-apply)", got)
-	}
-}
-
-func TestFaultClientStopsRetryingOn4xx(t *testing.T) {
-	var calls atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		writeError(w, http.StatusNotFound, errors.New("no such series"))
-	}))
-	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	_, err := c.Status(context.Background(), "ghost")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404 APIError", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("attempts = %d, want 1 (4xx will not improve by retrying)", got)
-	}
-}
-
-func TestFaultClientGivesUpAfterMaxAttempts(t *testing.T) {
-	var calls atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		writeError(w, http.StatusServiceUnavailable, errors.New("still down"))
-	}))
-	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	if _, err := c.List(context.Background()); err == nil {
-		t.Fatal("List against a dead backend should fail")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-}
-
-// Regression: 429 admission sheds used to fall through the generic "4xx is
-// final" arm, so an idempotent request was never retried even though the
-// server explicitly said when to come back.
-func TestFaultClientRetriesIdempotentOn429(t *testing.T) {
-	var calls atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, errors.New("overloaded"))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string][]string{"series": {}})
-	}))
-	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	start := time.Now()
-	if _, err := c.List(context.Background()); err != nil {
-		t.Fatalf("List should succeed after the shed clears: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("attempts = %d, want 2 (one shed, one success)", got)
-	}
-	// The 1s Retry-After hint must replace the 1ms computed backoff.
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Errorf("retried after %v, want >= ~1s (Retry-After honored)", elapsed)
-	}
-}
-
-func TestFaultClientNeverRetriesPointsOn429(t *testing.T) {
+// oneAttempt answers every request with code and runs call against that
+// server: call must return an APIError with code after exactly one request,
+// as the client never re-sends.
+func oneAttempt(t *testing.T, code int, call func(*Client) error) {
+	t.Helper()
 	var calls atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errors.New("overloaded"))
+		writeError(w, code, errors.New("refused"))
 	}))
 	defer backend.Close()
-	c := NewClient(backend.URL, backend.Client())
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	_, err := c.Append(context.Background(), "pv", []Point{{Timestamp: time.Unix(0, 0), Value: 1}})
 	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want 429 APIError", err)
-	}
-	if apiErr.RetryAfter != time.Second {
-		t.Errorf("RetryAfter = %v, want 1s parsed from the header", apiErr.RetryAfter)
+	if err := call(NewClient(backend.URL, backend.Client())); !errors.As(err, &apiErr) || apiErr.StatusCode != code {
+		t.Fatalf("err = %v, want a %d APIError", err, code)
 	}
 	if got := calls.Load(); got != 1 {
-		t.Errorf("POST attempts = %d, want exactly 1 (a blind resend could double-append)", got)
+		t.Errorf("%d requests, want exactly 1", got)
 	}
+}
+
+// A retried POST could double-apply.
+func TestFaultClientNeverRetriesNonIdempotent(t *testing.T) {
+	oneAttempt(t, http.StatusInternalServerError, func(c *Client) error {
+		_, err := c.Train(context.Background(), "pv")
+		return err
+	})
+}
+
+func TestFaultClientStopsRetryingOn4xx(t *testing.T) {
+	oneAttempt(t, http.StatusNotFound, func(c *Client) error {
+		_, err := c.Status(context.Background(), "ghost")
+		return err
+	})
+}
+
+// A blind resend of a shed batch could double-append.
+func TestFaultClientNeverRetriesPointsOn429(t *testing.T) {
+	oneAttempt(t, http.StatusTooManyRequests, func(c *Client) error {
+		_, err := c.Append(context.Background(), "pv", []Point{{Timestamp: time.Unix(0, 0), Value: 1}})
+		return err
+	})
 }

@@ -154,8 +154,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				abort(http.StatusBadRequest, fmt.Errorf("points frame for unbound stream id %d", id))
 				return
 			}
+			// The count is checked against the payload by division: count*8
+			// wraps for counts of 2^61 and more.
 			count, cn := binary.Uvarint(body)
-			if cn <= 0 || uint64(len(body)-cn) != count*8 {
+			if cn <= 0 || (len(body)-cn)%8 != 0 || uint64((len(body)-cn)/8) != count {
 				abort(http.StatusBadRequest,
 					fmt.Errorf("points frame for %q: count %d does not match payload", name, count))
 				return
@@ -202,28 +204,6 @@ func (s *Server) failIngest(w http.ResponseWriter, sum IngestSummary, code int, 
 	}{errorResponse{Error: err.Error()}, sum})
 }
 
-// statusOf maps an engine error to its HTTP status, mirroring Server.fail
-// (which also writes; this one only classifies).
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, engine.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, engine.ErrExists):
-		return http.StatusConflict
-	case errors.Is(err, engine.ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, engine.ErrRejected):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, engine.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, engine.ErrStalled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
 // PointStream is one live bulk-ingest session opened by Client.StreamPoints.
 // Send and Close must be called from one goroutine.
 type PointStream struct {
@@ -244,8 +224,7 @@ type streamResult struct {
 // StreamPoints opens a streaming bulk-ingest session: one persistent POST
 // /v1/ingest request whose body is fed by subsequent Send calls. The
 // returned stream must be Closed to learn the outcome; ctx cancellation
-// aborts the request. Bulk ingest is not retried (a replayed stream would
-// double-append), so it bypasses the client's Retry policy.
+// aborts the request.
 func (c *Client) StreamPoints(ctx context.Context) (*PointStream, error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/ingest", pr)

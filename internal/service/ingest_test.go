@@ -81,25 +81,44 @@ func TestStreamPointsUnknownSeries(t *testing.T) {
 	}
 }
 
+// ingestFrame length-delimits one /v1/ingest payload.
+func ingestFrame(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// boundPV binds stream 1 to "pv" and appends frames.
+func boundPV(frames ...[]byte) []byte {
+	b := ingestFrame([]byte{ingestOpBind, 0x01, 'p', 'v'})
+	for _, f := range frames {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// lyingCountStream sends "pv" a points frame that claims 2^61+1 values but
+// carries one: count×8 wraps to the payload's 8 bytes.
+func lyingCountStream() []byte {
+	points := binary.AppendUvarint([]byte{ingestOpPoints, 0x01}, 1<<61+1)
+	return boundPV(ingestFrame(append(points, make([]byte, 8)...)))
+}
+
 // TestIngestRejectsMalformedFrames posts raw garbage shapes at the endpoint
-// and expects 400s, never a hang or a 500.
+// and expects 400s, never a hang or a 500, and nothing appended.
 func TestIngestRejectsMalformedFrames(t *testing.T) {
 	ts := newTestServer(t)
 	defer ts.Close()
+	createSeries(t, ts, "pv", 60)
 
-	frame := func(payload []byte) []byte {
-		var b []byte
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		return append(b, payload...)
-	}
 	cases := map[string][]byte{
 		"oversized length": binary.AppendUvarint(nil, 1<<40),
 		"zero length":      {0x00},
 		"truncated body":   {0x10, 0x01},
-		"unknown op":       frame([]byte{0x7F, 0x01}),
-		"unbound stream":   frame(append([]byte{ingestOpPoints, 0x09, 0x01}, make([]byte, 8)...)),
-		"count mismatch":   frame([]byte{ingestOpPoints, 0x01, 0x05}),
-		"empty bind name":  frame([]byte{ingestOpBind, 0x01}),
+		"unknown op":       ingestFrame([]byte{0x7F, 0x01}),
+		"unbound stream":   ingestFrame(append([]byte{ingestOpPoints, 0x09, 0x01}, make([]byte, 8)...)),
+		"count mismatch":   boundPV(ingestFrame([]byte{ingestOpPoints, 0x01, 0x05})),
+		"empty bind name":  ingestFrame([]byte{ingestOpBind, 0x01}),
+		"ragged payload":   boundPV(ingestFrame(append([]byte{ingestOpPoints, 0x01, 0x01}, make([]byte, 9)...))),
+		"lying count":      lyingCountStream(),
 	}
 	for name, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/ingest", ingestContentType, bytes.NewReader(body))
@@ -110,6 +129,9 @@ func TestIngestRejectsMalformedFrames(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if st, err := NewClient(ts.URL, nil).Status(context.Background(), "pv"); err != nil || st.Points != 0 {
+		t.Errorf("pv after the malformed streams: %+v, %v; want no points", st, err)
 	}
 }
 

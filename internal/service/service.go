@@ -454,31 +454,39 @@ const (
 	retryAfterStall    = 5
 )
 
-// fail maps an engine error kind to its HTTP status and writes the uniform
-// error body. Overload sheds answer 429 and stalls/timeouts 503, both with
-// a Retry-After so well-behaved clients (service.Client included) back off
-// instead of hammering a struggling node.
+// fail writes the uniform error body with err's status (statusOf). Overload
+// sheds (429) and stalls/timeouts (503) carry a Retry-After so well-behaved
+// clients back off instead of hammering a struggling node.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, engine.ErrNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, engine.ErrExists):
-		code = http.StatusConflict
-	case errors.Is(err, engine.ErrInvalid):
-		code = http.StatusBadRequest
-	case errors.Is(err, engine.ErrRejected):
-		code = http.StatusUnprocessableEntity
-	case errors.Is(err, engine.ErrOverloaded):
-		code = http.StatusTooManyRequests
+	code := statusOf(err)
+	switch code {
+	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterOverload))
-	case errors.Is(err, engine.ErrStalled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		code = http.StatusServiceUnavailable
+	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterStall))
 	}
 	s.countError(w, code, err)
+}
+
+// statusOf maps an engine error kind to its HTTP status.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, engine.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, engine.ErrExists):
+		return http.StatusConflict
+	case errors.Is(err, engine.ErrInvalid):
+		return http.StatusBadRequest
+	case errors.Is(err, engine.ErrRejected):
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, engine.ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, engine.ErrStalled),
+		errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -23,3 +23,10 @@ func TestOnly() int { return 1 }
 
 // Listed has no user but is listed.
 func Listed() {}
+
+// Config is an option struct: one field of each kind the knob gate sorts.
+type Config struct {
+	Set, Flagged, Defaulted, TestOnly, Listed int
+}
+
+func (c Config) withDefaults() Config { c.Defaulted = max(c.Defaulted, 1); return c }
