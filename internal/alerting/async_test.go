@@ -5,7 +5,7 @@ package alerting_test
 // internal/faultinject harness (which itself imports alerting).
 //
 // Synchronization policy: no fixed sleeps. Every test waits for the pipeline
-// to settle — Drain (the queue empty and no event in flight), Close, or
+// to settle — Drain (every accepted event delivered or dropped), Close, or
 // BlockingNotifier.Started — and then reads the fake notifier and Stats, so
 // the suite is deterministic under -race and -count=2.
 
