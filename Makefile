@@ -138,8 +138,11 @@ bench-smoke:
 # shared presort against the former Train on hand-cut matrices, and the one
 # training round NewMonitor and Retrain share against a reference round
 # (forest and type-head bytes, CV cThld, predictor state, both predictors).
+# Then the fan-out of the training path at every worker count: presort
+# orders, edges and codes at 1 and 4 workers, and the training golden at
+# GOMAXPROCS 1, 2 and 4.
 oracle-race:
-	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestSVDPowerRoundMatchesLoop|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestTrainMatchesReference|TestTrainingRoundMatchesReference' ./internal/detectors ./internal/ml/tree ./internal/ml/forest ./internal/core
+	$(GO) test -race -count=1 -run 'TestMADMatchesOracle|TestSVDPowerRoundMatchesLoop|TestForestRawWalkMatchesBinned|TestPresortMatchesOracle|TestPresortSameAtEveryWorkerCount|TestTrainMatchesReference|TestTrainingRoundMatchesReference|TestTrainingRoundGolden' ./internal/detectors ./internal/ml/tree ./internal/ml/forest ./internal/core
 
 # The JSON-lines data-directory upgrade on the real binaries: opprenticed
 # refuses the unmigrated fixture (exit 1, naming the files and the command),

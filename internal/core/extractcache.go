@@ -2,13 +2,13 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"opprentice/internal/detectors"
+	"opprentice/internal/fanout"
 	"opprentice/internal/timeseries"
 )
 
@@ -242,40 +242,30 @@ func ExtractIncremental(cache *FeatureCache, s *timeseries.Series, ds []detector
 	results := make([]colResult, len(ds))
 	outDets := make([]detectors.Detector, len(ds))
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for j, d := range ds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int, d detectors.Detector) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r := &results[j]
-			_, isTrainable := d.(detectors.Trainable)
-			cold := !reuse || cache.states[j] == nil || (isTrainable && cache.fitN != fitN)
-			if cold {
-				r.cold = true
-				r.col, r.ok = extractColumn(s, d, fitN)
-				imputeInPlace(r.col)
-				outDets[j] = d
-				if r.ok {
-					if cl, can := d.(detectors.Cloner); can {
-						r.state = cl.Clone()
-					}
-				}
-				return
+	fanout.Run(fanout.Workers(len(ds)), len(ds), func(_, j int) {
+		r, d := &results[j], ds[j]
+		outDets[j] = d
+		_, isTrainable := d.(detectors.Trainable)
+		if !reuse || cache.states[j] == nil || (isTrainable && cache.fitN != fitN) {
+			r.cold = true
+			r.col, r.ok = extractColumn(s, d, fitN)
+			imputeInPlace(r.col)
+			if cl, can := d.(detectors.Cloner); can && r.ok {
+				r.state, r.ok = cloneState(cl)
 			}
-			// Resume the checkpointed state over the new tail only.
+		} else {
+			// Resume the checkpointed state over the new tail only; the live
+			// set gets a clone of the advanced checkpoint.
 			r.col, r.ok = extendColumn(cache.cols[j], cache.states[j], tail, n)
 			if r.ok {
 				r.state = cache.states[j]
-				outDets[j] = r.state.(detectors.Cloner).Clone()
-			} else {
-				outDets[j] = d
+				outDets[j], r.ok = cloneState(r.state.(detectors.Cloner))
 			}
-		}(j, d)
-	}
-	wg.Wait()
+		}
+		if !r.ok { // degraded: all zeros, the caller's instance, cold next time
+			r.col, r.state, outDets[j] = make([]float64, n), nil, d
+		}
+	})
 
 	// Commit the round into the cache and assemble the caller's view (the
 	// Features columns alias the cache's storage; the monitor paths only read
@@ -328,6 +318,17 @@ func ExtractIncremental(cache *FeatureCache, s *timeseries.Series, ds []detector
 		cache.invalidateLocked()
 	}
 	return f, outDets, nil
+}
+
+// cloneState checkpoints a detector, sandboxed like stepColumn: a Clone that
+// panics yields no clone and ok false, which degrades the column.
+func cloneState(cl detectors.Cloner) (c detectors.Detector, ok bool) {
+	defer func() {
+		if recover() != nil {
+			c, ok = nil, false
+		}
+	}()
+	return cl.Clone(), true
 }
 
 // extendColumn appends the tail's severities (0 for not-ready or NaN) to a

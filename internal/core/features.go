@@ -8,11 +8,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"opprentice/internal/detectors"
+	"opprentice/internal/fanout"
 	"opprentice/internal/timeseries"
 )
 
@@ -60,27 +59,15 @@ func Extract(s *timeseries.Series, ds []detectors.Detector, cfg ExtractConfig) (
 		Names: detectors.Names(ds),
 		Cols:  make([][]float64, len(ds)),
 	}
-	var (
-		wg         sync.WaitGroup
-		degradedMu sync.Mutex
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for j, d := range ds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int, d detectors.Detector) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			col, ok := extractColumn(s, d, fitN)
-			if !ok {
-				degradedMu.Lock()
-				f.Degraded = append(f.Degraded, f.Names[j])
-				degradedMu.Unlock()
-			}
-			f.Cols[j] = col
-		}(j, d)
+	ok := make([]bool, len(ds))
+	fanout.Run(fanout.Workers(len(ds)), len(ds), func(_, j int) {
+		f.Cols[j], ok[j] = extractColumn(s, ds[j], fitN)
+	})
+	for j, name := range f.Names {
+		if !ok[j] {
+			f.Degraded = append(f.Degraded, name)
+		}
 	}
-	wg.Wait()
 	sort.Strings(f.Degraded)
 	return f, nil
 }
@@ -170,14 +157,17 @@ const imputedParallelThreshold = 1 << 16
 
 // Imputed returns a copy of rows [lo, hi) with NaN severities replaced by 0
 // — "no evidence of anomaly" — which is what the learners and the static
-// combination baselines consume. Large matrices are imputed with one worker
-// per column (bounded by GOMAXPROCS).
+// combination baselines consume. Large matrices are imputed column by column
+// on fanout workers.
 func (f *Features) Imputed(lo, hi int) [][]float64 {
 	out := make([][]float64, len(f.Cols))
-	imputeInto := func(j int) {
-		col := f.Cols[j]
+	workers := fanout.Workers(len(f.Cols))
+	if (hi-lo)*len(f.Cols) < imputedParallelThreshold {
+		workers = 1
+	}
+	fanout.Run(workers, len(f.Cols), func(_, j int) {
 		dst := make([]float64, hi-lo)
-		for i, v := range col[lo:hi] {
+		for i, v := range f.Cols[j][lo:hi] {
 			if math.IsNaN(v) {
 				dst[i] = 0
 			} else {
@@ -185,26 +175,7 @@ func (f *Features) Imputed(lo, hi int) [][]float64 {
 			}
 		}
 		out[j] = dst
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if (hi-lo)*len(f.Cols) < imputedParallelThreshold || workers < 2 {
-		for j := range f.Cols {
-			imputeInto(j)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for j := range f.Cols {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			imputeInto(j)
-		}(j)
-	}
-	wg.Wait()
+	})
 	return out
 }
 

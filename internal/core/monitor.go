@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"opprentice/internal/detectors"
 	"opprentice/internal/ml/forest"
@@ -50,6 +51,17 @@ type Monitor struct {
 	dead    []bool
 	panics  int
 	onPanic func(name string, recovered any)
+
+	// stages is where the round that trained m spent its wall time.
+	stages TrainStages
+}
+
+// TrainStages is a training round's wall time by stage: extracting the
+// severity matrix, presorting it, fitting the verdict forest and the type
+// head, and choosing the threshold (cross-validation, EVT fits, the EWMA
+// week).
+type TrainStages struct {
+	Extract, Presort, Fit, Threshold time.Duration
 }
 
 // MonitorConfig configures NewMonitor. Zero values choose the paper's
@@ -125,36 +137,47 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 // (incrementally when cache is set), presorts the imputed columns once, fits
 // the verdict forest, builds the cThld predictor with predict — the only
 // step the two callers do differently — trains the type head when types are
-// given, and marks the configurations that panicked during extraction as
-// degraded.
+// given, marks the configurations that panicked during extraction as
+// degraded, and records the wall time of each stage in m.stages.
 func (m *Monitor) train(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector,
 	cache *FeatureCache, predict func(model *forest.Forest, ps *tree.Presorted) (Predictor, error)) error {
 
 	if err := checkTrainable(history, labels, types); err != nil {
 		return err
 	}
+	lap := time.Now()
+	timed := func(stage *time.Duration) {
+		now := time.Now()
+		*stage += now.Sub(lap)
+		lap = now
+	}
 	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
 	if err != nil {
 		return err
 	}
+	timed(&m.stages.Extract)
 	// ImputedFull materializes no second matrix: without a cache the raw
 	// columns are imputed in place (this extraction is private to us); with
 	// one, the cache's columns are NaN-free already. One sort of them serves
 	// every fit of the round: the main forest, the cross-validation folds,
 	// EVT's held-out halves and the type heads.
 	ps := tree.Presort(feats.ImputedFull())
+	timed(&m.stages.Presort)
 	m.model = forest.TrainOn(ps, labels, 0, 0, m.fcfg)
+	timed(&m.stages.Fit)
 	if m.pred, err = predict(m.model, ps); err != nil {
 		return err
 	}
 	m.cthld = m.pred.Predict()
 	m.dynamic = m.pred.Kind() != PredictEWMA
+	timed(&m.stages.Threshold)
 	m.dets, m.points, m.dead = liveDets, history.Len(), make([]bool, len(liveDets))
 	if types != nil {
 		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
 			m.typeModel = tm
 		}
 	}
+	timed(&m.stages.Fit)
 	// Configurations that panicked during training extraction are the same
 	// live instances Step would call: mark them degraded up front.
 	m.markDegraded(feats.Degraded)
@@ -292,6 +315,10 @@ func (m *Monitor) finalize(p float64, row []float64) Verdict {
 	}
 	return verdict
 }
+
+// TrainStages returns where the round that trained m spent its time; zero
+// for a monitor loaded from a snapshot.
+func (m *Monitor) TrainStages() TrainStages { return m.stages }
 
 // CThld returns the threshold currently in force.
 func (m *Monitor) CThld() float64 { return m.cthld }

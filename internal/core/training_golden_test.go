@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,25 @@ const trainingGolden = "testdata/training.golden"
 // verdict forest and the type head (SHA-256 of their Save bytes) and the
 // threshold the monitor starts from (Float64bits: the cross-validated cThld
 // under EWMA, the POT threshold fitted on the held-out scores under EVT) — on
-// nine hourly weeks of kpigen PV, SR and SRT under both predictors. A change
-// to the fit that keeps forests bit-identical must pass it unedited; one that
-// means to move them regenerates the file with -update and says why in
-// CHANGES.md.
+// nine hourly weeks of kpigen PV, SR and SRT under both predictors, at
+// GOMAXPROCS 1, 2 and 4: the presort, the binning, the extraction and the
+// trees fan out over that many workers, and no count may move a byte. A
+// change to the fit that keeps forests bit-identical must pass it unedited;
+// one that means to move them regenerates the file with -update and says why
+// in CHANGES.md.
 func TestTrainingRoundGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			checkTrainingGolden(t, trainingRoundLines(t), *updateTrainingGolden && procs == 1)
+		})
+	}
+}
+
+// trainingRoundLines trains the golden's rounds and renders them as its
+// lines.
+func trainingRoundLines(t *testing.T) []string {
 	var got []string
 	for _, p := range kpigen.Profiles(kpigen.Small) {
 		p.Interval, p.Weeks = time.Hour, 9
@@ -60,8 +75,13 @@ func TestTrainingRoundGolden(t *testing.T) {
 				fmt.Sprintf("%s %s %#016x", at, threshold, math.Float64bits(mon.cthld)))
 		}
 	}
+	return got
+}
 
-	if *updateTrainingGolden {
+// checkTrainingGolden compares got line by line against the golden file,
+// rewriting the file first when update is set.
+func checkTrainingGolden(t *testing.T, got []string, update bool) {
+	if update {
 		if err := os.WriteFile(trainingGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}

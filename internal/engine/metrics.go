@@ -39,6 +39,11 @@ type metricSet[T any] struct {
 	WALQuarantined  T `metric:"opprenticed_wal_quarantined_total" help:"Corrupt series logs quarantined during restore."`
 	WALAppendErrors T `metric:"opprenticed_wal_append_errors_total" help:"Durable appends that failed; the affected points are live in memory only."`
 	TrainingMillis  T `metric:"opprenticed_training_seconds_total" help:"Cumulative training wall time." decimals:"3"`
+	// A completed round's wall time by stage (core.TrainStages), in µs.
+	TrainExtractMicros   T `metric:"opprenticed_training_stage_seconds_total" label:"stage=extract" help:"Cumulative wall time of completed training rounds, by stage." decimals:"6"`
+	TrainPresortMicros   T `label:"stage=presort"`
+	TrainFitMicros       T `label:"stage=fit"`
+	TrainThresholdMicros T `label:"stage=threshold"`
 
 	// Model registry (all zero without one). ModelRestoreWarm/Cold split the
 	// last Restore pass by mode; ModelChecksumFailures is read off the

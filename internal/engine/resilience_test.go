@@ -463,6 +463,74 @@ func TestFaultTrainPanicRecovered(t *testing.T) {
 	}
 }
 
+// clonePanicker is a checkpointable detector whose Clone panics while armed.
+// Its Name is its own, so only its column degrades.
+type clonePanicker struct {
+	detectors.Cloner
+	armed *atomic.Bool
+}
+
+func (clonePanicker) Name() string { return "clone-panicker" }
+
+func (d clonePanicker) Clone() detectors.Detector {
+	if d.armed.Load() {
+		panic("faultinject: Clone panicked")
+	}
+	return clonePanicker{d.Cloner.Clone().(detectors.Cloner), d.armed}
+}
+
+// TestFaultClonePanicRecovered: the feature cache checkpoints detectors with
+// Clone on extraction workers, outside the training watchdog's goroutine. A
+// Clone that panics — resuming a checkpoint, then extracting cold — degrades
+// its column like a panicking Step: the round completes, the configuration
+// is dead in the new monitor, the panic is counted as a detector panic and
+// none reaches the watchdog.
+func TestFaultClonePanicRecovered(t *testing.T) {
+	var armed atomic.Bool
+	e, rest, _ := trainableSeriesCfg(t, 9, Config{
+		Registry: func(iv time.Duration) ([]detectors.Detector, error) {
+			ds, err := detectors.Registry(iv)
+			if err != nil {
+				return nil, err
+			}
+			own, _ := detectors.Registry(iv) // a private instance to wrap
+			return append(ds, clonePanicker{own[0].(detectors.Cloner), &armed}), nil
+		},
+	})
+	m, err := e.lookup("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Counters().DetectorPanics; got != 0 {
+		t.Fatalf("DetectorPanics before arming = %d, want 0", got)
+	}
+	armed.Store(true)
+	// The first round resumes the checkpoint and clones it for the live set;
+	// the second re-extracts the degraded column cold and checkpoints it.
+	for round := 1; round <= 2; round++ {
+		noEscape(t, func() { _, err = e.Train(context.Background(), "pv") })
+		if err != nil {
+			t.Fatalf("round %d with a panicking Clone: %v, want success", round, err)
+		}
+		if got := e.Counters().DetectorPanics; got != int64(round) {
+			t.Fatalf("round %d: DetectorPanics = %d, want %d", round, got, round)
+		}
+		if got := e.Counters().WorkerPanics; got != 0 {
+			t.Fatalf("round %d: WorkerPanics = %d, want 0", round, got)
+		}
+		m.mu.Lock()
+		dead := m.monitor.DegradedDetectors()
+		m.mu.Unlock()
+		if dead != 1 {
+			t.Fatalf("round %d: %d degraded configurations, want 1", round, dead)
+		}
+	}
+	res, err := e.Append(context.Background(), "pv", []Point{{Value: rest[0]}}, nil)
+	if err != nil || len(res.Verdicts) != 1 || res.Verdicts[0].Degraded {
+		t.Fatalf("append after the rounds: %+v, %v; want one trained verdict", res, err)
+	}
+}
+
 // TestFaultTrainStallReleasesCache: a round the watchdog abandons hands the
 // series a fresh feature cache at once, while the abandoned fit keeps the
 // old one until it returns; then the old cache is invalidated and its budget

@@ -129,6 +129,12 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 		return TrainResult{}, rejected(err)
 	}
 
+	st := next.TrainStages()
+	e.met.TrainExtractMicros.Add(st.Extract.Microseconds())
+	e.met.TrainPresortMicros.Add(st.Presort.Microseconds())
+	e.met.TrainFitMicros.Add(st.Fit.Microseconds())
+	e.met.TrainThresholdMicros.Add(st.Threshold.Microseconds())
+
 	// 3. Install.
 	m.mu.Lock()
 	m.install(next, snap.Len())

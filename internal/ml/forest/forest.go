@@ -9,9 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"opprentice/internal/fanout"
 	"opprentice/internal/ml/tree"
 )
 
@@ -81,24 +80,18 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 	binner, binned := ps.Bin(lo, hi, tree.MaxBins)
 	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner}
 
-	// Deterministic parallel training: every tree gets its own seeded rng.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < cfg.Trees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = rng.Intn(n) // bootstrap sample
-			}
-			f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
-		}(t)
-	}
-	wg.Wait()
+	// Deterministic parallel training: every tree gets its own seeded rng;
+	// a worker reuses one bootstrap buffer, which Grow only permutes.
+	workers := fanout.Workers(cfg.Trees)
+	idxs := make([]int, workers*n)
+	fanout.Run(workers, cfg.Trees, func(w, t int) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
+		idx := idxs[w*n : (w+1)*n]
+		for i := range idx {
+			idx[i] = rng.Intn(n) // bootstrap sample
+		}
+		f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
+	})
 	if err := f.buildFlat(); err != nil {
 		panic(err) // Grow emits well-formed trees; only the feature count can be at fault
 	}
@@ -174,9 +167,8 @@ func (f *Forest) ProbRowsInto(rows []float64, d int, out []float64) {
 const probAllSerialThreshold = 512
 
 // ProbAll classifies every sample of a column-major feature matrix,
-// returning one vote fraction per sample. Large batches chunk rows across
-// GOMAXPROCS workers; small windows run serially to avoid goroutine
-// overhead.
+// returning one vote fraction per sample. Large batches cut the rows into one
+// chunk per fanout worker; small windows run on the calling goroutine.
 func (f *Forest) ProbAll(cols [][]float64) []float64 {
 	if len(cols) != f.binner.NumFeatures() {
 		panic(fmt.Sprintf("forest: %d feature columns, want %d", len(cols), f.binner.NumFeatures()))
@@ -186,27 +178,14 @@ func (f *Forest) ProbAll(cols [][]float64) []float64 {
 		n = len(cols[0])
 	}
 	out := make([]float64, n)
-	if n <= probAllSerialThreshold {
-		f.probColsRange(cols, out, 0, n)
-		return out
+	workers := 1
+	if n > probAllSerialThreshold {
+		workers = fanout.Workers(n)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.probColsRange(cols, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fanout.Run(workers, workers, func(_, c int) {
+		lo := min(c*chunk, n)
+		f.probColsRange(cols, out, lo, min(lo+chunk, n))
+	})
 	return out
 }

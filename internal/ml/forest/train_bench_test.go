@@ -18,7 +18,10 @@ func TestTrainMatchesReferenceOnSeverities(t *testing.T) {
 // BenchmarkForestTrain is the fit half of a training round at the repo
 // benchmark's shape (severityFixture): "fit" is one Train — a retrain's
 // forest, presort included; "round" is what a series' first train fits — one
-// presort, the main forest and the five cross-validation folds off it.
+// presort, the main forest and the five cross-validation folds off it. The
+// prologue's two stages, which fan out over the columns, run alone too:
+// "presort" sorts every column, "bin" bins all rows off one presort, and
+// "bin_fold" the rows outside one cross-validation fold.
 func BenchmarkForestTrain(b *testing.B) {
 	cols, labels, cfg := severityFixture(b)
 	n := len(labels)
@@ -38,4 +41,22 @@ func BenchmarkForestTrain(b *testing.B) {
 			}
 		}
 	})
+	b.Run("presort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tree.Presort(cols)
+		}
+	})
+	ps := tree.Presort(cols)
+	for _, leg := range []struct {
+		name   string
+		lo, hi int
+	}{{"bin", 0, 0}, {"bin_fold", 0, n / 5}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ps.Bin(leg.lo, leg.hi, tree.MaxBins)
+			}
+		})
+	}
 }

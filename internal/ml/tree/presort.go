@@ -3,6 +3,8 @@ package tree
 import (
 	"fmt"
 	"math"
+
+	"opprentice/internal/fanout"
 )
 
 // Presorted is a column-major training matrix with every column argsorted
@@ -24,7 +26,8 @@ type keyRow struct {
 
 // Presort argsorts each column of cols (cols[j][i] is feature j of sample
 // i; all columns the same length), leaving NaN rows out. It keeps a
-// reference to cols, which must not change while the result is in use.
+// reference to cols, which must not change while the result is in use. The
+// columns are sorted on fanout workers, each with its own radix buffers.
 func Presort(cols [][]float64) *Presorted {
 	ps := &Presorted{cols: cols, order: make([][]uint32, len(cols))}
 	if len(cols) == 0 {
@@ -32,14 +35,18 @@ func Presort(cols [][]float64) *Presorted {
 	}
 	n := len(cols[0])
 	ps.n = n
-	order := make([]uint32, len(cols)*n)
-	a, b := make([]keyRow, n), make([]keyRow, n)
 	for j, col := range cols {
 		if len(col) != n {
 			panic(fmt.Sprintf("tree: feature %d has %d samples, want %d", j, len(col), n))
 		}
+	}
+	order := make([]uint32, len(cols)*n)
+	workers := fanout.Workers(len(cols))
+	scratch := make([]keyRow, 2*workers*n) // worker w sorts in [2wn, 2wn+2n)
+	fanout.Run(workers, len(cols), func(w, j int) {
+		a, b := scratch[2*w*n:(2*w+1)*n], scratch[(2*w+1)*n:(2*w+2)*n]
 		m := 0
-		for i, v := range col {
+		for i, v := range cols[j] {
 			if v == v {
 				a[m] = keyRow{sortKey(v), uint32(i)}
 				m++
@@ -50,7 +57,7 @@ func Presort(cols [][]float64) *Presorted {
 			ord[i] = kr.row
 		}
 		ps.order[j] = ord
-	}
+	})
 	return ps
 }
 
@@ -120,21 +127,25 @@ func radixSort(src, dst []keyRow) []keyRow {
 // then yields each row's code — the number of edges strictly below its value,
 // which is what Binner.Code searches for. An edge on a zero always reads +0
 // (the walk takes v + 0, as the sort key does); −0 < +0 is false either way,
-// so no code and no split threshold depends on the sign.
+// so no code and no split threshold depends on the sign. The columns are
+// binned on fanout workers, each with its own walk and edge buffers.
 func (ps *Presorted) Bin(lo, hi, maxBins int) (*Binner, [][]uint8) {
 	if lo < 0 || hi < lo || hi > ps.n {
 		panic(fmt.Sprintf("tree: excluded rows [%d, %d) outside the %d presorted", lo, hi, ps.n))
 	}
-	maxBins = min(max(maxBins, 2), MaxBins)
+	bins := min(max(maxBins, 2), MaxBins) // not reassigned, so workers capture a copy
 	kept := ps.n - (hi - lo)
 	b := &Binner{edges: make([][]float64, len(ps.cols))}
 	binned := make([][]uint8, len(ps.cols))
 	codes := make([]uint8, len(ps.cols)*kept) // NaN rows keep code 0
-	vals, rows := make([]float64, 0, kept), make([]uint32, 0, kept)
-	edges := make([]float64, 0, maxBins-1)
+	workers := fanout.Workers(len(ps.cols))
+	// Worker w walks into stretch w of each buffer.
+	valBuf, rowBuf := make([]float64, workers*kept), make([]uint32, workers*kept)
+	edgeBuf := make([]float64, workers*(bins-1))
 	ulo, uhi := uint32(lo), uint32(hi)
-	for j, col := range ps.cols {
-		vals, rows = vals[:0], rows[:0]
+	fanout.Run(workers, len(ps.cols), func(w, j int) {
+		col := ps.cols[j]
+		vals, rows := valBuf[w*kept:w*kept:(w+1)*kept], rowBuf[w*kept:w*kept:(w+1)*kept]
 		for _, r := range ps.order[j] {
 			v := col[r] + 0
 			if r >= ulo {
@@ -145,9 +156,9 @@ func (ps *Presorted) Bin(lo, hi, maxBins int) (*Binner, [][]uint8) {
 			}
 			vals, rows = append(vals, v), append(rows, r)
 		}
-		edges = edges[:0]
-		for k := 1; k < maxBins && len(vals) > 0; k++ {
-			e := vals[k*len(vals)/maxBins]
+		edges := edgeBuf[w*(bins-1) : w*(bins-1) : (w+1)*(bins-1)]
+		for k := 1; k < bins && len(vals) > 0; k++ {
+			e := vals[k*len(vals)/bins]
 			if len(edges) == 0 || e > edges[len(edges)-1] {
 				edges = append(edges, e)
 			}
@@ -161,6 +172,6 @@ func (ps *Presorted) Bin(lo, hi, maxBins int) (*Binner, [][]uint8) {
 			}
 			binned[j][rows[i]] = uint8(e)
 		}
-	}
+	})
 	return b, binned
 }

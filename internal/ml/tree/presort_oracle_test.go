@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -285,33 +287,8 @@ func assertSameTree(t *testing.T, at string, got, want *Tree) {
 // shapes a sort key, a filtered walk or an edge merge could get wrong.
 func TestPresortMatchesOracleOnHostileColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(oracleSeed))
-	inf, nan := math.Inf(1), math.NaN()
 	for _, n := range []int{1, 7, 100, 700} {
-		cols := make([][]float64, 10)
-		for j := range cols {
-			cols[j] = make([]float64, n)
-		}
-		labels := make([]bool, n)
-		for i := 0; i < n; i++ {
-			v := rng.NormFloat64()
-			cols[0][i] = v // continuous; n < maxBins for the small n
-			cols[1][i] = v
-			if rng.Intn(4) == 0 {
-				cols[1][i] = nan // NaN holes
-			}
-			cols[2][i] = nan                  // all NaN: no edge
-			cols[3][i] = 7                    // constant: one edge
-			cols[4][i] = float64(rng.Intn(2)) // two values
-			cols[5][i] = []float64{-inf, v, inf}[rng.Intn(3)]
-			cols[6][i] = 3 // 90 % duplicates
-			if rng.Intn(10) == 0 {
-				cols[6][i] = v
-			}
-			cols[7][i] = []float64{math.Copysign(0, -1), 0, -v * v, v * v}[rng.Intn(4)] // ±0 between the signs
-			cols[8][i] = math.Float64frombits(rng.Uint64())                             // every exponent, both signs; NaN at times
-			cols[9][i] = float64(i / 3)                                                 // sorted already, in runs
-			labels[i] = cols[4][i]+v+0.3*rng.NormFloat64() > 1
-		}
+		cols, labels := hostileColumns(rng, n)
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { CheckPresortOracle(t, cols, labels, 1, 3) })
 	}
 	for _, n := range []int{60, 600} {
@@ -331,6 +308,76 @@ func TestPresortMatchesOracleOnHostileColumns(t *testing.T) {
 		}
 		CheckPresortOracle(t, [][]float64{col}, labels, 1, 3)
 	})
+}
+
+// hostileColumns builds n rows of the column shapes a sort key, a filtered
+// walk or an edge merge could get wrong.
+func hostileColumns(rng *rand.Rand, n int) ([][]float64, []bool) {
+	inf, nan := math.Inf(1), math.NaN()
+	cols := make([][]float64, 10)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	labels := make([]bool, n)
+	for i := 0; i < n; i++ {
+		v := rng.NormFloat64()
+		cols[0][i] = v // continuous; n < maxBins for the small n
+		cols[1][i] = v
+		if rng.Intn(4) == 0 {
+			cols[1][i] = nan // NaN holes
+		}
+		cols[2][i] = nan                  // all NaN: no edge
+		cols[3][i] = 7                    // constant: one edge
+		cols[4][i] = float64(rng.Intn(2)) // two values
+		cols[5][i] = []float64{-inf, v, inf}[rng.Intn(3)]
+		cols[6][i] = 3 // 90 % duplicates
+		if rng.Intn(10) == 0 {
+			cols[6][i] = v
+		}
+		cols[7][i] = []float64{math.Copysign(0, -1), 0, -v * v, v * v}[rng.Intn(4)] // ±0 between the signs
+		cols[8][i] = math.Float64frombits(rng.Uint64())                             // every exponent, both signs; NaN at times
+		cols[9][i] = float64(i / 3)                                                 // sorted already, in runs
+		labels[i] = cols[4][i]+v+0.3*rng.NormFloat64() > 1
+	}
+	return cols, labels
+}
+
+// TestPresortSameAtEveryWorkerCount: Presort and Bin fan their columns out
+// over GOMAXPROCS workers, which changes who sorts and bins a column but not
+// its order, edges or codes: on the hostile and tied columns, one worker and
+// four give equal results.
+func TestPresortSameAtEveryWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(oracleSeed))
+	var mats [][][]float64
+	for _, n := range []int{1, 7, 100, 700} {
+		cols, _ := hostileColumns(rng, n)
+		mats = append(mats, cols)
+	}
+	for _, n := range []int{60, 600} {
+		cols, _ := tiedColumns(rng, n)
+		mats = append(mats, cols)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, cols := range mats {
+		n := len(cols[0])
+		var orders [2][][]uint32
+		var binners [2]*Binner
+		var codes [2][][]uint8
+		for k, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			ps := Presort(cols)
+			orders[k] = ps.order
+			binners[k], codes[k] = ps.Bin(n/5, 2*n/5, MaxBins)
+		}
+		for j := range cols {
+			if !slices.Equal(orders[0][j], orders[1][j]) {
+				t.Fatalf("n=%d feature %d: order at 4 workers %v, at 1 %v", n, j, orders[1][j], orders[0][j])
+			}
+			if !slices.Equal(binners[0].edges[j], binners[1].edges[j]) || !slices.Equal(codes[0][j], codes[1][j]) {
+				t.Fatalf("n=%d feature %d: edges or codes differ between 1 and 4 workers", n, j)
+			}
+		}
+	}
 }
 
 // tiedColumns builds n rows on which many candidate splits have the same

@@ -18,6 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden f
 // allocator's slice growth; the golden keeps their lines but not their values.
 var maskedMetrics = []string{
 	"opprenticed_training_seconds_total",
+	"opprenticed_training_stage_seconds_total",
 	"opprenticed_restore_seconds",
 	"opprenticed_extract_cache_bytes",
 }
@@ -46,8 +47,8 @@ func TestMetricsGolden(t *testing.T) {
 	lines := strings.Split(string(body), "\n")
 	for i, line := range lines {
 		for _, name := range maskedMetrics {
-			if strings.HasPrefix(line, name+" ") {
-				lines[i] = name + " <masked>"
+			if rest, ok := strings.CutPrefix(line, name); ok && (strings.HasPrefix(rest, " ") || strings.HasPrefix(rest, "{")) {
+				lines[i] = line[:strings.LastIndexByte(line, ' ')] + " <masked>"
 			}
 		}
 	}

@@ -517,7 +517,9 @@ func (h *Harness) preCloseChecks() error {
 // samples /v1/metrics would render right now — engine.Metrics read
 // in-process, keyed by declaring field plus labels so no exposition name is
 // spelled a second time — must equal what the mirror predicts since the last
-// restore. Every step ends quiescent, so the comparison is exact.
+// restore. Every step ends quiescent, so the comparison is exact. Wall-time
+// families — TrainingMillis and the four training stage counters — have no
+// mirror prediction and are not compared.
 func (h *Harness) checkExported() error {
 	got := make(map[string]float64)
 	for _, f := range h.eng.Metrics() {
