@@ -43,7 +43,6 @@ func main() {
 		modelKeep = flag.Int("model-keep", 0, "model generations to retain per series (0 = default 3)")
 		shards    = flag.Int("shards", 0, "series registry shards (0 = default; rounded up to a power of two)")
 		workers   = flag.Int("retrain-workers", 0, "background retrain workers (0 = default)")
-		restoreW  = flag.Int("restore-workers", 0, "parallel series restores at startup (0 = default min(8, GOMAXPROCS))")
 		cacheMB   = flag.Int("extract-cache-mb", 0, "incremental feature-extraction cache cap in MiB, shared by all series (0 = default 256, negative = disabled)")
 		inflight  = flag.Int("ingest-inflight", 0, "per-shard in-flight ingest budget in points; batches over it are shed with 429 (0 = default 65536, negative = unlimited)")
 		walDL     = flag.Duration("wal-deadline", 0, "how long an append waits for its durable WAL write before the series degrades to threshold-only serving (0 = default 2s, negative = disabled)")
@@ -66,7 +65,6 @@ func main() {
 		Log:              logger,
 		Shards:           *shards,
 		RetrainWorkers:   *workers,
-		RestoreWorkers:   *restoreW,
 		ExtractCacheMB:   *cacheMB,
 		IngestInflight:   *inflight,
 		WALDeadline:      *walDL,

@@ -48,6 +48,24 @@ var keptKnobs = map[string]string{
 	"registry.Config.Rename": "the fault-injection seam for a rename that fails mid-publish",
 }
 
+// keptGoroutines lists the go statements under internal/ that stay, each a
+// long-lived worker or a watchdog, with its reason: every bounded parallel
+// section runs on fanout.Run. A key is the package's path below internal/,
+// a dot, the enclosing function ("Type.Method" for a method) and, in
+// parentheses, the function the statement starts ("func" for a literal);
+// keys are path.Match patterns, as in keptExports. An entry that names no
+// go statement fails the test too.
+var keptGoroutines = map[string]string{
+	"fanout.Run(spawned)":               "the bounded pool itself: its workers beside the caller, joined before Run returns",
+	"engine.New(e.retrainWorker)":       "the background retrain workers, alive until Close",
+	"engine.New(e.publishWorker)":       "the background model publisher, alive until Close",
+	"engine.Engine.supervise(func)":     "the training watchdog: runs a round it may abandon at the deadline",
+	"alerting.NewPipeline(p.run)":       "a notification pipeline's delivery loop, alive until Close",
+	"tsdb.Open(sh.run)":                 "each store shard's group-commit appender, alive until Close",
+	"service.Client.StreamPoints(func)": "an ingest stream's request and response reader, alive while the stream is open",
+	"simtest.gatedStore.Submit(func)":   "test-support package: forwards the writes parked behind an armed gate once it opens",
+}
+
 // gateModules are the module roots the gates read: this module and bench/.
 var gateModules = []string{".", "bench"}
 
@@ -96,6 +114,20 @@ func TestNoDeadKnobs(t *testing.T) {
 	}
 }
 
+// TestNoStrayGoroutines fails on every go statement in a non-test file
+// under internal/ of this module or of bench/ that keptGoroutines does not
+// list: a parallel section runs on fanout.Run, so a go statement anywhere
+// else is a pool of its own, with its own join and its own panic behaviour.
+func TestNoStrayGoroutines(t *testing.T) {
+	unlisted, stale := goStatements(loadProgram(t, gateModules...), keptGoroutines)
+	for _, g := range unlisted {
+		t.Errorf("%s starts a goroutine: run the section on fanout.Run, or list a long-lived worker in keptGoroutines with a reason", g)
+	}
+	for _, k := range stale {
+		t.Errorf("keptGoroutines[%q] names no go statement: remove the entry", k)
+	}
+}
+
 // TestDeadExportsAnalysis runs the export gate's analysis on the module in
 // testdata/deadexports, whose declarations say which are dead.
 func TestDeadExportsAnalysis(t *testing.T) {
@@ -116,6 +148,16 @@ func TestDeadKnobsAnalysis(t *testing.T) {
 		"lib.Config.Gone":   "stale: Config has no field Gone",
 	})
 	checkReported(t, dead, stale, "lib.Config.Defaulted", "lib.Config.Gone", "lib.Config.TestOnly")
+}
+
+// TestGoStatementsAnalysis runs the goroutine gate's analysis on the same
+// module, whose lib.start starts one listed goroutine and one planted one.
+func TestGoStatementsAnalysis(t *testing.T) {
+	unlisted, stale := goStatements(loadProgram(t, "testdata/deadexports"), map[string]string{
+		"lib.start(drain)": "listed",
+		"lib.Gone(func)":   "stale: the module declares no Gone",
+	})
+	checkReported(t, unlisted, stale, "lib.Gone(func)", "lib.start(func)")
 }
 
 // checkReported fails unless the keys of dead ("file:line: key") and stale
@@ -425,6 +467,41 @@ func deadKnobs(prog *program, kept map[string]string) (dead, stale []string) {
 				if c := fields[v.Origin()]; c != nil {
 					c.used = true
 				}
+			}
+		}
+	}
+	return sweep(cands, kept)
+}
+
+// goStatements returns the go statements in the non-test files under each
+// module's internal/ that kept does not list, as "file:line: key" in file
+// order, and the keys of kept that match none.
+func goStatements(prog *program, kept map[string]string) (unlisted, stale []string) {
+	var cands []*candidate
+	for _, p := range prog.pkgs {
+		if !p.internal {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				encl := "var" // a package-level initializer
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					encl = d.Name.Name
+					if d.Recv != nil {
+						encl = receiverIdent(d.Recv.List[0].Type).Name + "." + encl
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						callee := "func"
+						if _, lit := g.Call.Fun.(*ast.FuncLit); !lit {
+							callee = types.ExprString(g.Call.Fun)
+						}
+						key := fmt.Sprintf("%s.%s(%s)", p.rel, encl, callee)
+						cands = append(cands, &candidate{key: key, pos: prog.fset.Position(g.Pos())})
+					}
+					return true
+				})
 			}
 		}
 	}

@@ -202,9 +202,10 @@ func TestAppendTrainedTypedZeroAllocs(t *testing.T) {
 
 // bulkAllocProcs is the GOMAXPROCS TestAppendBulkGroupAllocs measures at, so
 // its bound does not depend on the machine. maxBulkGroupAllocs is that
-// bound: one closure per worker beside the caller. The run table, the merge
-// buffer and every worker's verdict buffer are pooled, so nothing scales
-// with the frames of a group.
+// bound, 3: a round's one fanout.Run allocates its pool state and the method
+// value its goroutines start from (fanout's TestRunAllocs), and applyRuns
+// its worker closure. The run table, the merge buffer and every worker's
+// verdict buffer are pooled, so nothing scales with the frames of a group.
 const (
 	bulkAllocProcs     = 4
 	maxBulkGroupAllocs = bulkAllocProcs - 1

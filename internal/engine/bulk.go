@@ -3,10 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"opprentice/internal/fanout"
 )
 
 // SeriesBatch is one series' slice of a bulk append: points destined for the
@@ -37,10 +38,13 @@ type BulkSummary struct {
 //
 // The prefix applies as one run per series — its batches concatenated in
 // stream order, one locked append: one StepBatch, one WAL record — with
-// distinct series' runs on up to GOMAXPROCS goroutines, each paying one commit
-// wait per round (claimRuns). Each series still takes its points in order
-// under its lock, held until they are durable; series share only
-// concurrency-safe state, and no run can fail, so the prefix contract holds.
+// distinct series' runs on up to GOMAXPROCS workers of one fanout.Run, each
+// paying one commit wait per round (claimRuns). Each series still takes its
+// points in order under its lock, held until they are durable; series share
+// only concurrency-safe state, and no run can fail, so the prefix contract
+// holds. A panic on any worker reaches the caller once every worker has
+// settled, and unlocked, the runs it held staged; the run it struck is left
+// as Append leaves a series it panics in.
 //
 // vbuf is reusable verdict scratch, returned grown; it ends holding the
 // verdicts of the caller's last run — for a one-series group, its verdicts.
@@ -118,10 +122,9 @@ type bulkGroup struct {
 	shares []admitToken  // per touched shard: the points to admit, then their token
 	runs   []bulkRun     // the current round
 	merged []Point       // points of the round's runs of several batches
-	vbufs  [][]Verdict   // verdict buffers of the workers beside the caller
-	held   [][]stagedRun // per worker, the caller's first: runs staged, locks held
+	vbufs  [][]Verdict   // per worker, the caller's first: verdict buffers
+	held   [][]stagedRun // per worker: runs staged, locks held
 	next   atomic.Int64  // the next run to claim
-	wg     sync.WaitGroup
 }
 
 var bulkGroups = sync.Pool{New: func() any { return new(bulkGroup) }}
@@ -159,22 +162,21 @@ func (g *bulkGroup) merge(batches []SeriesBatch, lo int) (hi int) {
 	return hi
 }
 
-// applyRuns applies the round's runs on min(GOMAXPROCS, runs) goroutines,
-// the caller's among them, each claiming runs from g.next.
+// applyRuns applies the round's runs on fanout.Workers(runs) workers, the
+// caller's among them (worker 0, whose verdicts land in vbuf), each claiming
+// runs from g.next. A worker settles the runs it holds before it returns,
+// panicking or not: settling after Run would leave two opposed groups each
+// waiting on a lock the other holds staged.
 func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []Verdict {
 	g.next.Store(0)
-	workers := min(runtime.GOMAXPROCS(0), len(g.runs))
-	g.vbufs = append(g.vbufs, make([][]Verdict, max(workers-1-len(g.vbufs), 0))...)
+	workers := fanout.Workers(len(g.runs))
+	g.vbufs = append(g.vbufs, make([][]Verdict, max(workers-len(g.vbufs), 0))...)
 	g.held = append(g.held, make([][]stagedRun, max(workers-len(g.held), 0))...)
-	for w := range workers - 1 {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w], &g.held[w+1])
-		}()
-	}
-	vbuf = e.claimRuns(ctx, g, vbuf, &g.held[0])
-	g.wg.Wait()
+	g.vbufs[0] = vbuf
+	fanout.Run(workers, workers, func(w, _ int) {
+		g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w], &g.held[w])
+	})
+	vbuf, g.vbufs[0] = g.vbufs[0], nil
 	return vbuf
 }
 
@@ -182,7 +184,9 @@ func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []
 // so the store commits earlier records while it steps later runs, and settles
 // them all once no run is left. It never blocks on a lock while holding one —
 // a busy lock makes it settle first — so nothing can deadlock against it.
-// stage refuses only timestamped points, which resolveBatch turned away.
+// stage refuses only timestamped points, which resolveBatch turned away. A
+// panic still settles, and unlocks, every run held whole; the run it struck
+// mid-stage is left as Append would leave it.
 func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, held *[]stagedRun) []Verdict {
 	settleHeld := func() {
 		for i := range *held {
@@ -191,6 +195,7 @@ func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, he
 		clear(*held)
 		*held = (*held)[:0]
 	}
+	defer settleHeld()
 	for i := int(g.next.Add(1)) - 1; i < len(g.runs); i = int(g.next.Add(1)) - 1 {
 		r := &g.runs[i]
 		if !r.m.mu.TryLock() {
@@ -202,7 +207,6 @@ func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, he
 			*held = append(*held, s)
 		}
 	}
-	settleHeld()
 	return vbuf
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,5 +362,96 @@ func TestAppendBulkOpposedGroupsNoDeadlock(t *testing.T) {
 		case <-timeout:
 			panic("AppendBulk deadlocked against an opposed group, Append, Label or Train")
 		}
+	}
+}
+
+// panicStore hands every record on to the store it wraps and then, for the
+// points of the series named victim, panics: the write lands and its
+// accounting balances, but the append that issued it never sees Submit
+// return — a panic outside stepColumn's sandbox, mid-stage.
+type panicStore struct {
+	Store
+	victim atomic.Pointer[string]
+}
+
+func (s *panicStore) Submit(ctx context.Context, rec tsdb.Record, done func(error)) error {
+	err := s.Store.Submit(ctx, rec, done)
+	if v := s.victim.Load(); v != nil && rec.Meta == nil && rec.Name == *v {
+		panic("store panicked on " + rec.Name)
+	}
+	return err
+}
+
+// TestAppendBulkPanicReachesCaller pins the bulk panic contract: a panic on
+// any worker — the caller's or a spawned one — reaches AppendBulk's caller,
+// and every run a worker held staged is settled and unlocked first, so
+// every other series of the group takes a further Append. The series the
+// panic struck mid-stage stays as Append would leave it: locked. The victim
+// takes every position of the group, at GOMAXPROCS 1 and 4.
+func TestAppendBulkPanicReachesCaller(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			store := &panicStore{Store: &stallStore{}}
+			e := bulkEngine(t, Config{Store: store})
+			const series = 7
+			names := make([]string, series)
+			for i := range names {
+				names[i] = fmt.Sprintf("p%d", i)
+			}
+			create := func(name string) {
+				if err := e.Create(name, SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range names {
+				create(name)
+			}
+			ctx := context.Background()
+			// Four calls per position, so at GOMAXPROCS 4 the victim's run
+			// lands on spawned workers as well as on the caller's.
+			for call := range 4 * (series + 1) {
+				pos := call % (series + 1)
+				victim := fmt.Sprintf("victim%d", call)
+				create(victim)
+				store.victim.Store(&victim)
+				group := make([]SeriesBatch, 0, series+1)
+				for _, name := range names {
+					if len(group) == pos {
+						group = append(group, SeriesBatch{Name: victim, Points: make([]Point, 3)})
+					}
+					group = append(group, SeriesBatch{Name: name, Points: make([]Point, 1+len(group)%4)})
+				}
+				if pos == series {
+					group = append(group, SeriesBatch{Name: victim, Points: make([]Point, 3)})
+				}
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					e.AppendBulk(ctx, group, nil)
+					return nil
+				}()
+				if want := "store panicked on " + victim; got != want {
+					t.Fatalf("victim at %d: AppendBulk's caller recovered %v, want %q", pos, got, want)
+				}
+				appended := make(chan error, 1)
+				go func() {
+					for _, name := range names {
+						if _, err := e.Append(ctx, name, []Point{{Value: 1}}, nil); err != nil {
+							appended <- err
+							return
+						}
+					}
+					appended <- nil
+				}()
+				select {
+				case err := <-appended:
+					if err != nil {
+						t.Fatalf("victim at %d: append after the panic: %v", pos, err)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("victim at %d: a series of the group stayed locked after the panic", pos)
+				}
+			}
+		})
 	}
 }

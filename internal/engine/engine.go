@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +43,7 @@ import (
 	"opprentice/internal/alerting"
 	"opprentice/internal/core"
 	"opprentice/internal/detectors"
+	"opprentice/internal/fanout"
 	modelreg "opprentice/internal/registry"
 	"opprentice/internal/stats"
 	"opprentice/internal/timeseries"
@@ -153,9 +153,6 @@ type Config struct {
 	// are published to it asynchronously and Restore prefers warm starts from
 	// its artifacts over cold retraining.
 	Models *modelreg.Registry
-	// RestoreWorkers bounds the parallelism of Restore's per-series pass
-	// (default min(8, GOMAXPROCS)).
-	RestoreWorkers int
 	// Notifier, when non-nil, builds the per-series incident notifier from the
 	// series' webhook URL; the default is an HTTP alerting.WebhookNotifier.
 	// Tests and the simulation harness substitute in-process recorders here so
@@ -240,9 +237,8 @@ type Engine struct {
 	hooks     Hooks
 
 	// models is the model-artifact registry; nil when checkpointing is
-	// disabled. restoreWorkers bounds Restore's parallel per-series pass.
-	models         *modelreg.Registry
-	restoreWorkers int
+	// disabled.
+	models *modelreg.Registry
 
 	// cacheBudget is the shared accounting for all series' feature caches;
 	// nil when caching is disabled.
@@ -395,12 +391,6 @@ func New(cfg Config) *Engine {
 	if cfg.ExtractCacheMB == 0 {
 		cfg.ExtractCacheMB = 256
 	}
-	if cfg.RestoreWorkers <= 0 {
-		cfg.RestoreWorkers = runtime.GOMAXPROCS(0)
-		if cfg.RestoreWorkers > 8 {
-			cfg.RestoreWorkers = 8
-		}
-	}
 	var budget *core.CacheBudget
 	if cfg.ExtractCacheMB > 0 {
 		budget = core.NewCacheBudget(int64(cfg.ExtractCacheMB) << 20)
@@ -443,7 +433,6 @@ func New(cfg Config) *Engine {
 		notifier:       cfg.Notifier,
 		hooks:          cfg.Hooks,
 		models:         cfg.Models,
-		restoreWorkers: cfg.RestoreWorkers,
 		cacheBudget:    budget,
 		ingestInflight: int64(cfg.IngestInflight),
 		trainFailLimit: cfg.TrainFailLimit,
@@ -790,8 +779,11 @@ func (e *Engine) applyLabel(ctx context.Context, m *managed, lw Window, class co
 	}
 }
 
-// Restore reloads every series in the store with a bounded pool of parallel
-// workers and returns the number of series restored. Per series the fallback
+// Restore reloads every series in the store, spread over GOMAXPROCS workers
+// (fanout.Run, the caller among them), and returns the number of series
+// restored. Cancelling ctx stops the pass between series: a series already
+// claimed finishes, no later one starts, and Restore returns ctx.Err() if it
+// skipped any (an unrestored series is not registered). Per series the fallback
 // ladder is warm → cold → data-only: if a model registry is attached and
 // holds a valid artifact (CRC and deployment fingerprint both verified), the
 // published monitor is loaded and its detectors re-warmed from trailing
@@ -815,41 +807,23 @@ func (e *Engine) Restore(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	workers := e.restoreWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
 	var restored atomic.Int64
-	work := make(chan string)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for name := range work {
-				if e.restoreOne(ctx, name) {
-					restored.Add(1)
-				}
-			}
-		}()
-	}
-	var aborted error
-	for _, name := range names {
-		// Deadline checks sit between series, the natural cancellation
-		// points: a series mid-restore finishes, the rest are skipped.
-		if err := ctx.Err(); err != nil {
-			aborted = err
-			break
+	var skipped atomic.Bool
+	fanout.Run(fanout.Workers(len(names)), len(names), func(_, i int) {
+		// The deadline is checked as each series is claimed, the natural
+		// cancellation point: a series mid-restore finishes, the rest are
+		// skipped.
+		if ctx.Err() != nil {
+			skipped.Store(true)
+		} else if e.restoreOne(ctx, names[i]) {
+			restored.Add(1)
 		}
-		work <- name
-	}
-	close(work)
-	wg.Wait()
+	})
 	e.met.RestoreMillis.Store(time.Since(started).Milliseconds())
-	return int(restored.Load()), aborted
+	if skipped.Load() {
+		return int(restored.Load()), ctx.Err()
+	}
+	return int(restored.Load()), nil
 }
 
 // restoreOne rebuilds one series from its log (newManaged, the builder

@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,7 +289,7 @@ func TestRestoreWarmConcurrentIngest(t *testing.T) {
 	}
 	preStore.Close()
 
-	e, _ := restartEngine(t, dataDir, modelDir, Config{RestoreWorkers: 4})
+	e, _ := restartEngine(t, dataDir, modelDir, Config{})
 
 	const perSeries = 40
 	var (
@@ -540,4 +543,83 @@ func benchRestartEngine(b *testing.B, dataDir, modelDir string) (*Engine, *tsdb.
 		cfg.Models = models
 	}
 	return New(cfg), store
+}
+
+// cancelStore is a store whose Load cancels the restore's context as it
+// loads the k-th series.
+type cancelStore struct {
+	Store
+	k      int32
+	loads  atomic.Int32
+	cancel context.CancelFunc
+}
+
+func (s *cancelStore) Load(name string) (*tsdb.Loaded, error) {
+	if s.loads.Add(1) == s.k {
+		s.cancel()
+	}
+	return s.Store.Load(name)
+}
+
+// TestRestoreCancelled: cancelling Restore's context stops the pass between
+// series. At GOMAXPROCS 1 the series restore in List order, so exactly the
+// k claimed before the cancel are restored and registered; at GOMAXPROCS 2
+// some series are still skipped. Either way Restore reports the
+// cancellation, and a skipped series is not registered.
+func TestRestoreCancelled(t *testing.T) {
+	const series, k = 6, 2
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dataDir := t.TempDir()
+			store, err := tsdb.Open(dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := New(Config{Log: slog.New(slog.NewTextHandler(io.Discard, nil)), Store: store})
+			names := make([]string, series)
+			for i := range names {
+				names[i] = fmt.Sprintf("c%d", i)
+				if err := seed.Create(names[i], SeriesConfig{IntervalSeconds: 3600, Start: testStart}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := seed.Append(context.Background(), names[i], make([]Point, 24), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seed.Close()
+			store.Close()
+
+			store, err = tsdb.Open(dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e := bulkEngine(t, Config{Store: &cancelStore{Store: store, k: k, cancel: cancel}})
+			restored, err := e.Restore(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Restore returned %v, want context.Canceled", err)
+			}
+			registered := 0
+			for i, name := range names {
+				_, serr := e.Status(context.Background(), name)
+				switch {
+				case serr == nil:
+					registered++
+				case !errors.Is(serr, ErrNotFound):
+					t.Fatal(serr)
+				case procs == 1 && i < k:
+					t.Fatalf("%s, claimed before the cancel, is not registered", name)
+				}
+			}
+			if registered != restored {
+				t.Fatalf("Restore reported %d series restored, %d are registered", restored, registered)
+			}
+			if procs == 1 && restored != k || restored >= series {
+				t.Fatalf("restored %d of %d series with the cancel at the %d-th", restored, series, k)
+			}
+		})
+	}
 }

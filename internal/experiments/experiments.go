@@ -9,11 +9,11 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"opprentice/internal/core"
 	"opprentice/internal/detectors"
+	"opprentice/internal/fanout"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/labelsim"
 	"opprentice/internal/ml/forest"
@@ -168,15 +168,9 @@ func prepareAll(o Options) ([]*kpiData, error) {
 	profiles := kpigen.Profiles(o.Scale)
 	out := make([]*kpiData, len(profiles))
 	errs := make([]error, len(profiles))
-	var wg sync.WaitGroup
-	for i, p := range profiles {
-		wg.Add(1)
-		go func(i int, p kpigen.Profile) {
-			defer wg.Done()
-			out[i], errs[i] = prepare(p, o)
-		}(i, p)
-	}
-	wg.Wait()
+	fanout.Run(fanout.Workers(len(profiles)), len(profiles), func(_, i int) {
+		out[i], errs[i] = prepare(profiles[i], o)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -1,7 +1,8 @@
-// Package fanout is the training path's one worker pool: it spreads a step's
-// independent items (columns, trees, row chunks) over the caller and a few
-// goroutines, and carries a worker's panic back to the caller, where the
-// training watchdog recovers it.
+// Package fanout is the program's one bounded worker pool: every parallel
+// section — a training round's columns, trees and row chunks, a bulk
+// append's runs, a restore's series, the paper harness's KPIs — spreads its
+// independent items over the caller and a few goroutines through Run, which
+// carries a worker's panic back to the caller.
 package fanout
 
 import (
@@ -25,6 +26,9 @@ func Workers(n int) int {
 //
 // A panicking fn stops the claiming; Run waits for every worker to return
 // and then re-panics with the first panic's value on the caller.
+//
+// A call with several workers allocates the pool's state and the method
+// value every goroutine starts from, whatever n and workers are.
 func Run(workers, n int, fn func(w, i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -33,32 +37,47 @@ func Run(workers, n int, fn func(w, i int)) {
 		}
 		return
 	}
-	var (
-		next     atomic.Int64
-		panicked atomic.Bool
-		first    any // written once, by the worker that set panicked
-		wg       sync.WaitGroup
-	)
-	work := func(w int) {
-		defer func() {
-			if r := recover(); r != nil {
-				next.Store(int64(n))
-				if panicked.CompareAndSwap(false, true) {
-					first = r
-				}
+	p := &pool{fn: fn, n: int64(n)}
+	p.wg.Add(workers - 1)
+	spawned := p.spawned
+	for range workers - 1 {
+		go spawned()
+	}
+	p.work(0)
+	p.wg.Wait()
+	if p.panicked.Load() {
+		panic(p.first)
+	}
+}
+
+// pool is one Run call's shared state.
+type pool struct {
+	fn       func(w, i int)
+	n        int64
+	next     atomic.Int64 // the next item to claim
+	ids      atomic.Int64 // the last worker id handed to a goroutine
+	panicked atomic.Bool
+	first    any // written once, by the worker that set panicked
+	wg       sync.WaitGroup
+}
+
+// spawned is a worker goroutine: it takes the next id after the caller's 0.
+func (p *pool) spawned() {
+	defer p.wg.Done()
+	p.work(int(p.ids.Add(1)))
+}
+
+// work claims and runs items until none is left or a worker has panicked.
+func (p *pool) work(w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.next.Store(p.n)
+			if p.panicked.CompareAndSwap(false, true) {
+				p.first = r
 			}
-		}()
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			fn(w, i)
 		}
-	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() { defer wg.Done(); work(w) }()
-	}
-	work(0)
-	wg.Wait()
-	if panicked.Load() {
-		panic(first)
+	}()
+	for i := p.next.Add(1) - 1; i < p.n; i = p.next.Add(1) - 1 {
+		p.fn(w, int(i))
 	}
 }

@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,4 +92,45 @@ func goroutineID() string {
 		}
 	}
 	return string(buf)
+}
+
+// TestRunAllocs: a Run over 4 workers allocates the same number of objects
+// at 16 items as at 1 024, and at most 3 counting the caller's capturing
+// closure — the pool state, the method value the goroutines start from and
+// the closure — so a caller's own allocation bound can count on Run's.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const workers, maxAllocs = 4, 3
+	sums := make([]int, workers)
+	allocs := map[int]uint64{}
+	for _, n := range []int{16, 1024} {
+		allocs[n] = fewestAllocs(func() {
+			Run(workers, n, func(w, i int) { sums[w] += i })
+		})
+	}
+	t.Logf("objects allocated per call: %d at 16 items, %d at 1024", allocs[16], allocs[1024])
+	if allocs[16] > maxAllocs || allocs[1024] != allocs[16] {
+		t.Fatalf("Run allocates %d objects over 16 items and %d over 1024, want the same and at most %d",
+			allocs[16], allocs[1024], maxAllocs)
+	}
+}
+
+// fewestAllocs returns the fewest heap allocations of one call of f: a
+// goroutine descriptor the scheduler could not reuse shows in some calls
+// only.
+func fewestAllocs(f func()) uint64 {
+	for range 16 {
+		f()
+	}
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 32 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

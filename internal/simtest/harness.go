@@ -258,7 +258,6 @@ func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, re
 		Models:         models,
 		Registry:       h.registryFn(),
 		RetrainWorkers: 2,
-		RestoreWorkers: 2,
 		ExtractCacheMB: 64,
 		// Resilience knobs sized for the simulation: a budget one oversized
 		// batch can trip, a short recovery hysteresis, and a failure limit

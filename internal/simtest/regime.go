@@ -110,7 +110,6 @@ func runRegime(scen regimeScenario, baseDir string) (regimeOutcome, error) {
 			Store:          store,
 			Models:         models,
 			RetrainWorkers: 1,
-			RestoreWorkers: 1,
 			DriftThreshold: scen.driftThreshold,
 			DriftWindow:    ppd,
 		}

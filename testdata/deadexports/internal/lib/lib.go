@@ -30,3 +30,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config { c.Defaulted = max(c.Defaulted, 1); return c }
+
+// start begins two goroutines: the goroutine gate's analysis test lists the
+// first, and the second is planted.
+func start(done chan int) {
+	go drain(done)
+	go func() { done <- 1 }()
+}
+
+func drain(done chan int) { <-done }

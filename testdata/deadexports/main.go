@@ -1,5 +1,5 @@
-// Command deadexports is the module TestDeadExportsAnalysis and
-// TestDeadKnobsAnalysis check.
+// Command deadexports is the module TestDeadExportsAnalysis,
+// TestDeadKnobsAnalysis and TestGoStatementsAnalysis check.
 package main
 
 import (
