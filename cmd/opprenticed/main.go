@@ -19,12 +19,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"reflect"
 	"strings"
 	"syscall"
 	"time"
@@ -35,66 +37,99 @@ import (
 	"opprentice/internal/tsdb"
 )
 
+// options are the daemon's command-line settings.
+type options struct {
+	addr, dataDir, modelDir, pprofAddr string
+	modelKeep                          int
+	walSegmentBytes                    int64
+	shutdownTimeout                    time.Duration
+	engine                             engine.Config
+}
+
+// parseFlags parses the command line into options. Every numeric flag reads
+// zero as its default and has no off mode, so parseFlags refuses a negative
+// value, naming the flag, rather than let an old "-1 = disabled" setting
+// silently become the default. Errors and usage go to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := o.flags(stderr)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var negative []string
+	fs.Visit(func(f *flag.Flag) {
+		v := reflect.ValueOf(f.Value.(flag.Getter).Get())
+		if v.CanInt() && v.Int() < 0 || v.CanFloat() && v.Float() < 0 {
+			negative = append(negative, "-"+f.Name)
+		}
+	})
+	if len(negative) > 0 {
+		err := fmt.Errorf("negative value for %s: 0 selects a flag's default, and no value turns a mechanism off",
+			strings.Join(negative, ", "))
+		fmt.Fprintln(stderr, err)
+		return o, err
+	}
+	return o, nil
+}
+
+// flags defines the daemon's flags over o's fields.
+func (o *options) flags(stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("opprenticed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.dataDir, "data-dir", "", "directory for durable series logs (empty = memory only)")
+	fs.StringVar(&o.modelDir, "model-dir", "", "directory for the versioned model registry (empty = no checkpointing; restarts retrain cold)")
+	fs.IntVar(&o.modelKeep, "model-keep", 0, "model generations to retain per series (0 = default 3)")
+	fs.IntVar(&o.engine.RetrainWorkers, "retrain-workers", 0, "background retrain workers (0 = default 2)")
+	fs.IntVar(&o.engine.ExtractCacheMB, "extract-cache-mb", 0, "incremental feature-extraction cache cap in MiB, shared by all series (0 = default 256)")
+	fs.IntVar(&o.engine.IngestInflight, "ingest-inflight", 0, "per-shard in-flight ingest budget in points; batches over it are shed with 429 (0 = default 65536)")
+	fs.DurationVar(&o.engine.WALDeadline, "wal-deadline", 0, "how long an append waits for its durable WAL write before the series degrades to threshold-only serving (0 = default 2s)")
+	fs.Int64Var(&o.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 64 MiB)")
+	fs.DurationVar(&o.engine.TrainDeadline, "train-deadline", 0, "training watchdog deadline per round; stalled rounds are abandoned and retried (0 = default 5m)")
+	fs.DurationVar(&o.engine.DegradedRecovery, "degraded-recovery", 0, "quiet period before a degraded series recovers full serving (0 = default 30s)")
+	fs.Float64Var(&o.engine.QueryBand, "query-band", 0, "uncertainty band around the live cThld within which verdicts become label-query candidates (0 = default 0.1)")
+	fs.IntVar(&o.engine.QueryDepth, "query-depth", 0, "label-query queue capacity in windows per series (0 = default 8)")
+	fs.Float64Var(&o.engine.DriftThreshold, "drift-threshold", 0, "PSI level at which a vote-distribution window counts toward drift; two consecutive arm an early retrain (0 = default 0.25)")
+	fs.IntVar(&o.engine.DriftWindow, "drift-window", 0, "drift histogram window in points (0 = default: one day of the series' points)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled); kept off the serving listener so profiling is never exposed by default")
+	fs.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful shutdown budget")
+	return fs
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		dataDir   = flag.String("data-dir", "", "directory for durable series logs (empty = memory only)")
-		modelDir  = flag.String("model-dir", "", "directory for the versioned model registry (empty = no checkpointing; restarts retrain cold)")
-		modelKeep = flag.Int("model-keep", 0, "model generations to retain per series (0 = default 3)")
-		shards    = flag.Int("shards", 0, "series registry shards (0 = default; rounded up to a power of two)")
-		workers   = flag.Int("retrain-workers", 0, "background retrain workers (0 = default)")
-		cacheMB   = flag.Int("extract-cache-mb", 0, "incremental feature-extraction cache cap in MiB, shared by all series (0 = default 256, negative = disabled)")
-		inflight  = flag.Int("ingest-inflight", 0, "per-shard in-flight ingest budget in points; batches over it are shed with 429 (0 = default 65536, negative = unlimited)")
-		walDL     = flag.Duration("wal-deadline", 0, "how long an append waits for its durable WAL write before the series degrades to threshold-only serving (0 = default 2s, negative = disabled)")
-		walSeg    = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 64 MiB)")
-		trainDL   = flag.Duration("train-deadline", 0, "training watchdog deadline per round; stalled rounds are abandoned and retried (0 = default 5m, negative = disabled)")
-		degradedR = flag.Duration("degraded-recovery", 0, "quiet period before a degraded series recovers full serving (0 = default 30s, negative = sticky until restart)")
-		queryBand = flag.Float64("query-band", 0, "uncertainty band around the live cThld within which verdicts become label-query candidates (0 = default 0.1, negative = queries disabled)")
-		queryDep  = flag.Int("query-depth", 0, "label-query queue capacity in windows per series (0 = default 8, negative = queries disabled)")
-		driftThld = flag.Float64("drift-threshold", 0, "PSI level at which a vote-distribution window counts toward drift; two consecutive arm an early retrain (0 = default 0.25, negative = drift detection disabled)")
-		driftWin  = flag.Int("drift-window", 0, "drift histogram window in points (0 = default: one day of the series' points)")
-		pprofAddr = flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled); kept off the serving listener so profiling is never exposed by default")
-		timeout   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	// The engine owns all series state and background training; the server is
 	// a thin HTTP/JSON adapter over it.
-	cfg := engine.Config{
-		Log:              logger,
-		Shards:           *shards,
-		RetrainWorkers:   *workers,
-		ExtractCacheMB:   *cacheMB,
-		IngestInflight:   *inflight,
-		WALDeadline:      *walDL,
-		TrainDeadline:    *trainDL,
-		DegradedRecovery: *degradedR,
-		QueryBand:        *queryBand,
-		QueryDepth:       *queryDep,
-		DriftThreshold:   *driftThld,
-		DriftWindow:      *driftWin,
-	}
-	if *modelDir != "" {
-		models, err := modelreg.Open(modelreg.Config{Dir: *modelDir, Keep: *modelKeep})
+	cfg := o.engine
+	cfg.Log = logger
+	if o.modelDir != "" {
+		models, err := modelreg.Open(modelreg.Config{Dir: o.modelDir, Keep: o.modelKeep})
 		if err != nil {
 			logger.Error("open model dir", "err", err)
 			os.Exit(1)
 		}
 		cfg.Models = models
 	}
-	if *dataDir != "" {
-		logs, err := unmigratedLogs(*dataDir)
+	if o.dataDir != "" {
+		logs, err := unmigratedLogs(o.dataDir)
 		if err == nil && len(logs) > 0 {
 			err = fmt.Errorf("JSON-lines logs this version does not read: %s; run `opprenticectl wal migrate -data-dir %s` first",
-				strings.Join(logs, ", "), *dataDir)
+				strings.Join(logs, ", "), o.dataDir)
 		}
 		if err != nil {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)
 		}
-		// A non-positive flag leaves the store's default.
-		store, err := tsdb.Open(*dataDir, tsdb.WithSegmentBytes(*walSeg))
+		// A zero flag leaves the store's default.
+		store, err := tsdb.Open(o.dataDir, tsdb.WithSegmentBytes(o.walSegmentBytes))
 		if err != nil {
 			logger.Error("open data dir", "err", err)
 			os.Exit(1)
@@ -112,19 +147,19 @@ func main() {
 			os.Exit(1)
 		}
 		c := eng.Counters()
-		logger.Info("restored series from data dir", "count", restored, "dir", *dataDir,
+		logger.Info("restored series from data dir", "count", restored, "dir", o.dataDir,
 			"warm", c.ModelRestoreWarm, "cold", c.ModelRestoreCold, "took", time.Since(start))
 	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	if *pprofAddr != "" {
-		psrv := &http.Server{Addr: *pprofAddr, Handler: pprofHandler(), ReadHeaderTimeout: 5 * time.Second}
+	if o.pprofAddr != "" {
+		psrv := &http.Server{Addr: o.pprofAddr, Handler: pprofHandler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
+			logger.Info("pprof listening", "addr", o.pprofAddr)
 			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof serve", "err", err)
 			}
@@ -133,7 +168,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("opprenticed listening", "addr", *addr)
+		logger.Info("opprenticed listening", "addr", o.addr)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -142,7 +177,7 @@ func main() {
 	select {
 	case sig := <-stop:
 		logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), o.shutdownTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			logger.Error("shutdown", "err", err)

@@ -90,13 +90,19 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
+// maxOptionFields and maxDaemonFlags are the ceilings of the settable tally:
+// the option fields of every option struct, and cmd/opprenticed's flags. A
+// change that removes a settable value lowers its ceiling to match.
+const maxOptionFields, maxDaemonFlags = 70, 17
+
 // TestNoDeadKnobs fails on every exported field of an exported struct type
 // under internal/ whose name ends in Config or Options that no non-test file
 // of this module or of bench/ references outside the declaring package, and
 // keptKnobs does not list. A value no program sets is a constant: the
-// declaring package's own uses, such as its default fills, do not count.
-// Under -v it logs the settable values: each option struct's field count and
-// cmd/opprenticed's flags.
+// declaring package's own uses, such as its default fills, do not count. It
+// fails too when the settable tally rises above maxOptionFields or
+// maxDaemonFlags. Under -v it logs that tally: each option struct's field
+// count and cmd/opprenticed's flags.
 func TestNoDeadKnobs(t *testing.T) {
 	if len(keptKnobs) > 5 {
 		t.Errorf("keptKnobs has %d entries; the limit is 5", len(keptKnobs))
@@ -109,8 +115,15 @@ func TestNoDeadKnobs(t *testing.T) {
 	for _, k := range stale {
 		t.Errorf("keptKnobs[%q] names nothing dead: remove the entry", k)
 	}
-	for _, line := range settable(prog, "opprentice/cmd/opprenticed") {
+	lines, fields, flags := settable(prog, "opprentice/cmd/opprenticed")
+	for _, line := range lines {
 		t.Log("settable: " + line)
+	}
+	if fields > maxOptionFields {
+		t.Errorf("%d option fields, over the ceiling of %d: make the new one a constant, or remove another", fields, maxOptionFields)
+	}
+	if flags > maxDaemonFlags {
+		t.Errorf("%d opprenticed flags, over the ceiling of %d: make the new one a constant, or remove another", flags, maxDaemonFlags)
 	}
 }
 
@@ -511,18 +524,18 @@ func goStatements(prog *program, kept map[string]string) (unlisted, stale []stri
 // settable tallies the program's settable values, one line each: every
 // option struct's exported field count, then the flags the daemon package
 // at importPath defines (its uses of package flag's functions that take a
-// usage string: the flag definers, and nothing else there).
-func settable(prog *program, importPath string) []string {
-	var lines []string
-	for key, fields := range optionFields(prog) {
-		lines = append(lines, fmt.Sprintf("%-28s %3d fields", key, len(fields)))
+// usage string: the flag definers, and nothing else there). It returns the
+// field and flag totals too.
+func settable(prog *program, importPath string) (lines []string, fields, flags int) {
+	for key, vars := range optionFields(prog) {
+		lines = append(lines, fmt.Sprintf("%-28s %3d fields", key, len(vars)))
+		fields += len(vars)
 	}
 	sort.Strings(lines)
 	for _, p := range prog.pkgs {
 		if p.ImportPath != importPath {
 			continue
 		}
-		flags := 0
 		for _, obj := range p.info.Uses {
 			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "flag" {
 				params := fn.Type().(*types.Signature).Params()
@@ -535,7 +548,7 @@ func settable(prog *program, importPath string) []string {
 		}
 		lines = append(lines, fmt.Sprintf("%-28s %3d flags", path.Base(importPath), flags))
 	}
-	return lines
+	return lines, fields, flags
 }
 
 // appendInterfaces appends the non-generic interfaces with methods that tp

@@ -24,19 +24,19 @@
 // series' single-writer mutex.
 package active
 
-// Config tunes a per-series State. Zero values pick defaults; negative
-// values disable the corresponding half (queries or drift) entirely.
+// Config tunes a per-series State. A value ≤ 0 picks the field's default;
+// both halves (queries and drift) always run.
 type Config struct {
 	// Band is the uncertainty half-width around the live cThld: a point
 	// whose vote fraction p satisfies |p−cThld| ≤ Band is a query
-	// candidate. Default 0.1; negative disables the query queue.
+	// candidate. Default 0.1.
 	Band float64
-	// Depth is the queue capacity in windows (top-K retained). Default 8;
-	// negative disables the query queue.
+	// Depth is the queue capacity in windows (top-K retained). Default 8.
 	Depth int
 	// DriftThreshold is the PSI value one comparison window must meet or
 	// exceed to count as a drift strike. Default 0.25 (the conventional
-	// "significant shift" PSI level); negative disables drift detection.
+	// "significant shift" PSI level); math.Inf(1) is a threshold no PSI
+	// reaches.
 	DriftThreshold float64
 	// DriftWindow is how many trained verdicts fill one histogram window:
 	// the first window after a (re)train becomes the reference, each
@@ -57,16 +57,16 @@ const (
 	MinDriftWindow = 48
 )
 
-// withDefaults resolves the zero-means-default, negative-means-disabled
-// convention the engine's Config uses throughout.
+// withDefaults resolves the ≤ 0-means-default rule the engine's Config uses
+// throughout.
 func (c Config) withDefaults() Config {
-	if c.Band == 0 {
+	if c.Band <= 0 {
 		c.Band = DefaultBand
 	}
-	if c.Depth == 0 {
+	if c.Depth <= 0 {
 		c.Depth = DefaultDepth
 	}
-	if c.DriftThreshold == 0 {
+	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = DefaultDriftThreshold
 	}
 	if c.DriftWindow <= 0 {
@@ -85,23 +85,12 @@ type State struct {
 	drift detector
 }
 
-// NewState builds a State for one series. It returns nil when cfg disables
-// both the query queue and the drift detector, so callers can keep a single
-// nil check on the hot path.
+// NewState builds a State for one series.
 func NewState(cfg Config) *State {
 	cfg = cfg.withDefaults()
-	queries := cfg.Band > 0 && cfg.Depth > 0
-	drifts := cfg.DriftThreshold > 0
-	if !queries && !drifts {
-		return nil
-	}
 	s := &State{}
-	if queries {
-		s.queue.init(cfg.Band, cfg.Depth)
-	}
-	if drifts {
-		s.drift.init(cfg.DriftThreshold, cfg.DriftWindow)
-	}
+	s.queue.init(cfg.Band, cfg.Depth)
+	s.drift.init(cfg.DriftThreshold, cfg.DriftWindow)
 	return s
 }
 

@@ -6,29 +6,12 @@ import (
 	"testing"
 )
 
-func queryState(t *testing.T, band float64, depth int) *State {
-	t.Helper()
-	s := NewState(Config{Band: band, Depth: depth, DriftThreshold: -1})
-	if s == nil {
-		t.Fatal("NewState returned nil with queries enabled")
-	}
-	return s
-}
-
-func TestNewStateDisabled(t *testing.T) {
-	if s := NewState(Config{Band: -1, DriftThreshold: -1}); s != nil {
-		t.Fatal("NewState with both halves disabled should return nil")
-	}
-	if s := NewState(Config{Band: -1, Depth: -1, DriftThreshold: 0.5}); s == nil {
-		t.Fatal("drift-only State should not be nil")
-	}
-	if s := NewState(Config{}); s == nil {
-		t.Fatal("all-defaults State should not be nil")
-	}
+func queryState(band float64, depth int) *State {
+	return NewState(Config{Band: band, Depth: depth})
 }
 
 func TestQueueBandFilter(t *testing.T) {
-	s := queryState(t, 0.1, 4)
+	s := queryState(0.1, 4)
 	s.Observe(0, 0.9, 0.5)  // far above: confident anomaly
 	s.Observe(10, 0.1, 0.5) // far below: confident normal
 	if s.Depth() != 0 {
@@ -48,7 +31,7 @@ func TestQueueBandFilter(t *testing.T) {
 }
 
 func TestQueueMergesAdjacent(t *testing.T) {
-	s := queryState(t, 0.1, 4)
+	s := queryState(0.1, 4)
 	s.Observe(5, 0.52, 0.5)
 	s.Observe(6, 0.50, 0.5) // adjacent, exactly at threshold
 	s.Observe(8, 0.46, 0.5) // within mergeGap of end 7
@@ -69,7 +52,7 @@ func TestQueueMergesAdjacent(t *testing.T) {
 }
 
 func TestQueueEvictsLowestScore(t *testing.T) {
-	s := queryState(t, 0.1, 2)
+	s := queryState(0.1, 2)
 	s.Observe(0, 0.59, 0.5)  // score 0.1: the weakest
 	s.Observe(10, 0.52, 0.5) // score 0.8
 	s.Observe(20, 0.51, 0.5) // score 0.9 → evicts the 0.1 window
@@ -89,7 +72,7 @@ func TestQueueEvictsLowestScore(t *testing.T) {
 }
 
 func TestQueueRemoveAndReset(t *testing.T) {
-	s := queryState(t, 0.1, 4)
+	s := queryState(0.1, 4)
 	s.Observe(0, 0.5, 0.5)
 	s.Observe(10, 0.5, 0.5)
 	if !s.Remove(0, 1) {
@@ -110,15 +93,10 @@ func TestQueueRemoveAndReset(t *testing.T) {
 	}
 }
 
-// driftState builds a drift-only detector with a tiny window so tests can
-// drive whole comparison windows cheaply.
-func driftState(t *testing.T, threshold float64, window int) *State {
-	t.Helper()
-	s := NewState(Config{Band: -1, Depth: -1, DriftThreshold: threshold, DriftWindow: window})
-	if s == nil {
-		t.Fatal("NewState returned nil with drift enabled")
-	}
-	return s
+// driftState builds a State with a tiny drift window so tests can drive
+// whole comparison windows cheaply.
+func driftState(threshold float64, window int) *State {
+	return NewState(Config{DriftThreshold: threshold, DriftWindow: window})
 }
 
 // feed streams n vote fractions drawn from rng via draw into the state.
@@ -129,7 +107,7 @@ func feed(s *State, n int, draw func() float64) {
 }
 
 func TestDriftStationaryNeverLatches(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow)
+	s := driftState(0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(7))
 	// Reference + 20 live windows from the same distribution.
 	feed(s, 21*MinDriftWindow, func() float64 { return 0.2 + 0.1*rng.Float64() })
@@ -142,7 +120,7 @@ func TestDriftStationaryNeverLatches(t *testing.T) {
 }
 
 func TestDriftShiftLatchesWithHysteresis(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow)
+	s := driftState(0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(7))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
@@ -164,7 +142,7 @@ func TestDriftShiftLatchesWithHysteresis(t *testing.T) {
 }
 
 func TestDriftStrikeResetOnCalmWindow(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow)
+	s := driftState(0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(9))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
@@ -178,7 +156,7 @@ func TestDriftStrikeResetOnCalmWindow(t *testing.T) {
 }
 
 func TestDriftResetStartsFreshReference(t *testing.T) {
-	s := driftState(t, 0.25, MinDriftWindow)
+	s := driftState(0.25, MinDriftWindow)
 	rng := rand.New(rand.NewSource(11))
 	low := func() float64 { return 0.2 + 0.1*rng.Float64() }
 	high := func() float64 { return 0.7 + 0.1*rng.Float64() }
@@ -220,7 +198,7 @@ func TestObserveZeroAllocs(t *testing.T) {
 
 func TestQueueDeterminism(t *testing.T) {
 	run := func() []Window {
-		s := NewState(Config{Band: 0.2, Depth: 4, DriftThreshold: -1})
+		s := NewState(Config{Band: 0.2, Depth: 4})
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 2000; i++ {
 			s.Observe(i, rng.Float64(), 0.5)

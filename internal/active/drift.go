@@ -44,9 +44,6 @@ func (d *detector) init(threshold float64, window int) {
 }
 
 func (d *detector) observe(prob float64) {
-	if d.threshold == 0 {
-		return
-	}
 	bin := int(prob * driftBins)
 	if bin < 0 {
 		bin = 0

@@ -28,9 +28,6 @@ func (q *queue) init(band float64, depth int) {
 // threshold falling linearly to 0 at the band edge, so eviction keeps the
 // windows whose points the forest was most torn about.
 func (q *queue) observe(index int, prob, cthld float64) {
-	if q.cap == 0 {
-		return
-	}
 	d := prob - cthld
 	if d < 0 {
 		d = -d
@@ -89,8 +86,4 @@ func (q *queue) remove(start, end int) bool {
 	return false
 }
 
-func (q *queue) reset() {
-	if q.win != nil {
-		q.win = q.win[:0]
-	}
-}
+func (q *queue) reset() { q.win = q.win[:0] }

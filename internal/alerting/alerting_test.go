@@ -124,3 +124,16 @@ func TestWebhookNotifierErrors(t *testing.T) {
 		t.Error("unreachable webhook should be an error")
 	}
 }
+
+// TestPipelineDefaultJitter: a zero config retries with the documented
+// jitter, like every other zero field takes its default; an out-of-range
+// value does too, and an in-range one is kept.
+func TestPipelineDefaultJitter(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{{0, 0.2}, {-1, 0.2}, {1.5, 0.2}, {0.5, 0.5}, {1, 1}} {
+		cfg := PipelineConfig{Jitter: c.in}
+		cfg.applyDefaults()
+		if cfg.Jitter != c.want {
+			t.Errorf("Jitter %v after applyDefaults = %v, want %v", c.in, cfg.Jitter, c.want)
+		}
+	}
+}

@@ -59,8 +59,9 @@ type PipelineConfig struct {
 	// attempt up to MaxDelay (default 30s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter is the random fraction added to each backoff delay, in [0, 1]
-	// (default 0.2), decorrelating retry storms across series.
+	// Jitter is the random fraction added to each backoff delay, in (0, 1]
+	// (default 0.2, also for a value outside that range), decorrelating
+	// retry storms across series.
 	Jitter float64
 	// AttemptTimeout bounds one Notify call (default 10s).
 	AttemptTimeout time.Duration
@@ -86,7 +87,7 @@ func (cfg *PipelineConfig) applyDefaults() {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 30 * time.Second
 	}
-	if cfg.Jitter < 0 || cfg.Jitter > 1 {
+	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
 		cfg.Jitter = 0.2
 	}
 	if cfg.AttemptTimeout <= 0 {

@@ -186,11 +186,9 @@ func (e *Engine) stage(ctx context.Context, m *managed, pts []Point, vbuf []Verd
 			// Class.Wire returns a constant string ("" for none), so the
 			// verdict stays allocation-free.
 			vbuf = append(vbuf, Verdict{Index: idx, Probability: v.Probability, Anomalous: v.Anomalous, Type: v.Class.Wire()})
-			if m.active != nil {
-				// Allocation-free by contract: uncertainty sampling and the
-				// drift histogram ride every trained verdict.
-				m.active.Observe(idx, v.Probability, v.CThld)
-			}
+			// Allocation-free by contract: uncertainty sampling and the drift
+			// histogram ride every trained verdict.
+			m.active.Observe(idx, v.Probability, v.CThld)
 			if v.Anomalous {
 				alarmsRaised++
 				m.alarms.push(Alarm{
@@ -249,7 +247,7 @@ func (e *Engine) settle(ctx context.Context, s *stagedRun) AppendResult {
 		switch {
 		case m.series.Len()-m.pointsAtTrain >= m.retrainEvery:
 			e.scheduleRetrain(m)
-		case m.active != nil && m.active.TakeDrift():
+		case m.active.TakeDrift():
 			if e.scheduleRetrain(m) {
 				e.met.DriftRetrains.Add(1)
 				e.log.Info("drift-triggered retrain scheduled",

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -141,7 +142,7 @@ func TestAppendBulkTimestampedBatchAppliesPrefix(t *testing.T) {
 // per shard first; an operator may lift it.)
 func TestAppendBulkRunsStayUnderWALBuffer(t *testing.T) {
 	store := &flakyStore{}
-	e := bulkEngine(t, Config{IngestInflight: -1, Store: store})
+	e := bulkEngine(t, Config{IngestInflight: math.MaxInt, Store: store})
 	if err := e.Create("a", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +299,17 @@ func TestAppendBulkOpposedGroupsNoDeadlock(t *testing.T) {
 	for _, name := range names[:2] {
 		trainTypedSeries(t, e, name, kpigen.PV(kpigen.Small), 9, 1, SeriesConfig{})
 	}
+	ctx := context.Background()
 	for _, name := range names[2:] {
 		if err := e.Create(name, SeriesConfig{IntervalSeconds: 3600, Start: testStart}); err != nil {
 			t.Fatal(err)
 		}
+		// The label worker labels [0, 1) from its first call on, so every
+		// series holds that point before the workers start.
+		if _, err := e.Append(ctx, name, []Point{{Value: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ctx := context.Background()
 	stream := func(order func(int) int) error {
 		var vbuf []Verdict
 		group := make([]SeriesBatch, 2*series)

@@ -12,7 +12,7 @@
 //
 // # Concurrency model
 //
-//   - The registry is split into N shards keyed by FNV-1a of the series
+//   - The registry is split into 16 shards keyed by FNV-1a of the series
 //     name; a shard's RWMutex only guards its map, so lookups from parallel
 //     clients touch disjoint locks.
 //   - Each series has one mutex and a single-writer discipline: every
@@ -121,13 +121,15 @@ func stalledf(format string, args ...any) error {
 	return &kindError{kind: ErrStalled, cause: fmt.Errorf(format, args...)}
 }
 
-// Config configures New. Zero values pick production defaults.
+// Config configures New. One rule holds for every numeric field: a value
+// ≤ 0 means its default. No value turns a mechanism off — admission, the
+// WAL deadline, the training watchdog, degraded-mode recovery, the
+// train-failure quarantine, the feature cache, label queries and drift
+// detection are always on; a test that wants one out of its way passes a
+// value it never reaches.
 type Config struct {
 	// Log receives operational events (default slog.Default).
 	Log *slog.Logger
-	// Shards is the series-registry shard count (default 16, rounded up to a
-	// power of two).
-	Shards int
 	// MaxAlarms bounds each series' in-memory alarm ring (default 1024).
 	MaxAlarms int
 	// Registry builds the detector set for (re)training; overridable for
@@ -146,8 +148,7 @@ type Config struct {
 	// cache, in MiB, shared by all series (default 256). A series' cache
 	// makes its weekly retrain extraction O(new points) instead of O(full
 	// history); when the shared cap is exceeded the overflowing cache is
-	// invalidated wholesale and that series retrains cold. Negative disables
-	// caching entirely.
+	// invalidated wholesale and that series retrains cold.
 	ExtractCacheMB int
 	// Models, when non-nil, is the model-artifact registry: trained models
 	// are published to it asynchronously and Restore prefers warm starts from
@@ -164,24 +165,22 @@ type Config struct {
 
 	// IngestInflight bounds the points concurrently inside Append per shard
 	// (default 65536). A batch that would exceed the budget is shed whole
-	// with an ErrOverloaded-wrapped error before any mutation. Negative
-	// disables admission control.
+	// with an ErrOverloaded-wrapped error before any mutation.
 	IngestInflight int
 	// WALDeadline bounds how long an Append or Label waits for its durable
 	// write (default 2s). A write that blows the budget flips the series
 	// into degraded mode: verdicts become threshold-only, WAL records are
 	// submitted without waiting for their commit, and the append reports
-	// Persisted=false. Negative disables the deadline (waits forever).
+	// Persisted=false.
 	WALDeadline time.Duration
 	// TrainDeadline bounds one training/publish round (default 5m). A round
 	// that blows it is abandoned by the watchdog with an ErrStalled-wrapped
 	// error; the live monitor is untouched and automatic retrains back off
-	// and retry. Negative disables the watchdog.
+	// and retry.
 	TrainDeadline time.Duration
 	// DegradedRecovery is the hysteresis window for leaving degraded mode
 	// (default 30s): a series recovers only after it has seen no slow or
-	// failed write for this long and has no write in flight. Negative makes
-	// degraded mode sticky until restart.
+	// failed write for this long and has no write in flight.
 	DegradedRecovery time.Duration
 	// TrainFailLimit quarantines a series' training after this many
 	// consecutive failed automatic rounds (default 5): the old model keeps
@@ -192,17 +191,25 @@ type Config struct {
 	// Active-learning knobs (see internal/active). QueryBand is the
 	// uncertainty band around the live cThld within which a trained verdict
 	// becomes a label-query candidate (default 0.1); QueryDepth is the
-	// per-series queue capacity in windows (default 8). Negative values
-	// disable the query queue.
+	// per-series queue capacity in windows (default 8).
 	QueryBand  float64
 	QueryDepth int
 	// DriftThreshold is the PSI level at which a vote-fraction distribution
 	// window counts toward drift (default 0.25; two consecutive windows at
-	// or above it arm an early retrain). Negative disables drift detection.
+	// or above it arm an early retrain). math.Inf(1) is a threshold no PSI
+	// reaches.
 	DriftThreshold float64
 	// DriftWindow is the histogram window in points (default: one day of
 	// the series' points, floored at active.MinDriftWindow).
 	DriftWindow int
+}
+
+// orDefault is Config's one rule: v, or def when v ≤ 0.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // Hooks are optional lifecycle callbacks for observers that need completion
@@ -225,8 +232,7 @@ type Hooks struct {
 // operations over them. Create it with New; Close it to stop the retrain
 // workers and drain the notification pipelines.
 type Engine struct {
-	shards    []shard
-	shardMask uint32
+	shards [numShards]shard
 
 	log       *slog.Logger
 	store     Store
@@ -240,18 +246,16 @@ type Engine struct {
 	// disabled.
 	models *modelreg.Registry
 
-	// cacheBudget is the shared accounting for all series' feature caches;
-	// nil when caching is disabled.
+	// cacheBudget is the shared accounting for all series' feature caches.
 	cacheBudget *core.CacheBudget
 
 	// activeCfg templates each series' active-learning state; the per-series
 	// DriftWindow default (one day of points) is resolved at attach time.
 	activeCfg active.Config
 
-	// Resilience knobs; zero means disabled after New's resolution. The two
-	// deadlines are atomic nanosecond values so tests can retune them at
-	// runtime (Set* methods).
-	ingestInflight   int64 // per-shard admission budget in points; 0 = unlimited
+	// Resilience knobs, resolved by New. The two deadlines are atomic
+	// nanosecond values so tests can retune them at runtime (Set* methods).
+	ingestInflight   int64 // per-shard admission budget in points
 	walDeadline      atomic.Int64
 	trainDeadline    atomic.Int64
 	degradedRecovery time.Duration
@@ -265,6 +269,9 @@ type Engine struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
+
+// numShards is the series-registry shard count.
+const numShards = 16
 
 // retrainQueue bounds the pending automatic-retrain queue and the pending
 // publish queue. When the retrain queue is full a trigger is dropped and
@@ -324,14 +331,14 @@ type managed struct {
 	publishArmed atomic.Bool
 
 	// active is the series' label-query queue and drift detector (guarded
-	// by mu; nil when both are disabled). Its Observe call rides the
-	// trained append path and must stay allocation-free.
+	// by mu). Its Observe call rides the trained append path and must stay
+	// allocation-free.
 	active *active.State
 
 	// featCache checkpoints extraction state across training rounds so
-	// retrains extract only newly appended points (nil when caching is
-	// disabled). Only touched inside training rounds, serialized by trainMu;
-	// the cache carries its own mutex besides.
+	// retrains extract only newly appended points. Only touched inside
+	// training rounds, serialized by trainMu; the cache carries its own mutex
+	// besides.
 	featCache *core.FeatureCache
 
 	// Durable-write accounting: records submitted to the store and not yet
@@ -369,53 +376,11 @@ func New(cfg Config) *Engine {
 	if cfg.Log == nil {
 		cfg.Log = slog.Default()
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	if cfg.MaxAlarms <= 0 {
-		cfg.MaxAlarms = 1024
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = detectors.Registry
 	}
 	if cfg.Notify.Log == nil {
 		cfg.Notify.Log = cfg.Log
-	}
-	if cfg.RetrainWorkers <= 0 {
-		cfg.RetrainWorkers = 2
-	}
-	if cfg.ExtractCacheMB == 0 {
-		cfg.ExtractCacheMB = 256
-	}
-	var budget *core.CacheBudget
-	if cfg.ExtractCacheMB > 0 {
-		budget = core.NewCacheBudget(int64(cfg.ExtractCacheMB) << 20)
-	}
-	// Resilience knobs: zero picks the default, negative disables.
-	resolve := func(v, def time.Duration) time.Duration {
-		if v == 0 {
-			return def
-		}
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	if cfg.IngestInflight == 0 {
-		cfg.IngestInflight = 1 << 16
-	}
-	if cfg.IngestInflight < 0 {
-		cfg.IngestInflight = 0
-	}
-	if cfg.TrainFailLimit == 0 {
-		cfg.TrainFailLimit = 5
-	}
-	if cfg.TrainFailLimit < 0 {
-		cfg.TrainFailLimit = 0
 	}
 	if cfg.Notifier == nil {
 		cfg.Notifier = func(_, webhookURL string) alerting.Notifier {
@@ -423,22 +388,21 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e := &Engine{
-		shards:         make([]shard, n),
-		shardMask:      uint32(n - 1),
-		log:            cfg.Log,
-		store:          cfg.Store,
-		maxAlarms:      cfg.MaxAlarms,
-		registry:       cfg.Registry,
-		notifyCfg:      cfg.Notify,
-		notifier:       cfg.Notifier,
-		hooks:          cfg.Hooks,
-		models:         cfg.Models,
-		cacheBudget:    budget,
-		ingestInflight: int64(cfg.IngestInflight),
-		trainFailLimit: cfg.TrainFailLimit,
-		trainQ:         make(chan *managed, retrainQueue),
-		pubQ:           make(chan *managed, retrainQueue),
-		stop:           make(chan struct{}),
+		log:              cfg.Log,
+		store:            cfg.Store,
+		maxAlarms:        orDefault(cfg.MaxAlarms, 1024),
+		registry:         cfg.Registry,
+		notifyCfg:        cfg.Notify,
+		notifier:         cfg.Notifier,
+		hooks:            cfg.Hooks,
+		models:           cfg.Models,
+		cacheBudget:      core.NewCacheBudget(int64(orDefault(cfg.ExtractCacheMB, 256)) << 20),
+		ingestInflight:   int64(orDefault(cfg.IngestInflight, 1<<16)),
+		degradedRecovery: orDefault(cfg.DegradedRecovery, 30*time.Second),
+		trainFailLimit:   orDefault(cfg.TrainFailLimit, 5),
+		trainQ:           make(chan *managed, retrainQueue),
+		pubQ:             make(chan *managed, retrainQueue),
+		stop:             make(chan struct{}),
 	}
 	e.activeCfg = active.Config{
 		Band:           cfg.QueryBand,
@@ -446,14 +410,14 @@ func New(cfg Config) *Engine {
 		DriftThreshold: cfg.DriftThreshold,
 		DriftWindow:    cfg.DriftWindow,
 	}
-	e.walDeadline.Store(int64(resolve(cfg.WALDeadline, 2*time.Second)))
-	e.trainDeadline.Store(int64(resolve(cfg.TrainDeadline, 5*time.Minute)))
-	e.degradedRecovery = resolve(cfg.DegradedRecovery, 30*time.Second)
+	e.SetWALDeadline(cfg.WALDeadline)
+	e.SetTrainDeadline(cfg.TrainDeadline)
 	for i := range e.shards {
 		e.shards[i].series = make(map[string]*managed)
 	}
-	e.wg.Add(cfg.RetrainWorkers)
-	for i := 0; i < cfg.RetrainWorkers; i++ {
+	workers := orDefault(cfg.RetrainWorkers, 2)
+	e.wg.Add(workers)
+	for i := 0; i < workers; i++ {
 		go e.retrainWorker()
 	}
 	e.wg.Add(1)
@@ -465,7 +429,7 @@ func New(cfg Config) *Engine {
 func (e *Engine) shardFor(name string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return &e.shards[h.Sum32()&e.shardMask]
+	return &e.shards[h.Sum32()%numShards]
 }
 
 // lookup returns the managed series or a not-found error.
@@ -587,11 +551,9 @@ func (e *Engine) newManaged(meta tsdb.Meta) *managed {
 		retrainEvery: meta.RetrainEvery,
 		alarms:       alarmRing{max: e.maxAlarms},
 	}
-	if e.cacheBudget != nil {
-		m.featCache = core.NewFeatureCache(e.cacheBudget)
-	}
+	m.featCache = core.NewFeatureCache(e.cacheBudget)
 	acfg := e.activeCfg
-	if acfg.DriftWindow == 0 {
+	if acfg.DriftWindow <= 0 {
 		if ppd, err := m.series.PointsPerDay(); err == nil {
 			acfg.DriftWindow = ppd
 		}

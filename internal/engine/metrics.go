@@ -71,9 +71,8 @@ type metricSet[T any] struct {
 	QuarantinedSeries T `metric:"opprenticed_series_quarantined" kind:"gauge" help:"Series whose training is currently quarantined."`
 
 	// Incremental feature-extraction cache, read off the shared budget at
-	// snapshot time (all zero when the cache is disabled). Cold ÷ incremental
-	// (point × configuration) computations is the retrain amortization
-	// actually achieved.
+	// snapshot time. Cold ÷ incremental (point × configuration) computations
+	// is the retrain amortization actually achieved.
 	ExtractPointsCold        T `metric:"opprenticed_extract_points_total" label:"mode=cold" help:"Point-by-configuration severity computations during training extraction, by mode."`
 	ExtractPointsIncremental T `label:"mode=incremental"`
 	ExtractCacheBytes        T `metric:"opprenticed_extract_cache_bytes" kind:"gauge" help:"Current feature-extraction cache footprint across all series."`
@@ -102,8 +101,7 @@ type SeriesMetrics struct {
 	CThld             float64 `metric:"opprenticed_series_cthld" kind:"gauge" help:"Current classification threshold per trained series." decimals:"4" when:"Trained"`
 	DegradedDetectors int     `metric:"opprenticed_series_degraded_detectors" kind:"gauge" help:"Detector configurations currently sandboxed (dead) per trained series." when:"Trained"`
 	// PendingQueries is the label-query queue depth; DriftScore the PSI of
-	// the last completed drift comparison window (both zero when the
-	// active-learning subsystem is disabled).
+	// the last completed drift comparison window.
 	PendingQueries int     `metric:"opprenticed_query_queue_depth" kind:"gauge" help:"Pending label queries per series."`
 	DriftScore     float64 `metric:"opprenticed_drift_score" kind:"gauge" help:"PSI of the last completed drift comparison window per series." decimals:"4"`
 
@@ -218,14 +216,12 @@ func (e *Engine) snapshot() (Counters, []SeriesMetrics) {
 	if e.models != nil {
 		c.ModelChecksumFailures = e.models.Stats().ChecksumFailures
 	}
-	if e.cacheBudget != nil {
-		cs := e.cacheBudget.Stats()
-		c.ExtractPointsCold = cs.ColdPoints
-		c.ExtractPointsIncremental = cs.IncrementalPoints
-		c.ExtractCacheBytes = cs.Bytes
-		c.ExtractCacheCapBytes = cs.CapBytes
-		c.ExtractCacheInvalidated = cs.Invalidations
-	}
+	cs := e.cacheBudget.Stats()
+	c.ExtractPointsCold = cs.ColdPoints
+	c.ExtractPointsIncremental = cs.IncrementalPoints
+	c.ExtractCacheBytes = cs.Bytes
+	c.ExtractCacheCapBytes = cs.CapBytes
+	c.ExtractCacheInvalidated = cs.Invalidations
 	ms := e.all()
 	series := make([]SeriesMetrics, len(ms))
 	for i, m := range ms {
@@ -256,14 +252,12 @@ func (m *managed) gauges() SeriesMetrics {
 		Trained:        m.monitor != nil,
 		Degraded:       m.degraded,
 		Quarantined:    m.quarantined.Load(),
+		PendingQueries: m.active.Depth(),
+		DriftScore:     m.active.DriftScore(),
 	}
 	if sm.Trained {
 		sm.CThld = m.monitor.CThld()
 		sm.DegradedDetectors = m.monitor.DegradedDetectors()
-	}
-	if m.active != nil {
-		sm.PendingQueries = m.active.Depth()
-		sm.DriftScore = m.active.DriftScore()
 	}
 	if m.pipeline != nil {
 		sm.Notify = m.pipeline.Stats()

@@ -24,8 +24,7 @@ type Query struct {
 
 // Queries returns the pending label queries, most uncertain first (ties by
 // series then start). With name == "" it spans every managed series;
-// otherwise only the named one (ErrNotFound if it does not exist). A series
-// with the query queue disabled simply contributes nothing.
+// otherwise only the named one (ErrNotFound if it does not exist).
 func (e *Engine) Queries(ctx context.Context, name string) ([]Query, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -40,9 +39,6 @@ func (e *Engine) Queries(ctx context.Context, name string) ([]Query, error) {
 	}
 	out := []Query{}
 	for _, m := range ms {
-		if m.active == nil {
-			continue
-		}
 		m.mu.Lock()
 		for _, w := range m.active.Windows(nil) {
 			out = append(out, Query{
@@ -86,7 +82,7 @@ func (e *Engine) AnswerQuery(ctx context.Context, name string, start, end int, a
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.active == nil || !m.active.Remove(start, end) {
+	if !m.active.Remove(start, end) {
 		return LabelResult{}, rejectedf("no pending query [%d, %d) for series %q", start, end, name)
 	}
 	// Query answers carry no anomaly type: the window's stale class clears.

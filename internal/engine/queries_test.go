@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func trainableSeriesCfg(t *testing.T, weeks int, cfg Config) (*Engine, []float64
 // makes every trained verdict a query candidate, so streaming points after
 // training deterministically fills the queue.
 func TestQueriesSurfaceAndAnswer(t *testing.T) {
-	e, rest, boot := trainableSeriesCfg(t, 9, Config{QueryBand: 1, QueryDepth: 4, DriftThreshold: -1})
+	e, rest, boot := trainableSeriesCfg(t, 9, Config{QueryBand: 1, QueryDepth: 4, DriftThreshold: math.Inf(1)})
 	pts := make([]Point, 24)
 	for i := range pts {
 		pts[i] = Point{Value: rest[i]}
@@ -130,26 +131,6 @@ func TestQueriesSurfaceAndAnswer(t *testing.T) {
 	// The per-series gauges reflect the queue.
 	if got := exported(e)[`opprenticed_query_queue_depth{series="pv"}`]; got != float64(len(qs)) {
 		t.Fatalf("query queue depth gauge = %v, want %d", got, len(qs))
-	}
-}
-
-// TestQueriesDisabled pins the negative-config convention: with both halves
-// disabled the hot path carries no active state and query ops degrade
-// gracefully.
-func TestQueriesDisabled(t *testing.T) {
-	e, rest, _ := trainableSeriesCfg(t, 9, Config{QueryBand: -1, QueryDepth: -1, DriftThreshold: -1})
-	if _, err := e.Append(context.Background(), "pv", []Point{{Value: rest[0]}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	qs, err := e.Queries(context.Background(), "pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 0 {
-		t.Fatalf("disabled queue surfaced %d queries", len(qs))
-	}
-	if _, err := e.AnswerQuery(context.Background(), "pv", 0, 1, true); !errors.Is(err, ErrRejected) {
-		t.Fatalf("answer with disabled queue: got %v, want ErrRejected", err)
 	}
 }
 

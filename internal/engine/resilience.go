@@ -18,24 +18,29 @@ import (
 // give the engine a defined answer to "what happens when it can't keep up"
 // instead of an unbounded stall.
 
-// SetWALDeadline retunes the durable-write budget at runtime (0 disables).
-func (e *Engine) SetWALDeadline(d time.Duration) { e.walDeadline.Store(int64(d)) }
+// SetWALDeadline retunes the durable-write budget at runtime (≤ 0 restores
+// the default, 2s).
+func (e *Engine) SetWALDeadline(d time.Duration) {
+	e.walDeadline.Store(int64(orDefault(d, 2*time.Second)))
+}
 
-// SetTrainDeadline retunes the training/publish watchdog at runtime
-// (0 disables).
-func (e *Engine) SetTrainDeadline(d time.Duration) { e.trainDeadline.Store(int64(d)) }
+// SetTrainDeadline retunes the training/publish watchdog at runtime (≤ 0
+// restores the default, 5m).
+func (e *Engine) SetTrainDeadline(d time.Duration) {
+	e.trainDeadline.Store(int64(orDefault(d, 5*time.Minute)))
+}
 
 // supervise is the watchdog every training and publish round runs under: fn
 // runs on its own goroutine, where a panic is recovered and counted instead
-// of crashing the engine — with or without a deadline — and returned as an
-// error. The wait ends at the earlier of the training deadline and ctx's; a
-// run that outlives it, or whose ctx is cancelled, is abandoned with an
-// ErrStalled-wrapped error (the goroutine finishes in the background; its
-// buffered channel means it never leaks). Any other error is fn's own.
+// of crashing the engine, and returned as an error. The wait ends at the
+// earlier of the training deadline and ctx's; a run that outlives it, or
+// whose ctx is cancelled, is abandoned with an ErrStalled-wrapped error
+// (the goroutine finishes in the background; its buffered channel means it
+// never leaks). Any other error is fn's own.
 func (e *Engine) supervise(ctx context.Context, op, series string, fn func() error) error {
 	deadline := time.Duration(e.trainDeadline.Load())
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); deadline <= 0 || rem < deadline {
+		if rem := time.Until(dl); rem < deadline {
 			deadline = rem
 		}
 	}
@@ -49,16 +54,12 @@ func (e *Engine) supervise(ctx context.Context, op, series string, fn func() err
 		}()
 		done <- fn()
 	}()
-	var timer <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timer = t.C
-	}
+	timer := time.NewTimer(deadline)
+	defer timer.Stop()
 	select {
 	case err := <-done:
 		return err
-	case <-timer:
+	case <-timer.C:
 	case <-ctx.Done():
 	}
 	e.met.TrainStalls.Add(1)
@@ -68,24 +69,17 @@ func (e *Engine) supervise(ctx context.Context, op, series string, fn func() err
 // admitToken is a reservation against one shard's in-flight budget. It is a
 // value (not a closure) so the per-append admission handshake stays off the
 // heap; release must be called exactly once when the append leaves the
-// engine. The zero token releases nothing.
+// engine.
 type admitToken struct {
 	sh *shard
 	n  int64
 }
 
-func (t admitToken) release() {
-	if t.sh != nil {
-		t.sh.inflight.Add(-t.n)
-	}
-}
+func (t admitToken) release() { t.sh.inflight.Add(-t.n) }
 
 // admit reserves n points of the shard's in-flight budget, or sheds the
 // batch with an ErrOverloaded-wrapped error.
 func (e *Engine) admit(sh *shard, n int) (admitToken, error) {
-	if e.ingestInflight <= 0 {
-		return admitToken{}, nil
-	}
 	if cur := sh.inflight.Add(int64(n)); cur > e.ingestInflight {
 		sh.inflight.Add(int64(-n))
 		e.met.IngestSheds.Add(1)
@@ -127,12 +121,8 @@ func (e *Engine) maybeRecover(m *managed) {
 	if !m.degraded {
 		return
 	}
-	rec := e.degradedRecovery
-	if rec <= 0 {
-		return // sticky until restart
-	}
 	last := time.Unix(0, m.lastViolation.Load())
-	if time.Since(last) < rec {
+	if time.Since(last) < e.degradedRecovery {
 		return
 	}
 	if m.walWrites.Load() != 0 {
@@ -295,7 +285,7 @@ func (e *Engine) submitWAL(ctx context.Context, m *managed, rec tsdb.Record, don
 		if err != nil {
 			e.met.WALAppendErrors.Add(1)
 			e.log.Error("wal write failed", "series", m.name, "err", err)
-		} else if d := time.Duration(e.walDeadline.Load()); d > 0 && time.Since(submitted) > d {
+		} else if time.Since(submitted) > time.Duration(e.walDeadline.Load()) {
 			// A write that committed but blew its budget counts as a
 			// violation, not as an error.
 			m.lastViolation.Store(time.Now().UnixNano())
@@ -383,12 +373,9 @@ func (e *Engine) settleWAL(ctx context.Context, m *managed, p walPending) bool {
 	return false
 }
 
-// walContext bounds ctx by the WAL deadline, when one is set.
+// walContext bounds ctx by the WAL deadline.
 func (e *Engine) walContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if d := time.Duration(e.walDeadline.Load()); d > 0 {
-		return context.WithTimeout(ctx, d)
-	}
-	return ctx, func() {}
+	return context.WithTimeout(ctx, time.Duration(e.walDeadline.Load()))
 }
 
 // createSeries writes a new series' meta record and waits for it up to the

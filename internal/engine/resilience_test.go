@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -405,62 +406,56 @@ func noEscape(t *testing.T, f func()) {
 }
 
 // TestFaultTrainPanicRecovered: a panic inside the fit is recovered by the
-// watchdog whether or not a training deadline is set. Train rejects the
-// round and counts the panic, the old monitor keeps serving verdicts, and an
-// automatic round that hits the same panic leaves the engine running.
+// watchdog. Train rejects the round and counts the panic, the old monitor
+// keeps serving verdicts, and an automatic round that hits the same panic
+// leaves the engine running.
 func TestFaultTrainPanicRecovered(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		deadline time.Duration
-	}{{"default deadline", 0}, {"watchdog off", -1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var armed atomic.Bool
-			e, rest, _ := trainableSeriesCfg(t, 9, Config{
-				TrainDeadline: tc.deadline,
-				Registry: func(iv time.Duration) ([]detectors.Detector, error) {
-					ds, err := detectors.Registry(iv)
-					if err == nil && armed.Load() {
-						ds = append(ds, panickingName{ds[0]})
-					}
-					return ds, err
-				},
-			})
-			m, err := e.lookup("pv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.mu.Lock()
-			live := m.monitor
-			m.mu.Unlock()
-			armed.Store(true)
-
-			noEscape(t, func() { _, err = e.Train(context.Background(), "pv") })
-			if !errors.Is(err, ErrRejected) {
-				t.Fatalf("Train with a panicking fit: %v, want ErrRejected", err)
-			}
-			if got := e.Counters().WorkerPanics; got != 1 {
-				t.Fatalf("WorkerPanics = %d, want 1", got)
-			}
-			res, err := e.Append(context.Background(), "pv", []Point{{Value: rest[0]}}, nil)
-			if err != nil || len(res.Verdicts) != 1 || res.Verdicts[0].Degraded {
-				t.Fatalf("append after the panicked round: %+v, %v; want one trained verdict", res, err)
-			}
-
-			noEscape(t, func() { e.autoRetrain(m) })
-			if got := e.Counters().WorkerPanics; got != 2 {
-				t.Fatalf("WorkerPanics after the automatic round = %d, want 2", got)
-			}
-			if got := m.trainFails.Load(); got != 1 {
-				t.Fatalf("consecutive failures = %d, want 1", got)
-			}
-			m.mu.Lock()
-			same := m.monitor == live
-			m.mu.Unlock()
-			if !same {
-				t.Fatal("a panicked round swapped the monitor")
-			}
+	t.Run("default deadline", func(t *testing.T) {
+		var armed atomic.Bool
+		e, rest, _ := trainableSeriesCfg(t, 9, Config{
+			Registry: func(iv time.Duration) ([]detectors.Detector, error) {
+				ds, err := detectors.Registry(iv)
+				if err == nil && armed.Load() {
+					ds = append(ds, panickingName{ds[0]})
+				}
+				return ds, err
+			},
 		})
-	}
+		m, err := e.lookup("pv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		live := m.monitor
+		m.mu.Unlock()
+		armed.Store(true)
+
+		noEscape(t, func() { _, err = e.Train(context.Background(), "pv") })
+		if !errors.Is(err, ErrRejected) {
+			t.Fatalf("Train with a panicking fit: %v, want ErrRejected", err)
+		}
+		if got := e.Counters().WorkerPanics; got != 1 {
+			t.Fatalf("WorkerPanics = %d, want 1", got)
+		}
+		res, err := e.Append(context.Background(), "pv", []Point{{Value: rest[0]}}, nil)
+		if err != nil || len(res.Verdicts) != 1 || res.Verdicts[0].Degraded {
+			t.Fatalf("append after the panicked round: %+v, %v; want one trained verdict", res, err)
+		}
+
+		noEscape(t, func() { e.autoRetrain(m) })
+		if got := e.Counters().WorkerPanics; got != 2 {
+			t.Fatalf("WorkerPanics after the automatic round = %d, want 2", got)
+		}
+		if got := m.trainFails.Load(); got != 1 {
+			t.Fatalf("consecutive failures = %d, want 1", got)
+		}
+		m.mu.Lock()
+		same := m.monitor == live
+		m.mu.Unlock()
+		if !same {
+			t.Fatal("a panicked round swapped the monitor")
+		}
+	})
 }
 
 // clonePanicker is a checkpointable detector whose Clone panics while armed.
@@ -658,7 +653,7 @@ func TestFaultBulkStallDegradesOnlyStalled(t *testing.T) {
 			Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
 			Store:          store,
 			WALDeadline:    20 * time.Millisecond,
-			IngestInflight: -1,
+			IngestInflight: math.MaxInt,
 		})
 		t.Cleanup(e.Close)
 		for _, name := range names {
@@ -762,7 +757,7 @@ func TestAppendOverWALBufferRejected(t *testing.T) {
 	e := New(Config{
 		Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
 		Store:          &stallStore{},
-		IngestInflight: -1,
+		IngestInflight: math.MaxInt,
 	})
 	t.Cleanup(e.Close)
 	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 60, Start: testStart}); err != nil {

@@ -95,7 +95,7 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	cache := m.featCache // stable: we hold m.trainMu
 	var handoff atomic.Int32
 	meet := func() {
-		if handoff.Add(1) == 2 && cache != nil {
+		if handoff.Add(1) == 2 {
 			cache.Invalidate()
 		}
 	}
@@ -119,9 +119,7 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 		return err
 	})
 	if errors.Is(err, ErrStalled) {
-		if cache != nil {
-			m.featCache = core.NewFeatureCache(e.cacheBudget) // the next round extracts cold
-		}
+		m.featCache = core.NewFeatureCache(e.cacheBudget) // the next round extracts cold
 		meet()
 		return TrainResult{}, err
 	}
@@ -173,25 +171,19 @@ func (m *managed) install(mon *core.Monitor, from int) {
 	m.vbatch = mon.StepBatch(m.series.Values[from:], m.vbatch[:0])
 	m.monitor = mon
 	m.pending = m.pending[:0]
-	if m.active != nil {
-		m.active.Reset()
-	}
+	m.active.Reset()
 }
 
 // VerifyFeatureCache cross-checks the named series' incremental
 // feature-extraction cache against a from-scratch cold extraction (see
 // core.FeatureCache.VerifyAgainstCold): the caches must be bit-identical or
 // the incremental retrain path is producing different training data than a
-// cold one would. It returns nil when caching is disabled or the cache is
-// empty. It holds the series' trainMu for the (expensive) cold extraction, so
+// cold one would. It returns nil when the cache is empty. It holds the series' trainMu for the (expensive) cold extraction, so
 // it competes with training rounds but never with ingest.
 func (e *Engine) VerifyFeatureCache(name string) error {
 	m, err := e.lookup(name)
 	if err != nil {
 		return err
-	}
-	if m.featCache == nil {
-		return nil
 	}
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
@@ -272,7 +264,7 @@ func (e *Engine) autoRetrain(m *managed) {
 		fails := int(m.trainFails.Add(1))
 		e.log.Warn("auto-retrain failed", "series", m.name,
 			"attempt", attempt, "consecutive_failures", fails, "err", err)
-		if e.trainFailLimit > 0 && fails >= e.trainFailLimit {
+		if fails >= e.trainFailLimit {
 			if m.quarantined.CompareAndSwap(false, true) {
 				e.met.SeriesQuarantined.Add(1)
 				e.log.Error("series training quarantined after repeated failures",

@@ -9,8 +9,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"io"
-	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -114,52 +112,6 @@ func TestRetrainUsesCacheUnderConcurrentIngest(t *testing.T) {
 	grew := post.ExtractPointsIncremental - mid.ExtractPointsIncremental
 	if grew <= 0 || grew%int64(len(pts)) != 0 {
 		t.Fatalf("quiescent retrain extracted %d incremental points, want a positive multiple of %d", grew, len(pts))
-	}
-}
-
-// TestEngineCacheDisabled: a negative ExtractCacheMB turns the cache off —
-// trainings run cold and export no cache accounting.
-func TestEngineCacheDisabled(t *testing.T) {
-	e := New(Config{
-		Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
-		ExtractCacheMB: -1,
-	})
-	t.Cleanup(e.Close)
-
-	p := kpigen.PV(kpigen.Small)
-	p.Interval = time.Hour
-	p.Weeks = 9
-	d := kpigen.Generate(p, 91)
-	if err := e.Create("pv", SeriesConfig{IntervalSeconds: 3600, Start: testStart, Trees: 10}); err != nil {
-		t.Fatal(err)
-	}
-	boot := 8 * 168
-	pts := make([]Point, boot)
-	for i := range pts {
-		pts[i] = Point{Value: d.Series.Values[i]}
-	}
-	if _, err := e.Append(context.Background(), "pv", pts, nil); err != nil {
-		t.Fatal(err)
-	}
-	var windows []Window
-	for _, w := range d.Labels.Windows() {
-		if w.End <= boot {
-			windows = append(windows, Window{Start: w.Start, End: w.End, Anomalous: true})
-		}
-	}
-	if _, err := e.Label(context.Background(), "pv", windows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Train(context.Background(), "pv"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Train(context.Background(), "pv"); err != nil {
-		t.Fatal(err)
-	}
-	c := e.Counters()
-	if c.ExtractPointsCold != 0 || c.ExtractPointsIncremental != 0 || c.ExtractCacheBytes != 0 {
-		t.Fatalf("disabled cache still accounts cold=%d incremental=%d bytes=%d",
-			c.ExtractPointsCold, c.ExtractPointsIncremental, c.ExtractCacheBytes)
 	}
 }
 

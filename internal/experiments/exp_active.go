@@ -196,7 +196,7 @@ func runActiveLoop(k *kpiData, o Options, model labelsim.TimeModel, depth int) (
 		} else {
 			// Active labeling: replay the engine's uncertainty queue over the
 			// week's verdicts and answer what it surfaces.
-			st := active.NewState(active.Config{Band: active.DefaultBand, Depth: depth, DriftThreshold: -1})
+			st := active.NewState(active.Config{Band: active.DefaultBand, Depth: depth})
 			for i, s := range scores {
 				st.Observe(testLo+i, s, cthld)
 			}

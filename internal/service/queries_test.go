@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,7 +24,7 @@ func TestQueryEndpoints(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := NewServerWithEngine(engine.New(engine.Config{
 		Log:       log,
-		QueryBand: 1, QueryDepth: 4, DriftThreshold: -1,
+		QueryBand: 1, QueryDepth: 4, DriftThreshold: math.Inf(1),
 	}), log)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

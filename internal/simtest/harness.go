@@ -147,10 +147,11 @@ type Harness struct {
 	// invariant checking. Harness self-tests use it to emulate an engine bug
 	// (losing a verdict) and assert the oracle catches it.
 	MutateDropVerdict func(series string, step int, res *engine.AppendResult)
-	// DisableWatchdog turns the training watchdog off through its runtime
-	// hook before the gated round runs. The mutation self-test uses it to
-	// prove the stall invariant bites: with no watchdog the gated round
-	// never completes and the harness must report a watchdog violation.
+	// DisableWatchdog leaves the training watchdog at its production
+	// deadline, which outlives every stall wait, instead of tightening it
+	// before the gated round runs. The mutation self-test uses it to prove
+	// the stall invariant bites: to the harness the gated round never
+	// completes, and it must report a watchdog violation.
 	DisableWatchdog bool
 	// MutatePartialPublish, when set, is invoked right after every awaited
 	// publication with the series' artifact directory. The mutation self-test
@@ -252,7 +253,6 @@ func (h *Harness) registryFn() func(time.Duration) ([]detectors.Detector, error)
 func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, rec *recorder, hooks engine.Hooks) engine.Config {
 	cfg := engine.Config{
 		Log:            h.log,
-		Shards:         4,
 		MaxAlarms:      1 << 14,
 		Store:          store,
 		Models:         models,
@@ -265,12 +265,13 @@ func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, re
 		IngestInflight:   simInflight,
 		DegradedRecovery: recoveryWindow,
 		TrainFailLimit:   2,
-		// Drift detection is off in the classic matrix: its mirror predicts
-		// retrains from the fixed watermark tick alone, and the fault
-		// schedule (degraded replays, crashes) shifts vote distributions
-		// enough to arm spurious early rounds. The regime-change scenarios
-		// (regime.go) enable it and assert on exactly those early rounds.
-		DriftThreshold: -1,
+		// Drift never arms a retrain in the classic matrix (no PSI reaches
+		// +Inf): its mirror predicts retrains from the fixed watermark tick
+		// alone, and the fault schedule (degraded replays, crashes) shifts
+		// vote distributions enough to arm spurious early rounds. The
+		// regime-change scenarios (regime.go) pin a finite threshold and
+		// assert on exactly those early rounds.
+		DriftThreshold: math.Inf(1),
 		Notify: alerting.PipelineConfig{
 			QueueSize:        1024,
 			MaxAttempts:      10,

@@ -16,11 +16,11 @@ import (
 	"opprentice/internal/tsdb"
 )
 
-// The regime harness drives a single-series engine with the active-learning
-// subsystem ENABLED through a regime change — a level shift in the KPI right
-// after the drift detector's reference window fills — and checks the
-// drift-specific invariants the classic matrix (which runs with drift off,
-// see engineConfig) cannot:
+// The regime harness drives a single-series engine with a finite drift
+// threshold through a regime change — a level shift in the KPI right after
+// the drift detector's reference window fills — and checks the
+// drift-specific invariants the classic matrix (whose drift threshold no PSI
+// reaches, see engineConfig) cannot:
 //
 //   - under a regime change, a drift-armed retrain fires BEFORE the weekly
 //     watermark tick would (the drive stays under one week of points);
@@ -64,7 +64,7 @@ type regimeOutcome struct {
 type regimeScenario struct {
 	seed           int64
 	shift          bool    // apply the level shift after the reference window fills
-	driftThreshold float64 // 0 = regimeDriftThreshold; negative = disabled (mutation self-test)
+	driftThreshold float64 // 0 = regimeDriftThreshold; +Inf = never drifts (mutation self-test)
 }
 
 // runRegime executes one regime scenario inside baseDir and returns the

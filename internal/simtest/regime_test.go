@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -80,8 +81,8 @@ func TestSimRegimeStationary(t *testing.T) {
 }
 
 // TestSimRegimeMutationDriftDisabled is the self-test for the shift
-// assertion: the same level shift with the drift detector disabled must NOT
-// produce the early retrain. If this test ever fails, TestSimRegimeShift is
+// assertion: the same level shift under a drift threshold no PSI reaches
+// (+Inf) must NOT produce the early retrain. If this test ever fails, TestSimRegimeShift is
 // passing for a reason other than the drift detector and can no longer be
 // trusted.
 func TestSimRegimeMutationDriftDisabled(t *testing.T) {
@@ -89,7 +90,7 @@ func TestSimRegimeMutationDriftDisabled(t *testing.T) {
 		t.Skip("regime simulation is not -short friendly")
 	}
 	seed := regimeSeeds[0]
-	out, err := runRegime(regimeScenario{seed: seed, shift: true, driftThreshold: -1}, t.TempDir())
+	out, err := runRegime(regimeScenario{seed: seed, shift: true, driftThreshold: math.Inf(1)}, t.TempDir())
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

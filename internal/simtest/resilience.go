@@ -115,7 +115,9 @@ func (h *Harness) stepHungTrainer(st *seriesState) error {
 	name := st.spec.Name
 	h.tracef("step %d: hung_trainer %s (watchdog enabled=%v)", h.step, name, !h.DisableWatchdog)
 	if h.DisableWatchdog {
-		h.eng.SetTrainDeadline(0) // zero disables the watchdog entirely
+		// The production deadline outlives stallAwait: to the harness the
+		// watchdog never fires.
+		h.eng.SetTrainDeadline(prodTrainDeadline)
 	} else {
 		h.eng.SetTrainDeadline(stallTrainDeadline)
 	}

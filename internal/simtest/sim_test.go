@@ -171,9 +171,9 @@ func TestSimCatchesPartialPublish(t *testing.T) {
 }
 
 // TestSimCatchesWatchdogOutage is the stall invariant's self-test: with the
-// training watchdog disabled through its runtime hook (a zero deadline), the
-// gated round never completes and the harness must report a watchdog
-// violation instead of hanging or passing.
+// training watchdog left at its production deadline (longer than any stall
+// wait), the gated round never completes in time and the harness must report
+// a watchdog violation instead of hanging or passing.
 func TestSimCatchesWatchdogOutage(t *testing.T) {
 	scen := GenScenario(1, false)
 	h, err := NewHarness(scen, t.TempDir(), false)
