@@ -2,10 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,7 +25,8 @@ var updateTrainingGolden = flag.Bool("update", false, "rewrite testdata/training
 const trainingGolden = "testdata/training.golden"
 
 // TestTrainingRoundGolden pins what a first training round produces — the
-// verdict forest and the type head (SHA-256 of their Save bytes) and the
+// verdict forest and the type head (SHA-256 of their Save bytes, and of the
+// flat node arrays their inference walks) and the
 // threshold the monitor starts from (Float64bits: the cross-validated cThld
 // under EWMA, the POT threshold fitted on the held-out scores under EVT) — on
 // nine hourly weeks of kpigen PV, SR and SRT under both predictors, at
@@ -71,11 +74,42 @@ func trainingRoundLines(t *testing.T) []string {
 			at := fmt.Sprintf("%s/%v", p.Name, kind)
 			got = append(got,
 				fmt.Sprintf("%s forest %x", at, sha256.Sum256(forestBytes(t, mon.model))),
+				fmt.Sprintf("%s forest_flat %x", at, sha256.Sum256(flatBytes(reflect.ValueOf(mon.model)))),
 				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(forestBytes(t, mon.typeModel))),
+				fmt.Sprintf("%s type_head_flat %x", at, sha256.Sum256(flatBytes(reflect.ValueOf(mon.typeModel).Elem().FieldByName("heads")))),
 				fmt.Sprintf("%s %s %#016x", at, threshold, math.Float64bits(mon.cthld)))
 		}
 	}
 	return got
+}
+
+// flatBytes renders the flat inference arrays of a *forest.Forest, or of a
+// slice of them in order, in the artifact codec's byte order: the roots, each
+// a little-endian uint32, then the 16-byte nodes, each its threshold or leaf
+// value (float64 bits), its left child (int32), its split feature (uint16)
+// and two zero bytes, all little-endian.
+func flatBytes(v reflect.Value) []byte {
+	if v.Kind() == reflect.Slice {
+		var out []byte
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, flatBytes(v.Index(i))...)
+		}
+		return out
+	}
+	f := v.Elem()
+	roots, flat := f.FieldByName("roots"), f.FieldByName("flat")
+	var out []byte
+	for i := 0; i < roots.Len(); i++ {
+		out = binary.LittleEndian.AppendUint32(out, uint32(roots.Index(i).Int()))
+	}
+	for i := 0; i < flat.Len(); i++ {
+		nd := flat.Index(i)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(nd.FieldByName("val").Float()))
+		out = binary.LittleEndian.AppendUint32(out, uint32(nd.FieldByName("left").Int()))
+		out = binary.LittleEndian.AppendUint16(out, uint16(nd.FieldByName("feature").Uint()))
+		out = append(out, 0, 0)
+	}
+	return out
 }
 
 // checkTrainingGolden compares got line by line against the golden file,
