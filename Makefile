@@ -111,7 +111,8 @@ bench:
 # round-robin, fails if a frame allocates) and of the forest step and the
 # forest fit at the repo benchmark's shape (133 kpigen severities, 1 512 rows,
 # 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train
-# and one six-fit round off a shared presort) and of the bulk append at the
+# and one six-fit round off a shared presort, the load decodes a 20- and a
+# 60-tree forest record) and of the bulk append at the
 # stream_trained shapes on a tsdb store (stream: 16 trained series, flush
 # groups of 64 frames of 64 points round-robin; backfill: 32 untrained series,
 # groups of 64 frames of 256 points; ns/pt): nothing else runs them, so this
@@ -124,7 +125,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench DetectorStep -benchtime 1x ./internal/detectors
 	$(GO) test -run '^$$' -bench 'MonitorStepBatch$$' -benchtime 1x ./internal/core
-	$(GO) test -run '^$$' -bench 'ForestProbRows$$|ForestTrain$$' -benchtime 1x ./internal/ml/forest
+	$(GO) test -run '^$$' -bench 'ForestProbRows$$|ForestTrain$$|ForestLoad$$' -benchtime 1x ./internal/ml/forest
 	$(GO) test -run '^$$' -bench 'AppendBulk$$' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'RetrainColdVsIncremental$$' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'RestoreWarmVsCold$$' -benchtime 2x ./internal/engine
@@ -167,6 +168,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzHandlePoints -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -fuzz=FuzzIngestStream -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME) ./internal/tsdb/
+	$(GO) test -fuzz=FuzzForestDecode -fuzztime=$(FUZZTIME) ./internal/ml/forest/
+	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=$(FUZZTIME) ./internal/core/
 
 # Static analysis beyond vet. Both tools are optional: the targets no-op with
 # a notice when the binary is not installed, so `make all` works in minimal

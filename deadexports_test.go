@@ -191,7 +191,6 @@ func checkReported(t *testing.T, dead, stale []string, want ...string) {
 // every interface the package declares.
 var exemptInterfaces = map[string][]string{
 	"encoding":      {"BinaryMarshaler", "BinaryUnmarshaler"},
-	"encoding/gob":  {"GobEncoder", "GobDecoder"},
 	"encoding/json": {"Marshaler", "Unmarshaler"},
 	"fmt":           {"Stringer"},
 	"io":            {"*"},

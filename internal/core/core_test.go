@@ -25,7 +25,7 @@ func testKPI(t *testing.T, weeks int, seed int64) (*timeseries.Series, timeserie
 }
 
 // smallRegistry returns a cheap subset of configurations for pipeline tests.
-func smallRegistry(t *testing.T) []detectors.Detector {
+func smallRegistry(t testing.TB) []detectors.Detector {
 	t.Helper()
 	return []detectors.Detector{
 		detectors.NewSimpleThreshold(),

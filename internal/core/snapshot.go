@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 
 	"opprentice/internal/detectors"
 	"opprentice/internal/ml/forest"
@@ -30,30 +30,53 @@ var (
 	ErrSnapshotFingerprint = errors.New("snapshot fingerprint mismatch")
 )
 
-// snapshotDTO is the gob wire form of a monitor's model state. Detector
-// streaming state is deliberately not serialized: detectors re-warm by
-// replaying recent history, which is simpler and correct by construction.
-// Snapshots written with fields since removed (MinDuration, forest knobs)
-// still load: gob skips a field the target type lacks.
-type snapshotDTO struct {
-	Version     int
-	Fingerprint uint64
-	Forest      []byte
-	ForestCfg   forest.Config
-	CThld       float64
-	EWMAAlpha   float64
-	Preference  stats.Preference
-	// PredKind and EVTQ (added with the EVT predictor) ride without a
-	// version bump: gob decodes a legacy snapshot with both zero, which is
-	// exactly PredictEWMA, and a legacy binary ignores the new fields. The
-	// EVT fit state itself is never serialized — a restored EVT monitor
-	// starts from the saved CThld and re-establishes its tail at the next
-	// retrain, which keeps twin restores bit-identical.
-	PredKind uint8
-	EVTQ     float64
+// The model artifact codec. Both artifacts a training round publishes, the
+// verdict model and the anomaly-type head, are fixed-width little-endian
+// records (inside the registry's CRC32-C frame):
+//
+//	verdict: "OPVM" version:u32 fingerprint:u64 cthld:f64 predictor:u8
+//	         ewma_alpha:f64 evt_q:f64 recall:f64 precision:f64
+//	         trees:i64 seed:i64 forest
+//	type:    "OPTM" version:u32 fingerprint:u64 multi-class record
+//
+// where forest and the multi-class record are the forest package's records:
+// the flat node arrays inference walks, nothing else. Detector streaming
+// state is deliberately not stored: detectors re-warm by replaying recent
+// history, which is simpler and correct by construction. Neither is the EVT
+// fit state: a restored EVT monitor starts from the saved cThld and
+// re-establishes its tail at the next retrain, which keeps twin restores
+// bit-identical.
+const (
+	verdictMagic = "OPVM"
+	typeMagic    = "OPTM"
+	// artifactVersion is the codec version both artifacts carry. Version 3
+	// is the first fixed-width one: versions 1 and 2 were gob streams, which
+	// fail the magic check and so read as version skew.
+	artifactVersion = 3
+	// artifactPrefix is the magic, the version and the fingerprint.
+	artifactPrefix = 16
+	// verdictHeader is the verdict artifact's bytes before its forest.
+	verdictHeader = artifactPrefix + 8 + 1 + 8*6
+)
+
+// appendPrefix appends an artifact's magic, codec version and fingerprint.
+func appendPrefix(b []byte, magic string, fingerprint uint64) []byte {
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, artifactVersion)
+	return binary.LittleEndian.AppendUint64(b, fingerprint)
 }
 
-const snapshotVersion = 2
+// readPrefix checks an artifact's magic and codec version and returns its
+// fingerprint; a mismatch wraps ErrSnapshotVersion.
+func readPrefix(b []byte, magic string) (uint64, error) {
+	if len(b) < artifactPrefix || string(b[:4]) != magic {
+		return 0, fmt.Errorf("core: not a %s artifact of this codec (%w)", magic, ErrSnapshotVersion)
+	}
+	if v := binary.LittleEndian.Uint32(b[4:]); v != artifactVersion {
+		return 0, fmt.Errorf("core: artifact version %d, want %d (%w)", v, artifactVersion, ErrSnapshotVersion)
+	}
+	return binary.LittleEndian.Uint64(b[8:]), nil
+}
 
 // FingerprintNames hashes an ordered detector-configuration name list plus
 // the forest size and accuracy preference into a deployment fingerprint
@@ -91,26 +114,24 @@ func (m *Monitor) Fingerprint() uint64 {
 // preference, forest configuration) to w, stamped with the deployment
 // fingerprint. Pair it with LoadMonitor on restart.
 func (m *Monitor) SaveModel(w io.Writer) error {
-	var fbuf bytes.Buffer
-	if err := m.model.Save(&fbuf); err != nil {
-		return err
-	}
-	dto := snapshotDTO{
-		Version:     snapshotVersion,
-		Fingerprint: m.Fingerprint(),
-		Forest:      fbuf.Bytes(),
-		ForestCfg:   m.fcfg,
-		CThld:       m.cthld,
-		Preference:  m.pref,
-		PredKind:    uint8(m.pred.Kind()),
-	}
+	var alpha, q float64
 	switch p := m.pred.(type) {
 	case *CThldPredictor:
-		dto.EWMAAlpha = p.ewma.Alpha
+		alpha = p.ewma.Alpha
 	case *EVTPredictor:
-		dto.EVTQ = p.Q()
+		q = p.Q()
 	}
-	return gob.NewEncoder(w).Encode(dto)
+	le := binary.LittleEndian
+	b := appendPrefix(nil, verdictMagic, m.Fingerprint())
+	b = le.AppendUint64(b, math.Float64bits(m.cthld))
+	b = append(b, uint8(m.pred.Kind()))
+	for _, v := range []float64{alpha, q, m.pref.Recall, m.pref.Precision} {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	b = le.AppendUint64(b, uint64(m.fcfg.Trees))
+	b = le.AppendUint64(b, uint64(m.fcfg.Seed))
+	_, err := w.Write(m.model.Append(b))
+	return err
 }
 
 // LoadConfig tells LoadMonitor what deployment the snapshot is being loaded
@@ -138,26 +159,42 @@ type LoadConfig struct {
 // wrapping ErrSnapshotVersion. Both are detected before any model state is
 // used.
 func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detector, cfg LoadConfig) (*Monitor, error) {
-	var dto snapshotDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot: %v (%w)", err, ErrSnapshotVersion)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read snapshot: %v (%w)", err, ErrSnapshotVersion)
 	}
-	if dto.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, want %d (%w)", dto.Version, snapshotVersion, ErrSnapshotVersion)
+	fingerprint, err := readPrefix(b, verdictMagic)
+	if err != nil {
+		return nil, err
 	}
-	if want := ModelFingerprint(dets, cfg.Trees, cfg.Preference); dto.Fingerprint != want {
+	if len(b) < verdictHeader {
+		return nil, fmt.Errorf("core: snapshot truncated at %d bytes (%w)", len(b), ErrSnapshotVersion)
+	}
+	if want := ModelFingerprint(dets, cfg.Trees, cfg.Preference); fingerprint != want {
 		return nil, fmt.Errorf("core: snapshot fingerprint %016x, deployment is %016x: trained under a different detector registry, tree count, or preference (%w)",
-			dto.Fingerprint, want, ErrSnapshotFingerprint)
+			fingerprint, want, ErrSnapshotFingerprint)
 	}
-	model, err := forest.Load(bytes.NewReader(dto.Forest))
+	le := binary.LittleEndian
+	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
+	cthld, kind := f64(artifactPrefix), PredictorKind(b[artifactPrefix+8])
+	alpha, q := f64(artifactPrefix+9), f64(artifactPrefix+17)
+	pref := stats.Preference{Recall: f64(artifactPrefix + 25), Precision: f64(artifactPrefix + 33)}
+	fcfg := forest.Config{Trees: int(int64(le.Uint64(b[artifactPrefix+41:]))), Seed: int64(le.Uint64(b[artifactPrefix+49:]))}
+	if kind > PredictEVT {
+		return nil, fmt.Errorf("core: snapshot names predictor %d (%w)", kind, ErrSnapshotVersion)
+	}
+	model, rest, err := forest.Load(b[verdictHeader:], len(dets))
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("forest: %d bytes after the record", len(rest))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %v (%w)", err, ErrSnapshotVersion)
 	}
 	m := &Monitor{
 		dets:    dets,
 		model:   model,
-		fcfg:    dto.ForestCfg,
-		pref:    dto.Preference,
+		fcfg:    fcfg,
+		pref:    pref,
 		points:  recent.Len(),
 		dead:    make([]bool, len(dets)),
 		onPanic: cfg.OnDetectorPanic,
@@ -172,42 +209,25 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 			m.kill(j, r)
 		}
 	}
-	pred := newPredictor(PredictorKind(dto.PredKind), dto.EWMAAlpha, dto.EVTQ, dto.Preference)
-	pred.Seed(dto.CThld)
+	pred := newPredictor(kind, alpha, q, pref)
+	pred.Seed(cthld)
 	m.pred = pred
 	m.dynamic = pred.Kind() != PredictEWMA
-	m.cthld = dto.CThld
+	m.cthld = cthld
 	return m, nil
 }
 
-// typeDTO is the gob wire form of the anomaly-type head: its own artifact
-// kind in the multi-model manifest, serialized and fingerprint-checked
-// separately from the verdict snapshot so a corrupt type artifact can be
-// quarantined without touching the verdict path.
-type typeDTO struct {
-	Version     int
-	Fingerprint uint64
-	Model       []byte
-}
-
-const typeSnapshotVersion = 1
-
-// SaveTypeModel writes the trained anomaly-type head to w, stamped with the
-// same deployment fingerprint as the verdict snapshot. It errors when no
-// type head is trained; callers gate on HasTypeModel.
+// SaveTypeModel writes the trained anomaly-type head to w: its own artifact
+// kind in the multi-model manifest, stamped with the same deployment
+// fingerprint as the verdict artifact and checked separately, so a damaged
+// type artifact can be quarantined without touching the verdict path. It
+// errors when no type head is trained; callers gate on HasTypeModel.
 func (m *Monitor) SaveTypeModel(w io.Writer) error {
 	if m.typeModel == nil {
 		return errors.New("core: no anomaly-type head trained")
 	}
-	var buf bytes.Buffer
-	if err := m.typeModel.Save(&buf); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(typeDTO{
-		Version:     typeSnapshotVersion,
-		Fingerprint: m.Fingerprint(),
-		Model:       buf.Bytes(),
-	})
+	_, err := w.Write(m.typeModel.Append(appendPrefix(nil, typeMagic, m.Fingerprint())))
+	return err
 }
 
 // RestoreTypeModel attaches a SaveTypeModel artifact to a restored monitor.
@@ -215,17 +235,21 @@ func (m *Monitor) SaveTypeModel(w io.Writer) error {
 // LoadMonitor, leaving the monitor's existing type head (usually nil)
 // untouched — the verdict path never degrades on the type head's account.
 func (m *Monitor) RestoreTypeModel(r io.Reader) error {
-	var dto typeDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return fmt.Errorf("core: decode type snapshot: %v (%w)", err, ErrSnapshotVersion)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: read type snapshot: %v (%w)", err, ErrSnapshotVersion)
 	}
-	if dto.Version != typeSnapshotVersion {
-		return fmt.Errorf("core: type snapshot version %d, want %d (%w)", dto.Version, typeSnapshotVersion, ErrSnapshotVersion)
+	fingerprint, err := readPrefix(b, typeMagic)
+	if err != nil {
+		return err
 	}
-	if want := m.Fingerprint(); dto.Fingerprint != want {
-		return fmt.Errorf("core: type snapshot fingerprint %016x, deployment is %016x (%w)", dto.Fingerprint, want, ErrSnapshotFingerprint)
+	if want := m.Fingerprint(); fingerprint != want {
+		return fmt.Errorf("core: type snapshot fingerprint %016x, deployment is %016x (%w)", fingerprint, want, ErrSnapshotFingerprint)
 	}
-	tm, err := forest.LoadMulti(bytes.NewReader(dto.Model))
+	tm, rest, err := forest.LoadMulti(b[artifactPrefix:], len(m.dets))
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("forest: %d bytes after the record", len(rest))
+	}
 	if err != nil {
 		return fmt.Errorf("core: %v (%w)", err, ErrSnapshotVersion)
 	}

@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestLoadMonitorRejectsGarbage(t *testing.T) {
 
 // trainedSnapshot builds a small trained monitor and returns its serialized
 // snapshot plus the generating data.
-func trainedSnapshot(t *testing.T, trees int) ([]byte, *kpigen.Dataset) {
+func trainedSnapshot(t testing.TB, trees int) ([]byte, *kpigen.Dataset) {
 	t.Helper()
 	p := kpigen.PV(kpigen.Small)
 	p.Interval = time.Hour
@@ -89,24 +90,14 @@ func trainedSnapshot(t *testing.T, trees int) ([]byte, *kpigen.Dataset) {
 	return snap.Bytes(), d
 }
 
-// TestLoadMonitorVersionSkew is the satellite regression test for the
-// version half of the latent snapshot bug: a snapshot from a different
-// SaveModel format version must fail with the typed ErrSnapshotVersion, not
-// load into a silently wrong monitor.
+// TestLoadMonitorVersionSkew: a snapshot from a different codec version
+// must fail with the typed ErrSnapshotVersion, not load into a silently wrong
+// monitor, and not read as a fingerprint mismatch.
 func TestLoadMonitorVersionSkew(t *testing.T) {
 	snap, d := trainedSnapshot(t, 12)
-
-	// Re-encode the DTO with a bumped version, as a future format would.
-	var dto snapshotDTO
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	dto.Version = snapshotVersion + 1
-	var skewed bytes.Buffer
-	if err := gob.NewEncoder(&skewed).Encode(dto); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadMonitor(&skewed, d.Series, smallRegistry(t), LoadConfig{Trees: 12})
+	skewed := bytes.Clone(snap)
+	binary.LittleEndian.PutUint32(skewed[4:], artifactVersion+1)
+	_, err := LoadMonitor(bytes.NewReader(skewed), d.Series, smallRegistry(t), LoadConfig{Trees: 12})
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("version-skewed snapshot: err = %v, want ErrSnapshotVersion", err)
 	}
@@ -115,61 +106,20 @@ func TestLoadMonitorVersionSkew(t *testing.T) {
 	}
 }
 
-// TestLoadMonitorAcceptsRemovedForestKnobs: forest.Config lost MaxBins,
-// Workers, MajorityVote, FeaturesPerSplit, MinLeaf and MaxDepth, which
-// snapshotDTO gob-embeds, and snapshotDTO lost the duration filter's
-// MinDuration. gob omits zero fields and skips fields the receiver lacks, so
-// a snapshot written before — knobs unset, or set by a caller that no longer
-// exists — must load to the same model and configuration.
-func TestLoadMonitorAcceptsRemovedForestKnobs(t *testing.T) {
-	snap, d := trainedSnapshot(t, 12)
-	var dto snapshotDTO
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	// The former wire shape, with the removed knobs present and set.
-	type formerForestConfig struct {
-		Trees                               int
-		MajorityVote                        bool
-		FeaturesPerSplit, MinLeaf, MaxDepth int
-		MaxBins                             int
-		Seed                                int64
-		Workers                             int
-	}
-	former := struct {
-		Version     int
-		Fingerprint uint64
-		Forest      []byte
-		ForestCfg   formerForestConfig
-		CThld       float64
-		EWMAAlpha   float64
-		Preference  stats.Preference
-		MinDuration int
-		PredKind    uint8
-		EVTQ        float64
-	}{
-		dto.Version, dto.Fingerprint, dto.Forest,
-		formerForestConfig{Trees: dto.ForestCfg.Trees, Seed: dto.ForestCfg.Seed,
-			FeaturesPerSplit: 4, MinLeaf: 2, MaxDepth: 9, MaxBins: 256, Workers: 4},
-		dto.CThld, dto.EWMAAlpha, dto.Preference, 3, dto.PredKind, dto.EVTQ,
-	}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(former); err != nil {
-		t.Fatal(err)
-	}
-	mon, err := LoadMonitor(&old, d.Series, smallRegistry(t), LoadConfig{Trees: 12})
+// TestLoadMonitorRefusesParentFormat pins the upgrade path on real bytes:
+// testdata/verdict-v2.snapshot is a gob snapshot (version 2) that SaveModel
+// wrote before the fixed-width codec, for smallRegistry, 3 trees, over the
+// data trainedSnapshot uses. It must fail with ErrSnapshotVersion, which the
+// engine's restore ladder quarantines and answers with one cold retrain.
+func TestLoadMonitorRefusesParentFormat(t *testing.T) {
+	old, err := os.ReadFile("testdata/verdict-v2.snapshot")
 	if err != nil {
-		t.Fatalf("snapshot with the removed knobs: %v", err)
-	}
-	if mon.fcfg != dto.ForestCfg || mon.CThld() != dto.CThld {
-		t.Errorf("loaded forest config %+v cThld %v, want %+v %v", mon.fcfg, mon.CThld(), dto.ForestCfg, dto.CThld)
-	}
-	var resaved bytes.Buffer
-	if err := mon.SaveModel(&resaved); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved.Bytes(), snap) {
-		t.Error("a snapshot loaded from the former shape does not save back to today's bytes")
+	_, d := trainedSnapshot(t, 3)
+	_, err = LoadMonitor(bytes.NewReader(old), d.Series, smallRegistry(t), LoadConfig{Trees: 3})
+	if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotFingerprint) {
+		t.Fatalf("a version-2 snapshot: err = %v, want ErrSnapshotVersion alone", err)
 	}
 }
 
@@ -222,17 +172,13 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 		cols[1][i] = float64(i % 7)
 	}
 	f := forest.Train(cols, labels, forest.Config{Trees: 9, Seed: 3})
-	var buf, again bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
+	saved := f.Append(nil)
+	g, rest, err := forest.Load(saved, len(cols))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("load: %v (%d bytes left)", err, len(rest))
 	}
-	saved := bytes.Clone(buf.Bytes())
-	g, err := forest.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Save(&again); err != nil || !bytes.Equal(again.Bytes(), saved) {
-		t.Fatalf("the loaded forest saves different bytes (err %v)", err)
+	if !bytes.Equal(g.Append(nil), saved) {
+		t.Fatal("the loaded forest saves different bytes")
 	}
 	a, b := f.ProbAll(cols), g.ProbAll(cols)
 	for i := range a {
@@ -243,7 +189,35 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestForestLoadRejectsGarbage(t *testing.T) {
-	if _, err := forest.Load(bytes.NewReader([]byte{1, 2, 3})); err == nil {
+	if _, _, err := forest.Load([]byte{1, 2, 3}, 1); err == nil {
 		t.Error("want error")
 	}
+}
+
+// FuzzLoadMonitor feeds LoadMonitor arbitrary bytes, as a registry artifact's
+// checksum can sit over anything: it must never panic, must fail only with
+// ErrSnapshotVersion or ErrSnapshotFingerprint, and a monitor it accepts must
+// classify points.
+func FuzzLoadMonitor(f *testing.F) {
+	snap, d := trainedSnapshot(f, 1) // one tree keeps minimizing cheap
+	old, err := os.ReadFile("testdata/verdict-v2.snapshot")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add(snap[:verdictHeader+20])
+	f.Add(old)
+	recent := d.Series.Slice(d.Series.Len()-168, d.Series.Len())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := LoadMonitor(bytes.NewReader(b), recent, smallRegistry(t), LoadConfig{Trees: 1})
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrSnapshotFingerprint) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		for _, v := range []float64{0, 1e9, -1e9} {
+			m.Step(v)
+		}
+	})
 }

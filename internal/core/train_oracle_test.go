@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -83,14 +82,9 @@ func refHeldOutScores(model *forest.Forest, cols [][]float64, labels []bool, fcf
 	return out
 }
 
-// forestBytes saves a forest or a multi-class head.
-func forestBytes(t *testing.T, f interface{ Save(io.Writer) error }) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// forestBytes encodes a forest or a multi-class head.
+func forestBytes(f interface{ Append([]byte) []byte }) []byte {
+	return f.Append(nil)
 }
 
 // TestTrainingRoundMatchesReference trains a full monitor — hourly registry,
@@ -134,7 +128,7 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 				}
 				cols := feats.ImputedFull()
 				model := forest.Train(cols, labels, fcfg)
-				if !bytes.Equal(forestBytes(t, mon.model), forestBytes(t, model)) {
+				if !bytes.Equal(forestBytes(mon.model), forestBytes(model)) {
 					t.Error("NewMonitor's forest differs from the reference")
 				}
 				wantCV := refCrossValidateCThld(cols, labels, 5, 1000, fcfg, pref)
@@ -154,7 +148,7 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 				if wantHead == nil || mon.typeModel == nil {
 					t.Fatal("typed labels did not train a head")
 				}
-				if !bytes.Equal(forestBytes(t, mon.typeModel), forestBytes(t, wantHead)) {
+				if !bytes.Equal(forestBytes(mon.typeModel), forestBytes(wantHead)) {
 					t.Error("NewMonitor's type head differs from one trained on its own presort")
 				}
 
@@ -167,10 +161,10 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				cols = feats.ImputedFull()
-				if !bytes.Equal(forestBytes(t, next.model), forestBytes(t, forest.Train(cols, d.Labels, fcfg))) {
+				if !bytes.Equal(forestBytes(next.model), forestBytes(forest.Train(cols, d.Labels, fcfg))) {
 					t.Error("Retrain's forest differs from the reference")
 				}
-				if !bytes.Equal(forestBytes(t, next.typeModel), forestBytes(t, forest.TrainMulti(tree.Presort(cols), types, fcfg))) {
+				if !bytes.Equal(forestBytes(next.typeModel), forestBytes(forest.TrainMulti(tree.Presort(cols), types, fcfg))) {
 					t.Error("Retrain's type head differs from one trained on its own presort")
 				}
 			})

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,8 +25,9 @@ var updateTrainingGolden = flag.Bool("update", false, "rewrite testdata/training
 const trainingGolden = "testdata/training.golden"
 
 // TestTrainingRoundGolden pins what a first training round produces — the
-// verdict forest and the type head (SHA-256 of their Save bytes, and of the
-// flat node arrays their inference walks) and the
+// verdict forest and the type head (SHA-256 of their codec records, and of
+// the flat node arrays their inference walks, which their saved artifacts
+// must decode back to) and the
 // threshold the monitor starts from (Float64bits: the cross-validated cThld
 // under EWMA, the POT threshold fitted on the held-out scores under EVT) — on
 // nine hourly weeks of kpigen PV, SR and SRT under both predictors, at
@@ -72,42 +73,60 @@ func trainingRoundLines(t *testing.T) []string {
 				threshold = "evt_threshold"
 			}
 			at := fmt.Sprintf("%s/%v", p.Name, kind)
+			forestFlat := sha256.Sum256(flatBytes(forestBytes(mon.model), false))
+			headFlat := sha256.Sum256(flatBytes(forestBytes(mon.typeModel), true))
 			got = append(got,
-				fmt.Sprintf("%s forest %x", at, sha256.Sum256(forestBytes(t, mon.model))),
-				fmt.Sprintf("%s forest_flat %x", at, sha256.Sum256(flatBytes(reflect.ValueOf(mon.model)))),
-				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(forestBytes(t, mon.typeModel))),
-				fmt.Sprintf("%s type_head_flat %x", at, sha256.Sum256(flatBytes(reflect.ValueOf(mon.typeModel).Elem().FieldByName("heads")))),
+				fmt.Sprintf("%s forest %x", at, sha256.Sum256(forestBytes(mon.model))),
+				fmt.Sprintf("%s forest_flat %x", at, forestFlat),
+				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(forestBytes(mon.typeModel))),
+				fmt.Sprintf("%s type_head_flat %x", at, headFlat),
 				fmt.Sprintf("%s %s %#016x", at, threshold, math.Float64bits(mon.cthld)))
+
+			// The artifacts decode back to the very arrays they were saved from.
+			var verdict, typed bytes.Buffer
+			if err := mon.SaveModel(&verdict); err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.SaveTypeModel(&typed); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadMonitor(&verdict, d.Series, dets, LoadConfig{Trees: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.RestoreTypeModel(&typed); err != nil {
+				t.Fatal(err)
+			}
+			if sha256.Sum256(flatBytes(forestBytes(loaded.model), false)) != forestFlat {
+				t.Errorf("%s: the decoded verdict artifact walks other nodes than were saved", at)
+			}
+			if sha256.Sum256(flatBytes(forestBytes(loaded.typeModel), true)) != headFlat {
+				t.Errorf("%s: the decoded type artifact walks other nodes than were saved", at)
+			}
 		}
 	}
 	return got
 }
 
-// flatBytes renders the flat inference arrays of a *forest.Forest, or of a
-// slice of them in order, in the artifact codec's byte order: the roots, each
-// a little-endian uint32, then the 16-byte nodes, each its threshold or leaf
-// value (float64 bits), its left child (int32), its split feature (uint16)
-// and two zero bytes, all little-endian.
-func flatBytes(v reflect.Value) []byte {
-	if v.Kind() == reflect.Slice {
-		var out []byte
-		for i := 0; i < v.Len(); i++ {
-			out = append(out, flatBytes(v.Index(i))...)
-		}
-		return out
+// flatBytes returns the roots and flat nodes of a forest record, or of every
+// head of a multi-class record in order, as the codec stores them: the
+// record's bytes after its d, root-count and node-count header.
+func flatBytes(rec []byte, multi bool) []byte {
+	one := func(rec []byte) (flat, rest []byte) {
+		roots, nodes := binary.LittleEndian.Uint32(rec[4:]), binary.LittleEndian.Uint32(rec[8:])
+		end := 12 + 4*int(roots) + 16*int(nodes)
+		return rec[12:end], rec[end:]
 	}
-	f := v.Elem()
-	roots, flat := f.FieldByName("roots"), f.FieldByName("flat")
+	if !multi {
+		flat, _ := one(rec)
+		return flat
+	}
 	var out []byte
-	for i := 0; i < roots.Len(); i++ {
-		out = binary.LittleEndian.AppendUint32(out, uint32(roots.Index(i).Int()))
-	}
-	for i := 0; i < flat.Len(); i++ {
-		nd := flat.Index(i)
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(nd.FieldByName("val").Float()))
-		out = binary.LittleEndian.AppendUint32(out, uint32(nd.FieldByName("left").Int()))
-		out = binary.LittleEndian.AppendUint16(out, uint16(nd.FieldByName("feature").Uint()))
-		out = append(out, 0, 0)
+	heads, rec := int(rec[0]), rec[1:]
+	for k := 0; k < heads; k++ {
+		var flat []byte
+		flat, rec = one(rec[1:]) // after the head's class code
+		out = append(out, flat...)
 	}
 	return out
 }

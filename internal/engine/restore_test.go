@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -232,6 +233,45 @@ func TestRestoreCorruptArtifactFallsBackCold(t *testing.T) {
 		if len(res.Verdicts) != 1 {
 			t.Fatalf("%s: no verdict after restore", name)
 		}
+	}
+}
+
+// TestRestoreFormerCodecRetrainsColdOnce is the upgrade across the
+// fixed-width model codec: a generation whose verdict artifact holds real
+// bytes of the former gob format (core's testdata/verdict-v2.snapshot) fails
+// the version check, is set aside as *.corrupt, and its series retrains cold
+// from the WAL, once: the next restart restores it warm from the generation
+// that retrain published.
+func TestRestoreFormerCodecRetrainsColdOnce(t *testing.T) {
+	dataDir, modelDir := seedTrainedStore(t, "pv")
+	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "verdict-v2.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := openModels(t, modelDir).PublishSet("pv", modelreg.Info{Points: 1, TrainedAt: testStart}, map[string][]byte{modelreg.KindVerdict: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e, store := restartEngine(t, dataDir, modelDir, Config{})
+	if _, err := e.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.ModelRestoreWarm != 0 || c.ModelRestoreCold != 1 || c.TrainingsRun != 1 {
+		t.Errorf("former-codec restore: warm=%d cold=%d trainings=%d, want 0/1/1", c.ModelRestoreWarm, c.ModelRestoreCold, c.TrainingsRun)
+	}
+	if _, err := os.Stat(filepath.Join(modelDir, "pv", g.File+".corrupt")); err != nil {
+		t.Errorf("former-codec artifact not set aside: %v", err)
+	}
+	e.Close()
+	store.Close()
+
+	e, _ = restartEngine(t, dataDir, modelDir, Config{})
+	if _, err := e.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.ModelRestoreWarm != 1 || c.ModelRestoreCold != 0 || c.TrainingsRun != 0 {
+		t.Errorf("restart after the upgrade: warm=%d cold=%d trainings=%d, want 1/0/0", c.ModelRestoreWarm, c.ModelRestoreCold, c.TrainingsRun)
 	}
 }
 

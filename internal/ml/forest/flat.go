@@ -3,6 +3,8 @@ package forest
 import (
 	"fmt"
 	"math"
+
+	"opprentice/internal/ml/tree"
 )
 
 // Flattened ensemble inference. Training grows each tree over binned
@@ -26,24 +28,23 @@ type flatNode struct {
 	feature uint16  // split feature (internal nodes)
 }
 
-// buildFlat packs every tree's nodes into f.flat and records each tree's
-// root index in f.roots. Called once after Train and Load; inference then
-// never touches f.trees or the binner's edges. It fails on what only a
-// corrupt snapshot can hold: a feature index outside the binner's (or past
-// what flatNode.feature can store), or child links that do not form a tree.
-func (f *Forest) buildFlat() error {
-	d := f.binner.NumFeatures()
+// buildFlat packs every grown tree's nodes into f.flat, with the binner's
+// edges as raw thresholds, and records each tree's root index in f.roots.
+// Called once at the end of TrainOn; the trees and the binner are scratch
+// after it. It fails when a feature index would not fit flatNode.feature.
+func (f *Forest) buildFlat(trees []*tree.Tree, binner *tree.Binner) error {
+	d := binner.NumFeatures()
 	if d > math.MaxUint16+1 {
 		return fmt.Errorf("forest: %d features, the flat node array indexes at most %d", d, math.MaxUint16+1)
 	}
 	total := 0
-	for _, t := range f.trees {
+	for _, t := range trees {
 		total += t.NumNodes()
 	}
 	f.flat = make([]flatNode, 0, total)
-	f.roots = make([]int32, len(f.trees))
+	f.roots = make([]int32, len(trees))
 	var pending [][2]int32 // (tree node, flat slot) pairs still to be written
-	for ti, t := range f.trees {
+	for ti, t := range trees {
 		root := int32(len(f.flat))
 		f.roots[ti] = root
 		f.flat = append(f.flat, flatNode{})
@@ -57,12 +58,9 @@ func (f *Forest) buildFlat() error {
 				continue
 			}
 			kids := int32(len(f.flat))
-			if nd.Feature < 0 || nd.Feature >= d || int(kids-root)+2 > t.NumNodes() {
-				return fmt.Errorf("forest: tree %d node %d is corrupt (feature %d of %d, or its links form no tree)", ti, src, nd.Feature, d)
-			}
 			f.flat = append(f.flat, flatNode{}, flatNode{})
 			f.flat[dst] = flatNode{
-				val:     f.binner.Threshold(nd.Feature, nd.Bin),
+				val:     binner.Threshold(nd.Feature, nd.Bin),
 				left:    kids,
 				feature: uint16(nd.Feature),
 			}

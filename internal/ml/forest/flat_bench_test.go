@@ -5,6 +5,7 @@ package forest
 // paper's configuration count) through a 60-tree forest, 0 allocs/op.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,25 @@ func BenchmarkForestProbAllFlat(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.ProbAll(cols)
+			}
+		})
+	}
+}
+
+// BenchmarkForestLoad decodes the record of a 20- and a 60-tree forest over
+// 133 features, what a warm restore pays per head; bytes/op is the record's
+// size.
+func BenchmarkForestLoad(b *testing.B) {
+	for _, trees := range []int{20, 60} {
+		f, _, _ := benchForest(b, 133, 1512, trees)
+		rec := f.Append(nil)
+		b.Run(fmt.Sprintf("trees=%d", trees), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(rec)), "bytes")
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Load(rec, 133); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

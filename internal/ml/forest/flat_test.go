@@ -6,29 +6,29 @@ package forest
 // must not allocate.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"opprentice/internal/ml/tree"
 )
 
-// refProb combines the ensemble the slow way — one tree at a time through
-// the tree package's own traversal — as the ground truth for the flat walk.
-func refProb(f *Forest, row []float64) float64 {
+// refProb combines an ensemble of grown trees the slow way — binning the row,
+// then one tree at a time through the tree package's own traversal — as the
+// ground truth for the flat walk.
+func refProb(trees []*tree.Tree, binner *tree.Binner, row []float64) float64 {
 	codes := make([]uint8, len(row))
 	for j, v := range row {
-		codes[j] = f.binner.Code(j, v)
+		codes[j] = binner.Code(j, v)
 	}
 	sum := 0.0
-	for _, t := range f.trees {
+	for _, t := range trees {
 		sum += t.Prob(func(j int) uint8 { return codes[j] })
 	}
-	return sum / float64(len(f.trees))
+	return sum / float64(len(trees))
 }
 
 // equivalenceSeed pins the forests and probe rows of the equivalence
@@ -106,74 +106,87 @@ func probeRow(rng *rand.Rand, b *tree.Binner, row []float64) {
 // "inference never bins": for forests of 1–60 trees, on rows made of edge
 // values and specials, the raw-threshold walk returns the very bits that
 // binning the row and traversing each tree does — through Prob, ProbRowsInto
-// and ProbAll, after a Save/Load round trip, and for the multi-class type
-// head. The round trip goes through a wire form whose MajorityVote flag is
-// set both ways: Load ignores it.
+// and ProbAll, after an Append/Load round trip, and for the multi-class
+// type head. The trees and the binner of the reference are grown by refGrow,
+// the former Train, which TestTrainMatchesReference pins Train to; Train
+// itself keeps neither.
 func TestForestRawWalkMatchesBinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivalenceSeed))
 	cols, labels, classes := edgeFixture(rng, 1200)
 	d := len(cols)
 	const probes = probAllSerialThreshold + 64 // ProbAll takes its row-chunked parallel path
 	for _, trees := range []int{1, 2, 7, 20, 60} {
-		for _, mv := range []bool{false, true} {
-			t.Run(fmt.Sprintf("trees=%d/majority=%v", trees, mv), func(t *testing.T) {
-				cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
-				f := Train(cols, labels, cfg)
-				var dto forestDTO
-				if err := gob.NewDecoder(bytes.NewReader(saveBytes(t, f))).Decode(&dto); err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("trees=%d", trees), func(t *testing.T) {
+			cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
+			grown, binner := refGrow(cols, labels, cfg)
+			f := Train(cols, labels, cfg)
+			loaded, rest, err := Load(f.Append(nil), d)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
+			}
+			mc := TrainMulti(tree.Presort(cols), classes, cfg)
+			type head struct {
+				trees  []*tree.Tree
+				binner *tree.Binner
+			}
+			heads := make([]head, len(mc.classes))
+			for k, code := range mc.classes {
+				oneVsRest := make([]bool, len(classes))
+				for i, c := range classes {
+					oneVsRest[i] = c == code
 				}
-				dto.MajorityVote = mv
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := Load(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mc := TrainMulti(tree.Presort(cols), classes, cfg)
+				hcfg := cfg
+				hcfg.Seed += int64(k+1) * headSeedStride
+				heads[k].trees, heads[k].binner = refGrow(cols, oneVsRest, hcfg)
+			}
 
-				rows := make([]float64, probes*d)
-				probeCols := make([][]float64, d)
-				for j := range probeCols {
-					probeCols[j] = make([]float64, probes)
+			rows := make([]float64, probes*d)
+			probeCols := make([][]float64, d)
+			for j := range probeCols {
+				probeCols[j] = make([]float64, probes)
+			}
+			for s := 0; s < probes; s++ {
+				row := rows[s*d : (s+1)*d]
+				probeRow(rng, binner, row)
+				for j, v := range row {
+					probeCols[j][s] = v
 				}
-				for s := 0; s < probes; s++ {
-					row := rows[s*d : (s+1)*d]
-					probeRow(rng, f.binner, row)
-					for j, v := range row {
-						probeCols[j][s] = v
-					}
-				}
-				batch := make([]float64, probes)
-				f.ProbRowsInto(rows, d, batch)
-				all := f.ProbAll(probeCols)
-				for s := 0; s < probes; s++ {
-					row := rows[s*d : (s+1)*d]
-					want := math.Float64bits(refProb(f, row))
-					for path, got := range map[string]float64{
-						"Prob": f.Prob(row), "ProbRowsInto": batch[s], "ProbAll": all[s], "Load→Prob": loaded.Prob(row),
-					} {
-						if math.Float64bits(got) != want {
-							t.Fatalf("row %v: %s = %v, binned reference %v", row, path, got, math.Float64frombits(want))
-						}
-					}
-					wantClass, wantProb := uint8(0), 0.0
-					for k, h := range mc.heads {
-						if p := refProb(h, row); p > wantProb {
-							wantClass, wantProb = mc.classes[k], p
-						}
-					}
-					if wantProb < multiAbstain {
-						wantClass = 0
-					}
-					if class, p := mc.PredictRow(row); class != wantClass || math.Float64bits(p) != math.Float64bits(wantProb) {
-						t.Fatalf("row %v: type head (%d, %v), binned reference (%d, %v)", row, class, p, wantClass, wantProb)
+			}
+			batch := make([]float64, probes)
+			f.ProbRowsInto(rows, d, batch)
+			all := f.ProbAll(probeCols)
+			for s := 0; s < probes; s++ {
+				row := rows[s*d : (s+1)*d]
+				want := math.Float64bits(refProb(grown, binner, row))
+				for path, got := range map[string]float64{
+					"Prob": f.Prob(row), "ProbRowsInto": batch[s], "ProbAll": all[s], "Load→Prob": loaded.Prob(row),
+				} {
+					if math.Float64bits(got) != want {
+						t.Fatalf("row %v: %s = %v, binned reference %v", row, path, got, math.Float64frombits(want))
 					}
 				}
-			})
-		}
+				wantClass, wantProb := uint8(0), 0.0
+				for k, h := range heads {
+					if p := refProb(h.trees, h.binner, row); p > wantProb {
+						wantClass, wantProb = mc.classes[k], p
+					}
+				}
+				if wantProb < multiAbstain {
+					wantClass = 0
+				}
+				if class, p := mc.PredictRow(row); class != wantClass || math.Float64bits(p) != math.Float64bits(wantProb) {
+					t.Fatalf("row %v: type head (%d, %v), binned reference (%d, %v)", row, class, p, wantClass, wantProb)
+				}
+			}
+		})
+	}
+}
+
+// TestFlatNodeIs16Bytes pins the node the walk reads, and the codec stores,
+// at 16 bytes: four to a cache line.
+func TestFlatNodeIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(flatNode{}); size != nodeBytes {
+		t.Fatalf("flatNode is %d bytes, want %d", size, nodeBytes)
 	}
 }
 
@@ -181,8 +194,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 // stores is refused, not truncated.
 func TestBuildFlatRejectsTooManyFeatures(t *testing.T) {
 	for d, ok := range map[int]bool{math.MaxUint16 + 1: true, math.MaxUint16 + 2: false} {
-		f := &Forest{binner: tree.NewBinner(make([][]float64, d), 2)}
-		if err := f.buildFlat(); (err == nil) != ok {
+		if err := new(Forest).buildFlat(nil, tree.NewBinner(make([][]float64, d), 2)); (err == nil) != ok {
 			t.Fatalf("%d features: buildFlat error %v, want ok=%v", d, err, ok)
 		} else if err != nil && !strings.Contains(err.Error(), "features") {
 			t.Fatalf("%d features: unhelpful error %q", d, err)

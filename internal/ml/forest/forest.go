@@ -34,17 +34,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Forest is a trained random forest.
+// Forest is a trained random forest: nothing but the flat node array its
+// inference walks (roots[t] is tree t's root index), the feature count, and
+// the gini importances. The per-tree node arrays and the binner's quantile
+// edges that growth works on are scratch, dropped once buildFlat has packed
+// them; the flat array and the feature count are also all the artifact codec
+// stores.
 type Forest struct {
-	trees  []*tree.Tree
-	binner *tree.Binner
-
-	// flat packs every tree's nodes into one contiguous array (roots[t] is
-	// tree t's root index), built once after training or loading. All
-	// inference walks this array iteratively; trees is kept only for
-	// importances, serialization, and introspection.
 	flat  []flatNode
 	roots []int32
+	d     int
+	// importance is the normalized gini importance per feature, summed once
+	// at the end of training; nil for a forest decoded from an artifact.
+	importance []float64
 }
 
 // Train fits a forest on column-major features (cols[j][i] is feature j of
@@ -78,7 +80,7 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 	perSplit := featuresPerSplit(len(ps.Cols()))
 
 	binner, binned := ps.Bin(lo, hi, tree.MaxBins)
-	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner}
+	trees := make([]*tree.Tree, cfg.Trees)
 
 	// Deterministic parallel training: every tree gets its own seeded rng;
 	// a worker reuses one bootstrap buffer, which Grow only permutes.
@@ -90,10 +92,17 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 		for i := range idx {
 			idx[i] = rng.Intn(n) // bootstrap sample
 		}
-		f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
+		trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
 	})
-	if err := f.buildFlat(); err != nil {
-		panic(err) // Grow emits well-formed trees; only the feature count can be at fault
+	return newForest(trees, binner)
+}
+
+// newForest keeps of grown trees what the forest serves: their flat node
+// array and their summed importances.
+func newForest(trees []*tree.Tree, binner *tree.Binner) *Forest {
+	f := &Forest{d: binner.NumFeatures(), importance: importances(trees, binner.NumFeatures())}
+	if err := f.buildFlat(trees, binner); err != nil {
+		panic(err) // more features than a flat node indexes: a caller bug
 	}
 	return f
 }
@@ -104,16 +113,11 @@ func featuresPerSplit(d int) int {
 	return int(math.Ceil(math.Sqrt(float64(d))))
 }
 
-// Importances returns the mean gini importance per feature across the
-// ensemble, normalized to sum to 1 (all zeros if no tree ever split).
-// Features with high importance are the detector configurations the forest
-// actually relies on — the automated counterpart of reading Fig 5's tree.
-func (f *Forest) Importances() []float64 {
-	if len(f.trees) == 0 {
-		return nil
-	}
-	sum := make([]float64, f.binner.NumFeatures())
-	for _, t := range f.trees {
+// importances sums the trees' gini importances per feature and normalizes
+// the sums to 1 (all zeros if no tree ever split).
+func importances(trees []*tree.Tree, d int) []float64 {
+	sum := make([]float64, d)
+	for _, t := range trees {
 		for j, v := range t.Importances() {
 			sum[j] += v
 		}
@@ -130,12 +134,21 @@ func (f *Forest) Importances() []float64 {
 	return sum
 }
 
+// Importances returns the mean gini importance per feature across the
+// ensemble, normalized to sum to 1 (all zeros if no tree ever split; nil for
+// a decoded forest, whose artifact keeps only what inference walks). The
+// slice is the forest's own; callers must not modify it. Features with high importance are the detector configurations the forest
+// actually relies on — the automated counterpart of reading Fig 5's tree.
+func (f *Forest) Importances() []float64 {
+	return f.importance
+}
+
 // Prob returns the anomaly probability of a single sample given as a dense
 // feature row: the mean of the trees' leaf probabilities. It allocates
 // nothing (the per-point hot path of online classification).
 func (f *Forest) Prob(row []float64) float64 {
-	if len(row) != f.binner.NumFeatures() {
-		panic(fmt.Sprintf("forest: row has %d features, want %d", len(row), f.binner.NumFeatures()))
+	if len(row) != f.d {
+		panic(fmt.Sprintf("forest: row has %d features, want %d", len(row), f.d))
 	}
 	return f.probRow(row)
 }
@@ -145,8 +158,8 @@ func (f *Forest) Prob(row []float64) float64 {
 // probabilities into out[:n]. It is the batched form of Prob — one call per
 // ingest batch instead of one per point — and allocates nothing.
 func (f *Forest) ProbRowsInto(rows []float64, d int, out []float64) {
-	if d != f.binner.NumFeatures() {
-		panic(fmt.Sprintf("forest: rows have %d features, want %d", d, f.binner.NumFeatures()))
+	if d != f.d {
+		panic(fmt.Sprintf("forest: rows have %d features, want %d", d, f.d))
 	}
 	n := len(rows) / d
 	if len(rows) != n*d {
@@ -170,8 +183,8 @@ const probAllSerialThreshold = 512
 // returning one vote fraction per sample. Large batches cut the rows into one
 // chunk per fanout worker; small windows run on the calling goroutine.
 func (f *Forest) ProbAll(cols [][]float64) []float64 {
-	if len(cols) != f.binner.NumFeatures() {
-		panic(fmt.Sprintf("forest: %d feature columns, want %d", len(cols), f.binner.NumFeatures()))
+	if len(cols) != f.d {
+		panic(fmt.Sprintf("forest: %d feature columns, want %d", len(cols), f.d))
 	}
 	n := 0
 	if len(cols) > 0 {

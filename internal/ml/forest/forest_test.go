@@ -93,8 +93,8 @@ func TestForestProbabilityIsVoteFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cols, labels := makeBlobs(500, 0, rng)
 	f := Train(cols, labels, Config{Trees: 40, Seed: 5})
-	if len(f.trees) != 40 {
-		t.Fatalf("%d trees, want 40", len(f.trees))
+	if len(f.roots) != 40 {
+		t.Fatalf("%d trees, want 40", len(f.roots))
 	}
 	scores := f.ProbAll(cols)
 	for i, s := range scores {

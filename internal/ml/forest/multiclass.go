@@ -1,10 +1,7 @@
 package forest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"opprentice/internal/ml/tree"
@@ -85,55 +82,4 @@ func (mc *MultiClass) PredictRow(row []float64) (uint8, float64) {
 		return 0, bestProb
 	}
 	return best, bestProb
-}
-
-// multiDTO is the gob wire form of a multi-class head: each per-class forest
-// rides as its own Save payload.
-type multiDTO struct {
-	Version int
-	Classes []uint8
-	Heads   [][]byte
-}
-
-// multiSerializationVersion guards against loading incompatible snapshots.
-const multiSerializationVersion = 1
-
-// Save writes the multi-class head to w. Pair with LoadMulti.
-func (mc *MultiClass) Save(w io.Writer) error {
-	dto := multiDTO{
-		Version: multiSerializationVersion,
-		Classes: mc.classes,
-		Heads:   make([][]byte, len(mc.heads)),
-	}
-	for k, h := range mc.heads {
-		var buf bytes.Buffer
-		if err := h.Save(&buf); err != nil {
-			return err
-		}
-		dto.Heads[k] = buf.Bytes()
-	}
-	return gob.NewEncoder(w).Encode(dto)
-}
-
-// LoadMulti reads a multi-class head previously written by Save.
-func LoadMulti(r io.Reader) (*MultiClass, error) {
-	var dto multiDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("forest: decode multiclass: %w", err)
-	}
-	if dto.Version != multiSerializationVersion {
-		return nil, fmt.Errorf("forest: multiclass snapshot version %d, want %d", dto.Version, multiSerializationVersion)
-	}
-	if len(dto.Classes) == 0 || len(dto.Classes) != len(dto.Heads) {
-		return nil, fmt.Errorf("forest: multiclass snapshot has %d classes for %d heads", len(dto.Classes), len(dto.Heads))
-	}
-	mc := &MultiClass{classes: dto.Classes, heads: make([]*Forest, len(dto.Heads))}
-	for k, b := range dto.Heads {
-		h, err := Load(bytes.NewReader(b))
-		if err != nil {
-			return nil, err
-		}
-		mc.heads[k] = h
-	}
-	return mc, nil
 }

@@ -69,13 +69,13 @@ func TestMultiClassSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed + 1))
 	cols, classes := multiFixture(rng, 200)
 	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 10, Seed: multiSeed})
-	var buf bytes.Buffer
-	if err := mc.Save(&buf); err != nil {
-		t.Fatal(err)
+	rec := mc.Append(nil)
+	got, rest, err := LoadMulti(rec, len(cols))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("load: %v (%d bytes left)", err, len(rest))
 	}
-	got, err := LoadMulti(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Append(nil), rec) {
+		t.Fatal("the loaded head appends different bytes")
 	}
 	row := make([]float64, 3)
 	for i := range classes {
@@ -104,15 +104,19 @@ func TestLoadMultiRejectsDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(multiSeed + 3))
 	cols, classes := multiFixture(rng, 100)
 	mc := TrainMulti(tree.Presort(cols), classes, Config{Trees: 5, Seed: multiSeed})
-	var buf bytes.Buffer
-	if err := mc.Save(&buf); err != nil {
-		t.Fatal(err)
+	b := mc.Append(nil)
+	if _, _, err := LoadMulti(b[:len(b)/2], len(cols)); err == nil {
+		t.Error("truncated multiclass record loaded without error")
 	}
-	b := buf.Bytes()
-	if _, err := LoadMulti(bytes.NewReader(b[:len(b)/2])); err == nil {
-		t.Error("truncated multiclass snapshot loaded without error")
+	if _, _, err := LoadMulti([]byte("not a record"), len(cols)); err == nil {
+		t.Error("garbage multiclass record loaded without error")
 	}
-	if _, err := LoadMulti(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage multiclass snapshot loaded without error")
+	if _, _, err := LoadMulti(b, len(cols)+1); err == nil {
+		t.Error("multiclass record loaded over another feature count")
+	}
+	swapped := bytes.Clone(b)
+	swapped[1] = 0 // the first head's class code: 0 is the abstain target, never a head
+	if _, _, err := LoadMulti(swapped, len(cols)); err == nil {
+		t.Error("multiclass record with a class-0 head loaded without error")
 	}
 }

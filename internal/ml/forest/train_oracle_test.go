@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"opprentice/internal/ml/tree"
@@ -17,26 +18,28 @@ import (
 // forest the former Train built from a hand-cut copy of the matrix. Exported
 // for the severity oracle in package forest_test.
 func RefTrain(cols [][]float64, labels []bool, cfg Config) *Forest {
+	return newForest(refGrow(cols, labels, cfg))
+}
+
+// refGrow is RefTrain's growth: the trees and the binner it packs.
+func refGrow(cols [][]float64, labels []bool, cfg Config) ([]*tree.Tree, *tree.Binner) {
 	cfg = cfg.withDefaults()
 	binner := tree.NewBinner(cols, tree.MaxBins)
 	binned := binner.Bin(cols)
-	f := &Forest{trees: make([]*tree.Tree, cfg.Trees), binner: binner}
-	for t := range f.trees {
+	trees := make([]*tree.Tree, cfg.Trees)
+	for t := range trees {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
 		idx := make([]int, len(labels))
 		for i := range idx {
 			idx[i] = rng.Intn(len(labels))
 		}
-		f.trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: featuresPerSplit(len(cols)), Rng: rng})
+		trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: featuresPerSplit(len(cols)), Rng: rng})
 	}
-	if err := f.buildFlat(); err != nil {
-		panic(err)
-	}
-	return f
+	return trees, binner
 }
 
-// CheckTrainOracle asserts that TrainOn over one presort of cols saves the
-// same bytes as RefTrain on a hand-cut copy, for every row range a training
+// CheckTrainOracle asserts that TrainOn over one presort of cols encodes to
+// the same record, with the same importances, as RefTrain on a hand-cut copy, for every row range a training
 // round leaves out: none (also through Train), the five folds, the two
 // halves.
 func CheckTrainOracle(t *testing.T, cols [][]float64, labels []bool, cfg Config) {
@@ -53,25 +56,17 @@ func CheckTrainOracle(t *testing.T, cols [][]float64, labels []bool, cfg Config)
 		for j, col := range cols {
 			cut[j] = append(append([]float64(nil), col[:lo]...), col[hi:]...)
 		}
-		want := saveBytes(t, RefTrain(cut, append(append([]bool(nil), labels[:lo]...), labels[hi:]...), cfg))
-		if got := saveBytes(t, TrainOn(ps, labels, lo, hi, cfg)); !bytes.Equal(got, want) {
-			t.Errorf("TrainOn without rows [%d,%d) saves %d bytes that differ from the reference's %d", lo, hi, len(got), len(want))
+		ref := RefTrain(cut, append(append([]bool(nil), labels[:lo]...), labels[hi:]...), cfg)
+		got := TrainOn(ps, labels, lo, hi, cfg)
+		if !bytes.Equal(got.Append(nil), ref.Append(nil)) || !slices.Equal(got.Importances(), ref.Importances()) {
+			t.Errorf("TrainOn without rows [%d,%d) differs from the reference", lo, hi)
 		}
 		if lo == hi {
-			if got := saveBytes(t, Train(cols, labels, cfg)); !bytes.Equal(got, want) {
-				t.Errorf("Train saves %d bytes that differ from the reference's %d", len(got), len(want))
+			if got := Train(cols, labels, cfg); !bytes.Equal(got.Append(nil), ref.Append(nil)) || !slices.Equal(got.Importances(), ref.Importances()) {
+				t.Error("Train differs from the reference")
 			}
 		}
 	}
-}
-
-func saveBytes(t *testing.T, f *Forest) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestTrainMatchesReference runs the oracle on the binner's edge shapes (no
@@ -99,7 +94,7 @@ func TestTrainMatchesReference(t *testing.T) {
 		}
 		hcfg := cfg
 		hcfg.Seed += int64(k+1) * headSeedStride
-		if !bytes.Equal(saveBytes(t, mc.heads[k]), saveBytes(t, RefTrain(cols, oneVsRest, hcfg))) {
+		if !bytes.Equal(mc.heads[k].Append(nil), RefTrain(cols, oneVsRest, hcfg).Append(nil)) {
 			t.Errorf("head %d (class %d) differs from the reference", k, code)
 		}
 	}

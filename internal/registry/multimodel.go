@@ -47,9 +47,8 @@ func validKind(kind string) bool {
 	return true
 }
 
-// kindFileName names a kind's artifact file: the verdict keeps the legacy
-// 000000000001.model form (so legacy manifests and new files interoperate);
-// secondary kinds are 000000000001.<kind>.model.
+// kindFileName names a kind's artifact file: the verdict's is
+// 000000000001.model, a secondary kind's 000000000001.<kind>.model.
 func kindFileName(gen uint64, kind string) string {
 	if kind == KindVerdict {
 		return genFileName(gen)
@@ -57,22 +56,11 @@ func kindFileName(gen uint64, kind string) string {
 	return fmt.Sprintf("%012d.%s.model", gen, kind)
 }
 
-// refs returns the generation's kind-tagged artifact set, synthesizing the
-// verdict-only ref for legacy single-model entries so every reader can treat
-// every manifest as multi-model.
-func (g *Generation) refs() []ArtifactRef {
-	if len(g.Artifacts) > 0 {
-		return g.Artifacts
-	}
-	return []ArtifactRef{{Kind: KindVerdict, File: g.File, CRC: g.CRC, Size: g.Size, Fingerprint: g.Fingerprint}}
-}
-
 // Ref returns the generation's artifact of a kind, or nil.
 func (g *Generation) Ref(kind string) *ArtifactRef {
-	refs := g.refs()
-	for i := range refs {
-		if refs[i].Kind == kind {
-			return &refs[i]
+	for i := range g.Artifacts {
+		if g.Artifacts[i].Kind == kind {
+			return &g.Artifacts[i]
 		}
 	}
 	return nil
@@ -81,9 +69,8 @@ func (g *Generation) Ref(kind string) *ArtifactRef {
 // Kinds returns the generation's artifact kinds, verdict first then the
 // rest ascending.
 func (g *Generation) Kinds() []string {
-	refs := g.refs()
-	out := make([]string, 0, len(refs))
-	for _, ref := range refs {
+	out := make([]string, 0, len(g.Artifacts))
+	for _, ref := range g.Artifacts {
 		if ref.Kind != KindVerdict {
 			out = append(out, ref.Kind)
 		}
@@ -178,8 +165,7 @@ func (r *Registry) PublishSet(series string, info Info, payloads map[string][]by
 		}
 		g.Artifacts = append(g.Artifacts, ref)
 	}
-	// The top-level fields mirror the verdict artifact (kinds[0]) so legacy
-	// readers of the manifest keep working unchanged.
+	// The top-level fields mirror the verdict artifact (kinds[0]).
 	g.File, g.CRC, g.Size, g.Fingerprint = g.Artifacts[0].File, g.Artifacts[0].CRC, g.Artifacts[0].Size, g.Artifacts[0].Fingerprint
 
 	man.Generations = append(man.Generations, g)
@@ -191,7 +177,7 @@ func (r *Registry) PublishSet(series string, info Info, payloads map[string][]by
 	// Only after the manifest is durable do the pruned artifacts go away; a
 	// crash in between leaves orphans that the next publish sweeps.
 	for _, p := range pruned {
-		for _, ref := range p.refs() {
+		for _, ref := range p.Artifacts {
 			_ = os.Remove(filepath.Join(dir, ref.File))
 		}
 	}
@@ -270,7 +256,7 @@ func (r *Registry) LoadSet(series string) (*LoadedSet, error) {
 			continue
 		}
 		set := &LoadedSet{Generation: g, Payloads: map[string][]byte{KindVerdict: payload}}
-		for _, ref := range g.refs() {
+		for _, ref := range g.Artifacts {
 			if ref.Kind == KindVerdict {
 				continue
 			}
@@ -321,10 +307,12 @@ func (r *Registry) QuarantineKind(series string, gen uint64, kind string) error 
 			return fmt.Errorf("registry: quarantine %s gen %d: no %q artifact", series, gen, kind)
 		}
 		path := filepath.Join(dir, ref.File)
-		if err := os.Rename(path, path+".corrupt"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		switch err := os.Rename(path, path+".corrupt"); {
+		case err == nil:
+			r.checksumFailures.Add(1)
+		case !errors.Is(err, fs.ErrNotExist):
 			return fmt.Errorf("registry: quarantine %s gen %d %s: %w", series, gen, kind, err)
 		}
-		r.checksumFailures.Add(1)
 		return nil
 	}
 	return fmt.Errorf("registry: quarantine %s: no generation %d", series, gen)

@@ -238,62 +238,27 @@ func TestRetentionPrunesAllKinds(t *testing.T) {
 	}
 }
 
-// TestLegacyManifestFixture: a committed pre-multi-model series directory
-// (manifest without an artifacts list) must parse and serve forever — the
-// regression fixture pins the read path against format drift, same pattern
-// as the *.wal.migrated fixtures.
-func TestLegacyManifestFixture(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "legacy", "pv")
-	dst := filepath.Join(dir, "pv")
-	if err := os.MkdirAll(dst, 0o755); err != nil {
+// TestQuarantineKindCountsOnlyARename: a kind whose file is already gone is
+// tolerated, but nothing was set aside, so nothing is counted.
+func TestQuarantineKindCountsOnlyARename(t *testing.T) {
+	r := openTest(t, 3)
+	g := mustPublishSet(t, r, "pv", 1, KindType)
+	if err := os.Remove(filepath.Join(r.dir, "pv", g.Ref(KindType).File)); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
+	if err := r.QuarantineKind("pv", g.Gen, KindType); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if n := r.Stats().ChecksumFailures; n != 0 {
+		t.Fatalf("quarantining a missing file counted %d checksum failures, want 0", n)
 	}
+}
 
-	r, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := r.LoadSet("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(set.Payloads[KindVerdict]) != "legacy single-model payload generation 1" {
-		t.Fatalf("legacy payload = %q", set.Payloads[KindVerdict])
-	}
-	if set.Gen != 1 || set.Fingerprint != 0xbeef || set.Points != 1200 || set.CThld != 0.62 {
-		t.Fatalf("legacy metadata = %+v", set.Generation)
-	}
-	if got := set.Kinds(); len(got) != 1 || got[0] != KindVerdict {
-		t.Fatalf("legacy kinds = %v, want [verdict]", got)
-	}
-	// Publishing a multi-model generation on top of the legacy series must
-	// interoperate: gen numbering continues, both eras stay loadable.
-	g := mustPublishSet(t, r, "pv", 2, KindType)
-	if g.Gen != 2 {
-		t.Fatalf("next gen after legacy = %d, want 2", g.Gen)
-	}
-	if _, err := r.Rollback("pv"); err != nil {
-		t.Fatal(err)
-	}
-	set, err = r.LoadSet("pv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Gen != 1 || string(set.Payloads[KindVerdict]) != "legacy single-model payload generation 1" {
-		t.Fatalf("rollback to legacy gen failed: %+v", set.Generation)
+// TestParseManifestRequiresArtifacts: a generation without its artifact set,
+// the shape manifests had before kind-tagged artifacts, is corrupt.
+func TestParseManifestRequiresArtifacts(t *testing.T) {
+	_, err := ParseManifest([]byte(`{"series":"pv","current":1,"generations":[{"gen":1,"file":"000000000001.model","crc":7,"size":3}]}`))
+	if !errors.Is(err, ErrCorruptManifest) {
+		t.Fatalf("a generation without artifacts: err = %v, want ErrCorruptManifest", err)
 	}
 }

@@ -156,13 +156,13 @@ type Generation struct {
 	CThld float64 `json:"cthld"`
 	// TrainedAt is when the model finished training.
 	TrainedAt time.Time `json:"trained_at"`
-	// Artifacts is the multi-model artifact set: one kind-tagged entry per
-	// model kind published under this generation (the verdict classifier,
-	// the anomaly-type head, ...). Legacy single-model manifests omit it —
-	// the top-level File/CRC/Size/Fingerprint fields then describe the
-	// verdict artifact alone, and refs() synthesizes the equivalent set. In
-	// the multi-model form the top-level fields mirror the verdict entry so
-	// legacy readers keep working.
+	// Artifacts is the generation's artifact set: one kind-tagged entry per
+	// model kind published under it (the verdict classifier, the
+	// anomaly-type head, ...), the verdict always among them. The top-level
+	// File/CRC/Size/Fingerprint fields mirror the verdict entry, for the
+	// manifest's readers that want the verdict alone (`opprenticectl models
+	// list`). A manifest from before kind-tagged artifacts, which lacks the
+	// set, does not parse: its series restores cold, once.
 	Artifacts []ArtifactRef `json:"artifacts,omitempty"`
 }
 
@@ -217,8 +217,7 @@ func genFileName(gen uint64) string { return fmt.Sprintf("%012d.model", gen) }
 
 // nextGen picks the next generation number: one past both the manifest's
 // maximum and any stray artifact files on disk (from a crash between
-// artifact rename and manifest write), in either the legacy or the
-// kind-tagged file form.
+// artifact rename and manifest write), in either file form.
 func nextGen(man *Manifest, dir string) uint64 {
 	var max uint64
 	for _, g := range man.Generations {
@@ -238,7 +237,7 @@ func nextGen(man *Manifest, dir string) uint64 {
 }
 
 // genOfArtifact parses the generation of an artifact file name, accepting
-// the legacy verdict form 000000000001.model and the kind-tagged form
+// the verdict's form 000000000001.model and a secondary kind's
 // 000000000001.<kind>.model. Quarantined files (*.corrupt) do not match.
 func genOfArtifact(name string) (uint64, bool) {
 	base, ok := strings.CutSuffix(name, ".model")
@@ -264,7 +263,7 @@ func genOfArtifact(name string) (uint64, bool) {
 func (r *Registry) sweepStray(dir string, man *Manifest) {
 	referenced := make(map[string]bool, len(man.Generations))
 	for _, g := range man.Generations {
-		for _, ref := range g.refs() {
+		for _, ref := range g.Artifacts {
 			referenced[ref.File] = true
 		}
 	}
@@ -430,36 +429,35 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		if g.Size < 0 || g.Points < 0 {
 			return nil, fmt.Errorf("generation %d has negative size or points (%w)", g.Gen, ErrCorruptManifest)
 		}
-		// Multi-model entries: validated only when present, so legacy
-		// single-model manifests parse forever.
-		if len(g.Artifacts) > 0 {
-			kinds := make(map[string]bool, len(g.Artifacts))
-			var vref *ArtifactRef
-			for j := range g.Artifacts {
-				ref := &g.Artifacts[j]
-				if !validKind(ref.Kind) {
-					return nil, fmt.Errorf("generation %d artifact %d has invalid kind %q (%w)", g.Gen, j, ref.Kind, ErrCorruptManifest)
-				}
-				if kinds[ref.Kind] {
-					return nil, fmt.Errorf("generation %d has duplicate %q artifacts (%w)", g.Gen, ref.Kind, ErrCorruptManifest)
-				}
-				kinds[ref.Kind] = true
-				if ref.File == "" || strings.ContainsAny(ref.File, "/\\") || strings.Contains(ref.File, "..") {
-					return nil, fmt.Errorf("generation %d artifact %q has invalid file %q (%w)", g.Gen, ref.Kind, ref.File, ErrCorruptManifest)
-				}
-				if ref.Size < 0 {
-					return nil, fmt.Errorf("generation %d artifact %q has negative size (%w)", g.Gen, ref.Kind, ErrCorruptManifest)
-				}
-				if ref.Kind == KindVerdict {
-					vref = ref
-				}
+		if len(g.Artifacts) == 0 {
+			return nil, fmt.Errorf("generation %d lists no artifacts (%w)", g.Gen, ErrCorruptManifest)
+		}
+		kinds := make(map[string]bool, len(g.Artifacts))
+		var vref *ArtifactRef
+		for j := range g.Artifacts {
+			ref := &g.Artifacts[j]
+			if !validKind(ref.Kind) {
+				return nil, fmt.Errorf("generation %d artifact %d has invalid kind %q (%w)", g.Gen, j, ref.Kind, ErrCorruptManifest)
 			}
-			if vref == nil {
-				return nil, fmt.Errorf("generation %d has artifacts but no %q entry (%w)", g.Gen, KindVerdict, ErrCorruptManifest)
+			if kinds[ref.Kind] {
+				return nil, fmt.Errorf("generation %d has duplicate %q artifacts (%w)", g.Gen, ref.Kind, ErrCorruptManifest)
 			}
-			if vref.File != g.File || vref.CRC != g.CRC || vref.Size != g.Size || vref.Fingerprint != g.Fingerprint {
-				return nil, fmt.Errorf("generation %d verdict artifact does not mirror the legacy fields (%w)", g.Gen, ErrCorruptManifest)
+			kinds[ref.Kind] = true
+			if ref.File == "" || strings.ContainsAny(ref.File, "/\\") || strings.Contains(ref.File, "..") {
+				return nil, fmt.Errorf("generation %d artifact %q has invalid file %q (%w)", g.Gen, ref.Kind, ref.File, ErrCorruptManifest)
 			}
+			if ref.Size < 0 {
+				return nil, fmt.Errorf("generation %d artifact %q has negative size (%w)", g.Gen, ref.Kind, ErrCorruptManifest)
+			}
+			if ref.Kind == KindVerdict {
+				vref = ref
+			}
+		}
+		if vref == nil {
+			return nil, fmt.Errorf("generation %d has artifacts but no %q entry (%w)", g.Gen, KindVerdict, ErrCorruptManifest)
+		}
+		if vref.File != g.File || vref.CRC != g.CRC || vref.Size != g.Size || vref.Fingerprint != g.Fingerprint {
+			return nil, fmt.Errorf("generation %d verdict artifact does not mirror the top-level fields (%w)", g.Gen, ErrCorruptManifest)
 		}
 	}
 	if len(man.Generations) > 0 && !seen[man.Current] {
@@ -563,7 +561,7 @@ func (r *Registry) Quarantine(series string, gen uint64) error {
 		// see (a decodable-but-unloadable snapshot) discredits the whole
 		// trained set. A secondary kind already missing is fine; a verdict
 		// rename failure is not.
-		for _, ref := range g.refs() {
+		for _, ref := range g.Artifacts {
 			path := filepath.Join(dir, ref.File)
 			if err := os.Rename(path, path+".corrupt"); err != nil {
 				if ref.Kind == KindVerdict {

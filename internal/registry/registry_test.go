@@ -312,9 +312,9 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(`{"generations":[{"gen":2},{"gen":1}]}`))
 	valid, _ := json.Marshal(Manifest{Series: "pv", Current: 1, Generations: []Generation{{Gen: 1, File: "000000000001.model"}}})
 	f.Add(valid)
-	// Multi-model era seeds: a valid kind-tagged set (verdict mirrored into
-	// the legacy fields), a duplicate kind, a missing verdict entry, a path
-	// escape in a secondary kind, and a broken legacy mirror.
+	// Kind-tagged seeds: a valid set (verdict mirrored into the top-level
+	// fields), a duplicate kind, a missing verdict entry, a path escape in a
+	// secondary kind, and a broken top-level mirror.
 	multi := Manifest{Series: "pv", Current: 1, Generations: []Generation{{
 		Gen: 1, File: "000000000001.model", CRC: 7, Size: 3,
 		Artifacts: []ArtifactRef{
