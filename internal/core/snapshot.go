@@ -174,12 +174,15 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 		return nil, fmt.Errorf("core: snapshot fingerprint %016x, deployment is %016x: trained under a different detector registry, tree count, or preference (%w)",
 			fingerprint, want, ErrSnapshotFingerprint)
 	}
-	le := binary.LittleEndian
-	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
-	cthld, kind := f64(artifactPrefix), PredictorKind(b[artifactPrefix+8])
-	alpha, q := f64(artifactPrefix+9), f64(artifactPrefix+17)
-	pref := stats.Preference{Recall: f64(artifactPrefix + 25), Precision: f64(artifactPrefix + 33)}
-	fcfg := forest.Config{Trees: int(int64(le.Uint64(b[artifactPrefix+41:]))), Seed: int64(le.Uint64(b[artifactPrefix+49:]))}
+	// The fields in SaveModel's order.
+	le, p := binary.LittleEndian, b[artifactPrefix:verdictHeader]
+	f64 := func() float64 { v := math.Float64frombits(le.Uint64(p)); p = p[8:]; return v }
+	cthld := f64()
+	kind := PredictorKind(p[0])
+	p = p[1:]
+	alpha, q := f64(), f64()
+	pref := stats.Preference{Recall: f64(), Precision: f64()}
+	fcfg := forest.Config{Trees: int(int64(le.Uint64(p))), Seed: int64(le.Uint64(p[8:]))}
 	if kind > PredictEVT {
 		return nil, fmt.Errorf("core: snapshot names predictor %d (%w)", kind, ErrSnapshotVersion)
 	}

@@ -23,10 +23,9 @@ func heapInuse() uint64 {
 // TestSeriesHeapCeiling pins what one trained, streaming series holds on the
 // heap — EXPERIMENTS.md's "Memory, accounted" set-up: 16 hourly series × 9
 // weeks, Trees=20, trained, 64 points streamed into each. With one severity
-// matrix in the feature cache a series reads ≈ 2.3 MB (≈ 2.65 while each
-// forest also kept its trees, their importances and the binner's edges; 4.23
-// with the imputed twin); a change that re-grows a second copy fails here
-// instead of being found by a profile. The cache's accounted bytes must be exactly one matrix
+// matrix in the feature cache and only the flat forest kept, a series reads
+// ≈ 2.3 MB; a change that re-grows a second copy of either fails here instead
+// of being found by a profile. The cache's accounted bytes must be exactly one matrix
 // plus the flat per-configuration state estimate.
 func TestSeriesHeapCeiling(t *testing.T) {
 	if testing.Short() {

@@ -137,8 +137,9 @@ func importances(trees []*tree.Tree, d int) []float64 {
 // Importances returns the mean gini importance per feature across the
 // ensemble, normalized to sum to 1 (all zeros if no tree ever split; nil for
 // a decoded forest, whose artifact keeps only what inference walks). The
-// slice is the forest's own; callers must not modify it. Features with high importance are the detector configurations the forest
-// actually relies on — the automated counterpart of reading Fig 5's tree.
+// slice is the forest's own; callers must not modify it. Features with high
+// importance are the detector configurations the forest actually relies on —
+// the automated counterpart of reading Fig 5's tree.
 func (f *Forest) Importances() []float64 {
 	return f.importance
 }

@@ -194,6 +194,17 @@ func TestSimCatchesWatchdogOutage(t *testing.T) {
 	}
 }
 
+// stop shuts down the engines a run that ended in a violation leaves
+// running, so that no late retrain or publish writes into a temp dir while
+// the test removes it.
+func (h *Harness) stop() {
+	if h.twin != nil {
+		h.discardTwin()
+	}
+	h.eng.Close()
+	h.store.Close()
+}
+
 // TestSimCatchesBulkMutations is the bulk invariant's self-test: an
 // AppendBulk that applies a run's frames in reverse order, or drops a run,
 // (emulated by mutating the group the live engine receives) must be caught
@@ -221,6 +232,7 @@ func TestSimCatchesBulkMutations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("harness: %v", err)
 			}
+			t.Cleanup(h.stop)
 			mutated := false
 			h.MutateGroup = func(bs []engine.SeriesBatch) []engine.SeriesBatch {
 				if !mutated {
