@@ -70,7 +70,7 @@ func appendPrefix(b []byte, magic string, fingerprint uint64) []byte {
 // fingerprint; a mismatch wraps ErrSnapshotVersion.
 func readPrefix(b []byte, magic string) (uint64, error) {
 	if len(b) < artifactPrefix || string(b[:4]) != magic {
-		return 0, fmt.Errorf("core: not a %s artifact of this codec (%w)", magic, ErrSnapshotVersion)
+		return 0, fmt.Errorf("core: artifact lacks the %q magic of this codec (%w)", magic, ErrSnapshotVersion)
 	}
 	if v := binary.LittleEndian.Uint32(b[4:]); v != artifactVersion {
 		return 0, fmt.Errorf("core: artifact version %d, want %d (%w)", v, artifactVersion, ErrSnapshotVersion)

@@ -82,11 +82,6 @@ func refHeldOutScores(model *forest.Forest, cols [][]float64, labels []bool, fcf
 	return out
 }
 
-// forestBytes encodes a forest or a multi-class head.
-func forestBytes(f interface{ Append([]byte) []byte }) []byte {
-	return f.Append(nil)
-}
-
 // TestTrainingRoundMatchesReference trains a full monitor — hourly registry,
 // cross-validated cThld, typed labels — under both predictors and retrains
 // it on a week more, and requires of each round the reference's forest bytes,
@@ -128,7 +123,7 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 				}
 				cols := feats.ImputedFull()
 				model := forest.Train(cols, labels, fcfg)
-				if !bytes.Equal(forestBytes(mon.model), forestBytes(model)) {
+				if !bytes.Equal(mon.model.Append(nil), model.Append(nil)) {
 					t.Error("NewMonitor's forest differs from the reference")
 				}
 				wantCV := refCrossValidateCThld(cols, labels, 5, 1000, fcfg, pref)
@@ -148,7 +143,7 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 				if wantHead == nil || mon.typeModel == nil {
 					t.Fatal("typed labels did not train a head")
 				}
-				if !bytes.Equal(forestBytes(mon.typeModel), forestBytes(wantHead)) {
+				if !bytes.Equal(mon.typeModel.Append(nil), wantHead.Append(nil)) {
 					t.Error("NewMonitor's type head differs from one trained on its own presort")
 				}
 
@@ -161,10 +156,10 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				cols = feats.ImputedFull()
-				if !bytes.Equal(forestBytes(next.model), forestBytes(forest.Train(cols, d.Labels, fcfg))) {
+				if !bytes.Equal(next.model.Append(nil), forest.Train(cols, d.Labels, fcfg).Append(nil)) {
 					t.Error("Retrain's forest differs from the reference")
 				}
-				if !bytes.Equal(forestBytes(next.typeModel), forestBytes(forest.TrainMulti(tree.Presort(cols), types, fcfg))) {
+				if !bytes.Equal(next.typeModel.Append(nil), forest.TrainMulti(tree.Presort(cols), types, fcfg).Append(nil)) {
 					t.Error("Retrain's type head differs from one trained on its own presort")
 				}
 			})

@@ -73,12 +73,12 @@ func trainingRoundLines(t *testing.T) []string {
 				threshold = "evt_threshold"
 			}
 			at := fmt.Sprintf("%s/%v", p.Name, kind)
-			forestFlat := sha256.Sum256(flatBytes(forestBytes(mon.model), false))
-			headFlat := sha256.Sum256(flatBytes(forestBytes(mon.typeModel), true))
+			forestFlat := sha256.Sum256(flatBytes(mon.model.Append(nil), false))
+			headFlat := sha256.Sum256(flatBytes(mon.typeModel.Append(nil), true))
 			got = append(got,
-				fmt.Sprintf("%s forest %x", at, sha256.Sum256(forestBytes(mon.model))),
+				fmt.Sprintf("%s forest %x", at, sha256.Sum256(mon.model.Append(nil))),
 				fmt.Sprintf("%s forest_flat %x", at, forestFlat),
-				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(forestBytes(mon.typeModel))),
+				fmt.Sprintf("%s type_head %x", at, sha256.Sum256(mon.typeModel.Append(nil))),
 				fmt.Sprintf("%s type_head_flat %x", at, headFlat),
 				fmt.Sprintf("%s %s %#016x", at, threshold, math.Float64bits(mon.cthld)))
 
@@ -97,10 +97,10 @@ func trainingRoundLines(t *testing.T) []string {
 			if err := loaded.RestoreTypeModel(&typed); err != nil {
 				t.Fatal(err)
 			}
-			if sha256.Sum256(flatBytes(forestBytes(loaded.model), false)) != forestFlat {
+			if sha256.Sum256(flatBytes(loaded.model.Append(nil), false)) != forestFlat {
 				t.Errorf("%s: the decoded verdict artifact walks other nodes than were saved", at)
 			}
-			if sha256.Sum256(flatBytes(forestBytes(loaded.typeModel), true)) != headFlat {
+			if sha256.Sum256(flatBytes(loaded.typeModel.Append(nil), true)) != headFlat {
 				t.Errorf("%s: the decoded type artifact walks other nodes than were saved", at)
 			}
 		}

@@ -180,8 +180,8 @@ func warmWindow(s *timeseries.Series) *timeseries.Series {
 
 // loadMonitorFromArtifact loads series' newest valid artifact set into a
 // monitor, re-warming detectors from the trailing window of snap. An artifact
-// that can never load (snapshot format skew, gob garbage behind a valid CRC)
-// is quarantined; a fingerprint mismatch (trained under a different detector
+// that can never load (another codec version, or bytes behind a valid CRC
+// that the decoder refuses) is quarantined; a fingerprint mismatch (trained under a different detector
 // registry, tree count, or preference) is left in place — the operator may
 // revert the deployment change — but still fails the warm rung. The verdict
 // head decides the rung: a type-head payload that fails its own restore is

@@ -10,7 +10,8 @@
 //
 //	<dir>/<series>/
 //	    manifest.json            generation index + current pointer
-//	    000000000001.model       CRC32-C framed gob snapshot, one per generation
+//	    000000000001.model       CRC32-C framed verdict artifact, one per generation
+//	    000000000001.atype.model the generation's anomaly-type artifact, when trained
 //	    000000000002.model
 //	    000000000002.model.corrupt   a quarantined artifact (set aside, kept)
 //
