@@ -105,80 +105,101 @@ func probeRow(rng *rand.Rand, b *tree.Binner, row []float64) {
 // TestForestRawWalkMatchesBinned is the equivalence property behind
 // "inference never bins": for forests of 1–60 trees, on rows made of edge
 // values and specials, the raw-threshold walk returns the very bits that
-// binning the row and traversing each tree does — through Prob, ProbRowsInto
-// and ProbAll, after an Append/Load round trip, and for the multi-class
-// type head. The trees and the binner of the reference are grown by refGrow,
-// the former Train, which TestTrainMatchesReference pins Train to; Train
-// itself keeps neither.
+// binning the row and traversing each tree does. The majority=false leg
+// checks the verdict forest through Prob, ProbRowsInto and ProbAll and after
+// an Append/Load round trip; the majority=true leg checks the multi-class
+// type head, whose decision is the majority rule (the argmax vote fraction,
+// abstaining below multiAbstain), through PredictRow before and after an
+// Append/LoadMulti round trip. The trees and the binner of the reference are
+// grown by refGrow, the former Train, which TestTrainMatchesReference pins
+// Train to; Train itself keeps neither.
 func TestForestRawWalkMatchesBinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivalenceSeed))
 	cols, labels, classes := edgeFixture(rng, 1200)
 	d := len(cols)
 	const probes = probAllSerialThreshold + 64 // ProbAll takes its row-chunked parallel path
+	binner := tree.NewBinner(cols, tree.MaxBins)
+	probeRows := func() ([]float64, [][]float64) {
+		rows := make([]float64, probes*d)
+		probeCols := make([][]float64, d)
+		for j := range probeCols {
+			probeCols[j] = make([]float64, probes)
+		}
+		for s := 0; s < probes; s++ {
+			row := rows[s*d : (s+1)*d]
+			probeRow(rng, binner, row)
+			for j, v := range row {
+				probeCols[j][s] = v
+			}
+		}
+		return rows, probeCols
+	}
 	for _, trees := range []int{1, 2, 7, 20, 60} {
-		t.Run(fmt.Sprintf("trees=%d", trees), func(t *testing.T) {
-			cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
-			grown, binner := refGrow(cols, labels, cfg)
-			f := Train(cols, labels, cfg)
-			loaded, rest, err := Load(f.Append(nil), d)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
-			}
-			mc := TrainMulti(tree.Presort(cols), classes, cfg)
-			type head struct {
-				trees  []*tree.Tree
-				binner *tree.Binner
-			}
-			heads := make([]head, len(mc.classes))
-			for k, code := range mc.classes {
-				oneVsRest := make([]bool, len(classes))
-				for i, c := range classes {
-					oneVsRest[i] = c == code
+		for _, majority := range []bool{false, true} {
+			t.Run(fmt.Sprintf("trees=%d/majority=%v", trees, majority), func(t *testing.T) {
+				cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
+				rows, probeCols := probeRows()
+				if !majority {
+					grown, _ := refGrow(cols, labels, cfg)
+					f := Train(cols, labels, cfg)
+					loaded, rest, err := Load(f.Append(nil), d)
+					if err != nil || len(rest) != 0 {
+						t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
+					}
+					batch := make([]float64, probes)
+					f.ProbRowsInto(rows, d, batch)
+					all := f.ProbAll(probeCols)
+					for s := 0; s < probes; s++ {
+						row := rows[s*d : (s+1)*d]
+						want := math.Float64bits(refProb(grown, binner, row))
+						for path, got := range map[string]float64{
+							"Prob": f.Prob(row), "ProbRowsInto": batch[s], "ProbAll": all[s], "Load→Prob": loaded.Prob(row),
+						} {
+							if math.Float64bits(got) != want {
+								t.Fatalf("row %v: %s = %v, binned reference %v", row, path, got, math.Float64frombits(want))
+							}
+						}
+					}
+					return
 				}
-				hcfg := cfg
-				hcfg.Seed += int64(k+1) * headSeedStride
-				heads[k].trees, heads[k].binner = refGrow(cols, oneVsRest, hcfg)
-			}
 
-			rows := make([]float64, probes*d)
-			probeCols := make([][]float64, d)
-			for j := range probeCols {
-				probeCols[j] = make([]float64, probes)
-			}
-			for s := 0; s < probes; s++ {
-				row := rows[s*d : (s+1)*d]
-				probeRow(rng, binner, row)
-				for j, v := range row {
-					probeCols[j][s] = v
+				mc := TrainMulti(tree.Presort(cols), classes, cfg)
+				if mc == nil {
+					t.Fatal("fixture trains no type head")
 				}
-			}
-			batch := make([]float64, probes)
-			f.ProbRowsInto(rows, d, batch)
-			all := f.ProbAll(probeCols)
-			for s := 0; s < probes; s++ {
-				row := rows[s*d : (s+1)*d]
-				want := math.Float64bits(refProb(grown, binner, row))
-				for path, got := range map[string]float64{
-					"Prob": f.Prob(row), "ProbRowsInto": batch[s], "ProbAll": all[s], "Load→Prob": loaded.Prob(row),
-				} {
-					if math.Float64bits(got) != want {
-						t.Fatalf("row %v: %s = %v, binned reference %v", row, path, got, math.Float64frombits(want))
+				loaded, rest, err := LoadMulti(mc.Append(nil), d)
+				if err != nil || len(rest) != 0 {
+					t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
+				}
+				heads := make([][]*tree.Tree, len(mc.classes))
+				for k, code := range mc.classes {
+					oneVsRest := make([]bool, len(classes))
+					for i, c := range classes {
+						oneVsRest[i] = c == code
+					}
+					hcfg := cfg
+					hcfg.Seed += int64(k+1) * headSeedStride
+					heads[k], _ = refGrow(cols, oneVsRest, hcfg)
+				}
+				for s := 0; s < probes; s++ {
+					row := rows[s*d : (s+1)*d]
+					wantClass, wantProb := uint8(0), 0.0
+					for k, h := range heads {
+						if p := refProb(h, binner, row); p > wantProb {
+							wantClass, wantProb = mc.classes[k], p
+						}
+					}
+					if wantProb < multiAbstain {
+						wantClass = 0
+					}
+					for path, head := range map[string]*MultiClass{"PredictRow": mc, "LoadMulti→PredictRow": loaded} {
+						if class, p := head.PredictRow(row); class != wantClass || math.Float64bits(p) != math.Float64bits(wantProb) {
+							t.Fatalf("row %v: %s (%d, %v), binned reference (%d, %v)", row, path, class, p, wantClass, wantProb)
+						}
 					}
 				}
-				wantClass, wantProb := uint8(0), 0.0
-				for k, h := range heads {
-					if p := refProb(h.trees, h.binner, row); p > wantProb {
-						wantClass, wantProb = mc.classes[k], p
-					}
-				}
-				if wantProb < multiAbstain {
-					wantClass = 0
-				}
-				if class, p := mc.PredictRow(row); class != wantClass || math.Float64bits(p) != math.Float64bits(wantProb) {
-					t.Fatalf("row %v: type head (%d, %v), binned reference (%d, %v)", row, class, p, wantClass, wantProb)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
