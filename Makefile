@@ -10,7 +10,7 @@ GATES = bench-vet bench-smoke oracle-race upgrade-smoke
 
 all: all-but-gates $(GATES)
 
-all-but-gates: build vet staticcheck test engine-race sim cover
+all-but-gates: build vet staticcheck test engine-race sim-race cover
 
 build:
 	$(GO) build ./...
@@ -67,13 +67,15 @@ faults:
 	$(GO) test -run TestFault -v ./...
 
 # Deterministic end-to-end simulation: the full engine (WAL + model registry +
-# alert pipeline + async retrain/publish) driven through seeded scenarios of
-# traffic, noisy labels, weekly retrains, crashes, torn artifacts, WAL
-# corruption and rollbacks, with invariants checked after every step; each
-# scenario ends with a bulk episode, AppendBulk against a twin taking the same
-# frames through Append, at GOMAXPROCS 1, 2 or 4 by seed (seed mod 3), so both
-# targets run the GOMAXPROCS matrix. The matrix covers 8 fixed seeds; a
-# failure prints a single-seed repro command.
+# alert pipeline + async retrain/publish) driven by one op interpreter
+# through seeded scenarios of traffic, noisy labels, weekly retrains,
+# crashes, torn artifacts, WAL corruption and stalls, wedged rounds, sheds
+# and rollbacks, with invariants checked after every op; each scenario ends
+# with a bulk episode, AppendBulk against a twin taking the same frames
+# through Append, at GOMAXPROCS 1, 2 or 4 by seed (seed mod 3), so both
+# targets run the GOMAXPROCS matrix. The matrix covers 8 fixed seeds, and
+# the regime scenario three more; a failure prints its repro command and its
+# op tail. all-but-gates runs sim-race, which covers every test sim runs.
 sim:
 	$(GO) test -count=1 -run 'TestSim' ./internal/simtest/
 

@@ -1,18 +1,17 @@
 package simtest
 
-// The bulk episode (FaultBulk). AppendBulk carries every /v1/ingest point and
-// is the one front door that spreads a request's series over goroutines, so
-// the scenario's last step drives it: random flush groups of 1–3 series and
+// The bulk episode. AppendBulk carries every /v1/ingest point and is the one
+// front door that spreads a request's series over goroutines, so every
+// classic scenario closes with it: random flush groups of 1–3 series and
 // 1–6 frames of 1 to 320 points (past the monitor's 256-point step block),
-// interleaved with labels, query answers, manual trains and rollbacks, at the
-// scenario's GOMAXPROCS. The twin restored from the same disk state takes
-// every frame one at a time through Append, and the two must agree bit for
-// bit: summaries, alarms, pending queries and retrained thresholds. The
-// episode ends with a crash right after an acked group: the data directory
-// as it stood at the ack must hold every point the group reported appended.
+// interleaved with labels, query answers, manual trains and rollbacks, at
+// the scenario's GOMAXPROCS. The twin restored from the same disk state
+// takes every frame one at a time through Append, and the two must agree bit
+// for bit: summaries, alarms, pending queries and retrained thresholds. The
+// episode ends with an acked group — the data directory as it stood at the
+// ack must hold every point the group reported appended — and a crash.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"opprentice/internal/engine"
-	"opprentice/internal/tsdb"
 )
 
 const (
@@ -46,57 +44,68 @@ const (
 // process-wide, and each episode must run at its own scenario's.
 var procsMu sync.Mutex
 
-// faultBulk runs the bulk episode against the twin of a fresh crash restore.
-func (h *Harness) faultBulk() error {
-	if h.twin == nil {
-		if err := h.crashRestore(); err != nil {
-			return err
-		}
+// bulkEpisode is the episode's generator. A crash restores the twin, then
+// bulkOps ops drawn from the episode's own seeded stream run at the
+// scenario's GOMAXPROCS, then a shed group, the acked group and a crash.
+func (h *Harness) bulkEpisode(emit func(op) error) error {
+	step := h.scen.Steps - 1
+	if err := emit(op{step: step, kind: opCrash}); err != nil {
+		return err
 	}
 	procsMu.Lock()
 	defer procsMu.Unlock()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(h.scen.Procs))
-	h.tracef("step %d: bulk episode at GOMAXPROCS=%d", h.step, h.scen.Procs)
+	h.tracef("step %d: bulk episode at GOMAXPROCS=%d", step, h.scen.Procs)
 	rng := rand.New(rand.NewSource(h.scen.Seed*7907 + 11))
-	for op := 0; op < bulkOps; op++ {
-		var err error
+	for i := 0; i < bulkOps; i++ {
+		live := h.liveSeries()
+		o, ok := op{step: step}, true
 		switch r := rng.Intn(10); {
 		case r < 6:
-			_, err = h.bulkGroup(rng, bulkReserve)
+			o, ok = h.drawGroup(rng, step, bulkReserve)
 		case r == 6:
-			err = h.bulkLabel(rng)
+			// One untyped window near a series' head.
+			st := live[rng.Intn(len(live))]
+			lo := max(st.total-1-rng.Intn(2*st.ppw), 0)
+			o = op{step: step, kind: opLabel, series: st.spec.Name, lo: lo, hi: min(lo+1+rng.Intn(12), st.total), anomalous: rng.Intn(4) != 0}
 		case r == 7:
-			err = h.bulkAnswer(rng)
+			qs, err := h.eng.Queries(context.Background(), "")
+			if err != nil {
+				return h.fail("bulk", "queries: %v", err)
+			}
+			qs = slices.DeleteFunc(qs, func(q engine.Query) bool { return h.mirror[q.Series].dead })
+			if ok = len(qs) > 0; ok {
+				q := qs[rng.Intn(len(qs))]
+				o = op{step: step, kind: opAnswer, series: q.Series, lo: q.Start, hi: q.End, anomalous: rng.Intn(2) == 0}
+			} else {
+				h.tracef("step %d: query answer skipped (none pending)", step)
+			}
 		case r == 8:
-			err = h.bulkTrain(rng)
+			o = op{step: step, kind: opTrain, series: live[rng.Intn(len(live))].spec.Name}
 		default:
-			err = h.bulkRollback()
+			o, ok, _ = h.resolve(op{step: step, kind: opRollback})
 		}
-		if err == nil {
-			err = h.checkExported()
-		}
-		if err != nil {
-			return err
+		if ok {
+			if err := emit(o); err != nil {
+				return err
+			}
 		}
 	}
-	if err := h.bulkShed(); err != nil {
+	if err := emit(op{step: step, kind: opShed, series: h.liveSeries()[0].spec.Name, viaBulk: true}); err != nil {
 		return err
 	}
-	return h.bulkCrash(rng)
-}
-
-// liveSeries returns the series still served, in scenario order.
-func (h *Harness) liveSeries() []*seriesState {
-	var out []*seriesState
-	for _, name := range h.names {
-		if st := h.mirror[name]; !st.dead {
-			out = append(out, st)
-		}
+	last, ok := h.drawGroup(rng, step, 0)
+	if !ok {
+		return h.fail("bulk", "no generated data left for the final group")
 	}
-	return out
+	last.acked = true
+	if err := emit(last); err != nil {
+		return err
+	}
+	return emit(op{step: step, kind: opCrash})
 }
 
-// bulkRun is one series' share of a flush group as the harness built it.
+// bulkRun is one series' share of a flush group.
 type bulkRun struct {
 	st      *seriesState
 	base, n int
@@ -104,12 +113,9 @@ type bulkRun struct {
 	twin    []engine.Verdict // the twin's verdicts, frame after frame
 }
 
-// bulkGroup sends one random flush group to the live engine through
-// AppendBulk and its frames, one Append each, to the twin, then checks the
-// two against each other and the mirror. It leaves the last reserve points
-// of every series' generated data alone, and returns the points applied.
-func (h *Harness) bulkGroup(rng *rand.Rand, reserve int) (int, error) {
-	ctx := context.Background()
+// drawGroup draws one random flush group. It leaves the last reserve points
+// of every series' generated data alone.
+func (h *Harness) drawGroup(rng *rand.Rand, step, reserve int) (op, bool) {
 	var cands []*seriesState
 	for _, st := range h.liveSeries() {
 		if st.total+reserve < st.data.Series.Len() {
@@ -117,20 +123,18 @@ func (h *Harness) bulkGroup(rng *rand.Rand, reserve int) (int, error) {
 		}
 	}
 	if len(cands) == 0 {
-		h.tracef("step %d: bulk group skipped (generated data spent)", h.step)
-		return 0, nil
+		h.tracef("step %d: bulk group skipped (generated data spent)", step)
+		return op{}, false
 	}
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	runs := make([]*bulkRun, 1+rng.Intn(min(bulkMaxSeries, len(cands))))
+	runs := make([]bulkRun, 1+rng.Intn(min(bulkMaxSeries, len(cands))))
 	for i := range runs {
-		runs[i] = &bulkRun{st: cands[i], base: cands[i].total}
+		runs[i] = bulkRun{st: cands[i], base: cands[i].total}
 	}
-
-	var batches []engine.SeriesBatch
-	var owners []*bulkRun
+	o := op{step: step, kind: opBulk}
 	points := 0
 	for f := 1 + rng.Intn(bulkMaxFrames); f > 0; f-- {
-		r := runs[rng.Intn(len(runs))]
+		r := &runs[rng.Intn(len(runs))]
 		size := 1 + rng.Intn(32)
 		if rng.Intn(6) == 0 {
 			size = 200 + rng.Intn(121)
@@ -143,8 +147,7 @@ func (h *Harness) bulkGroup(rng *rand.Rand, reserve int) (int, error) {
 		for i := range pts {
 			pts[i].Value = r.st.data.Series.Values[r.base+r.n+i]
 		}
-		batches = append(batches, engine.SeriesBatch{Name: r.st.spec.Name, Points: pts})
-		owners = append(owners, r)
+		o.batches = append(o.batches, engine.SeriesBatch{Name: r.st.spec.Name, Points: pts})
 		r.n += size
 		points += size
 		// A run arms its retrain at its end, the twin at the frame that
@@ -152,32 +155,50 @@ func (h *Harness) bulkGroup(rng *rand.Rand, reserve int) (int, error) {
 		// engines' rounds snapshot the same history.
 		r.closed = r.base+r.n-r.st.pointsAtTrain >= r.st.ppw
 	}
-	if len(batches) == 0 {
-		return 0, nil
+	if len(o.batches) == 0 {
+		return op{}, false
 	}
-	applied := len(batches)
-	ghost := rng.Intn(6) == 0
-	if ghost {
+	o.applied = len(o.batches)
+	if rng.Intn(6) == 0 {
 		// An unknown series fails its batch and everything after it, which
 		// must leave the prefix applied.
-		batches = append(batches,
+		o.batches = append(o.batches,
 			engine.SeriesBatch{Name: "ghost", Points: make([]engine.Point, 1)},
 			engine.SeriesBatch{Name: runs[0].st.spec.Name, Points: make([]engine.Point, 1+rng.Intn(8))})
 	}
+	return o, true
+}
 
-	sent := batches
+// bulkGroup is the bulk op: the group goes to the live engine through
+// AppendBulk and its frames, one Append each, to the twin; the two must agree
+// with each other and the mirror. An acked group's data directory, copied
+// the moment the group is in, must replay every point.
+func (h *Harness) bulkGroup(o op) error {
+	var runs []*bulkRun
+	owners := make([]*bulkRun, o.applied)
+	want := engine.BulkSummary{Batches: o.applied}
+	for k, b := range o.batches[:o.applied] {
+		i := slices.IndexFunc(runs, func(r *bulkRun) bool { return r.st.spec.Name == b.Name })
+		if i < 0 {
+			st := h.mirror[b.Name]
+			runs, i = append(runs, &bulkRun{st: st, base: st.total}), len(runs)
+		}
+		owners[k] = runs[i]
+		runs[i].n += len(b.Points)
+		want.Appended += len(b.Points)
+	}
+	ctx, ghost, sent := context.Background(), len(o.batches) > o.applied, o.batches
 	if h.MutateGroup != nil {
-		sent = h.MutateGroup(slices.Clone(batches))
+		sent = h.MutateGroup(slices.Clone(o.batches))
 	}
 	sum, verdicts, err := h.eng.AppendBulk(ctx, sent, nil)
 	if ghost != errors.Is(err, engine.ErrNotFound) || (!ghost && err != nil) {
-		return 0, h.fail("bulk", "group of %d batches (unknown series: %v) returned %v", len(batches), ghost, err)
+		return h.fail("bulk", "group of %d batches (unknown series: %v) returned %v", len(o.batches), ghost, err)
 	}
-	want := engine.BulkSummary{Appended: points, Batches: applied}
-	for k, b := range batches[:applied] {
+	for k, b := range o.batches[:o.applied] {
 		res, terr := h.twin.eng.Append(ctx, b.Name, b.Points, nil)
 		if terr != nil || !res.Persisted {
-			return 0, h.fail("bulk", "series %s: the twin's Append of frame %d: persisted %v, %v", b.Name, k, res.Persisted, terr)
+			return h.fail("bulk", "series %s: the twin's Append of frame %d: persisted %v, %v", b.Name, k, res.Persisted, terr)
 		}
 		owners[k].twin = append(owners[k].twin, res.Verdicts...)
 		for _, v := range res.Verdicts {
@@ -187,44 +208,46 @@ func (h *Harness) bulkGroup(rng *rand.Rand, reserve int) (int, error) {
 		}
 	}
 	if sum != want {
-		return 0, h.fail("bulk", "group summary %+v, the twin's frames add up to %+v", sum, want)
+		return h.fail("bulk", "group summary %+v, the twin's frames add up to %+v", sum, want)
 	}
-	if !slices.ContainsFunc(runs, func(r *bulkRun) bool { return r.n > 0 && sameVerdicts(verdicts, r.twin) }) {
-		return 0, h.fail("bulk", "the group's %d returned verdicts are no run's verdicts on the twin", len(verdicts))
+	if !slices.ContainsFunc(runs, func(r *bulkRun) bool { return sameVerdicts(verdicts, r.twin) }) {
+		return h.fail("bulk", "the group's %d returned verdicts are no run's verdicts on the twin", len(verdicts))
 	}
 
 	var crossed []*seriesState
 	for _, r := range runs {
-		st := r.st
 		for _, v := range r.twin {
 			if v.Anomalous {
-				st.anomSinceRestore++
+				r.st.anomSinceRestore++
 			}
 		}
-		st.total += r.n
-		h.ingestSinceRestore += r.n
-		for i := 0; i < r.n; i++ {
-			st.labels = append(st.labels, false)
-			st.types = append(st.types, 0)
-		}
-		if r.closed {
-			crossed = append(crossed, st)
+		h.advance(r.st, r.n)
+		if r.st.total-r.st.pointsAtTrain >= r.st.ppw {
+			crossed = append(crossed, r.st)
 		}
 	}
 	for _, st := range crossed {
-		if err := h.afterWeeklyTrain(st); err != nil {
-			return 0, err
+		if err := h.awaitRound(st); err != nil {
+			return err
 		}
 	}
 	if err := h.sameTwinRounds(crossed...); err != nil {
-		return 0, err
+		return err
 	}
 	// Compared once the rounds are in: each resets its series' queries.
 	if err := h.checkBulkRuns(runs); err != nil {
-		return 0, err
+		return err
 	}
-	h.tracef("step %d: bulk group of %d frames over %d series, %d points (%d retrained)", h.step, applied, len(runs), points, len(crossed))
-	return points, nil
+	h.tracef("step %d: bulk group of %d frames over %d series, %d points (%d retrained)", h.step, o.applied, len(runs), want.Appended, len(crossed))
+	if !o.acked {
+		return nil
+	}
+	acked := filepath.Join(h.scratch, "acked")
+	if err := copyTree(h.dataDir, acked); err != nil {
+		return fmt.Errorf("simtest: copy the data dir at the ack: %w", err)
+	}
+	defer os.RemoveAll(acked)
+	return h.checkWALs(acked)
 }
 
 // checkBulkRuns compares each run of the group just applied: the live
@@ -241,9 +264,6 @@ func (h *Harness) checkBulkRuns(runs []*bulkRun) error {
 		recent[in.Name] = in.Recent
 	}
 	for _, r := range runs {
-		if r.n == 0 {
-			continue
-		}
 		name, data := r.st.spec.Name, r.st.data.Series
 		got := recent[name]
 		if len(got) < r.n {
@@ -338,159 +358,4 @@ func (h *Harness) awaitTwin(names ...string) (map[string]engine.TrainResult, err
 		}
 	}
 	return out, nil
-}
-
-// bulkLabel applies one random untyped label window near st's head to both
-// engines.
-func (h *Harness) bulkLabel(rng *rand.Rand) error {
-	live := h.liveSeries()
-	st := live[rng.Intn(len(live))]
-	lo := max(st.total-1-rng.Intn(2*st.ppw), 0)
-	w := engine.Window{Start: lo, End: min(lo+1+rng.Intn(12), st.total), Anomalous: rng.Intn(4) != 0}
-	return h.bulkRelabel(st, w.Start, w.End, w.Anomalous, func(e *engine.Engine) (engine.LabelResult, error) {
-		return e.Label(context.Background(), st.spec.Name, []engine.Window{w})
-	})
-}
-
-// bulkAnswer answers one pending label query on both engines.
-func (h *Harness) bulkAnswer(rng *rand.Rand) error {
-	qs, err := h.eng.Queries(context.Background(), "")
-	if err != nil {
-		return h.fail("bulk", "queries: %v", err)
-	}
-	qs = slices.DeleteFunc(qs, func(q engine.Query) bool { return h.mirror[q.Series].dead })
-	if len(qs) == 0 {
-		h.tracef("step %d: bulk query answer skipped (none pending)", h.step)
-		return nil
-	}
-	q, anomalous := qs[rng.Intn(len(qs))], rng.Intn(2) == 0
-	return h.bulkRelabel(h.mirror[q.Series], q.Start, q.End, anomalous, func(e *engine.Engine) (engine.LabelResult, error) {
-		return e.AnswerQuery(context.Background(), q.Series, q.Start, q.End, anomalous)
-	})
-}
-
-// bulkRelabel applies one untyped label action over [lo, hi) of st through
-// apply on both engines, and mirrors it: an untyped action clears the class
-// channel over its range.
-func (h *Harness) bulkRelabel(st *seriesState, lo, hi int, anomalous bool, apply func(*engine.Engine) (engine.LabelResult, error)) error {
-	res, err := apply(h.eng)
-	tres, terr := apply(h.twin.eng)
-	if err != nil || terr != nil {
-		return h.fail("label", "series %s: labeling [%d, %d) rejected: live %v, twin %v", st.spec.Name, lo, hi, err, terr)
-	}
-	for i := lo; i < hi; i++ {
-		st.labels[i], st.types[i] = anomalous, 0
-	}
-	if want := countTrue(st.labels); res != tres || res.AnomalousPoints != want {
-		return h.fail("label", "series %s: labeling [%d, %d) gave %+v, the twin %+v, mirror %d anomalous points",
-			st.spec.Name, lo, hi, res, tres, want)
-	}
-	h.tracef("step %d: bulk label %s [%d, %d) anomalous=%v", h.step, st.spec.Name, lo, hi, anomalous)
-	return nil
-}
-
-// bulkTrain runs one manual training round on both engines.
-func (h *Harness) bulkTrain(rng *rand.Rand) error {
-	live := h.liveSeries()
-	st := live[rng.Intn(len(live))]
-	name := st.spec.Name
-	res, err := h.eng.Train(context.Background(), name)
-	if err != nil {
-		return h.fail("retrain", "series %s: manual retrain in the bulk episode failed: %v", name, err)
-	}
-	if _, err := h.awaitTrain(name); err != nil {
-		return err
-	}
-	st.pointsAtTrain = res.Points
-	h.trains++
-	if err := h.awaitPublishInto(st, res); err != nil {
-		return err
-	}
-	if err := h.checkManifest(st, res.CThld, true); err != nil {
-		return err
-	}
-	if _, err := h.twin.eng.Train(context.Background(), name); err != nil {
-		return h.fail("bulk", "series %s: the twin's manual retrain failed: %v", name, err)
-	}
-	h.tracef("step %d: bulk train %s at %d points", h.step, name, res.Points)
-	return h.sameTwinRounds(st)
-}
-
-// bulkRollback rolls the first eligible series back on both engines.
-func (h *Harness) bulkRollback() error {
-	for _, st := range h.liveSeries() {
-		if len(st.pubs) < 2 {
-			continue
-		}
-		name := st.spec.Name
-		man, err := h.rollbackSeries(st)
-		if err != nil {
-			return err
-		}
-		tman, terr := h.twin.eng.RollbackModel(context.Background(), name)
-		live, _ := h.eng.Status(context.Background(), name)
-		twin, _ := h.twin.eng.Status(context.Background(), name)
-		if terr != nil || tman.Current != man.Current || math.Float64bits(live.CThld) != math.Float64bits(twin.CThld) {
-			return h.fail("bulk", "series %s: rolled back to gen %d (cthld %v), the twin to %d (cthld %v, %v)",
-				name, man.Current, live.CThld, tman.Current, twin.CThld, terr)
-		}
-		return nil
-	}
-	h.tracef("step %d: bulk rollback skipped (no series with 2 generations)", h.step)
-	return nil
-}
-
-// bulkShed sends one group over a shard's in-flight budget: admission must
-// shed it whole.
-func (h *Harness) bulkShed() error {
-	st := h.liveSeries()[0]
-	half := make([]engine.Point, simInflight/2+1)
-	sum, _, err := h.eng.AppendBulk(context.Background(), []engine.SeriesBatch{
-		{Name: st.spec.Name, Points: half}, {Name: st.spec.Name, Points: half},
-	}, nil)
-	if !errors.Is(err, engine.ErrOverloaded) || sum != (engine.BulkSummary{}) {
-		return h.fail("overload", "series %s: a group of %d points on one shard gave %+v, %v; want it shed whole",
-			st.spec.Name, 2*len(half), sum, err)
-	}
-	h.expSheds++
-	return h.checkExported()
-}
-
-// bulkCrash applies one more group, copies the data directory the moment
-// AppendBulk returns, crashes and restores, and checks that the copy holds
-// every acked point: an acked group is durable, not merely queued.
-func (h *Harness) bulkCrash(rng *rand.Rand) error {
-	if n, err := h.bulkGroup(rng, 0); err != nil || n == 0 {
-		return cmp.Or(err, h.fail("bulk", "no generated data left for the final group"))
-	}
-	acked := filepath.Join(h.scratch, fmt.Sprintf("acked-%d", h.crashes))
-	if err := copyTree(h.dataDir, acked); err != nil {
-		return fmt.Errorf("simtest: copy the data dir at the ack: %w", err)
-	}
-	defer os.RemoveAll(acked)
-	if err := h.crashRestore(); err != nil {
-		return err
-	}
-	probe, err := tsdb.Open(acked)
-	if err != nil {
-		return fmt.Errorf("simtest: open the data dir copied at the ack: %w", err)
-	}
-	defer probe.Close()
-	for _, st := range h.liveSeries() {
-		loaded, err := probe.Load(st.spec.Name)
-		if err != nil || len(loaded.Values) != st.total {
-			n := 0
-			if err == nil {
-				n = len(loaded.Values)
-			}
-			return h.fail("bulk", "series %s: the log as of the ack holds %d of %d acked points (%v)", st.spec.Name, n, st.total, err)
-		}
-		for i, v := range loaded.Values {
-			if math.Float64bits(v) != math.Float64bits(st.data.Series.Values[i]) {
-				return h.fail("bulk", "series %s: the log as of the ack holds %v at %d, the stream sent %v", st.spec.Name, v, i, st.data.Series.Values[i])
-			}
-		}
-	}
-	h.tracef("step %d: crash right after an acked group: every acked point on disk", h.step)
-	return nil
 }

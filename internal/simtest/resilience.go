@@ -1,17 +1,16 @@
 package simtest
 
-// Resilience fault orchestration: the slow-disk stall, the hung trainer and
-// the ingest flood (DESIGN.md §11). Each orchestration drives the live
-// engine through one overload/stall episode and checks the degraded-mode,
-// admission-control and watchdog invariants against the mirror; the exp*
-// counters on the Harness predict the engine's resilience counters, which
-// checkResilience compares before every engine teardown.
+// The resilience ops: the WAL stall, the hung trainer and the shed
+// (DESIGN.md §11). Each drives the live engine through one overload or stall
+// episode and checks the degraded-mode, admission-control and watchdog
+// invariants against the mirror; the exp* counters on the Harness predict
+// the engine's resilience counters, which checkExported compares after every
+// op and checkResilience before every engine teardown.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,22 +26,18 @@ const (
 	simInflight = 512
 	// stallWALDeadline / stallTrainDeadline are the tightened deadlines
 	// during a fault window, so a stall is detected in milliseconds instead
-	// of the production seconds/minutes.
+	// of the production seconds/minutes. The setters restore the defaults
+	// when given 0.
 	stallWALDeadline   = 250 * time.Millisecond
 	stallTrainDeadline = 250 * time.Millisecond
-	// prodWALDeadline / prodTrainDeadline restore the engine defaults after
-	// a fault window. The setters treat zero as "disabled", so the restore
-	// must store the explicit defaults.
-	prodWALDeadline   = 2 * time.Second
-	prodTrainDeadline = 5 * time.Minute
 	// recoveryWindow is the degraded-recovery hysteresis the simulation
 	// configures, and degradedBatches how many batches ride the degraded
 	// path before the stall clears.
 	recoveryWindow  = 150 * time.Millisecond
 	degradedBatches = 2
-	// stallAwait bounds every wait inside a stall orchestration. The
-	// watchdog fires within ~1s of real time at the tightened deadlines, so
-	// ten seconds means "the watchdog is off", not "slow".
+	// stallAwait bounds every wait inside a stall episode. The watchdog
+	// fires within ~1s of real time at the tightened deadlines, so ten
+	// seconds means "the watchdog is off", not "slow".
 	stallAwait = 10 * time.Second
 )
 
@@ -91,361 +86,156 @@ func (g *gatedStore) Submit(ctx context.Context, rec tsdb.Record, done func(erro
 // watermark (so the wedged round is a scheduled retrain, not a manual one),
 // preferring the scenario's choice. Empty when no series qualifies this
 // step — the fault then defers to the next step.
-func (h *Harness) chooseHungTarget() string {
+func (h *Harness) chooseHungTarget(pref string) string {
 	qualifies := func(st *seriesState) bool {
 		return !st.dead && st.trained &&
 			st.total+h.scen.BatchPoints-st.pointsAtTrain >= st.ppw
 	}
-	if pref := h.mirror[h.names[h.hungTarget%len(h.names)]]; qualifies(pref) {
-		return pref.spec.Name
+	if qualifies(h.mirror[pref]) {
+		return pref
 	}
-	for _, name := range h.names {
-		if qualifies(h.mirror[name]) {
-			return name
+	for _, st := range h.liveSeries() {
+		if qualifies(st) {
+			return st.spec.Name
 		}
 	}
 	return ""
 }
 
-// stepHungTrainer wedges the scheduled retrain that st's next batch
-// triggers: it arms the training gate and tightens the train deadline, then
-// lets the regular append run — appendChecked routes the gated round's
-// aftermath to afterStalledTrain via stallArmed.
-func (h *Harness) stepHungTrainer(st *seriesState) error {
-	name := st.spec.Name
-	h.tracef("step %d: hung_trainer %s (watchdog enabled=%v)", h.step, name, !h.DisableWatchdog)
-	if h.DisableWatchdog {
-		// The production deadline outlives stallAwait: to the harness the
-		// watchdog never fires.
-		h.eng.SetTrainDeadline(prodTrainDeadline)
-	} else {
+// wedge is the hung op: it arms the training gate, so the round st's next
+// batch schedules wedges, and tightens the train deadline so the watchdog
+// abandons it in milliseconds — unless DisableWatchdog leaves the production
+// deadline, which outlives stallAwait: to the harness the watchdog then
+// never fires.
+func (h *Harness) wedge(st *seriesState) error {
+	h.tracef("step %d: hung_trainer %s (watchdog enabled=%v)", h.step, st.spec.Name, !h.DisableWatchdog)
+	if !h.DisableWatchdog {
 		h.eng.SetTrainDeadline(stallTrainDeadline)
 	}
 	h.trainGate.Arm()
-	h.stallArmed = true
-	defer func() {
-		// Idempotent cleanup for the violation paths: afterStalledTrain
-		// already released and restored on success.
-		h.stallArmed = false
-		h.trainGate.Release()
-		h.eng.SetTrainDeadline(prodTrainDeadline)
-	}()
-	if err := h.appendChecked(st, h.scen.BatchPoints); err != nil {
-		return err
-	}
-	if !h.hungDone {
-		return h.fail("watchdog", "series %s: hung-trainer step %d did not cross the retrain watermark — scenario scheduling bug", name, h.step)
-	}
+	h.hung = st.spec.Name
 	return nil
 }
 
-// afterStalledTrain is the gated counterpart of afterWeeklyTrain: the round
-// the append just scheduled is wedged on the training gate, and the
-// watchdog must abandon it, retry, and quarantine the series — after which
-// a manual retrain over the cleared gate must lift the quarantine.
-func (h *Harness) afterStalledTrain(st *seriesState) error {
+// stalledRound follows the round st's batch scheduled into the wedge: the
+// watchdog must abandon it as ErrStalled, retry with backoff, abandon the
+// retry too and quarantine the series at the failure limit of 2. Then the
+// gate opens and the deadline returns to the default; the manual round the
+// generator emits next must lift the quarantine.
+func (h *Harness) stalledRound(st *seriesState) error {
 	name := st.spec.Name
-	h.hungDone = true
-
-	// The first attempt stalls, the watchdog retries with backoff, and the
-	// retry stalls too — tripping the failure limit of 2.
+	h.hung, h.hungDone = "", true
 	for attempt := 1; attempt <= 2; attempt++ {
 		ev, ok := h.awaitTrainWithin(name, stallAwait)
 		if !ok {
 			return h.fail("watchdog", "series %s: no TrainDone within %v for gated round %d — the training watchdog never abandoned the stalled work",
 				name, stallAwait, attempt)
 		}
-		if ev.err == nil {
-			return h.fail("watchdog", "series %s: gated training round %d reported success while the gate was armed", name, attempt)
-		}
 		if !errors.Is(ev.err, engine.ErrStalled) {
-			return h.fail("watchdog", "series %s: gated round %d failed with %v, want ErrStalled", name, attempt, ev.err)
+			return h.fail("watchdog", "series %s: gated round %d ended with %v while the gate was armed, want ErrStalled", name, attempt, ev.err)
 		}
 	}
 	h.expStalls += 2
 	h.expRetries++
 
-	// The quarantine trip runs after the TrainDone hook fires (the hook is
-	// deferred inside the round), so poll briefly instead of asserting
-	// immediately.
-	quarantineBy := time.Now().Add(stallAwait)
-	for {
-		status, err := h.eng.Status(context.Background(), name)
-		if err != nil {
-			return h.fail("watchdog", "series %s: status during quarantine poll: %v", name, err)
-		}
-		if status.Quarantined {
-			break
-		}
-		if time.Now().After(quarantineBy) {
+	// The quarantine trips after the TrainDone hook fires (the hook is
+	// deferred inside the round), and its counter after the flag: poll the
+	// counter.
+	for by := time.Now().Add(stallAwait); h.eng.Counters().SeriesQuarantined == h.expQuarantined; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(by) {
 			return h.fail("watchdog", "series %s: two consecutive stalls at the failure limit but the series never quarantined", name)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	h.expQuarantined++
-	if r := h.eng.Ready(); r.Ready || !containsStr(r.Quarantined, name) {
+	st.quarantined = true
+	if r := h.eng.Ready(); r.Ready || !slices.Contains(r.Quarantined, name) {
 		return h.fail("watchdog", "series %s: quarantined but readiness %+v does not say so", name, r)
 	}
-
-	// Clear the wedge and prove a manual retrain lifts the quarantine and
-	// publishes normally.
-	h.stallArmed = false
 	h.trainGate.Release()
-	h.eng.SetTrainDeadline(prodTrainDeadline)
-	res, err := h.eng.Train(context.Background(), name)
-	if err != nil {
-		return h.fail("watchdog", "series %s: manual retrain after the hang cleared failed: %v", name, err)
-	}
-	ev, aerr := h.awaitTrain(name)
-	if aerr != nil {
-		return aerr
-	}
-	if ev.err != nil {
-		return h.fail("watchdog", "series %s: manual retrain's TrainDone reported %v", name, ev.err)
-	}
-	if res.Points != st.total {
-		return h.fail("retrain", "series %s: manual retrain saw %d points, stream head is %d", name, res.Points, st.total)
-	}
-	st.pointsAtTrain = res.Points
-	h.trains++
-	if err := h.awaitPublishInto(st, res); err != nil {
-		return err
-	}
-	if err := h.checkManifest(st, res.CThld, true); err != nil {
-		return err
-	}
-	if err := h.eng.VerifyFeatureCache(name); err != nil {
-		return h.fail("extract_cache", "series %s: incremental extraction diverges from cold after the stalled rounds: %v", name, err)
-	}
-	status, serr := h.eng.Status(context.Background(), name)
-	if serr != nil {
-		return serr
-	}
-	if status.Quarantined {
-		return h.fail("watchdog", "series %s: still quarantined after a successful manual retrain", name)
-	}
-	h.tracef("step %d: %s stalled twice, quarantined, recovered by manual retrain (cthld=%.4f)", h.step, name, res.CThld)
+	h.eng.SetTrainDeadline(0)
+	h.tracef("step %d: %s stalled twice and quarantined", h.step, name)
 	return nil
 }
 
-// faultSlowDisk stalls the store under one series' durable writes: the next
-// batch blows the (tightened) WAL deadline and flips the series degraded,
-// two more batches ride the degraded path (threshold-only advisory
-// verdicts, bounded buffering), and once the stall clears the series must
-// drain, recover through the hysteresis, and serve full-fidelity verdicts
-// again — with zero lost points.
-func (h *Harness) faultSlowDisk() error {
-	var st *seriesState
-	for _, name := range h.names {
-		if s := h.mirror[name]; !s.dead && !s.corrupted {
-			st = s
-			break
-		}
-	}
-	if st == nil {
-		h.tracef("step %d: slow_disk skipped (no healthy series)", h.step)
-		return nil
-	}
-	name := st.spec.Name
-	n := h.scen.BatchPoints
-	h.tracef("step %d: slow_disk %s", h.step, name)
-
+// stall is the WAL-stall op: it wedges the store under st's durable writes.
+// The first batch blows the (tightened) WAL deadline and flips the series
+// degraded, degradedBatches more ride the degraded path (threshold-only
+// advisory verdicts, bounded buffering), and the stall clears. The series
+// stays degraded until its next batch — the generator emits it at once —
+// which must recover it with zero lost points.
+func (h *Harness) stall(st *seriesState) error {
+	ctx, name, n := context.Background(), st.spec.Name, h.scen.BatchPoints
+	h.tracef("step %d: wal_stall %s", h.step, name)
 	h.eng.SetWALDeadline(stallWALDeadline)
 	h.walGate.Arm()
-	released := false
-	release := func() {
-		if released {
-			return
-		}
-		released = true
-		h.walGate.Release()
-		h.eng.SetWALDeadline(prodWALDeadline)
-	}
-	defer release()
-
-	// The degrading batch rides the healthy path into the wedged store:
-	// the verdicts are still full-model (computed before the durable
-	// write), alarms included, but the deadline blows and the series must
-	// flip degraded with the batch buffered, not lost.
-	base := st.total
-	res, err := h.appendRaw(st, n)
-	if err != nil {
-		return err
-	}
-	if res.Persisted {
-		return h.fail("degraded", "series %s: store wedged but the append still reports persisted", name)
-	}
-	if !res.Degraded {
-		return h.fail("degraded", "series %s: append blew the %v WAL deadline without entering degraded mode", name, stallWALDeadline)
-	}
-	if len(res.Verdicts) != n {
-		return h.fail("verdicts", "series %s: %d verdicts for the degrading batch of %d", name, len(res.Verdicts), n)
-	}
-	for i, v := range res.Verdicts {
-		if v.Index != base+i {
-			return h.fail("verdicts", "series %s: degrading-batch verdict %d has index %d, want %d", name, i, v.Index, base+i)
-		}
-		if v.Degraded {
-			return h.fail("degraded", "series %s: degrading batch's verdict %d flagged degraded — it was computed by the full model", name, i)
-		}
-		if v.Anomalous {
-			st.anomSinceRestore++
-		}
-	}
-	h.expDegEntered++
-
-	// Degraded serving: threshold-only advisory verdicts, writes submitted
-	// without waiting, nothing alarmed.
-	for b := 0; b < degradedBatches; b++ {
-		base = st.total
-		res, err := h.appendRaw(st, n)
+	for b := 0; b <= degradedBatches; b++ {
+		base := st.total
+		_, res, err := h.send(st, n)
 		if err != nil {
 			return err
 		}
-		if res.Persisted {
-			return h.fail("degraded", "series %s: degraded batch %d reports persisted with the store still wedged", name, b+1)
+		if res.Persisted || !res.Degraded {
+			return h.fail("degraded", "series %s: batch %d into the wedged store reports persisted=%v degraded=%v, want false/true", name, b, res.Persisted, res.Degraded)
 		}
-		if !res.Degraded {
-			return h.fail("degraded", "series %s: batch %d left degraded mode with the stall still in place", name, b+1)
+		// The degrading batch rode the healthy path: its verdicts are
+		// full-model ones, alarms included, computed before the durable
+		// write blew its deadline. The rest are advisory.
+		if err := h.checkVerdicts(st, base, n, res.Verdicts, b > 0); err != nil {
+			return err
 		}
-		if len(res.Verdicts) != n {
-			return h.fail("degraded", "series %s: %d advisory verdicts for degraded batch of %d", name, len(res.Verdicts), n)
+		h.advance(st, n)
+		if b > 0 {
+			h.expBuffered += int64(n)
 		}
-		for i, v := range res.Verdicts {
-			if v.Index != base+i {
-				return h.fail("degraded", "series %s: degraded verdict %d has index %d, want %d", name, i, v.Index, base+i)
-			}
-			if !v.Degraded {
-				return h.fail("degraded", "series %s: verdict %d during the degraded window not flagged degraded", name, i)
-			}
-			if math.IsNaN(v.Probability) || v.Probability < 0 || v.Probability > 1 {
-				return h.fail("degraded", "series %s: degraded verdict at %d has probability %v outside [0,1]", name, v.Index, v.Probability)
-			}
-		}
-		h.expBuffered += int64(n)
 	}
-	status, serr := h.eng.Status(context.Background(), name)
-	if serr != nil {
-		return serr
+	h.expDegEntered++
+	st.degraded = true
+	status, err := h.eng.Status(ctx, name)
+	if err != nil || !status.Degraded {
+		return h.fail("degraded", "series %s: mid-window status does not report degraded (%v)", name, err)
 	}
-	if !status.Degraded {
-		return h.fail("degraded", "series %s: mid-window status does not report degraded", name)
-	}
-	if r := h.eng.Ready(); r.Ready || !containsStr(r.Degraded, name) {
+	if r := h.eng.Ready(); r.Ready || !slices.Contains(r.Degraded, name) {
 		return h.fail("degraded", "series %s: degraded but readiness %+v does not say so", name, r)
 	}
 
 	// Clear the stall, wait for the held writes to commit, and wait out the
 	// hysteresis (the wedged write completes "slow" at release, stamping the
 	// last violation — the quiet period starts there).
-	release()
-	ctx, cancel := context.WithTimeout(context.Background(), stallAwait)
+	h.walGate.Release()
+	h.eng.SetWALDeadline(0)
+	ctx, cancel := context.WithTimeout(ctx, stallAwait)
 	err = h.eng.SyncWAL(ctx, name)
 	cancel()
 	if err != nil {
 		return h.fail("degraded", "series %s: held writes did not commit after the stall cleared: %v", name, err)
 	}
 	time.Sleep(recoveryWindow + 250*time.Millisecond)
-
-	// The next regular batch must recover the series: appendChecked demands
-	// Persisted=true, full-model verdicts, and no degraded flag.
-	if err := h.appendChecked(st, n); err != nil {
-		return err
-	}
-	h.expDegRecovered++
-	status, serr = h.eng.Status(context.Background(), name)
-	if serr != nil {
-		return serr
-	}
-	if status.Degraded {
-		return h.fail("degraded", "series %s: still degraded after drain and recovery window", name)
-	}
-	if c := h.eng.Counters(); c.WALLostPoints != 0 {
-		return h.fail("degraded", "series %s: %d points dropped from the log with the degraded buffer never at capacity", name, c.WALLostPoints)
-	}
-	h.tracef("step %d: slow_disk %s recovered (%d points buffered through the window)", h.step, name, degradedBatches*n)
 	return nil
 }
 
-// faultIngestFlood pushes one batch over the per-shard in-flight budget and
-// checks admission control sheds it whole: ErrOverloaded, zero points
-// appended, and the next normal batch sails through.
-func (h *Harness) faultIngestFlood() error {
-	var st *seriesState
-	for _, name := range h.names {
-		if s := h.mirror[name]; !s.dead {
-			st = s
-			break
-		}
+// shed sends one batch over st's shard in-flight budget — simInflight+1
+// points through Append, or a group of two halves through AppendBulk — and
+// checks admission sheds it whole: ErrOverloaded, zero points appended.
+// Admission runs before validation, so the contents never matter: zero
+// values and zero timestamps do fine.
+func (h *Harness) shed(st *seriesState, viaBulk bool) error {
+	ctx, name := context.Background(), st.spec.Name
+	var sum engine.BulkSummary
+	var err error
+	if viaBulk {
+		half := make([]engine.Point, simInflight/2+1)
+		sum, _, err = h.eng.AppendBulk(ctx, []engine.SeriesBatch{{Name: name, Points: half}, {Name: name, Points: half}}, nil)
+	} else {
+		_, err = h.eng.Append(ctx, name, make([]engine.Point, simInflight+1), nil)
 	}
-	if st == nil {
-		h.tracef("step %d: ingest_flood skipped (no live series)", h.step)
-		return nil
-	}
-	name := st.spec.Name
-	before, err := h.eng.Status(context.Background(), name)
-	if err != nil {
-		return err
-	}
-	// Admission runs before validation, so the flood's contents never
-	// matter — zero values and zero timestamps do fine.
-	flood := make([]engine.Point, simInflight+1)
-	_, aerr := h.eng.Append(context.Background(), name, flood, nil)
-	if !errors.Is(aerr, engine.ErrOverloaded) {
-		return h.fail("overload", "series %s: %d-point batch over the %d in-flight budget returned %v, want ErrOverloaded",
-			name, len(flood), simInflight, aerr)
+	status, serr := h.eng.Status(ctx, name)
+	if !errors.Is(err, engine.ErrOverloaded) || sum != (engine.BulkSummary{}) || serr != nil || status.Points != st.total {
+		return h.fail("overload", "series %s: a batch over the %d in-flight budget (bulk %v) gave %+v, %v; %d points (%v), mirror %d — want it shed whole",
+			name, simInflight, viaBulk, sum, err, status.Points, serr, st.total)
 	}
 	h.expSheds++
-	after, err := h.eng.Status(context.Background(), name)
-	if err != nil {
-		return err
-	}
-	if after.Points != before.Points || after.Points != st.total {
-		return h.fail("overload", "series %s: shed batch moved the point count %d -> %d (mirror %d) — sheds must be atomic",
-			name, before.Points, after.Points, st.total)
-	}
-	if c := h.eng.Counters(); c.IngestSheds != h.expSheds {
-		return h.fail("overload", "engine counted %d sheds, mirror expected %d", c.IngestSheds, h.expSheds)
-	}
-	// The overload is instantaneous: the next normal batch must pass every
-	// regular invariant.
-	if err := h.appendChecked(st, h.scen.BatchPoints); err != nil {
-		return err
-	}
-	h.tracef("step %d: ingest_flood %s shed %d points atomically", h.step, name, len(flood))
+	h.tracef("step %d: shed an over-budget batch on %s (bulk %v)", h.step, name, viaBulk)
 	return nil
-}
-
-// appendRaw appends the next n generated points without the healthy-path
-// assertions (appendChecked's persistence and degraded-mode guards do not
-// hold inside a fault window) but with full mirror bookkeeping.
-func (h *Harness) appendRaw(st *seriesState, n int) (engine.AppendResult, error) {
-	name := st.spec.Name
-	base := st.total
-	if base+n > st.data.Series.Len() {
-		return engine.AppendResult{}, fmt.Errorf("simtest: scenario ran out of generated data for %s", name)
-	}
-	pts := make([]engine.Point, n)
-	for i := range pts {
-		pts[i] = engine.Point{
-			Timestamp: st.data.Series.TimeAt(base + i),
-			Value:     st.data.Series.Values[base+i],
-		}
-	}
-	res, err := h.eng.Append(context.Background(), name, pts, nil)
-	if err != nil {
-		return res, h.fail("append", "series %s: in-fault append of %d points at %d rejected: %v", name, n, base, err)
-	}
-	if res.Appended != n || res.Total != base+n {
-		return res, h.fail("append", "series %s: in-fault append %d/%d, total %d want %d", name, res.Appended, n, res.Total, base+n)
-	}
-	st.total += n
-	h.ingestSinceRestore += n
-	for i := 0; i < n; i++ {
-		st.labels = append(st.labels, false)
-		st.types = append(st.types, 0)
-	}
-	return res, nil
 }
 
 // checkResilience compares the engine's overload/degraded/watchdog counters
@@ -482,27 +272,4 @@ func (h *Harness) checkResilience() error {
 		return h.fail("degraded", "engine not ready outside any fault window: %+v", r)
 	}
 	return nil
-}
-
-// resetResilienceExpectations zeroes the mirror's counter predictions; the
-// engine's own counters start at zero with every instance.
-func (h *Harness) resetResilienceExpectations() {
-	h.expSheds = 0
-	h.expDegEntered = 0
-	h.expDegRecovered = 0
-	h.expBuffered = 0
-	h.expStalls = 0
-	h.expRetries = 0
-	h.expQuarantined = 0
-	h.expPublishes = 0
-	h.expRestoreWarm, h.expRestoreCold = 0, 0
-}
-
-func containsStr(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

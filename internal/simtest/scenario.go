@@ -1,11 +1,17 @@
 // Package simtest is a deterministic end-to-end simulation harness for the
 // whole Opprentice engine, in the spirit of FoundationDB-style simulation
-// testing: a seeded scenario generator synthesizes multi-KPI traffic with
-// ground-truth anomaly windows (kpigen), noisy operator labeling (labelsim),
-// weekly retrain ticks on a virtual point-index clock, and a seeded fault
-// schedule reusing internal/faultinject — detector panics, WAL corruption,
-// torn artifact writes, crash+restore, model rollback — while a mirror model
-// checks global invariants after every step:
+// testing. A scenario is a list of ops — create, append through Append or
+// an AppendBulk group, label, answer a query, train, roll back, crash and
+// restore, corrupt a WAL, tear an artifact, stall the WAL, wedge a training
+// round, shed an over-budget batch — that one interpreter, (*Harness).apply,
+// runs against a real engine while a mirror model checks global invariants
+// after every op. GenScenario derives the schedule from a seed: multi-KPI
+// traffic with ground-truth anomaly windows (kpigen), noisy operator labels
+// (labelsim), weekly retrains on a virtual point-index clock, and a fault
+// schedule reusing internal/faultinject; the harness' generator adds each
+// step's appends and the closing bulk episode's draws around it. The
+// regime scenario is the same interpreter with a finite drift threshold.
+// The invariants:
 //
 //   - exactly one verdict per appended point, with contiguous indices,
 //     across retrain, restore and rollback monitor swaps;
@@ -18,7 +24,7 @@
 //     only that kind (quarantined; the generation keeps serving verdicts
 //     warm) while a torn verdict falls the whole generation back;
 //   - incremental feature extraction bit-identical to a cold Extract
-//     (core.FeatureCache.VerifyAgainstCold after every retrain);
+//     (core.FeatureCache.VerifyAgainstCold after every round);
 //   - restore deterministic: two engines restored from identical disk state
 //     produce bitwise-identical verdicts on identical traffic;
 //   - the registry manifest always parseable with the current generation's
@@ -36,108 +42,97 @@
 //     with backoff, quarantines at the failure limit, and a manual retrain
 //     lifts the quarantine — with every resilience counter matching the
 //     mirror's prediction;
+//   - a drift-armed round fires before the weekly tick under a regime
+//     change and never on stationary traffic;
 //   - AppendBulk, at the seed's GOMAXPROCS, agrees bit for bit with a twin
 //     taking the same frames one at a time through Append, and a crash right
 //     after an acked flush group restores every point the group reported.
 //
-// Every failure carries the scenario seed and a trailing step trace so
-// `go test ./internal/simtest -run TestSimSeed -seed=N` reproduces it.
+// Every failure carries the scenario seed, the index of the failing op, the
+// op tail and a trace, so `go test ./internal/simtest -run TestSimSeed
+// -seed=N` reproduces it.
 package simtest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
+	"opprentice/internal/engine"
 	"opprentice/internal/kpigen"
 	"opprentice/internal/labelsim"
 )
 
-// FaultKind enumerates the injectable faults of a scenario's schedule.
-type FaultKind int
+// opKind names what one op does to the engine.
+type opKind int
 
-// The fault kinds. DetectorPanic is a scenario-wide property (a panicking
-// detector configuration rides along in every training round) rather than a
-// scheduled event; the rest fire after the appends of their Step.
 const (
-	// FaultWALCorrupt flips a byte inside one series' write-ahead log. The
-	// live engine keeps serving from memory; the next restore must fail the
-	// log's checksum, quarantine it, and carry on with the other series.
-	FaultWALCorrupt FaultKind = iota
-	// FaultTornArtifact flips a byte inside the current verdict artifact of
-	// one series, simulating torn storage under the registry. The next restore
-	// must detect the bad frame and fall back (previous generation or cold
-	// retrain) without serving the damaged model.
-	FaultTornArtifact
-	// FaultTornTypeArtifact flips a byte inside the current anomaly-type
-	// artifact of one typed series. Unlike a torn verdict, one torn secondary
-	// kind costs only that kind: the next restore must quarantine it, keep the
-	// generation current, and serve the verdict head warm with the type head
-	// gone (Status.TypedModel false) until the next publish.
-	FaultTornTypeArtifact
-	// FaultRollback rolls one series' model back a generation through the
-	// public API and expects the live monitor to hot-swap to it.
-	FaultRollback
-	// FaultCrashRestore closes the engine (a graceful crash: the kill point
-	// for torn WAL tails is exercised separately by tsdb's own fault tests),
-	// then restores a fresh engine from disk and cross-checks it against a
-	// twin restored from a copy of the same disk state.
-	FaultCrashRestore
-	// FaultSlowDisk stalls the store under one series' WAL writer: the next
-	// append must blow the WAL deadline and flip the series into degraded
-	// (threshold-only) serving with bounded buffering, then recover through
-	// the hysteresis once the stall clears — with zero lost points.
-	FaultSlowDisk
-	// FaultHungTrainer wedges a training round via a gated detector: the
-	// watchdog must abandon it as stalled, retry with backoff, quarantine the
-	// series after the failure limit, and a manual retrain after the hang
-	// clears must lift the quarantine.
-	FaultHungTrainer
-	// FaultIngestFlood pushes one batch over the shard's in-flight ingest
-	// budget: admission control must shed it whole (ErrOverloaded, zero
-	// points appended) and the next normal batch must sail through.
-	FaultIngestFlood
-	// FaultBulk runs the bulk episode (bulk.go): random flush groups through
-	// AppendBulk, interleaved with labels, query answers, trains and
-	// rollbacks, checked against a twin that takes every frame through
-	// Append, and ended by a crash right after an acked group.
-	FaultBulk
+	opCreate   opKind = iota // create the series
+	opAppend                 // its next n points through Append
+	opBulk                   // one flush group through AppendBulk
+	opLabel                  // the operator's pass over [lo, hi), or one window
+	opAnswer                 // answer the pending query [lo, hi)
+	opTrain                  // a manual training round
+	opRollback               // roll the model back a generation
+	opCrash                  // close, restore, and restore a twin from a copy
+	opCorrupt                // flip a byte in the series' newest WAL points frame
+	opTear                   // flip a byte in the current verdict artifact
+	opTearType               // flip a byte in the current anomaly-type artifact
+	opStall                  // stall the WAL under the series through degraded batches
+	opHung                   // wedge the series' next scheduled training round
+	opShed                   // one batch over the in-flight budget
+	numOpKinds
 )
 
-// String names the fault kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultWALCorrupt:
-		return "wal_corrupt"
-	case FaultTornArtifact:
-		return "torn_artifact"
-	case FaultTornTypeArtifact:
-		return "torn_type_artifact"
-	case FaultRollback:
-		return "rollback"
-	case FaultCrashRestore:
-		return "crash_restore"
-	case FaultSlowDisk:
-		return "slow_disk"
-	case FaultHungTrainer:
-		return "hung_trainer"
-	case FaultIngestFlood:
-		return "ingest_flood"
-	case FaultBulk:
-		return "bulk"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
+var opNames = [numOpKinds]string{"create", "append", "bulk", "label", "answer", "train", "rollback", "crash",
+	"wal_corrupt", "torn_artifact", "torn_type_artifact", "wal_stall", "hung_trainer", "shed"}
+
+func (k opKind) String() string { return opNames[k] }
+
+// op is one step of a scenario. Its fields beyond step, kind and series are
+// read by the kinds named beside them; n and the batches' points come from
+// the series' generated data, so an op list replays against its scenario.
+type op struct {
+	step   int // the drive step it belongs to (-1: boot)
+	kind   opKind
+	series string // the target; "" in a schedule when the run picks it
+
+	n         int                  // append
+	lo, hi    int                  // label, answer
+	anomalous bool                 // label (one window), answer
+	operator  bool                 // label: the operator's noisy pass, not one window
+	batches   []engine.SeriesBatch // bulk: the group, ending in an unknown series' batches
+	applied   int                  // bulk: how many batches precede the unknown series
+	viaBulk   bool                 // shed: through AppendBulk rather than Append
+	acked     bool                 // bulk: copy the data dir at the ack; the copy must hold every point
 }
 
-// FaultEvent schedules one fault after the appends of step Step. Series
-// selects the target for WALCorrupt by index into Scenario.Series; the other
-// kinds resolve their target at runtime (first alive series that qualifies)
-// so an earlier fault cannot invalidate the schedule.
-type FaultEvent struct {
-	Step   int
-	Kind   FaultKind
-	Series int
+func (o op) String() string {
+	s := fmt.Sprintf("step %d %s", o.step, o.kind)
+	if o.series != "" {
+		s += " " + o.series
+	}
+	switch {
+	case o.kind == opAppend:
+		s += fmt.Sprintf(" n=%d", o.n)
+	case o.operator:
+		s += fmt.Sprintf(" [%d,%d) by the operator", o.lo, o.hi)
+	case o.kind == opLabel || o.kind == opAnswer:
+		s += fmt.Sprintf(" [%d,%d) anomalous=%v", o.lo, o.hi, o.anomalous)
+	case o.kind == opBulk:
+		for k, b := range o.batches {
+			s += fmt.Sprintf(" %s:%d", b.Name, len(b.Points))
+			if k == o.applied-1 && len(o.batches) > o.applied {
+				s += " |"
+			}
+		}
+		s += fmt.Sprintf(" acked=%v", o.acked)
+	case o.kind == opShed:
+		s += fmt.Sprintf(" bulk=%v", o.viaBulk)
+	}
+	return s
 }
 
 // SeriesSpec is one synthetic KPI under simulation.
@@ -151,6 +146,10 @@ type SeriesSpec struct {
 	// trains a multi-class type head and publishes two-kind manifests.
 	// Untyped series keep exercising the single-kind manifest shape.
 	Typed bool
+	// Shift multiplies every generated value from index ShiftAt on (0: no
+	// shift) — the regime change of the drift scenario.
+	Shift   float64
+	ShiftAt int
 }
 
 // Scenario is one reproducible simulation: everything the harness does is a
@@ -159,41 +158,38 @@ type SeriesSpec struct {
 type Scenario struct {
 	Seed int64
 	// BootWeeks of history are appended, labeled and trained before driving
-	// starts; DriveWeeks are then driven step by step with weekly labeling
-	// and automatic retraining (RetrainEvery = one week of points).
-	BootWeeks, DriveWeeks int
-	// BatchPoints is the points appended per series per step (the virtual
-	// clock tick); it divides a week exactly.
-	BatchPoints int
+	// starts; Steps drive steps then append BatchPoints per live series each
+	// (the virtual clock tick), with weekly labeling and automatic
+	// retraining (RetrainEvery = one week of points).
+	BootWeeks, Steps, BatchPoints int
 	// Series are the simulated KPIs (hourly interval, so a week is 168
 	// points).
 	Series []SeriesSpec
-	// Faults is the schedule, ascending by Step.
-	Faults []FaultEvent
+	// Ops is the schedule, ascending by step: the boot ops (step -1), then
+	// the faults, each run after its step's appends. A fault with no series
+	// targets the first series that qualifies when it runs.
+	Ops []op
 	// DetectorPanics adds a deterministically panicking detector
 	// configuration to every training round's registry.
 	DetectorPanics bool
-	// Procs is the GOMAXPROCS the bulk episode runs at, which sets how many
-	// goroutines AppendBulk spreads a group's runs over.
+	// Procs is the GOMAXPROCS the closing bulk episode runs at, which sets
+	// how many goroutines AppendBulk spreads a group's runs over; 0 runs no
+	// bulk episode.
 	Procs int
-}
-
-// Steps returns the number of drive steps.
-func (s Scenario) Steps() int {
-	return s.DriveWeeks * s.stepsPerWeek()
-}
-
-func (s Scenario) stepsPerWeek() int {
-	ppw := int(7 * 24 * time.Hour / s.Series[0].Profile.Interval)
-	return ppw / s.BatchPoints
+	// DriftThreshold is the engine's PSI threshold for drift-armed rounds.
+	DriftThreshold float64
+	// repro is the go test selection that reruns the scenario ("": the
+	// TestSimSeed line for Seed).
+	repro string
 }
 
 // GenScenario derives a scenario from a seed. Every scenario includes at
-// least one crash+restore, one rollback, and one torn artifact (verdict or
-// type head, 50/50 — the acceptance floor), and ends with the bulk episode
-// at a GOMAXPROCS of 1, 2 or 4 by seed; WAL corruption, an extra early
-// crash, and a panicking detector ride along pseudo-randomly. long roughly
-// doubles the driven length for soak runs.
+// least one crash+restore, one rollback, one torn artifact (verdict or type
+// head, 50/50 — the acceptance floor), one shed, one WAL stall and one hung
+// trainer, and ends with the bulk episode at a GOMAXPROCS of 1, 2 or 4 by
+// seed; WAL corruption, an extra early crash, and a panicking detector ride
+// along pseudo-randomly. long roughly doubles the driven length for soak
+// runs.
 func GenScenario(seed int64, long bool) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	driveWeeks := 2
@@ -211,9 +207,9 @@ func GenScenario(seed int64, long bool) Scenario {
 		p := kinds[order[i%len(kinds)]](kpigen.Small)
 		p.Interval = time.Hour // hourly keeps a seed in CI-sized time
 		// One spare week of generated data beyond the driven length: the
-		// slow-disk fault appends extra in-fault batches (degrade, buffer,
-		// recover) that consume points outside the regular step budget. The
-		// bulk episode feeds on weeks of its own after that.
+		// WAL stall and the shed append extra batches that consume points
+		// outside the regular step budget. The bulk episode feeds on weeks
+		// of its own after that.
 		p.Weeks = bootWeeks + driveWeeks + 1 + bulkWeeks
 		p.Name = fmt.Sprintf("%s-%d", p.Name, i)
 		series = append(series, SeriesSpec{
@@ -237,35 +233,31 @@ func GenScenario(seed int64, long bool) Scenario {
 	steps := driveWeeks * spw
 	lastWeek := (driveWeeks - 1) * spw // first step of the last driven week
 
-	var faults []FaultEvent
+	ops := bootOps(series, bootWeeks)
 	// Optional early crash in the first driven week (only one generation
 	// exists yet, so restore exercises the single-artifact warm path).
 	if rng.Float64() < 0.4 {
-		faults = append(faults, FaultEvent{Step: 1 + rng.Intn(spw-2), Kind: FaultCrashRestore})
+		ops = append(ops, op{step: 1 + rng.Intn(spw-2), kind: opCrash})
 	}
 	// Optional WAL corruption of one series somewhere before the final week;
 	// the mandatory crash below quarantines it.
 	if rng.Float64() < 0.6 {
-		faults = append(faults, FaultEvent{
-			Step:   rng.Intn(lastWeek),
-			Kind:   FaultWALCorrupt,
-			Series: rng.Intn(nSeries),
-		})
+		ops = append(ops, op{step: rng.Intn(lastWeek), kind: opCorrupt, series: series[rng.Intn(nSeries)].Name})
 	}
-	// Mandatory resilience faults (DESIGN.md §11). The ingest flood is
-	// instantaneous and mirror-neutral, so any step works. The hung trainer
-	// wedges a scheduled retrain, so it anchors at the first weekly boundary
-	// — the one step where every surviving series is guaranteed to cross the
+	// Mandatory resilience faults (DESIGN.md §11). The shed is instantaneous
+	// and mirror-neutral, so any step works. The hung trainer wedges a
+	// scheduled retrain, so it anchors at the first weekly boundary — the
+	// one step where every surviving series is guaranteed to cross the
 	// retrain watermark (later boundaries can be pinned by a rollback or a
-	// restore); the harness defers it to a later qualifying step if needed.
-	// The slow disk appends four extra in-fault batches and must keep the
-	// retrain watermark distance under a week throughout, which restricts it
-	// to steps just after a boundary; it also stays off the early-crash
-	// range so its degraded window never overlaps a live restore-determinism
-	// twin.
-	faults = append(faults, FaultEvent{Step: rng.Intn(steps), Kind: FaultIngestFlood})
+	// restore); the generator defers it to a later qualifying step if needed,
+	// and prefers the series named here. The WAL stall appends three extra
+	// in-fault batches and the recovering one, and must keep the retrain
+	// watermark distance under a week throughout, which restricts it to
+	// steps just after a boundary; it also stays off the early-crash range
+	// so its degraded window never overlaps a live restore-determinism twin.
+	ops = append(ops, op{step: rng.Intn(steps), kind: opShed})
 	hung := spw - 1
-	faults = append(faults, FaultEvent{Step: hung, Kind: FaultHungTrainer, Series: rng.Intn(nSeries)})
+	ops = append(ops, op{step: hung, kind: opHung, series: series[rng.Intn(nSeries)].Name})
 	var slowOK []int
 	for s := 0; s < steps; s++ {
 		if r := s % spw; r != 0 && r != 1 && r != spw-1 {
@@ -276,11 +268,11 @@ func GenScenario(seed int64, long bool) Scenario {
 		}
 		slowOK = append(slowOK, s)
 	}
-	faults = append(faults, FaultEvent{Step: slowOK[rng.Intn(len(slowOK))], Kind: FaultSlowDisk})
+	ops = append(ops, op{step: slowOK[rng.Intn(len(slowOK))], kind: opStall})
 	// Mandatory rollback once every series has two generations (after the
 	// first weekly retrain, i.e. from the second driven week on).
 	rollback := spw + rng.Intn(spw-3)
-	faults = append(faults, FaultEvent{Step: rollback, Kind: FaultRollback})
+	ops = append(ops, op{step: rollback, kind: opRollback})
 	// Mandatory torn artifact after the rollback — one of the two kinds, so
 	// the matrix covers both the whole-generation fallback (torn verdict) and
 	// the single-kind quarantine (torn type head) — then the mandatory crash
@@ -288,36 +280,94 @@ func GenScenario(seed int64, long bool) Scenario {
 	// the restore walks the registry).
 	torn := rollback + 1
 	if rng.Float64() < 0.5 {
-		faults = append(faults, FaultEvent{Step: torn, Kind: FaultTornArtifact})
+		ops = append(ops, op{step: torn, kind: opTear})
 	} else {
-		faults = append(faults, FaultEvent{Step: torn, Kind: FaultTornTypeArtifact})
+		ops = append(ops, op{step: torn, kind: opTearType})
 	}
 	crash := torn + 1 + rng.Intn(steps-torn-2)
-	faults = append(faults, FaultEvent{Step: crash, Kind: FaultCrashRestore})
-	// The bulk episode comes last, after every other fault of the last step:
-	// its frames leave the series off the step grid the scheduled faults
-	// are placed on.
-	faults = append(faults, FaultEvent{Step: steps - 1, Kind: FaultBulk})
+	ops = append(ops, op{step: crash, kind: opCrash})
 
-	sortFaults(faults)
+	// Same-step ops run in the order they were scheduled.
+	slices.SortStableFunc(ops, func(a, b op) int { return a.step - b.step })
 	return Scenario{
 		Seed:           seed,
 		BootWeeks:      bootWeeks,
-		DriveWeeks:     driveWeeks,
+		Steps:          steps,
 		BatchPoints:    batch,
 		Series:         series,
-		Faults:         faults,
+		Ops:            ops,
 		DetectorPanics: rng.Float64() < 0.5,
-		Procs:          []int{1, 2, 4}[seed%3],
+		// The bulk episode closes the scenario: its frames leave the series
+		// off the step grid the scheduled faults are placed on.
+		Procs: []int{1, 2, 4}[seed%3],
+		// Drift never arms a retrain in the classic matrix (no PSI reaches
+		// +Inf): its mirror predicts retrains from the fixed watermark tick
+		// alone, and the fault schedule (degraded replays, crashes) shifts
+		// vote distributions enough to arm spurious early rounds. The regime
+		// scenario pins a finite threshold and asserts on exactly those
+		// early rounds.
+		DriftThreshold: math.Inf(1),
 	}
 }
 
-// sortFaults orders the schedule by step (stable for same-step events, which
-// the harness applies in slice order).
-func sortFaults(fs []FaultEvent) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].Step < fs[j-1].Step; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
+// bootOps creates every series, appends its boot weeks a week at a time,
+// has its operator label them, and trains its first model.
+func bootOps(series []SeriesSpec, weeks int) []op {
+	var ops []op
+	for _, s := range series {
+		ppw := int(7 * 24 * time.Hour / s.Profile.Interval)
+		ops = append(ops, op{step: -1, kind: opCreate, series: s.Name})
+		for w := 0; w < weeks; w++ {
+			ops = append(ops, op{step: -1, kind: opAppend, series: s.Name, n: ppw})
 		}
+		ops = append(ops,
+			op{step: -1, kind: opLabel, series: s.Name, hi: weeks * ppw, operator: true},
+			op{step: -1, kind: opTrain, series: s.Name})
+	}
+	return ops
+}
+
+// regimeDriftThreshold is the PSI threshold the regime scenario pins. The
+// engine default (0.25, active.DefaultDriftThreshold) is a sensitivity
+// choice: with day-sized windows a single burst of ordinary anomalies can
+// clear it, which is fine in production (the retrain is incremental and
+// cheap) but makes "stationary ⇒ zero drift retrains" seed-dependent. A full
+// regime change lands PSI in the multiple-nats range — orders of magnitude
+// above burst noise — so 1.0 separates the two cleanly on every seed.
+const regimeDriftThreshold = 1.0
+
+// regimeScenario is the drift scenario: one hourly PV series booted on 8
+// weeks with exact labels (a noiseless operator, so the ground-truth
+// windows — no truth window of a regime seed straddles the boot horizon),
+// then driven a day per step. With shift, every value from one day after
+// boot on is ×1.6: the drift detector's reference window (one day, the
+// engine default) holds only pre-shift votes and the live windows only
+// post-shift ones, and the six drive days stay short of the weekly tick, so
+// any round before day 7 is drift-armed. On day 1 the operator answers the
+// most uncertain pending query from the truth; after day 6 a crash restores
+// a twin from a copy of the disk, and the two must agree on day 7. One
+// series means one retrain worker, and no fault columns join the registry.
+func regimeScenario(seed int64, shift bool, threshold float64) Scenario {
+	p := kpigen.PV(kpigen.Small)
+	p.Interval = time.Hour
+	p.Weeks = 10 // 8 boot weeks, 7 driven days, with slack
+	p.Name = "regime"
+	s := SeriesSpec{Name: p.Name, Profile: p, GenSeed: seed}
+	const bootWeeks, ppd = 8, 24
+	if shift {
+		s.Shift, s.ShiftAt = 1.6, bootWeeks*7*ppd+ppd
+	}
+	series := []SeriesSpec{s}
+	return Scenario{
+		Seed:        seed,
+		BootWeeks:   bootWeeks,
+		Steps:       7,
+		BatchPoints: ppd,
+		Series:      series,
+		Ops: append(bootOps(series, bootWeeks),
+			op{step: 1, kind: opAnswer, series: p.Name},
+			op{step: 5, kind: opCrash}),
+		DriftThreshold: threshold,
+		repro:          fmt.Sprintf("-run 'TestSimRegime/seed=%d'", seed),
 	}
 }

@@ -20,11 +20,11 @@ var (
 
 // matrixSeeds are the fixed seeds `make sim` runs. Every generated scenario
 // contains at least one crash+restore, one rollback, one torn artifact
-// (verdict or type head), one ingest flood, one slow-disk stall, one hung
-// trainer and the bulk episode; the optional faults (WAL corruption, early
-// crashes, panicking detectors, and which artifact kind is torn) vary across
-// the seeds, so the matrix as a whole covers every fault kind, and its bulk
-// episodes run at GOMAXPROCS 1, 2 and 4.
+// (verdict or type head), one shed, one WAL stall, one hung trainer and the
+// bulk episode; the optional faults (WAL corruption, early crashes,
+// panicking detectors, and which artifact kind is torn) vary across the
+// seeds, so the matrix as a whole covers every op kind, and its bulk
+// episodes run at GOMAXPROCS 1, 2 and 4 (TestSimMatrixCoverage).
 var matrixSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
 // runScenario executes one scenario to completion and fails the test with
@@ -43,10 +43,43 @@ func runScenario(t *testing.T, seed int64, long bool) Result {
 	if res.Trains == 0 || res.Crashes == 0 || res.Rollbacks == 0 {
 		t.Fatalf("scenario did not exercise the acceptance floor: %+v", res)
 	}
-	t.Logf("seed %d: %d steps, %d trains, %d crashes, %d rollbacks, %d events delivered (%d attempts, %d retried)",
+	var ops []string
+	for k, n := range res.Ops {
+		ops = append(ops, fmt.Sprintf("%s=%d", opKind(k), n))
+	}
+	t.Logf("seed %d: %d steps, %d trains, %d crashes, %d rollbacks, %d events delivered (%d attempts, %d retried); ops: %s",
 		seed, res.Steps, res.Trains, res.Crashes, res.Rollbacks,
-		res.DeliveredEvents, res.DeliveryAttempts, res.DeliveryRetries)
+		res.DeliveredEvents, res.DeliveryAttempts, res.DeliveryRetries, strings.Join(ops, " "))
 	return res
+}
+
+// TestSimMatrixCoverage checks, from the schedules alone, the claim
+// matrixSeeds rests on: between them the seeds schedule every op kind —
+// both torn kinds among them — run the panicking detector on some seeds and
+// not on others, and close with bulk episodes at GOMAXPROCS 1, 2 and 4. The
+// episode draws its flush groups as it runs, and the regime scenario
+// schedules the query answer the episode may draw.
+func TestSimMatrixCoverage(t *testing.T) {
+	var kinds [numOpKinds]bool
+	panics, procs := map[bool]bool{}, map[int]bool{}
+	for _, seed := range matrixSeeds {
+		scen := GenScenario(seed, false)
+		for _, o := range scen.Ops {
+			kinds[o.kind] = true
+		}
+		panics[scen.DetectorPanics], procs[scen.Procs] = true, true
+	}
+	for _, o := range regimeScenario(regimeSeeds[0], true, regimeDriftThreshold).Ops {
+		kinds[o.kind] = true
+	}
+	for k, seen := range kinds {
+		if !seen && opKind(k) != opBulk {
+			t.Errorf("no scenario schedules a %s op", opKind(k))
+		}
+	}
+	if len(panics) != 2 || len(procs) != 3 || !procs[1] || !procs[2] || !procs[4] {
+		t.Errorf("panicking detector %v, bulk GOMAXPROCS %v: want both, and 1, 2 and 4", panics, procs)
+	}
 }
 
 // TestSimMatrix drives the fixed seed matrix. Each seed is an independent
@@ -194,17 +227,6 @@ func TestSimCatchesWatchdogOutage(t *testing.T) {
 	}
 }
 
-// stop shuts down the engines a run that ended in a violation leaves
-// running, so that no late retrain or publish writes into a temp dir while
-// the test removes it.
-func (h *Harness) stop() {
-	if h.twin != nil {
-		h.discardTwin()
-	}
-	h.eng.Close()
-	h.store.Close()
-}
-
 // TestSimCatchesBulkMutations is the bulk invariant's self-test: an
 // AppendBulk that applies a run's frames in reverse order, or drops a run,
 // (emulated by mutating the group the live engine receives) must be caught
@@ -232,7 +254,6 @@ func TestSimCatchesBulkMutations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("harness: %v", err)
 			}
-			t.Cleanup(h.stop)
 			mutated := false
 			h.MutateGroup = func(bs []engine.SeriesBatch) []engine.SeriesBatch {
 				if !mutated {
