@@ -112,9 +112,10 @@ bench:
 # monitors trained on kpigen PV/SR/SRT, frames of 1 and of 64 points
 # round-robin, fails if a frame allocates) and of the forest step and the
 # forest fit at the repo benchmark's shape (133 kpigen severities, 1 512 rows,
-# 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train
-# and one six-fit round off a shared presort, the load decodes a 20- and a
-# 60-tree forest record) and of the bulk append at the
+# 20 trees; the step fails if a 64-row frame allocates, the fit runs one Train,
+# one six-fit round off a shared presort and one typed round — the verdict
+# forest and the type head's forests off one presort — the load decodes a
+# 20- and a 60-tree forest record) and of the bulk append at the
 # stream_trained shapes on a tsdb store (stream: 16 trained series, flush
 # groups of 64 frames of 64 points round-robin; backfill: 32 untrained series,
 # groups of 64 frames of 256 points; ns/pt): nothing else runs them, so this

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"opprentice/internal/core"
 	"opprentice/internal/kpigen"
 )
 
@@ -143,7 +147,36 @@ func TestFig5PrintsTree(t *testing.T) {
 	if !strings.Contains(notes, "full tree:") {
 		t.Error("tree stats missing")
 	}
+	// The printed rules and "full tree: N nodes, depth D" of the single
+	// CART, pinned as they were when growth built its own tree form.
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(notes))); got != fig5NotesSHA256 {
+		t.Errorf("Fig 5 notes hash %s, want %s:\n%s", got, fig5NotesSHA256, notes)
+	}
 }
+
+// fig5NotesSHA256 is the SHA-256 of Fig5(testOptions())'s Notes.
+const fig5NotesSHA256 = "69cda45d2f8ec255047c8820c2f4bd4d9f3efce01bc2ca9e0f539a4232f23987"
+
+// TestFig10DecisionTreeAUCPinned pins the single CART of Fig 10 on PV with
+// all 133 features, bit for bit, at the AUCPR it had when growth built its
+// own tree form and the test rows were binned before the walk.
+func TestFig10DecisionTreeAUCPinned(t *testing.T) {
+	o := testOptions().withDefaults()
+	k, err := prepare(kpigen.PV(o.Scale), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainHi := core.InitWeeks * k.ppw
+	total := (k.feats.NumPoints() / k.ppw) * k.ppw
+	auc := learnerAUC("decision_tree", k.feats.Imputed(0, trainHi), k.feats.Imputed(trainHi, total),
+		k.labels[:trainHi], k.labels[trainHi:total], o)
+	if got := math.Float64bits(auc); got != fig10TreeAUCBits {
+		t.Errorf("decision_tree AUCPR %v (bits %#x), want %v", auc, got, math.Float64frombits(fig10TreeAUCBits))
+	}
+}
+
+// fig10TreeAUCBits is the Float64bits of that AUCPR.
+const fig10TreeAUCBits uint64 = 0x3fe6a70a7bafe7e8
 
 func TestFig6SelectionsRespectMetrics(t *testing.T) {
 	tabs, err := Fig6(testOptions())

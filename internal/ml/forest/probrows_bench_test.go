@@ -20,8 +20,10 @@ const probRowsSeed int64 = 1602
 
 // severityFixture returns what the repo benchmark trains on: the 133
 // severities of the hourly registry over nine weeks of a generated KPI
-// (1 512 rows, NaN→0), its labels, and the 20-tree configuration.
-func severityFixture(tb testing.TB) ([][]float64, []bool, forest.Config) {
+// (1 512 rows, NaN→0), its labels, its anomaly-class codes
+// (kpigen.TypedLabels: what a series with typed labels trains its type head
+// on), and the 20-tree configuration.
+func severityFixture(tb testing.TB) ([][]float64, []bool, []uint8, forest.Config) {
 	p := kpigen.PV(kpigen.Small)
 	p.Interval = time.Hour
 	p.Weeks = 9
@@ -34,7 +36,7 @@ func severityFixture(tb testing.TB) ([][]float64, []bool, forest.Config) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return feats.ImputedFull(), data.Labels, forest.Config{Trees: 20, Seed: probRowsSeed}
+	return feats.ImputedFull(), data.Labels, kpigen.TypedLabels(data), forest.Config{Trees: 20, Seed: probRowsSeed}
 }
 
 // BenchmarkForestProbRows is the forest step of the repo benchmark in
@@ -42,7 +44,7 @@ func severityFixture(tb testing.TB) ([][]float64, []bool, forest.Config) {
 // number of edges per feature are what serving sees, not what Gaussian noise
 // gives — and a 64-row frame per call. Reports ns/row; allocating fails it.
 func BenchmarkForestProbRows(b *testing.B) {
-	cols, labels, cfg := severityFixture(b)
+	cols, labels, _, cfg := severityFixture(b)
 	f := forest.Train(cols, labels, cfg)
 
 	const frame = 64

@@ -11,19 +11,22 @@ import (
 // benchmark's shape: every fit of a round, off one presort of real
 // severities, saves the bytes the former Train saved from a hand-cut copy.
 func TestTrainMatchesReferenceOnSeverities(t *testing.T) {
-	cols, labels, cfg := severityFixture(t)
+	cols, labels, _, cfg := severityFixture(t)
 	forest.CheckTrainOracle(t, cols, labels, cfg)
 }
 
 // BenchmarkForestTrain is the fit half of a training round at the repo
 // benchmark's shape (severityFixture): "fit" is one Train — a retrain's
 // forest, presort included; "round" is what a series' first train fits — one
-// presort, the main forest and the five cross-validation folds off it. The
+// presort, the main forest and the five cross-validation folds off it;
+// "typed_round" is the fit of a round with typed labels — one presort, the
+// verdict forest and the type head's one-vs-rest forests (TrainMulti) off
+// it. The
 // prologue's two stages, which fan out over the columns, run alone too:
 // "presort" sorts every column, "bin" bins all rows off one presort, and
 // "bin_fold" the rows outside one cross-validation fold.
 func BenchmarkForestTrain(b *testing.B) {
-	cols, labels, cfg := severityFixture(b)
+	cols, labels, types, cfg := severityFixture(b)
 	n := len(labels)
 	b.Run("fit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -38,6 +41,16 @@ func BenchmarkForestTrain(b *testing.B) {
 			forest.TrainOn(ps, labels, 0, 0, cfg)
 			for fold := 0; fold < 5; fold++ {
 				forest.TrainOn(ps, labels, fold*n/5, (fold+1)*n/5, cfg)
+			}
+		}
+	})
+	b.Run("typed_round", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ps := tree.Presort(cols)
+			forest.TrainOn(ps, labels, 0, 0, cfg)
+			if forest.TrainMulti(ps, types, cfg) == nil {
+				b.Fatal("the fixture trains no type head")
 			}
 		}
 	})
