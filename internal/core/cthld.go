@@ -102,7 +102,7 @@ func CrossValidateCThld(ps *tree.Presorted, labels []bool, folds, numCandidates 
 		if !bothClasses(labels[:lo], labels[hi:]) {
 			continue
 		}
-		f := forest.TrainOn(ps, labels, lo, hi, fcfg)
+		f := trainOutside(ps, labels, lo, hi, fcfg)
 		scores := f.ProbAll(featsSlice(ps.Cols(), lo, hi))
 		pts := stats.AtThresholds(scores, labels[lo:hi], candidates)
 		for i, pt := range pts {
@@ -116,6 +116,14 @@ func CrossValidateCThld(ps *tree.Presorted, labels []bool, folds, numCandidates 
 		}
 	}
 	return best
+}
+
+// trainOutside fits a forest on the rows of ps outside [lo, hi), binning
+// exactly those rows: the forest Train would fit on a copy of the matrix
+// with rows [lo, hi) cut out.
+func trainOutside(ps *tree.Presorted, labels []bool, lo, hi int, fcfg forest.Config) *forest.Forest {
+	b, codes := ps.Bin(lo, hi, tree.MaxBins)
+	return forest.TrainOn(b, codes, append(labels[:lo:lo], labels[hi:]...), fcfg)
 }
 
 // bothClasses reports whether the label runs, taken together, contain at

@@ -160,10 +160,12 @@ func (m *Monitor) train(history *timeseries.Series, labels timeseries.Labels, ty
 	// columns are imputed in place (this extraction is private to us); with
 	// one, the cache's columns are NaN-free already. One sort of them serves
 	// every fit of the round: the main forest, the cross-validation folds,
-	// EVT's held-out halves and the type heads.
+	// EVT's held-out halves and the type heads. The main forest and the type
+	// heads train on every row, so they share one binning of them.
 	ps := tree.Presort(feats.ImputedFull())
 	timed(&m.stages.Presort)
-	m.model = forest.TrainOn(ps, labels, 0, 0, m.fcfg)
+	binner, codes := ps.Bin(0, 0, tree.MaxBins)
+	m.model = forest.TrainOn(binner, codes, labels, m.fcfg)
 	timed(&m.stages.Fit)
 	if m.pred, err = predict(m.model, ps); err != nil {
 		return err
@@ -173,7 +175,7 @@ func (m *Monitor) train(history *timeseries.Series, labels timeseries.Labels, ty
 	timed(&m.stages.Threshold)
 	m.dets, m.points, m.dead = liveDets, history.Len(), make([]bool, len(liveDets))
 	if types != nil {
-		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
+		if tm := forest.TrainMulti(binner, codes, types, m.fcfg); tm != nil {
 			m.typeModel = tm
 		}
 	}
@@ -418,7 +420,7 @@ func heldOutScores(model *forest.Forest, ps *tree.Presorted, labels timeseries.L
 		}
 		f := model
 		if bothClasses(labels[:lo], labels[hi:]) {
-			f = forest.TrainOn(ps, labels, lo, hi, fcfg)
+			f = trainOutside(ps, labels, lo, hi, fcfg)
 		}
 		copy(out[lo:hi], f.ProbAll(featsSlice(ps.Cols(), lo, hi)))
 	}

@@ -72,7 +72,8 @@ func Run(f *Features, labels timeseries.Labels, ppw int, cfg Config) (*Result, e
 			return nil, fmt.Errorf("core: training data before week %d has a single class", w)
 		}
 		ps := tree.Presort(trainCols) // one sort for the week's fit and its CV folds
-		model := forest.TrainOn(ps, trainLabels, 0, 0, cfg.Forest)
+		b, codes := ps.Bin(0, 0, tree.MaxBins)
+		model := forest.TrainOn(b, codes, trainLabels, cfg.Forest)
 
 		testLo, testHi := trainHi, trainHi+ppw
 		scores := model.ProbAll(f.Imputed(testLo, testHi))

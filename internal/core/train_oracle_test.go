@@ -20,6 +20,12 @@ import (
 // CrossValidateCThld are compared against (forest.Train itself is pinned to
 // its former self by the forest and tree oracles).
 
+// refTypeHead trains a type head on a presort and a binning of its own.
+func refTypeHead(cols [][]float64, types []uint8, fcfg forest.Config) *forest.MultiClass {
+	b, codes := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
+	return forest.TrainMulti(b, codes, types, fcfg)
+}
+
 // refCrossValidateCThld is CrossValidateCThld's former body.
 func refCrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
 	n := len(labels)
@@ -139,12 +145,12 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 					t.Errorf("NewMonitor's predictor %+v (cThld %v) differs from the reference %+v (cThld %v)",
 						mon.pred, mon.cthld, pred, pred.Predict())
 				}
-				wantHead := forest.TrainMulti(tree.Presort(cols), types[:boot], fcfg)
+				wantHead := refTypeHead(cols, types[:boot], fcfg)
 				if wantHead == nil || mon.typeModel == nil {
 					t.Fatal("typed labels did not train a head")
 				}
 				if !bytes.Equal(mon.typeModel.Append(nil), wantHead.Append(nil)) {
-					t.Error("NewMonitor's type head differs from one trained on its own presort")
+					t.Error("NewMonitor's type head differs from one trained on its own binning")
 				}
 
 				next, err := mon.Retrain(d.Series, d.Labels, types, registry(), nil)
@@ -159,8 +165,8 @@ func TestTrainingRoundMatchesReference(t *testing.T) {
 				if !bytes.Equal(next.model.Append(nil), forest.Train(cols, d.Labels, fcfg).Append(nil)) {
 					t.Error("Retrain's forest differs from the reference")
 				}
-				if !bytes.Equal(next.typeModel.Append(nil), forest.TrainMulti(tree.Presort(cols), types, fcfg).Append(nil)) {
-					t.Error("Retrain's type head differs from one trained on its own presort")
+				if !bytes.Equal(next.typeModel.Append(nil), refTypeHead(cols, types, fcfg).Append(nil)) {
+					t.Error("Retrain's type head differs from one trained on its own binning")
 				}
 			})
 		}

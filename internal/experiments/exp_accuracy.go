@@ -218,16 +218,14 @@ func maxPrecisionAtRecall(scores []float64, truth []bool, recallFloor float64) f
 func learnerAUC(name string, trainCols, testCols [][]float64, trainLabels, testLabels []bool, o Options) float64 {
 	switch name {
 	case "decision_tree":
-		b, binned := tree.Presort(trainCols).Bin(0, 0, tree.MaxBins)
-		idx := make([]int, len(trainLabels))
-		for i := range idx {
-			idx[i] = i
-		}
-		tr := tree.Grow(binned, trainLabels, idx, tree.Config{})
-		testBinned := b.Bin(testCols)
+		nodes := growCART(trainCols, trainLabels)
 		scores := make([]float64, len(testLabels))
+		row := make([]float64, len(testCols))
 		for i := range scores {
-			scores[i] = tr.ProbCols(testBinned, i)
+			for j, col := range testCols {
+				row[j] = col[i]
+			}
+			scores[i] = tree.Prob(nodes, 0, row)
 		}
 		return stats.AUCPR(scores, testLabels)
 	case "naive_bayes":

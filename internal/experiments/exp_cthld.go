@@ -26,20 +26,26 @@ func Fig5(o Options) ([]*Table, error) {
 	cols := k.feats.Imputed(0, trainHi)
 	labels := []bool(k.labels[:trainHi])
 
-	b, binned := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
+	nodes := growCART(cols, labels)
+	var sb strings.Builder
+	tree.Print(&sb, nodes, k.feats.Names, cols, labels, 3)
+	return []*Table{{
+		ID:    "F5",
+		Title: "Decision tree learned from SRT (compacted to depth 3)",
+		Notes: sb.String() + fmt.Sprintf("full tree: %d nodes, depth %d\n", len(nodes), tree.Depth(nodes)),
+	}}, nil
+}
+
+// growCART grows the single CART of Figs 5 and 10: every row once, every
+// feature at every split, on the grower the forest's trees use.
+func growCART(cols [][]float64, labels []bool) []tree.Node {
+	b, codes := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
 	idx := make([]int, len(labels))
 	for i := range idx {
 		idx[i] = i
 	}
-	tr := tree.Grow(binned, labels, idx, tree.Config{})
-
-	var sb strings.Builder
-	tr.Print(&sb, k.feats.Names, b, 3)
-	return []*Table{{
-		ID:    "F5",
-		Title: "Decision tree learned from SRT (compacted to depth 3)",
-		Notes: sb.String() + fmt.Sprintf("full tree: %d nodes, depth %d\n", tr.NumNodes(), tr.Depth()),
-	}}, nil
+	nodes, _ := tree.Grow(b, codes, labels, idx, tree.Config{})
+	return nodes
 }
 
 // fig6Preferences are the two assumed preferences of Fig. 6.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"opprentice/internal/ml/tree"
 )
 
 // The forest record of the model artifact codec: the flat node array itself,
@@ -19,7 +21,7 @@ import (
 
 const (
 	recordHeader = 12 // d, root count, node count
-	nodeBytes    = 16 // one flatNode, as the codec stores it
+	nodeBytes    = 16 // one tree.Node, as the codec stores it
 )
 
 // errTruncated reports a record that ends before its counts say it does.
@@ -35,9 +37,9 @@ func (f *Forest) Append(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r))
 	}
 	for _, nd := range f.flat {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(nd.val))
-		b = binary.LittleEndian.AppendUint32(b, uint32(nd.left))
-		b = binary.LittleEndian.AppendUint16(b, nd.feature)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(nd.Val))
+		b = binary.LittleEndian.AppendUint32(b, uint32(nd.Left))
+		b = binary.LittleEndian.AppendUint16(b, nd.Feature)
 		b = append(b, 0, 0)
 	}
 	return b
@@ -66,7 +68,7 @@ func Load(b []byte, d int) (*Forest, []byte, error) {
 	case uint64(len(b)) < 4*uint64(nr)+nodeBytes*uint64(nn):
 		return nil, nil, errTruncated
 	}
-	f := &Forest{flat: make([]flatNode, nn), roots: make([]int32, nr), d: d}
+	f := &Forest{flat: make([]tree.Node, nn), roots: make([]int32, nr), d: d}
 	for t := range f.roots {
 		r := le.Uint32(b[4*t:])
 		if r >= nn {
@@ -76,18 +78,18 @@ func Load(b []byte, d int) (*Forest, []byte, error) {
 	}
 	b = b[4*nr:]
 	for i := range f.flat {
-		nd := flatNode{
-			val:     math.Float64frombits(le.Uint64(b)),
-			left:    int32(le.Uint32(b[8:])),
-			feature: le.Uint16(b[12:]),
+		nd := tree.Node{
+			Val:     math.Float64frombits(le.Uint64(b)),
+			Left:    int32(le.Uint32(b[8:])),
+			Feature: le.Uint16(b[12:]),
 		}
 		b = b[nodeBytes:]
-		if math.IsNaN(nd.val) {
+		if math.IsNaN(nd.Val) {
 			return nil, nil, fmt.Errorf("forest: node %d holds NaN", i)
 		}
-		if nd.left >= 0 && (int(nd.feature) >= d || int(nd.left) <= i || int64(nd.left)+1 >= int64(nn)) {
+		if nd.Left >= 0 && (int(nd.Feature) >= d || int(nd.Left) <= i || int64(nd.Left)+1 >= int64(nn)) {
 			return nil, nil, fmt.Errorf("forest: node %d (feature %d of %d, children %d and %d of %d) forms no tree",
-				i, nd.feature, d, nd.left, int64(nd.left)+1, nn)
+				i, nd.Feature, d, nd.Left, int64(nd.Left)+1, nn)
 		}
 		f.flat[i] = nd
 	}

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"opprentice/internal/ml/tree"
 )
 
 func TestForestSaveLoadWithinPackage(t *testing.T) {
@@ -98,8 +96,8 @@ func walkInBounds(t *testing.T, f *Forest, d int) {
 		}
 	}
 	for i, nd := range f.flat {
-		if nd.left >= 0 && (int(nd.feature) >= d || int(nd.left) <= i || int(nd.left)+1 >= n) {
-			t.Fatalf("node %d: feature %d of %d, children %d and %d of %d", i, nd.feature, d, nd.left, nd.left+1, n)
+		if nd.Left >= 0 && (int(nd.Feature) >= d || int(nd.Left) <= i || int(nd.Left)+1 >= n) {
+			t.Fatalf("node %d: feature %d of %d, children %d and %d of %d", i, nd.Feature, d, nd.Left, nd.Left+1, n)
 		}
 	}
 	row := make([]float64, d)
@@ -119,7 +117,7 @@ func FuzzForestDecode(f *testing.F) {
 	cols, labels, classes := edgeFixture(rng, 40) // small records keep minimizing cheap
 	cfg := Config{Trees: 2, Seed: equivalenceSeed}
 	rec := Train(cols, labels, cfg).Append(nil)
-	multi := TrainMulti(tree.Presort(cols), classes, cfg).Append(nil)
+	multi := trainMulti(cols, classes, cfg).Append(nil)
 	f.Add(rec, uint8(len(cols)))
 	f.Add(multi, uint8(len(cols)))
 	f.Add(rec[:len(rec)/2], uint8(len(cols)))

@@ -9,26 +9,29 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"unsafe"
 
 	"opprentice/internal/ml/tree"
 )
 
-// refProb combines an ensemble of grown trees the slow way — binning the row,
-// then one tree at a time through the tree package's own traversal — as the
-// ground truth for the flat walk.
-func refProb(trees []*tree.Tree, binner *tree.Binner, row []float64) float64 {
-	codes := make([]uint8, len(row))
-	for j, v := range row {
-		codes[j] = binner.Code(j, v)
-	}
+// refProb walks a forest's trees the binned way — the row's codes against
+// the codes of the split thresholds, both by search — as the ground truth
+// for the raw-threshold walk.
+func refProb(f *Forest, binner *tree.Binner, row []float64) float64 {
 	sum := 0.0
-	for _, t := range trees {
-		sum += t.Prob(func(j int) uint8 { return codes[j] })
+	for _, i := range f.roots {
+		nd := f.flat[i]
+		for nd.Left >= 0 {
+			i = nd.Left
+			if searchCode(binner, int(nd.Feature), row[nd.Feature]) > searchCode(binner, int(nd.Feature), nd.Val) {
+				i++
+			}
+			nd = f.flat[i]
+		}
+		sum += nd.Val
 	}
-	return sum / float64(len(trees))
+	return sum / float64(len(f.roots))
 }
 
 // equivalenceSeed pins the forests and probe rows of the equivalence
@@ -110,9 +113,9 @@ func probeRow(rng *rand.Rand, b *tree.Binner, row []float64) {
 // an Append/Load round trip; the majority=true leg checks the multi-class
 // type head, whose decision is the majority rule (the argmax vote fraction,
 // abstaining below multiAbstain), through PredictRow before and after an
-// Append/LoadMulti round trip. The trees and the binner of the reference are
-// grown by refGrow, the former Train, which TestTrainMatchesReference pins
-// Train to; Train itself keeps neither.
+// Append/LoadMulti round trip. The reference forests are RefTrain's, the
+// former Train, which TestTrainMatchesReference pins Train to, walked by
+// refProb.
 func TestForestRawWalkMatchesBinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivalenceSeed))
 	cols, labels, classes := edgeFixture(rng, 1200)
@@ -140,7 +143,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 				cfg := Config{Trees: trees, Seed: equivalenceSeed + int64(trees)}
 				rows, probeCols := probeRows()
 				if !majority {
-					grown, _ := refGrow(cols, labels, cfg)
+					ref := RefTrain(cols, labels, cfg)
 					f := Train(cols, labels, cfg)
 					loaded, rest, err := Load(f.Append(nil), d)
 					if err != nil || len(rest) != 0 {
@@ -151,7 +154,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 					all := f.ProbAll(probeCols)
 					for s := 0; s < probes; s++ {
 						row := rows[s*d : (s+1)*d]
-						want := math.Float64bits(refProb(grown, binner, row))
+						want := math.Float64bits(refProb(ref, binner, row))
 						for path, got := range map[string]float64{
 							"Prob": f.Prob(row), "ProbRowsInto": batch[s], "ProbAll": all[s], "Load→Prob": loaded.Prob(row),
 						} {
@@ -163,7 +166,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 					return
 				}
 
-				mc := TrainMulti(tree.Presort(cols), classes, cfg)
+				mc := trainMulti(cols, classes, cfg)
 				if mc == nil {
 					t.Fatal("fixture trains no type head")
 				}
@@ -171,7 +174,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
 				}
-				heads := make([][]*tree.Tree, len(mc.classes))
+				heads := make([]*Forest, len(mc.classes))
 				for k, code := range mc.classes {
 					oneVsRest := make([]bool, len(classes))
 					for i, c := range classes {
@@ -179,7 +182,7 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 					}
 					hcfg := cfg
 					hcfg.Seed += int64(k+1) * headSeedStride
-					heads[k], _ = refGrow(cols, oneVsRest, hcfg)
+					heads[k] = RefTrain(cols, oneVsRest, hcfg)
 				}
 				for s := 0; s < probes; s++ {
 					row := rows[s*d : (s+1)*d]
@@ -206,20 +209,8 @@ func TestForestRawWalkMatchesBinned(t *testing.T) {
 // TestFlatNodeIs16Bytes pins the node the walk reads, and the codec stores,
 // at 16 bytes: four to a cache line.
 func TestFlatNodeIs16Bytes(t *testing.T) {
-	if size := unsafe.Sizeof(flatNode{}); size != nodeBytes {
-		t.Fatalf("flatNode is %d bytes, want %d", size, nodeBytes)
-	}
-}
-
-// TestBuildFlatRejectsTooManyFeatures: a feature index past what a flat node
-// stores is refused, not truncated.
-func TestBuildFlatRejectsTooManyFeatures(t *testing.T) {
-	for d, ok := range map[int]bool{math.MaxUint16 + 1: true, math.MaxUint16 + 2: false} {
-		if err := new(Forest).buildFlat(nil, tree.NewBinner(make([][]float64, d), 2)); (err == nil) != ok {
-			t.Fatalf("%d features: buildFlat error %v, want ok=%v", d, err, ok)
-		} else if err != nil && !strings.Contains(err.Error(), "features") {
-			t.Fatalf("%d features: unhelpful error %q", d, err)
-		}
+	if size := unsafe.Sizeof(tree.Node{}); size != nodeBytes {
+		t.Fatalf("tree.Node is %d bytes, want %d", size, nodeBytes)
 	}
 }
 

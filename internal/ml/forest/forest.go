@@ -34,14 +34,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Forest is a trained random forest: nothing but the flat node array its
-// inference walks (roots[t] is tree t's root index), the feature count, and
-// the gini importances. The per-tree node arrays and the binner's quantile
-// edges that growth works on are scratch, dropped once buildFlat has packed
-// them; the flat array and the feature count are also all the artifact codec
-// stores.
+// Forest is a trained random forest: the nodes of all its trees in one flat
+// array (roots[t] is tree t's root index), the feature count, and the gini
+// importances. Its trees grow straight into that node form, so the flat
+// array and the feature count are all inference walks and all the artifact
+// codec stores.
 type Forest struct {
-	flat  []flatNode
+	flat  []tree.Node
 	roots []int32
 	d     int
 	// importance is the normalized gini importance per feature, summed once
@@ -56,31 +55,28 @@ func Train(cols [][]float64, labels []bool, cfg Config) *Forest {
 	if len(cols) == 0 {
 		panic("forest: no features")
 	}
-	return TrainOn(tree.Presort(cols), labels, 0, 0, cfg)
+	b, codes := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
+	return TrainOn(b, codes, labels, cfg)
 }
 
-// TrainOn fits a forest on the rows of ps outside [lo, hi) — lo == hi trains
-// on all of them — so that the fits of one training round (the main forest,
-// each cross-validation fold, each one-vs-rest head) share one sort of the
-// feature columns. labels holds one entry per row of ps. Each call still
-// learns its own quantile edges from exactly the rows it trains on: the
-// forest equals Train on a matrix with rows [lo, hi) cut out.
-func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest {
-	if len(labels) != ps.Rows() {
-		panic(fmt.Sprintf("forest: %d labels for %d samples", len(labels), ps.Rows()))
-	}
-	if hi > lo {
-		labels = append(labels[:lo:lo], labels[hi:]...)
-	}
+// TrainOn fits a forest on rows binned by b: codes[j][i] is the bucket of
+// feature j of row i (what tree.Presorted.Bin returns) and labels[i] row i's
+// label. It is the one fit: the fits of a training round that train on the
+// same rows — the verdict forest and every one-vs-rest head — share one
+// binning of them, and a fit that leaves rows out (a cross-validation fold, a
+// held-out half) bins what it keeps.
+func TrainOn(b *tree.Binner, codes [][]uint8, labels []bool, cfg Config) *Forest {
 	n := len(labels)
 	if n == 0 {
 		panic("forest: no samples")
 	}
+	if len(codes) > 0 && len(codes[0]) != n {
+		panic(fmt.Sprintf("forest: %d labels for %d samples", n, len(codes[0])))
+	}
 	cfg = cfg.withDefaults()
-	perSplit := featuresPerSplit(len(ps.Cols()))
-
-	binner, binned := ps.Bin(lo, hi, tree.MaxBins)
-	trees := make([]*tree.Tree, cfg.Trees)
+	perSplit := featuresPerSplit(len(codes))
+	nodes := make([][]tree.Node, cfg.Trees)
+	imps := make([][]float64, cfg.Trees)
 
 	// Deterministic parallel training: every tree gets its own seeded rng;
 	// a worker reuses one bootstrap buffer, which Grow only permutes.
@@ -92,17 +88,38 @@ func TrainOn(ps *tree.Presorted, labels []bool, lo, hi int, cfg Config) *Forest 
 		for i := range idx {
 			idx[i] = rng.Intn(n) // bootstrap sample
 		}
-		trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
+		nodes[t], imps[t] = tree.Grow(b, codes, labels, idx, tree.Config{FeaturesPerSplit: perSplit, Rng: rng})
 	})
-	return newForest(trees, binner)
-}
 
-// newForest keeps of grown trees what the forest serves: their flat node
-// array and their summed importances.
-func newForest(trees []*tree.Tree, binner *tree.Binner) *Forest {
-	f := &Forest{d: binner.NumFeatures(), importance: importances(trees, binner.NumFeatures())}
-	if err := f.buildFlat(trees, binner); err != nil {
-		panic(err) // more features than a flat node indexes: a caller bug
+	// Each tree's array follows the ones before it, its child indices offset
+	// by its base; the importances are summed in tree order and normalized
+	// to 1 (all zeros if no tree ever split).
+	total := 0
+	for _, t := range nodes {
+		total += len(t)
+	}
+	f := &Forest{flat: make([]tree.Node, 0, total), roots: make([]int32, cfg.Trees), d: len(codes), importance: make([]float64, len(codes))}
+	for t, tn := range nodes {
+		base := int32(len(f.flat))
+		f.roots[t] = base
+		for _, nd := range tn {
+			if nd.Left >= 0 {
+				nd.Left += base
+			}
+			f.flat = append(f.flat, nd)
+		}
+		for j, v := range imps[t] {
+			f.importance[j] += v
+		}
+	}
+	sum := 0.0
+	for _, v := range f.importance {
+		sum += v
+	}
+	if sum > 0 {
+		for j := range f.importance {
+			f.importance[j] /= sum
+		}
 	}
 	return f
 }
@@ -111,27 +128,6 @@ func newForest(trees []*tree.Tree, binner *tree.Binner) *Forest {
 // ⌈√d⌉.
 func featuresPerSplit(d int) int {
 	return int(math.Ceil(math.Sqrt(float64(d))))
-}
-
-// importances sums the trees' gini importances per feature and normalizes
-// the sums to 1 (all zeros if no tree ever split).
-func importances(trees []*tree.Tree, d int) []float64 {
-	sum := make([]float64, d)
-	for _, t := range trees {
-		for j, v := range t.Importances() {
-			sum[j] += v
-		}
-	}
-	total := 0.0
-	for _, v := range sum {
-		total += v
-	}
-	if total > 0 {
-		for j := range sum {
-			sum[j] /= total
-		}
-	}
-	return sum
 }
 
 // Importances returns the mean gini importance per feature across the

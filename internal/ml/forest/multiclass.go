@@ -27,42 +27,42 @@ const multiAbstain = 0.5
 // cfg.Seed + k·headSeedStride so no two heads share per-tree RNG streams.
 const headSeedStride = 7_777_777
 
-// TrainMulti trains a one-vs-rest multi-class head on presorted features (the
-// heads, and the verdict forest trained beside them, share the one sort) and
-// per-row class codes (0 = none). One binary forest is trained per
-// non-zero class code that has at least one positive and one negative row;
-// codes absent from the labels get no head and can never be predicted. It
-// returns nil when no trainable class exists (all rows are class 0, or a
-// single class covers every row) — callers treat a nil head as "typing
-// unavailable".
-func TrainMulti(ps *tree.Presorted, classes []uint8, cfg Config) *MultiClass {
-	if len(ps.Cols()) == 0 || len(classes) != ps.Rows() {
-		panic(fmt.Sprintf("forest: %d class labels for %d rows", len(classes), ps.Rows()))
+// TrainMulti trains a one-vs-rest multi-class head on rows binned by b (the
+// heads, and the verdict forest trained beside them, share the one binning;
+// see TrainOn) and per-row class codes (0 = none). One binary forest is
+// trained per non-zero class code that has at least one positive and one
+// negative row; codes absent from the labels get no head and can never be
+// predicted. It returns nil when no trainable class exists (all rows are
+// class 0, or a single class covers every row) — callers treat a nil head as
+// "typing unavailable".
+func TrainMulti(b *tree.Binner, codes [][]uint8, classes []uint8, cfg Config) *MultiClass {
+	if len(codes) == 0 || len(classes) != len(codes[0]) {
+		panic(fmt.Sprintf("forest: %d class labels for the binned rows", len(classes)))
 	}
 	present := map[uint8]int{}
 	for _, c := range classes {
 		present[c]++
 	}
-	codes := make([]uint8, 0, len(present))
+	trainable := make([]uint8, 0, len(present))
 	for c, n := range present {
 		if c == 0 || n == len(classes) {
 			continue // class 0 is the abstain target; a class covering every row has no negatives
 		}
-		codes = append(codes, c)
+		trainable = append(trainable, c)
 	}
-	if len(codes) == 0 {
+	if len(trainable) == 0 {
 		return nil
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	mc := &MultiClass{classes: codes, heads: make([]*Forest, len(codes))}
+	sort.Slice(trainable, func(i, j int) bool { return trainable[i] < trainable[j] })
+	mc := &MultiClass{classes: trainable, heads: make([]*Forest, len(trainable))}
 	labels := make([]bool, len(classes))
-	for k, code := range codes {
+	for k, code := range trainable {
 		for i, c := range classes {
 			labels[i] = c == code
 		}
 		hcfg := cfg
 		hcfg.Seed = cfg.Seed + int64(k+1)*headSeedStride
-		mc.heads[k] = TrainOn(ps, labels, 0, 0, hcfg)
+		mc.heads[k] = TrainOn(b, codes, labels, hcfg)
 	}
 	return mc
 }

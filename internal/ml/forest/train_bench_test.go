@@ -19,9 +19,9 @@ func TestTrainMatchesReferenceOnSeverities(t *testing.T) {
 // benchmark's shape (severityFixture): "fit" is one Train — a retrain's
 // forest, presort included; "round" is what a series' first train fits — one
 // presort, the main forest and the five cross-validation folds off it;
-// "typed_round" is the fit of a round with typed labels — one presort, the
-// verdict forest and the type head's one-vs-rest forests (TrainMulti) off
-// it. The
+// "typed_round" is the fit of a round with typed labels — one presort and
+// one binning, the verdict forest and the type head's one-vs-rest forests
+// (TrainMulti) off it. The
 // prologue's two stages, which fan out over the columns, run alone too:
 // "presort" sorts every column, "bin" bins all rows off one presort, and
 // "bin_fold" the rows outside one cross-validation fold.
@@ -38,18 +38,21 @@ func BenchmarkForestTrain(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ps := tree.Presort(cols)
-			forest.TrainOn(ps, labels, 0, 0, cfg)
+			binner, codes := ps.Bin(0, 0, tree.MaxBins)
+			forest.TrainOn(binner, codes, labels, cfg)
 			for fold := 0; fold < 5; fold++ {
-				forest.TrainOn(ps, labels, fold*n/5, (fold+1)*n/5, cfg)
+				lo, hi := fold*n/5, (fold+1)*n/5
+				binner, codes := ps.Bin(lo, hi, tree.MaxBins)
+				forest.TrainOn(binner, codes, append(labels[:lo:lo], labels[hi:]...), cfg)
 			}
 		}
 	})
 	b.Run("typed_round", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ps := tree.Presort(cols)
-			forest.TrainOn(ps, labels, 0, 0, cfg)
-			if forest.TrainMulti(ps, types, cfg) == nil {
+			binner, codes := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
+			forest.TrainOn(binner, codes, labels, cfg)
+			if forest.TrainMulti(binner, codes, types, cfg) == nil {
 				b.Fatal("the fixture trains no type head")
 			}
 		}

@@ -3,45 +3,84 @@ package forest
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"opprentice/internal/ml/tree"
 )
 
-// RefTrain is Train as it stood before TrainOn: learn a binner from the very
-// matrix handed in, encode that matrix by one search per value, grow the
-// trees on the codes. Its building blocks are checked against their own
-// former bodies by the tree package's presort oracle; this one checks that
-// TrainOn, given a shared presort and a row range to leave out, assembles the
-// forest the former Train built from a hand-cut copy of the matrix. Exported
-// for the severity oracle in package forest_test.
+// RefTrain is Train as it stood before TrainOn took binned rows: learn a
+// binner from the very matrix handed in, encode that matrix by one search per
+// value, grow the trees one after another, and lay their nodes end to end.
+// Its building blocks are checked against their own former bodies by the
+// tree package's presort oracle; this one checks that TrainOn, given the
+// codes of a shared presort's row range, assembles on its workers the forest
+// the former Train built from a hand-cut copy of the matrix. Exported for the
+// severity oracle in package forest_test.
 func RefTrain(cols [][]float64, labels []bool, cfg Config) *Forest {
-	return newForest(refGrow(cols, labels, cfg))
-}
-
-// refGrow is RefTrain's growth: the trees and the binner it packs.
-func refGrow(cols [][]float64, labels []bool, cfg Config) ([]*tree.Tree, *tree.Binner) {
 	cfg = cfg.withDefaults()
 	binner := tree.NewBinner(cols, tree.MaxBins)
-	binned := binner.Bin(cols)
-	trees := make([]*tree.Tree, cfg.Trees)
-	for t := range trees {
+	codes := searchBin(binner, cols)
+	f := &Forest{d: len(cols), importance: make([]float64, len(cols))}
+	for t := 0; t < cfg.Trees; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
 		idx := make([]int, len(labels))
 		for i := range idx {
 			idx[i] = rng.Intn(len(labels))
 		}
-		trees[t] = tree.Grow(binned, labels, idx, tree.Config{FeaturesPerSplit: featuresPerSplit(len(cols)), Rng: rng})
+		nodes, imp := tree.Grow(binner, codes, labels, idx, tree.Config{FeaturesPerSplit: featuresPerSplit(len(cols)), Rng: rng})
+		base := int32(len(f.flat))
+		f.roots = append(f.roots, base)
+		for _, nd := range nodes {
+			if nd.Left >= 0 {
+				nd.Left += base
+			}
+			f.flat = append(f.flat, nd)
+		}
+		for j, v := range imp {
+			f.importance[j] += v
+		}
 	}
-	return trees, binner
+	total := 0.0
+	for _, v := range f.importance {
+		total += v
+	}
+	if total > 0 {
+		for j := range f.importance {
+			f.importance[j] /= total
+		}
+	}
+	return f
 }
 
-// CheckTrainOracle asserts that TrainOn over one presort of cols encodes to
-// the same record, with the same importances, as RefTrain on a hand-cut copy, for every row range a training
-// round leaves out: none (also through Train), the five folds, the two
-// halves.
+// searchCode is the bucket of value v for feature j by binary search over
+// b's edges: the number of edges strictly below v, NaN in bucket 0.
+func searchCode(b *tree.Binner, j int, v float64) uint8 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return uint8(sort.Search(tree.MaxBins-1, func(k int) bool { return b.Threshold(j, uint8(k)) >= v }))
+}
+
+// searchBin encodes column-major cols by one searchCode per value.
+func searchBin(b *tree.Binner, cols [][]float64) [][]uint8 {
+	out := make([][]uint8, len(cols))
+	for j, col := range cols {
+		out[j] = make([]uint8, len(col))
+		for i, v := range col {
+			out[j][i] = searchCode(b, j, v)
+		}
+	}
+	return out
+}
+
+// CheckTrainOracle asserts that TrainOn over the codes one presort of cols
+// gives a row range encodes to the same record, with the same importances,
+// as RefTrain on a hand-cut copy, for every row range a training round leaves
+// out: none (also through Train), the five folds, the two halves.
 func CheckTrainOracle(t *testing.T, cols [][]float64, labels []bool, cfg Config) {
 	t.Helper()
 	n := len(labels)
@@ -56,8 +95,10 @@ func CheckTrainOracle(t *testing.T, cols [][]float64, labels []bool, cfg Config)
 		for j, col := range cols {
 			cut[j] = append(append([]float64(nil), col[:lo]...), col[hi:]...)
 		}
-		ref := RefTrain(cut, append(append([]bool(nil), labels[:lo]...), labels[hi:]...), cfg)
-		got := TrainOn(ps, labels, lo, hi, cfg)
+		cutLabels := append(append([]bool(nil), labels[:lo]...), labels[hi:]...)
+		ref := RefTrain(cut, cutLabels, cfg)
+		b, codes := ps.Bin(lo, hi, tree.MaxBins)
+		got := TrainOn(b, codes, cutLabels, cfg)
 		if !bytes.Equal(got.Append(nil), ref.Append(nil)) || !slices.Equal(got.Importances(), ref.Importances()) {
 			t.Errorf("TrainOn without rows [%d,%d) differs from the reference", lo, hi)
 		}
@@ -71,8 +112,8 @@ func CheckTrainOracle(t *testing.T, cols [][]float64, labels []bool, cfg Config)
 
 // TestTrainMatchesReference runs the oracle on the binner's edge shapes (no
 // edge, one, a handful, all 255) at two ensemble sizes and seeds, and checks
-// every one-vs-rest head of TrainMulti against a reference forest on its own
-// labels and seed.
+// every one-vs-rest head of TrainMulti, all off one binning, against a
+// reference forest on its own labels and seed.
 func TestTrainMatchesReference(t *testing.T) {
 	cols, labels, classes := edgeFixture(rand.New(rand.NewSource(equivalenceSeed)), 900)
 	for i, cfg := range []Config{
@@ -83,7 +124,7 @@ func TestTrainMatchesReference(t *testing.T) {
 	}
 
 	cfg := Config{Trees: 5, Seed: equivalenceSeed}
-	mc := TrainMulti(tree.Presort(cols), classes, cfg)
+	mc := trainMulti(cols, classes, cfg)
 	if len(mc.heads) != 3 {
 		t.Fatalf("%d heads, want 3", len(mc.heads))
 	}
@@ -98,4 +139,10 @@ func TestTrainMatchesReference(t *testing.T) {
 			t.Errorf("head %d (class %d) differs from the reference", k, code)
 		}
 	}
+}
+
+// trainMulti trains a type head on one presort and one binning of cols.
+func trainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
+	b, codes := tree.Presort(cols).Bin(0, 0, tree.MaxBins)
+	return TrainMulti(b, codes, classes, cfg)
 }

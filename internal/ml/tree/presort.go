@@ -64,9 +64,6 @@ func Presort(cols [][]float64) *Presorted {
 // Cols returns the matrix the order was built from.
 func (ps *Presorted) Cols() [][]float64 { return ps.cols }
 
-// Rows returns the number of samples.
-func (ps *Presorted) Rows() int { return ps.n }
-
 // sortKey maps a non-NaN float64 to a uint64 that orders the same way. The
 // key is taken of v + 0, so −0 and +0 share one (they compare equal).
 func sortKey(v float64) uint64 {

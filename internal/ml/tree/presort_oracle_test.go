@@ -69,21 +69,20 @@ func refBin(b *Binner, cols [][]float64) [][]uint8 {
 // refGrower grows a tree as grower does, with the former bestSplit.
 type refGrower struct{ grower }
 
-func refGrow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
+func refGrow(b *Binner, codes [][]uint8, labels []bool, idx []int, cfg Config) ([]Node, []float64) {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
-	t := &Tree{importance: make([]float64, len(binned))}
-	g := refGrower{grower{binned: binned, labels: labels, cfg: cfg, t: t, total: len(idx)}}
-	g.featScratch = make([]int, len(binned))
+	g := refGrower{grower{b: b, codes: codes, labels: labels, cfg: cfg, total: len(idx),
+		nodes: make([]Node, 1), importance: make([]float64, len(codes)), featScratch: make([]int, len(codes))}}
 	for j := range g.featScratch {
 		g.featScratch[j] = j
 	}
-	g.grow(idx)
-	return t
+	g.grow(0, idx)
+	return g.nodes, g.importance
 }
 
-func (g *refGrower) grow(idx []int) int32 {
+func (g *refGrower) grow(at int32, idx []int) {
 	pos := 0
 	for _, i := range idx {
 		if g.labels[i] {
@@ -91,16 +90,15 @@ func (g *refGrower) grow(idx []int) int32 {
 		}
 	}
 	n := len(idx)
-	me := int32(len(g.t.nodes))
-	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: float32(pos) / float32(n)})
+	g.nodes[at] = Node{Val: float64(float32(pos) / float32(n)), Left: -1}
 	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf {
-		return me
+		return
 	}
 	feature, bin, gain, ok := g.bestSplit(idx, pos)
 	if !ok {
-		return me
+		return
 	}
-	codes := g.binned[feature]
+	codes := g.codes[feature]
 	lo, hi := 0, n
 	for lo < hi {
 		if codes[idx[lo]] <= bin {
@@ -111,17 +109,14 @@ func (g *refGrower) grow(idx []int) int32 {
 		}
 	}
 	if lo == 0 || lo == n {
-		return me
+		return
 	}
-	g.t.nodes[me].leaf = false
-	g.t.nodes[me].feature = feature
-	g.t.nodes[me].bin = bin
-	g.t.importance[feature] += gain * float64(n) / float64(g.total)
-	left := g.grow(idx[:lo])
-	right := g.grow(idx[lo:])
-	g.t.nodes[me].left = left
-	g.t.nodes[me].right = right
-	return me
+	kids := int32(len(g.nodes))
+	g.nodes = append(g.nodes, Node{}, Node{})
+	g.nodes[at] = Node{Val: g.b.Threshold(feature, bin), Left: kids, Feature: uint16(feature)}
+	g.importance[feature] += gain * float64(n) / float64(g.total)
+	g.grow(kids, idx[:lo])
+	g.grow(kids+1, idx[lo:])
 }
 
 // bestSplit is grower.bestSplit's former body.
@@ -143,7 +138,7 @@ func (g *refGrower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestG
 	bestGain = 1e-12
 	ok = false
 	for _, f := range feats[:k] {
-		codes := g.binned[f]
+		codes := g.codes[f]
 		maxBin := uint8(0)
 		for b := range g.hist {
 			g.hist[b][0], g.hist[b][1] = 0, 0
@@ -197,8 +192,8 @@ const oracleSeed int64 = 2201
 // range a training round uses — none, the five folds, the two halves — at
 // maxBins 2, 4, 32 and 256 exactly as the reference serves a hand-cut copy:
 // equal edges (==; a zero edge may differ in sign, see Presorted.Bin),
-// identical codes, and, on those codes, trees identical node for node
-// whether grown on all features from every row or forest-style on √d
+// identical codes, and, on those codes and edges, trees identical node for
+// node (thresholds by ==, as the edges) whether grown on all features from every row or forest-style on √d
 // features from a bootstrap sample, at each MinLeaf in minLeaves (1 when
 // none is given). Exported so that the kpigen-severity oracle, which needs
 // internal/core and so lives in package tree_test, can share it.
@@ -244,7 +239,7 @@ func CheckPresortOracle(t *testing.T, cols [][]float64, labels []bool, minLeaves
 			}
 			for _, minLeaf := range minLeaves {
 				for _, forestStyle := range []bool{false, true} {
-					growWith := func(grow func([][]uint8, []bool, []int, Config) *Tree, codes [][]uint8) *Tree {
+					growWith := func(grow func(*Binner, [][]uint8, []bool, []int, Config) ([]Node, []float64), b *Binner, codes [][]uint8) ([]Node, []float64) {
 						rng := rand.New(rand.NewSource(oracleSeed))
 						idx, cfg := make([]int, len(wantLabels)), Config{MinLeaf: minLeaf}
 						for i := range idx {
@@ -256,29 +251,31 @@ func CheckPresortOracle(t *testing.T, cols [][]float64, labels []bool, minLeaves
 						if forestStyle {
 							cfg.FeaturesPerSplit, cfg.Rng = int(math.Ceil(math.Sqrt(float64(len(cols))))), rng
 						}
-						return grow(codes, wantLabels, idx, cfg)
+						return grow(b, codes, wantLabels, idx, cfg)
 					}
+					gotNodes, gotImp := growWith(Grow, got, gotCodes)
+					wantNodes, wantImp := growWith(refGrow, want, wantCodes)
 					assertSameTree(t, fmt.Sprintf("%s, MinLeaf %d, forest-style %v", at, minLeaf, forestStyle),
-						growWith(Grow, gotCodes), growWith(refGrow, wantCodes))
+						gotNodes, gotImp, wantNodes, wantImp)
 				}
 			}
 		}
 	}
 }
 
-func assertSameTree(t *testing.T, at string, got, want *Tree) {
+func assertSameTree(t *testing.T, at string, got []Node, gotImp []float64, want []Node, wantImp []float64) {
 	t.Helper()
-	if len(got.nodes) != len(want.nodes) {
-		t.Fatalf("%s: %d nodes, want %d", at, len(got.nodes), len(want.nodes))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d nodes, want %d", at, len(got), len(want))
 	}
-	for i, nd := range want.nodes {
-		if got.nodes[i] != nd {
-			t.Fatalf("%s: node %d = %+v, want %+v", at, i, got.nodes[i], nd)
+	for i, nd := range want {
+		if got[i] != nd {
+			t.Fatalf("%s: node %d = %+v, want %+v", at, i, got[i], nd)
 		}
 	}
-	for j, imp := range want.importance {
-		if got.importance[j] != imp {
-			t.Fatalf("%s: importance[%d] = %v, want %v", at, j, got.importance[j], imp)
+	for j, imp := range wantImp {
+		if gotImp[j] != imp {
+			t.Fatalf("%s: importance[%d] = %v, want %v", at, j, gotImp[j], imp)
 		}
 	}
 }
@@ -438,8 +435,8 @@ func tiedColumns(rng *rand.Rand, n int) ([][]float64, []bool) {
 // without rows presorts and bins to nothing, ragged columns are a caller bug.
 func TestPresortEmptyAndRagged(t *testing.T) {
 	b, codes := Presort(make([][]float64, 3)).Bin(0, 0, MaxBins)
-	if b.NumFeatures() != 3 || len(codes) != 3 || len(codes[0]) != 0 || !math.IsInf(b.Threshold(0, 0), 1) {
-		t.Errorf("empty matrix: %d features, codes %v", b.NumFeatures(), codes)
+	if len(b.edges) != 3 || len(codes) != 3 || len(codes[0]) != 0 || !math.IsInf(b.Threshold(0, 0), 1) {
+		t.Errorf("empty matrix: %d features, codes %v", len(b.edges), codes)
 	}
 	for name, fn := range map[string]func(){
 		"ragged":         func() { Presort([][]float64{{1, 2}, {1}}) },

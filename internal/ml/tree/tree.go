@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 )
 
@@ -18,63 +19,75 @@ type Config struct {
 	Rng *rand.Rand
 }
 
-// node is one tree node in the flattened node array.
-type node struct {
-	feature     int
-	bin         uint8 // go left when code ≤ bin
-	left, right int32
-	prob        float32 // leaf anomaly probability
-	leaf        bool
+// Node is one node of a grown tree, in the one form growth writes, the
+// forest walks and its artifact codec stores (16 bytes). An internal node's
+// children are adjacent and after it: the left child sits at index Left, the
+// right one at Left+1. A leaf is marked by Left < 0 and keeps in Val its
+// anomaly probability.
+//
+// A split holds its raw threshold, the upper edge of its bin
+// (Binner.Threshold), so the walk never bins: "go right iff v > Val" is
+// exactly "code of v > bin" for every float64 — NaN compares false and goes
+// left, as bin code 0 does; a bin past the last edge has threshold +Inf,
+// which nothing exceeds.
+type Node struct {
+	Val     float64 // internal: go right iff row[Feature] > Val; leaf: anomaly probability
+	Left    int32   // internal: index of the left child; leaf: -1
+	Feature uint16  // split feature (internal nodes)
 }
 
-// Tree is a trained CART classifier over binned features.
-type Tree struct {
-	nodes []node
-	// importance[j] is feature j's accumulated impurity decrease, weighted
-	// by the fraction of training samples reaching each split (gini
-	// importance, the preliminary §4.4.2 builds on: features closer to the
-	// root separate more data).
-	importance []float64
-}
+// MaxFeatures is the most features a Node can index.
+const MaxFeatures = math.MaxUint16 + 1
 
-// Grow trains a tree on the binned column-major features restricted to the
-// sample indices idx (which it reorders in place). labels[i] is the ground
-// truth of sample i.
-func Grow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
+// Grow grows one tree on the coded rows b encoded: codes[j][i] is the bucket
+// of feature j of row i, labels[i] row i's ground truth, and idx the rows of
+// the sample (repeats allowed; Grow reorders it in place). It returns the
+// tree's nodes, root at 0, and its per-feature gini importances: each split's
+// impurity decrease weighted by the fraction of the sample reaching it (the
+// preliminary §4.4.2 builds on: features closer to the root separate more
+// data), summing to at most 1.
+//
+// A node that splits appends its two children side by side at the end of the
+// array and writes its raw threshold, then grows the left subtree, then the
+// right. It panics on more than MaxFeatures features or codes that are not
+// b's, which are caller bugs.
+func Grow(b *Binner, codes [][]uint8, labels []bool, idx []int, cfg Config) ([]Node, []float64) {
+	if len(codes) > MaxFeatures {
+		panic(fmt.Sprintf("tree: %d features, a node indexes at most %d", len(codes), MaxFeatures))
+	}
+	if len(codes) != len(b.edges) {
+		panic(fmt.Sprintf("tree: binner built for %d features, got codes for %d", len(b.edges), len(codes)))
+	}
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
 	if cfg.FeaturesPerSplit > 0 && cfg.Rng == nil {
 		panic("tree: FeaturesPerSplit > 0 requires Rng")
 	}
-	t := &Tree{importance: make([]float64, len(binned))}
-	g := grower{binned: binned, labels: labels, cfg: cfg, t: t, total: len(idx)}
-	g.featScratch = make([]int, len(binned))
+	g := grower{b: b, codes: codes, labels: labels, cfg: cfg, total: len(idx),
+		nodes: make([]Node, 1), importance: make([]float64, len(codes)), featScratch: make([]int, len(codes))}
 	for j := range g.featScratch {
 		g.featScratch[j] = j
 	}
-	g.grow(idx)
-	return t
-}
-
-// Importances returns the per-feature gini importances of the tree, summing
-// to at most 1 (0 for features never split on).
-func (t *Tree) Importances() []float64 {
-	return append([]float64(nil), t.importance...)
+	g.grow(0, idx)
+	return g.nodes, g.importance
 }
 
 type grower struct {
-	binned      [][]uint8
+	b           *Binner
+	codes       [][]uint8
 	labels      []bool
 	cfg         Config
-	t           *Tree
+	nodes       []Node
+	importance  []float64
 	total       int
 	featScratch []int
 	hist        [MaxBins][2]int32
 }
 
-// grow builds the subtree for samples idx and returns its node index.
-func (g *grower) grow(idx []int) int32 {
+// grow writes node at for the samples idx: a leaf, or a split whose children
+// it appends and then grows.
+func (g *grower) grow(at int32, idx []int) {
 	pos := 0
 	for _, i := range idx {
 		if g.labels[i] {
@@ -82,18 +95,16 @@ func (g *grower) grow(idx []int) int32 {
 		}
 	}
 	n := len(idx)
-	prob := float32(pos) / float32(n)
-	me := int32(len(g.t.nodes))
-	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: prob})
+	g.nodes[at] = Node{Val: float64(float32(pos) / float32(n)), Left: -1}
 	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf {
-		return me
+		return
 	}
 	feature, bin, gain, ok := g.bestSplit(idx, pos)
 	if !ok {
-		return me
+		return
 	}
 	// Partition idx in place: codes ≤ bin to the left.
-	codes := g.binned[feature]
+	codes := g.codes[feature]
 	lo, hi := 0, n
 	for lo < hi {
 		if codes[idx[lo]] <= bin {
@@ -104,19 +115,16 @@ func (g *grower) grow(idx []int) int32 {
 		}
 	}
 	if lo == 0 || lo == n {
-		return me // degenerate split; keep the leaf
+		return // degenerate split; keep the leaf
 	}
-	g.t.nodes[me].leaf = false
-	g.t.nodes[me].feature = feature
-	g.t.nodes[me].bin = bin
+	kids := int32(len(g.nodes))
+	g.nodes = append(g.nodes, Node{}, Node{})
+	g.nodes[at] = Node{Val: g.b.Threshold(feature, bin), Left: kids, Feature: uint16(feature)}
 	if g.total > 0 {
-		g.t.importance[feature] += gain * float64(n) / float64(g.total)
+		g.importance[feature] += gain * float64(n) / float64(g.total)
 	}
-	left := g.grow(idx[:lo])
-	right := g.grow(idx[lo:])
-	g.t.nodes[me].left = left
-	g.t.nodes[me].right = right
-	return me
+	g.grow(kids, idx[:lo])
+	g.grow(kids+1, idx[lo:])
 }
 
 // splitMargin is how far a bin's weighted impurity must sit above the best
@@ -152,7 +160,7 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 	// below unchanged.
 	cut := (parentGini - bestGain + splitMargin) * float64(n) / 2
 	for _, f := range feats[:k] {
-		codes := g.binned[f]
+		codes := g.codes[f]
 		minBin, maxBin := uint8(MaxBins-1), uint8(0)
 		for _, i := range idx {
 			c := codes[i]
@@ -215,99 +223,82 @@ func gini(c [2]int32) float64 {
 	return 2 * p * (1 - p)
 }
 
-// Prob returns the anomaly probability of the leaf a binned sample reaches.
-// at(j) must return the sample's code for feature j.
-func (t *Tree) Prob(at func(j int) uint8) float64 {
-	i := int32(0)
-	for {
-		nd := &t.nodes[i]
-		if nd.leaf {
-			return float64(nd.prob)
+// Prob returns the anomaly probability of the leaf a raw feature row reaches
+// in the tree rooted at nodes[root]. It is the one walk: the forest sums it
+// over its roots, the single CART calls it at root 0. It allocates nothing.
+func Prob(nodes []Node, root int32, row []float64) float64 {
+	nd := &nodes[root]
+	for nd.Left >= 0 {
+		i := nd.Left
+		if row[nd.Feature] > nd.Val {
+			i++
 		}
-		if at(nd.feature) <= nd.bin {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
+		nd = &nodes[i]
 	}
+	return nd.Val
 }
 
-// ProbCols classifies sample i of the column-major binned matrix.
-func (t *Tree) ProbCols(binned [][]uint8, i int) float64 {
-	return t.Prob(func(j int) uint8 { return binned[j][i] })
-}
-
-// NumNodes returns the node count (for size assertions and ablations).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// NodeView is the exported description of one tree node, used by ensemble
-// code (ml/forest) to flatten many trees into one contiguous node array for
-// branch-predictable iterative inference.
-type NodeView struct {
-	Feature     int
-	Bin         uint8 // go left when code ≤ Bin
-	Left, Right int32 // child indices within this tree's own node array
-	Prob        float32
-	Leaf        bool
-}
-
-// Node returns the i-th node of the tree's internal (already flattened,
-// root-at-0) node array.
-func (t *Tree) Node(i int) NodeView {
-	nd := &t.nodes[i]
-	return NodeView{
-		Feature: nd.feature,
-		Bin:     nd.bin,
-		Left:    nd.left,
-		Right:   nd.right,
-		Prob:    nd.prob,
-		Leaf:    nd.leaf,
-	}
-}
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int {
-	var walk func(i int32, d int) int
-	walk = func(i int32, d int) int {
-		nd := &t.nodes[i]
-		if nd.leaf {
-			return d
+// Depth returns the maximum depth of the tree rooted at nodes[0] (root = 0).
+func Depth(nodes []Node) int {
+	var walk func(i int32) int
+	walk = func(i int32) int {
+		if nodes[i].Left < 0 {
+			return 0
 		}
-		l := walk(nd.left, d+1)
-		r := walk(nd.right, d+1)
-		if l > r {
-			return l
-		}
-		return r
+		return 1 + max(walk(nodes[i].Left), walk(nodes[i].Left+1))
 	}
-	if len(t.nodes) == 0 {
+	if len(nodes) == 0 {
 		return 0
 	}
-	return walk(0, 0)
+	return walk(0)
 }
 
-// Print writes an indented if-then view of the tree (Fig. 5 style) down to
-// maxDepth levels. names give feature names; binner translates bin codes
-// back to raw severity thresholds.
-func (t *Tree) Print(w io.Writer, names []string, binner *Binner, maxDepth int) {
+// Print writes an indented if-then view of the tree rooted at nodes[0]
+// (Fig. 5 style) down to maxDepth levels; names give feature names. cols and
+// labels are the column-major rows the tree grew on, each once: a split cut
+// off at maxDepth prints, as a leaf prints its own, the anomaly fraction of
+// the rows reaching it, which the walk of those rows recounts.
+func Print(w io.Writer, nodes []Node, names []string, cols [][]float64, labels []bool, maxDepth int) {
+	if len(nodes) == 0 {
+		return
+	}
+	reach := make([][2]int32, len(nodes)) // per node: rows reaching it, anomalies among them
+	row := make([]float64, len(cols))
+	for i, anomalous := range labels {
+		for j, col := range cols {
+			row[j] = col[i]
+		}
+		for at := int32(0); ; {
+			reach[at][0]++
+			if anomalous {
+				reach[at][1]++
+			}
+			nd := &nodes[at]
+			if nd.Left < 0 {
+				break
+			}
+			at = nd.Left
+			if row[nd.Feature] > nd.Val {
+				at++
+			}
+		}
+	}
 	var walk func(i int32, depth int, indent string)
 	walk = func(i int32, depth int, indent string) {
-		nd := &t.nodes[i]
-		if nd.leaf || (maxDepth > 0 && depth >= maxDepth) {
+		nd := &nodes[i]
+		if nd.Left < 0 || (maxDepth > 0 && depth >= maxDepth) {
+			prob := float32(reach[i][1]) / float32(reach[i][0])
 			verdict := "Normal"
-			if nd.prob >= 0.5 {
+			if prob >= 0.5 {
 				verdict = "Anomaly"
 			}
-			fmt.Fprintf(w, "%s=> %s (p=%.2f)\n", indent, verdict, nd.prob)
+			fmt.Fprintf(w, "%s=> %s (p=%.2f)\n", indent, verdict, prob)
 			return
 		}
-		thr := binner.Threshold(nd.feature, nd.bin)
-		fmt.Fprintf(w, "%sif severity[%s] <= %.3g:\n", indent, names[nd.feature], thr)
-		walk(nd.left, depth+1, indent+"  ")
+		fmt.Fprintf(w, "%sif severity[%s] <= %.3g:\n", indent, names[nd.Feature], nd.Val)
+		walk(nd.Left, depth+1, indent+"  ")
 		fmt.Fprintf(w, "%selse:\n", indent)
-		walk(nd.right, depth+1, indent+"  ")
+		walk(nd.Left+1, depth+1, indent+"  ")
 	}
-	if len(t.nodes) > 0 {
-		walk(0, 0, "")
-	}
+	walk(0, 0, "")
 }

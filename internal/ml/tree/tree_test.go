@@ -1,28 +1,40 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// code is the bucket of v for feature j by binary search: what the presorted
+// binning is tested against (refBin).
+func code(b *Binner, j int, v float64) uint8 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return uint8(sort.SearchFloat64s(b.edges[j], v))
+}
 
 func TestBinnerCodesMonotone(t *testing.T) {
 	col := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := NewBinner([][]float64{col}, 4)
 	prev := uint8(0)
 	for _, v := range col {
-		c := b.Code(0, v)
+		c := code(b, 0, v)
 		if c < prev {
 			t.Fatalf("codes not monotone: %v after %v", c, prev)
 		}
 		prev = c
 	}
-	if b.Code(0, -100) != 0 {
+	if code(b, 0, -100) != 0 {
 		t.Error("below-range value should get code 0")
 	}
-	if got := b.Code(0, 1e9); int(got) > len(colEdges(b, 0)) {
+	if got := code(b, 0, 1e9); int(got) > len(colEdges(b, 0)) {
 		t.Error("above-range code exceeds bucket count")
 	}
 }
@@ -31,7 +43,7 @@ func colEdges(b *Binner, j int) []float64 { return b.edges[j] }
 
 func TestBinnerNaN(t *testing.T) {
 	b := NewBinner([][]float64{{1, 2, math.NaN(), 4}}, 4)
-	if b.Code(0, math.NaN()) != 0 {
+	if code(b, 0, math.NaN()) != 0 {
 		t.Error("NaN should map to bucket 0")
 	}
 }
@@ -59,7 +71,7 @@ func TestBinnerCodeRespectsThreshold(t *testing.T) {
 		}
 		b := NewBinner([][]float64{col}, 32)
 		for _, v := range col {
-			c := b.Code(0, v)
+			c := code(b, 0, v)
 			// v must be ≤ its bucket's upper boundary and > the previous one.
 			if v > b.Threshold(0, c) {
 				return false
@@ -75,14 +87,33 @@ func TestBinnerCodeRespectsThreshold(t *testing.T) {
 	}
 }
 
-func TestBinnerBinPanicsOnShape(t *testing.T) {
+func TestGrowPanicsOnShape(t *testing.T) {
 	b := NewBinner([][]float64{{1, 2}}, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	b.Bin([][]float64{{1}, {2}})
+	Grow(b, [][]uint8{{0, 1}, {1, 0}}, []bool{false, true}, []int{0, 1}, Config{})
+}
+
+// TestGrowRejectsTooManyFeatures: a feature index past what a Node stores
+// is refused, not truncated.
+func TestGrowRejectsTooManyFeatures(t *testing.T) {
+	for d, ok := range map[int]bool{MaxFeatures: true, MaxFeatures + 1: false} {
+		func() {
+			defer func() {
+				err := recover()
+				if (err == nil) != ok {
+					t.Fatalf("%d features: panic %v, want ok=%v", d, err, ok)
+				}
+				if err != nil && !strings.Contains(fmt.Sprint(err), "features") {
+					t.Fatalf("%d features: unhelpful panic %q", d, err)
+				}
+			}()
+			Grow(NewBinner(make([][]float64, d), 2), make([][]uint8, d), nil, nil, Config{})
+		}()
+	}
 }
 
 // makeXOR builds a dataset a single linear split cannot solve but a depth-2
@@ -98,23 +129,32 @@ func makeXOR(n int, rng *rand.Rand) (cols [][]float64, labels []bool) {
 	return cols, labels
 }
 
-func trainTree(cols [][]float64, labels []bool, cfg Config, bins int) (*Tree, *Binner, [][]uint8) {
+func trainTree(cols [][]float64, labels []bool, cfg Config, bins int) ([]Node, *Binner) {
 	b := NewBinner(cols, bins)
-	binned := b.Bin(cols)
 	idx := make([]int, len(labels))
 	for i := range idx {
 		idx[i] = i
 	}
-	return Grow(binned, labels, idx, cfg), b, binned
+	nodes, _ := Grow(b, refBin(b, cols), labels, idx, cfg)
+	return nodes, b
+}
+
+// probCols walks sample i of the column-major raw matrix.
+func probCols(nodes []Node, cols [][]float64, i int) float64 {
+	row := make([]float64, len(cols))
+	for j, col := range cols {
+		row[j] = col[i]
+	}
+	return Prob(nodes, 0, row)
 }
 
 func TestTreeSolvesXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cols, labels := makeXOR(600, rng)
-	tr, _, binned := trainTree(cols, labels, Config{}, 64)
+	nodes, _ := trainTree(cols, labels, Config{}, 64)
 	correct := 0
 	for i := range labels {
-		pred := tr.ProbCols(binned, i) >= 0.5
+		pred := probCols(nodes, cols, i) >= 0.5
 		if pred == labels[i] {
 			correct++
 		}
@@ -127,11 +167,11 @@ func TestTreeSolvesXOR(t *testing.T) {
 func TestTreePureLeafStopsGrowing(t *testing.T) {
 	cols := [][]float64{{1, 2, 3, 4}}
 	labels := []bool{true, true, true, true}
-	tr, _, _ := trainTree(cols, labels, Config{}, 8)
-	if tr.NumNodes() != 1 {
-		t.Errorf("pure data should give a single leaf, got %d nodes", tr.NumNodes())
+	nodes, _ := trainTree(cols, labels, Config{}, 8)
+	if len(nodes) != 1 {
+		t.Errorf("pure data should give a single leaf, got %d nodes", len(nodes))
 	}
-	if p := tr.Prob(func(int) uint8 { return 0 }); p != 1 {
+	if p := Prob(nodes, 0, []float64{0}); p != 1 {
 		t.Errorf("pure anomaly leaf prob = %v, want 1", p)
 	}
 }
@@ -139,12 +179,11 @@ func TestTreePureLeafStopsGrowing(t *testing.T) {
 func TestTreeMinLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cols, labels := makeXOR(300, rng)
-	tr, _, binned := trainTree(cols, labels, Config{MinLeaf: 50}, 64)
+	nodes, _ := trainTree(cols, labels, Config{MinLeaf: 50}, 64)
 	// No leaf holds fewer than MinLeaf training points, so the tree is small.
-	if tr.NumNodes() > 2*300/50+1 {
-		t.Errorf("MinLeaf=50 tree has %d nodes, too many", tr.NumNodes())
+	if len(nodes) > 2*300/50+1 {
+		t.Errorf("MinLeaf=50 tree has %d nodes, too many", len(nodes))
 	}
-	_ = binned
 }
 
 func TestTreeFeatureSubsamplingNeedsRng(t *testing.T) {
@@ -153,15 +192,15 @@ func TestTreeFeatureSubsamplingNeedsRng(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	Grow([][]uint8{{0, 1}}, []bool{false, true}, []int{0, 1}, Config{FeaturesPerSplit: 1})
+	Grow(NewBinner([][]float64{{0, 1}}, 4), [][]uint8{{0, 1}}, []bool{false, true}, []int{0, 1}, Config{FeaturesPerSplit: 1})
 }
 
 func TestTreePrintShowsRulesAndVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cols, labels := makeXOR(400, rng)
-	tr, binner, _ := trainTree(cols, labels, Config{}, 64)
+	nodes, _ := trainTree(cols, labels, Config{}, 64)
 	var sb strings.Builder
-	tr.Print(&sb, []string{"detA", "detB"}, binner, 2)
+	Print(&sb, nodes, []string{"detA", "detB"}, cols, labels, 2)
 	out := sb.String()
 	if !strings.Contains(out, "severity[detA]") && !strings.Contains(out, "severity[detB]") {
 		t.Errorf("printed tree lacks feature names:\n%s", out)
@@ -174,20 +213,19 @@ func TestTreePrintShowsRulesAndVerdicts(t *testing.T) {
 func TestTreeDeterministicWithSeed(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(5))
 	cols, labels := makeXOR(300, rng1)
-	grow := func(seed int64) *Tree {
+	grow := func(seed int64) []Node {
 		b := NewBinner(cols, 32)
-		binned := b.Bin(cols)
 		idx := make([]int, len(labels))
 		for i := range idx {
 			idx[i] = i
 		}
-		return Grow(binned, labels, idx, Config{
+		nodes, _ := Grow(b, refBin(b, cols), labels, idx, Config{
 			FeaturesPerSplit: 1,
 			Rng:              rand.New(rand.NewSource(seed)),
 		})
+		return nodes
 	}
-	a, b := grow(7), grow(7)
-	if a.NumNodes() != b.NumNodes() {
+	if a, b := grow(7), grow(7); !slices.Equal(a, b) {
 		t.Error("same seed should grow identical trees")
 	}
 }
@@ -205,10 +243,10 @@ func TestFullyGrownFitsTrainingData(t *testing.T) {
 		}
 		labels[i] = cols[0][i]+cols[1][i]*cols[2][i] > 0.3
 	}
-	tr, _, binned := trainTree(cols, labels, Config{}, 256)
+	nodes, _ := trainTree(cols, labels, Config{}, 256)
 	wrong := 0
 	for i := range labels {
-		if (tr.ProbCols(binned, i) >= 0.5) != labels[i] {
+		if (probCols(nodes, cols, i) >= 0.5) != labels[i] {
 			wrong++
 		}
 	}
