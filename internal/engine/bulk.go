@@ -46,8 +46,11 @@ type BulkSummary struct {
 // settled, and unlocked, the runs it held staged; the run it struck is left
 // as Append leaves a series it panics in.
 //
-// vbuf is reusable verdict scratch, returned grown; it ends holding the
-// verdicts of the caller's last run — for a one-series group, its verdicts.
+// vbuf is reusable verdict scratch that AppendBulk takes over: the caller
+// keeps only the returned slice, which holds the verdicts of one run of the
+// group's last round — the last run the caller's own worker applied, or, if
+// the other workers claimed them all, the last run of the lowest-numbered
+// worker that applied one. For a one-series group, its verdicts.
 func (e *Engine) AppendBulk(ctx context.Context, batches []SeriesBatch, vbuf []Verdict) (BulkSummary, []Verdict, error) {
 	var sum BulkSummary
 	if len(batches) == 0 {
@@ -123,6 +126,7 @@ type bulkGroup struct {
 	runs   []bulkRun     // the current round
 	merged []Point       // points of the round's runs of several batches
 	vbufs  [][]Verdict   // per worker, the caller's first: verdict buffers
+	staged []bool        // per worker: whether it staged a run this round
 	held   [][]stagedRun // per worker: runs staged, locks held
 	next   atomic.Int64  // the next run to claim
 }
@@ -163,19 +167,33 @@ func (g *bulkGroup) merge(batches []SeriesBatch, lo int) (hi int) {
 }
 
 // applyRuns applies the round's runs on fanout.Workers(runs) workers, the
-// caller's among them (worker 0, whose verdicts land in vbuf), each claiming
-// runs from g.next. A worker settles the runs it holds before it returns,
+// caller's among them (worker 0, which starts from vbuf), each claiming runs
+// from g.next into its own emptied buffer. It returns worker 0's verdicts if
+// worker 0 staged a run, and otherwise those of the lowest-numbered worker
+// that did, swapping that worker's buffer with worker 0's, so that no buffer
+// has two owners. A worker settles the runs it holds before it returns,
 // panicking or not: settling after Run would leave two opposed groups each
 // waiting on a lock the other holds staged.
 func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []Verdict {
 	g.next.Store(0)
 	workers := fanout.Workers(len(g.runs))
 	g.vbufs = append(g.vbufs, make([][]Verdict, max(workers-len(g.vbufs), 0))...)
+	g.staged = append(g.staged, make([]bool, max(workers-len(g.staged), 0))...)
 	g.held = append(g.held, make([][]stagedRun, max(workers-len(g.held), 0))...)
 	g.vbufs[0] = vbuf
+	for w := range workers {
+		g.vbufs[w], g.staged[w] = g.vbufs[w][:0], false
+	}
 	fanout.Run(workers, workers, func(w, _ int) {
-		g.vbufs[w] = e.claimRuns(ctx, g, g.vbufs[w], &g.held[w])
+		// A worker may claim more than one of Run's items: its buffer keeps
+		// the last run it staged.
+		var staged bool
+		g.vbufs[w], staged = e.claimRuns(ctx, g, g.vbufs[w], &g.held[w])
+		g.staged[w] = g.staged[w] || staged
 	})
+	if k := slices.Index(g.staged[:workers], true); k > 0 {
+		g.vbufs[0], g.vbufs[k] = g.vbufs[k], g.vbufs[0]
+	}
 	vbuf, g.vbufs[0] = g.vbufs[0], nil
 	return vbuf
 }
@@ -186,8 +204,9 @@ func (e *Engine) applyRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict) []
 // a busy lock makes it settle first — so nothing can deadlock against it.
 // stage refuses only timestamped points, which resolveBatch turned away. A
 // panic still settles, and unlocks, every run held whole; the run it struck
-// mid-stage is left as Append would leave it.
-func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, held *[]stagedRun) []Verdict {
+// mid-stage is left as Append would leave it. It returns vbuf holding the
+// verdicts of the last run it staged, and whether it staged one.
+func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, held *[]stagedRun) ([]Verdict, bool) {
 	settleHeld := func() {
 		for i := range *held {
 			e.settle(ctx, &(*held)[i])
@@ -196,6 +215,7 @@ func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, he
 		*held = (*held)[:0]
 	}
 	defer settleHeld()
+	staged := false
 	for i := int(g.next.Add(1)) - 1; i < len(g.runs); i = int(g.next.Add(1)) - 1 {
 		r := &g.runs[i]
 		if !r.m.mu.TryLock() {
@@ -205,9 +225,10 @@ func (e *Engine) claimRuns(ctx context.Context, g *bulkGroup, vbuf []Verdict, he
 		if s, err := e.stage(ctx, r.m, r.pts, vbuf); err == nil {
 			vbuf, r.alarms = s.res.Verdicts, s.alarms
 			*held = append(*held, s)
+			staged = true
 		}
 	}
-	return vbuf
+	return vbuf, staged
 }
 
 // release returns the admitted budget and g to the pool, dropping g's

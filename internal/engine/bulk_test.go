@@ -461,3 +461,62 @@ func TestAppendBulkPanicReachesCaller(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendBulkReturnsOneRunsVerdicts: whichever workers claim a group's
+// runs — the caller's own worker among them or not — AppendBulk hands back
+// the verdicts of exactly one of those runs. Every series is trained, so
+// every run scores a verdict per point, and each group gives its series runs
+// of distinct lengths, so a result's length names its run and its indices
+// must be that series' next slots. Two streams of groups over disjoint
+// series, at GOMAXPROCS 4, keep more workers runnable than there are cores,
+// so a worker is at times descheduled before it claims any run. vbuf is nil
+// on every call, so an empty result cannot pass for a run's verdicts.
+func TestAppendBulkReturnsOneRunsVerdicts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := bulkEngine(t, Config{})
+	const streams, perStream, groups = 2, 4, 1500
+	names := make([]string, streams*perStream)
+	next := make([]int, len(names)) // each series' next slot
+	for i := range names {
+		names[i] = fmt.Sprintf("v%d", i)
+		_, next[i] = trainTypedSeries(t, e, names[i], kpigen.PV(kpigen.Small), 9, 1, SeriesConfig{})
+	}
+	stream := func(own []string, next []int) error {
+		ctx := context.Background()
+		group := make([]SeriesBatch, len(own))
+		for g := range groups {
+			for k := range group {
+				// Series k+g%n takes k+1 points: lengths 1..n, rotated.
+				s := (k + g) % len(own)
+				group[k] = SeriesBatch{Name: own[s], Points: make([]Point, k+1)}
+			}
+			_, verdicts, err := e.AppendBulk(ctx, group, nil)
+			if err != nil {
+				return fmt.Errorf("group %d: %v", g, err)
+			}
+			if len(verdicts) == 0 || len(verdicts) > len(group) {
+				return fmt.Errorf("group %d: %d verdicts, want one run's (1 to %d)", g, len(verdicts), len(group))
+			}
+			s := (len(verdicts) - 1 + g) % len(own)
+			for i, v := range verdicts {
+				if v.Index != next[s]+i {
+					return fmt.Errorf("group %d: verdict %d has index %d, want %s's slot %d", g, i, v.Index, own[s], next[s]+i)
+				}
+			}
+			for k := range group {
+				next[(k+g)%len(own)] += k + 1
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, streams)
+	for s := range streams {
+		lo, hi := s*perStream, (s+1)*perStream
+		go func() { errs <- stream(names[lo:hi], next[lo:hi]) }()
+	}
+	for range streams {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
