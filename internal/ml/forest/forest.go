@@ -199,3 +199,28 @@ func (f *Forest) ProbAll(cols [][]float64) []float64 {
 	})
 	return out
 }
+
+// probRow runs the whole ensemble over one dense feature row and returns the
+// mean leaf probability: tree.Prob from each root of the one node array,
+// whose raw thresholds spare inference any binning. It reads only the few
+// dozen features the walked splits test and allocates nothing.
+func (f *Forest) probRow(row []float64) float64 {
+	sum := 0.0
+	for _, root := range f.roots {
+		sum += tree.Prob(f.flat, root, row)
+	}
+	return sum / float64(len(f.roots))
+}
+
+// probColsRange classifies samples [lo, hi) of the column-major feature
+// matrix into out, gathering each sample into a row for probRow (consecutive
+// samples share the cache lines of every column, so the gather stays in L1).
+func (f *Forest) probColsRange(cols [][]float64, out []float64, lo, hi int) {
+	row := make([]float64, len(cols))
+	for s := lo; s < hi; s++ {
+		for j, col := range cols {
+			row[j] = col[s]
+		}
+		out[s] = f.probRow(row)
+	}
+}
