@@ -31,7 +31,7 @@ var keptExports = map[string]string{
 	"simtest.*":                     "test-support package: the simulation tests drive",
 	"linalg.ComputeSVD":             "exact SVD, the reference the sliding SVD detector is tested against",
 	"linalg.SVD.Reconstruct":        "rank-k reconstruction, the oracle for the exact SVD's tests",
-	"ml/tree.NewBinner":             "encode-by-search, the reference the presorted binning is tested against",
+	"ml/tree.NewBinner":             "one matrix's binner in one call: the search-based references of the tree and forest tests encode with it",
 	"core.Class*":                   "the anomaly-class wire codes: typed label records and type artifacts carry them, and no code may renumber them",
 	"tsdb.WithShards":               "the only way a test gets a one-shard store, whose frame sequence is deterministic",
 	"engine.kindError.Unwrap":       "errors.Is and errors.As call it through an interface package errors does not export",

@@ -36,8 +36,8 @@ type Node struct {
 	Feature uint16  // split feature (internal nodes)
 }
 
-// MaxFeatures is the most features a Node can index.
-const MaxFeatures = math.MaxUint16 + 1
+// maxFeatures is the most features a Node can index.
+const maxFeatures = math.MaxUint16 + 1
 
 // Grow grows one tree on the coded rows b encoded: codes[j][i] is the bucket
 // of feature j of row i, labels[i] row i's ground truth, and idx the rows of
@@ -49,11 +49,11 @@ const MaxFeatures = math.MaxUint16 + 1
 //
 // A node that splits appends its two children side by side at the end of the
 // array and writes its raw threshold, then grows the left subtree, then the
-// right. It panics on more than MaxFeatures features or codes that are not
+// right. It panics on more than maxFeatures features or codes that are not
 // b's, which are caller bugs.
 func Grow(b *Binner, codes [][]uint8, labels []bool, idx []int, cfg Config) ([]Node, []float64) {
-	if len(codes) > MaxFeatures {
-		panic(fmt.Sprintf("tree: %d features, a node indexes at most %d", len(codes), MaxFeatures))
+	if len(codes) > maxFeatures {
+		panic(fmt.Sprintf("tree: %d features, a node indexes at most %d", len(codes), maxFeatures))
 	}
 	if len(codes) != len(b.edges) {
 		panic(fmt.Sprintf("tree: binner built for %d features, got codes for %d", len(b.edges), len(codes)))

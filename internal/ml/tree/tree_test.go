@@ -100,7 +100,7 @@ func TestGrowPanicsOnShape(t *testing.T) {
 // TestGrowRejectsTooManyFeatures: a feature index past what a Node stores
 // is refused, not truncated.
 func TestGrowRejectsTooManyFeatures(t *testing.T) {
-	for d, ok := range map[int]bool{MaxFeatures: true, MaxFeatures + 1: false} {
+	for d, ok := range map[int]bool{maxFeatures: true, maxFeatures + 1: false} {
 		func() {
 			defer func() {
 				err := recover()
