@@ -224,8 +224,9 @@ func gini(c [2]int32) float64 {
 }
 
 // Prob returns the anomaly probability of the leaf a raw feature row reaches
-// in the tree rooted at nodes[root]. It is the one walk: the forest sums it
-// over its roots, the single CART calls it at root 0. It allocates nothing.
+// in the tree rooted at nodes[root]. It is the one inference walk: the
+// forest sums it over its roots, the single CART calls it at root 0. It
+// allocates nothing.
 func Prob(nodes []Node, root int32, row []float64) float64 {
 	nd := &nodes[root]
 	for nd.Left >= 0 {
